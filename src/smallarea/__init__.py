@@ -43,16 +43,8 @@ from .bootstrap import (
     replicate_rng,
     standardized_residuals,
 )
-from .pipeline import (
-    CsvSchema,
-    EstimateReport,
-    RunConfig,
-    emit_plot_data,
-    load_area_csv,
-    read_report,
-    run_pipeline,
-    write_area_csv,
-)
+from .datasets import CsvSchema, load_area_csv, write_area_csv
+from .pipeline import EstimateReport, RunConfig, emit_plot_data, read_report, run_pipeline
 
 __all__ = [
     "AreaDataset",

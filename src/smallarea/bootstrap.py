@@ -145,8 +145,9 @@ def bootstrap_mse(
     the replicate's constrained estimates.  The generating values
     ``theta_bm`` play the role of the truth: MSE_i averages
     (estimate_i - theta_bm_i)^2 over replicates, and bias_i is the mean
-    deviation.  A replicate whose pipeline raises is recorded as failed;
-    more than 5% failures abort the report.
+    deviation.  A replicate whose pipeline raises ValidationError or
+    NumericalError is recorded as failed; more than 5% failures abort the
+    report.  Any other exception is a bug and propagates.
     """
     theta_bm = np.asarray(theta_bm, dtype=float)
     m = data.m
@@ -171,7 +172,7 @@ def bootstrap_mse(
             estimate = np.asarray(pipeline(y_star, replicate_gibbs_seed(config.seed, b)), dtype=float)
             if estimate.shape != (m,) or not np.all(np.isfinite(estimate)):
                 raise NumericalError("pipeline returned a malformed estimate")
-        except Exception:
+        except (ValidationError, NumericalError):
             failed.append(b)
             continue
         replicates[b] = estimate

@@ -2,8 +2,10 @@
 
 Subcommands: fit (sampler only), cv (selection curve only), estimate
 (point estimates), bootstrap (estimates plus MSE), run (everything),
-plot-data (tidy CSVs from a finished run).  Exit codes: 0 success,
-2 validation error, 3 numerical failure.
+plot-data (tidy CSVs from a finished run).  fit, cv, estimate, bootstrap
+and run are all the same :func:`~smallarea.pipeline.run_pipeline` call,
+stopped after a stage; each prints the path of the file it was asked for.
+Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,16 +16,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from .exceptions import NumericalError, ValidationError
-from .pipeline import (
-    PLOT_KINDS,
-    RunConfig,
-    cv_only,
-    emit_plot_data,
-    fit_only,
-    read_report,
-    run_pipeline,
-)
-from .selection import default_gamma_grid
+from .pipeline import PLOT_KINDS, RunConfig, _parse_grid_spec, emit_plot_data, read_report, run_pipeline
+
+# command -> (help text, stage run_pipeline stops after, file whose path is
+# printed; None prints the output directory)
+_PIPELINE_COMMANDS = {
+    "fit": ("run the Gibbs sampler only", "gibbs", "fit.csv"),
+    "cv": ("compute the cross-validation curve only", "cross-validation", "cv_curve.csv"),
+    "estimate": ("full point estimates, no bootstrap", "report", "estimates.csv"),
+    "bootstrap": ("estimates plus bootstrap MSE", "report", "bootstrap_mse.csv"),
+    "run": ("everything the config asks for", "report", None),
+}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -51,23 +54,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-        updates["gibbs"] = replace(config.gibbs, seed=args.seed)
-        updates["bootstrap_gibbs"] = replace(config.bootstrap_gibbs, seed=args.seed)
     if args.out is not None:
         updates["output_dir"] = args.out
     if args.gamma is not None:
         updates["gamma"] = args.gamma
         updates["gamma_grid"] = None
     elif args.gamma_grid is not None:
-        parts = args.gamma_grid.split(",")
-        if len(parts) != 3:
-            raise ValidationError(f"--gamma-grid must be LO,HI,N, got {args.gamma_grid!r}")
-        try:
-            grid = default_gamma_grid(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ValidationError(f"--gamma-grid must be LO,HI,N, got {args.gamma_grid!r}") from None
         updates["gamma"] = None
-        updates["gamma_grid"] = grid
+        updates["gamma_grid"] = _parse_grid_spec(args.gamma_grid)
     if args.benchmark_target is not None:
         updates["benchmark_target"] = args.benchmark_target
     if args.bootstrap_reps is not None:
@@ -75,38 +69,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return replace(config, **updates) if updates else config
 
 
-def _cmd_fit(args) -> int:
-    path = fit_only(_load_config(args))
-    print(path)
-    return 0
-
-
-def _cmd_cv(args) -> int:
-    path = cv_only(_load_config(args))
-    print(path)
-    return 0
-
-
-def _cmd_estimate(args) -> int:
-    config = replace(_load_config(args), bootstrap_replicates=0)
-    report = run_pipeline(config)
-    print(Path(config.output_dir) / "estimates.csv")
-    return 0
-
-
-def _cmd_bootstrap(args) -> int:
+def _cmd_pipeline(args) -> int:
     config = _load_config(args)
-    if config.bootstrap_replicates < 1:
+    if args.command == "estimate":
+        config = replace(config, bootstrap_replicates=0)
+    elif args.command == "bootstrap" and config.bootstrap_replicates < 1:
         raise ValidationError("bootstrap requires bootstrap_replicates >= 1 (or --bootstrap-reps)")
-    run_pipeline(config)
-    print(Path(config.output_dir) / "bootstrap_mse.csv")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    run_pipeline(config)
-    print(config.output_dir)
+    _, stop_after, printed = _PIPELINE_COMMANDS[args.command]
+    run_pipeline(config, stop_after=stop_after)
+    out = Path(config.output_dir)
+    print(out if printed is None else out / printed)
     return 0
 
 
@@ -124,19 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constrained Bayes small-area estimation pipeline",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, func, text in (
-        ("fit", _cmd_fit, "run the Gibbs sampler only"),
-        ("cv", _cmd_cv, "compute the cross-validation curve only"),
-        ("estimate", _cmd_estimate, "full point estimates, no bootstrap"),
-        ("bootstrap", _cmd_bootstrap, "estimates plus bootstrap MSE"),
-        ("run", _cmd_run, "everything the config asks for"),
-        ("plot-data", _cmd_plot_data, "emit plot-ready CSVs from a finished run"),
-    ):
+    for name, (text, _, _) in _PIPELINE_COMMANDS.items():
         sub = subs.add_parser(name, help=text)
         _add_common(sub)
-        if name == "plot-data":
-            sub.add_argument("--kind", required=True, choices=PLOT_KINDS)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=_cmd_pipeline)
+    sub = subs.add_parser("plot-data", help="emit plot-ready CSVs from a finished run")
+    _add_common(sub)
+    sub.add_argument("--kind", required=True, choices=PLOT_KINDS)
+    sub.set_defaults(func=_cmd_plot_data)
     return parser
 
 

@@ -1,4 +1,8 @@
-"""Bundled fixtures and the synthetic data generator.
+"""Area CSV ingestion, bundled fixtures and the synthetic data generator.
+
+:func:`load_area_csv` and :func:`write_area_csv` read and write the
+per-area CSV format described by a :class:`CsvSchema`; floats are written
+with 17 significant digits, so a written dataset loads back exactly.
 
 Two fixtures ship with the package: the public US state border list (50
 states plus DC, postal codes, one edge per line) and a 51-area synthetic
@@ -9,24 +13,169 @@ stands in for survey microdata that cannot be redistributed.
 
 from __future__ import annotations
 
+import csv
+from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 
+from .exceptions import ValidationError
 from .fay_herriot import AreaDataset
-from .pipeline import CsvSchema
 from .similarity import build_omega, load_adjacency, read_edge_list
 
 __all__ = [
+    "CsvSchema",
     "FIXTURE_SCHEMA",
     "FIXTURE_SEED",
     "US_CENSUS_REGIONS",
     "US_STATE_LABELS",
+    "load_area_csv",
     "synthetic_dataset_path",
     "synthetic_saipe_like",
     "us_state_borders_path",
+    "write_area_csv",
 ]
+
+
+def _fmt(x: float) -> str:
+    """Fixed 17-significant-digit float formatting (round-trips float64)."""
+    return format(float(x), ".17g")
+
+
+@dataclass(frozen=True)
+class CsvSchema:
+    """Column-name mapping for area CSV files.
+
+    ``covariates`` must name at least one column.  When ``phi`` is absent
+    the loader defaults the loss weights to 1/D, the inverse sampling
+    variance (all D must then be positive).
+    """
+
+    label: str = "label"
+    y: str = "y"
+    d: str = "D"
+    covariates: tuple[str, ...] = ()
+    phi: str | None = None
+    benchmark_weight: str | None = None
+    group: str | None = None
+    add_intercept: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "covariates", tuple(self.covariates))
+        if len(self.covariates) == 0:
+            raise ValidationError("schema must name at least one covariate column")
+
+
+def _parse_cell(raw: str, column: str, row: int) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"non-numeric value {raw!r} in column {column!r}, row {row}"
+        ) from None
+
+
+def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
+    """Read and validate an area-level CSV into an AreaDataset.
+
+    Row order defines area indexing and must match the label universe of
+    any edge list used alongside.  Missing columns, non-numeric cells
+    (reported with row and column), negative D, and duplicate labels are
+    all rejected.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"area CSV not found: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        needed = [schema.label, schema.y, schema.d, *schema.covariates]
+        for opt in (schema.phi, schema.benchmark_weight, schema.group):
+            if opt is not None:
+                needed.append(opt)
+        for col in needed:
+            if col not in header:
+                raise ValidationError(f"missing column {col!r} in {path}")
+        rows = list(reader)
+    if not rows:
+        raise ValidationError(f"area CSV {path} has no data rows")
+
+    labels = tuple(r[schema.label] for r in rows)
+    y = np.array([_parse_cell(r[schema.y], schema.y, i + 2) for i, r in enumerate(rows)])
+    D = np.array([_parse_cell(r[schema.d], schema.d, i + 2) for i, r in enumerate(rows)])
+    cov = np.column_stack(
+        [
+            np.array([_parse_cell(r[c], c, i + 2) for i, r in enumerate(rows)])
+            for c in schema.covariates
+        ]
+    )
+    phi = None
+    if schema.phi is not None:
+        phi = np.array([_parse_cell(r[schema.phi], schema.phi, i + 2) for i, r in enumerate(rows)])
+    elif np.any(D < 0):
+        phi = None  # let the dataset's own check report the negative variance
+    elif np.any(D == 0):
+        raise ValidationError(
+            "cannot default loss weights to 1/D with a zero sampling variance; "
+            f"supply a phi column (column {schema.d!r} has zero entries)"
+        )
+    else:
+        phi = 1.0 / D
+    weights = None
+    if schema.benchmark_weight is not None:
+        weights = np.array(
+            [_parse_cell(r[schema.benchmark_weight], schema.benchmark_weight, i + 2) for i, r in enumerate(rows)]
+        )
+    groups = None
+    if schema.group is not None:
+        groups = tuple(r[schema.group] for r in rows)
+    return AreaDataset(
+        labels=labels,
+        y=y,
+        D=D,
+        covariates=cov,
+        covariate_names=schema.covariates,
+        intercept=schema.add_intercept,
+        groups=groups,
+        phi=phi,
+        benchmark_weights=weights,
+    )
+
+
+def write_area_csv(data: AreaDataset, path: str | Path, schema: CsvSchema | None = None) -> Path:
+    """Write an AreaDataset back to CSV (17-digit floats, exact round trip)."""
+    if schema is None:
+        schema = CsvSchema(
+            covariates=data.covariate_names,
+            phi="phi" if data.phi is not None else None,
+            benchmark_weight="benchmark_weight" if data.benchmark_weights is not None else None,
+            group="group" if data.groups is not None else None,
+            add_intercept=data.intercept,
+        )
+    path = Path(path)
+    header = [schema.label, schema.y, schema.d, *schema.covariates]
+    if schema.phi is not None:
+        header.append(schema.phi)
+    if schema.benchmark_weight is not None:
+        header.append(schema.benchmark_weight)
+    if schema.group is not None:
+        header.append(schema.group)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, lab in enumerate(data.labels):
+            row = [lab, _fmt(data.y[i]), _fmt(data.D[i])]
+            row += [_fmt(v) for v in data.covariates[i]]
+            if schema.phi is not None:
+                row.append(_fmt(data.phi[i]))
+            if schema.benchmark_weight is not None:
+                row.append(_fmt(data.benchmark_weights[i]))
+            if schema.group is not None:
+                row.append(data.groups[i])
+            writer.writerow(row)
+    return path
+
 
 US_STATE_LABELS: tuple[str, ...] = (
     "AK", "AL", "AR", "AZ", "CA", "CO", "CT", "DC", "DE", "FL", "GA", "HI",

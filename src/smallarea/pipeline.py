@@ -1,13 +1,14 @@
-"""Data ingestion, run configuration, and the end-to-end estimation pipeline.
+"""Run configuration and the staged estimation pipeline.
 
-A run proceeds fit -> (optional) cross-validation -> smoothed and
-benchmarked estimates -> (optional) bootstrap MSE, then writes a report:
+:func:`run_pipeline` runs load -> gibbs -> (optional) cross-validation ->
+estimate -> (optional) bootstrap -> write, and writes a report:
 ``estimates.csv`` (one row per area), ``cv_curve.csv``, ``bootstrap_mse.csv``
-and ``metadata.json`` in the output directory.  Everything is driven by a
-flat key/value config file (``key = value`` lines, ``#`` comments); unknown
-keys are rejected.  Floats are written with 17 significant digits, so a
-fixed seed yields byte-identical outputs and loading a written dataset
-reproduces it exactly.
+and ``metadata.json`` in the output directory; ``stop_after`` ends the run
+after the sampler or the selection curve instead.  Everything is driven by
+a flat key/value config file (``key = value`` lines, ``#`` comments);
+unknown keys are rejected.  Floats are written with 17 significant digits,
+so a fixed seed yields byte-identical outputs.  Area CSV ingestion lives
+in :mod:`smallarea.datasets`.
 
 Config keys (see README for details):
 
@@ -34,7 +35,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bootstrap import BootstrapConfig, bootstrap_mse
+from .bootstrap import GAMMA_POLICIES, BootstrapConfig, bootstrap_mse
+from .datasets import CsvSchema, _fmt, load_area_csv
 from .estimators import (
     ConstraintSet,
     benchmarked_estimate,
@@ -42,30 +44,20 @@ from .estimators import (
     smoothed_estimate,
 )
 from .exceptions import NumericalError, ValidationError
-from .fay_herriot import AreaDataset, GibbsConfig, gibbs_fit
+from .fay_herriot import AreaDataset, GibbsConfig, PosteriorSummary, gibbs_fit
 from .selection import CvCurve, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
 
 __all__ = [
-    "CsvSchema",
     "EstimateReport",
     "PLOT_KINDS",
     "RunConfig",
     "emit_plot_data",
-    "load_area_csv",
     "read_report",
     "run_pipeline",
-    "write_area_csv",
 ]
 
 PLOT_KINDS = ("scatter_constrained_vs_bayes", "scatter_by_group", "mse_by_area")
-
-_GAMMA_POLICIES = ("fixed", "re-cross-validate")
-
-
-def _fmt(x: float) -> str:
-    """Fixed 17-significant-digit float formatting (round-trips float64)."""
-    return format(float(x), ".17g")
 
 
 @contextmanager
@@ -75,140 +67,6 @@ def _stage(name: str):
         yield
     except (ValidationError, NumericalError) as exc:
         raise type(exc)(f"[stage {name}] {exc}") from exc
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column-name mapping for area CSV files.
-
-    ``covariates`` must name at least one column.  When ``phi`` is absent
-    the loader defaults the loss weights to 1/D, the inverse sampling
-    variance (all D must then be positive).
-    """
-
-    label: str = "label"
-    y: str = "y"
-    d: str = "D"
-    covariates: tuple[str, ...] = ()
-    phi: str | None = None
-    benchmark_weight: str | None = None
-    group: str | None = None
-    add_intercept: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        if len(self.covariates) == 0:
-            raise ValidationError("schema must name at least one covariate column")
-
-
-def _parse_cell(raw: str, column: str, row: int) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"non-numeric value {raw!r} in column {column!r}, row {row}"
-        ) from None
-
-
-def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
-    """Read and validate an area-level CSV into an AreaDataset.
-
-    Row order defines area indexing and must match the label universe of
-    any edge list used alongside.  Missing columns, non-numeric cells
-    (reported with row and column), negative D, and duplicate labels are
-    all rejected.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"area CSV not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [schema.label, schema.y, schema.d, *schema.covariates]
-        for opt in (schema.phi, schema.benchmark_weight, schema.group):
-            if opt is not None:
-                needed.append(opt)
-        for col in needed:
-            if col not in header:
-                raise ValidationError(f"missing column {col!r} in {path}")
-        rows = list(reader)
-    if not rows:
-        raise ValidationError(f"area CSV {path} has no data rows")
-
-    labels = tuple(r[schema.label] for r in rows)
-    y = np.array([_parse_cell(r[schema.y], schema.y, i + 2) for i, r in enumerate(rows)])
-    D = np.array([_parse_cell(r[schema.d], schema.d, i + 2) for i, r in enumerate(rows)])
-    cov = np.column_stack(
-        [
-            np.array([_parse_cell(r[c], c, i + 2) for i, r in enumerate(rows)])
-            for c in schema.covariates
-        ]
-    )
-    phi = None
-    if schema.phi is not None:
-        phi = np.array([_parse_cell(r[schema.phi], schema.phi, i + 2) for i, r in enumerate(rows)])
-    elif np.any(D < 0):
-        phi = None  # let the dataset's own check report the negative variance
-    elif np.any(D == 0):
-        raise ValidationError(
-            "cannot default loss weights to 1/D with a zero sampling variance; "
-            f"supply a phi column (column {schema.d!r} has zero entries)"
-        )
-    else:
-        phi = 1.0 / D
-    weights = None
-    if schema.benchmark_weight is not None:
-        weights = np.array(
-            [_parse_cell(r[schema.benchmark_weight], schema.benchmark_weight, i + 2) for i, r in enumerate(rows)]
-        )
-    groups = None
-    if schema.group is not None:
-        groups = tuple(r[schema.group] for r in rows)
-    return AreaDataset(
-        labels=labels,
-        y=y,
-        D=D,
-        covariates=cov,
-        covariate_names=schema.covariates,
-        intercept=schema.add_intercept,
-        groups=groups,
-        phi=phi,
-        benchmark_weights=weights,
-    )
-
-
-def write_area_csv(data: AreaDataset, path: str | Path, schema: CsvSchema | None = None) -> Path:
-    """Write an AreaDataset back to CSV (17-digit floats, exact round trip)."""
-    if schema is None:
-        schema = CsvSchema(
-            covariates=data.covariate_names,
-            phi="phi" if data.phi is not None else None,
-            benchmark_weight="benchmark_weight" if data.benchmark_weights is not None else None,
-            group="group" if data.groups is not None else None,
-            add_intercept=data.intercept,
-        )
-    path = Path(path)
-    header = [schema.label, schema.y, schema.d, *schema.covariates]
-    if schema.phi is not None:
-        header.append(schema.phi)
-    if schema.benchmark_weight is not None:
-        header.append(schema.benchmark_weight)
-    if schema.group is not None:
-        header.append(schema.group)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, lab in enumerate(data.labels):
-            row = [lab, _fmt(data.y[i]), _fmt(data.D[i])]
-            row += [_fmt(v) for v in data.covariates[i]]
-            if schema.phi is not None:
-                row.append(_fmt(data.phi[i]))
-            if schema.benchmark_weight is not None:
-                row.append(_fmt(data.benchmark_weights[i]))
-            if schema.group is not None:
-                row.append(data.groups[i])
-            writer.writerow(row)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +128,9 @@ def _parse_grid_spec(raw: str) -> np.ndarray:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs; see the module docstring for the
-    config-file key names."""
+    config-file key names.  ``seed`` seeds the main chain and the bootstrap
+    streams; the ``seed`` fields of ``gibbs`` and ``bootstrap_gibbs`` are
+    ignored."""
 
     area_csv: Path
     edge_list: Path
@@ -306,9 +166,9 @@ class RunConfig:
             raise ValidationError("benchmark_matrix_csv requires benchmark_targets_csv")
         if self.bootstrap_replicates < 0:
             raise ValidationError("bootstrap_replicates must be >= 0")
-        if self.bootstrap_gamma_policy not in _GAMMA_POLICIES:
+        if self.bootstrap_gamma_policy not in GAMMA_POLICIES:
             raise ValidationError(
-                f"bootstrap_gamma_policy must be one of {_GAMMA_POLICIES}"
+                f"bootstrap_gamma_policy must be one of {GAMMA_POLICIES}"
             )
         if (
             self.bootstrap_replicates > 0
@@ -366,13 +226,12 @@ class RunConfig:
 
         gamma = float(values["gamma"]) if values["gamma"] else None
         grid = _parse_grid_spec(values["gamma_grid"]) if values["gamma_grid"] else None
-        seed = int(values["seed"])
         return cls(
             area_csv=resolve("area_csv"),
             edge_list=resolve("edge_list"),
             schema=schema,
             output_dir=resolve("output_dir"),
-            seed=seed,
+            seed=int(values["seed"]),
             gamma=gamma,
             gamma_grid=grid,
             benchmark_target=float(values["benchmark_target"]) if values["benchmark_target"] else None,
@@ -383,7 +242,6 @@ class RunConfig:
                 n_iter=int(values["gibbs_iterations"]),
                 n_burn=int(values["gibbs_burn"]),
                 thin=int(values["gibbs_thin"]),
-                seed=seed,
             ),
             bootstrap_replicates=int(values["bootstrap_replicates"]),
             bootstrap_gamma_policy=values["bootstrap_gamma_policy"],
@@ -391,7 +249,6 @@ class RunConfig:
                 n_iter=int(values["bootstrap_gibbs_iterations"]),
                 n_burn=int(values["bootstrap_gibbs_burn"]),
                 thin=int(values["bootstrap_gibbs_thin"]),
-                seed=seed,
             ),
         )
 
@@ -436,41 +293,40 @@ class EstimateReport:
         return len(self.labels)
 
 
+def _read_numeric_rows(path: Path, width: int | None = None) -> np.ndarray:
+    """Comma-separated numeric rows of a file, skipping blank and ``#`` lines.
+
+    Every row must have the same number of entries, ``width`` when given.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: non-numeric entry") from None
+            width = len(row) if width is None else width
+            if len(row) != width:
+                raise ValidationError(f"{path}:{lineno}: expected {width} entries, got {len(row)}")
+            rows.append(row)
+    return np.asarray(rows, dtype=float)
+
+
 def _load_benchmark_matrix(config: RunConfig, m: int) -> ConstraintSet:
-    M_rows = []
-    with open(config.benchmark_matrix_csv, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                M_rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise ValidationError(
-                    f"{config.benchmark_matrix_csv}:{lineno}: non-numeric entry"
-                ) from None
-    t_rows = []
-    with open(config.benchmark_targets_csv, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                t_rows.append(float(line))
-            except ValueError:
-                raise ValidationError(
-                    f"{config.benchmark_targets_csv}:{lineno}: non-numeric entry"
-                ) from None
-    M = np.asarray(M_rows, dtype=float)
+    M = _read_numeric_rows(config.benchmark_matrix_csv)
+    t = _read_numeric_rows(config.benchmark_targets_csv, width=1).ravel()
     if M.ndim != 2 or M.shape[1] != m:
         raise ValidationError(
             f"benchmark matrix must have {m} columns, got shape {M.shape}"
         )
-    if len(t_rows) != M.shape[0]:
+    if t.size != M.shape[0]:
         raise ValidationError(
-            f"benchmark matrix has {M.shape[0]} rows but {len(t_rows)} targets"
+            f"benchmark matrix has {M.shape[0]} rows but {t.size} targets"
         )
-    return ConstraintSet(M, np.asarray(t_rows))
+    return ConstraintSet(M, t)
 
 
 def _prepare_inputs(config: RunConfig):
@@ -516,43 +372,65 @@ def _constrained_fit(theta, phi, omega, gamma, constraints, single_weights):
     return benchmarked_estimate(theta, phi, omega, gamma, constraints)
 
 
+def _gibbs_metadata(gibbs: GibbsConfig) -> dict:
+    return {"n_iter": gibbs.n_iter, "n_burn": gibbs.n_burn, "thin": gibbs.thin}
+
+
 def _base_metadata(config: RunConfig) -> dict:
     return {
         "smallarea_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "seed": config.seed,
-        "gibbs": {
-            "n_iter": config.gibbs.n_iter,
-            "n_burn": config.gibbs.n_burn,
-            "thin": config.gibbs.thin,
-        },
+        "gibbs": _gibbs_metadata(config.gibbs),
     }
 
 
-def run_pipeline(config: RunConfig) -> EstimateReport:
-    """Execute the full pipeline and write the report files.
+def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateReport | None:
+    """Execute the pipeline up to ``stop_after`` and write its files.
 
-    Deterministic for a fixed config and seed: the sampler, the
-    cross-validation and every bootstrap replicate derive their streams
-    from the master seed.
+    ``"report"`` writes the report files and returns the report.
+    ``"gibbs"`` writes ``fit.csv``, and ``"cross-validation"`` (which needs
+    a gamma grid) writes ``cv_curve.csv``; both also write
+    ``metadata.json`` and return None.  Deterministic for a fixed config
+    and seed: every stream derives from the master seed.
     """
+    stops = ("gibbs", "cross-validation", "report")
+    if stop_after not in stops:
+        raise ValidationError(f"stop_after must be one of {stops}, got {stop_after!r}")
+    if stop_after == "cross-validation" and config.gamma_grid is None:
+        raise ValidationError("the cv command requires a gamma_grid (not a fixed gamma)")
+    out = Path(config.output_dir)
+    metadata = _base_metadata(config)
+
     with _stage("load"):
         data, omega, phi, constraints, single_weights, bench_meta = _prepare_inputs(config)
 
     with _stage("gibbs"):
-        summary = gibbs_fit(data, config.gibbs)
+        summary = gibbs_fit(data, replace(config.gibbs, seed=config.seed))
     theta = summary.theta_bayes
+    if stop_after == "gibbs":
+        metadata["sigma_u2_mean"] = summary.sigma_u2_mean
+        out.mkdir(parents=True, exist_ok=True)
+        _write_fit(data, summary, out / "fit.csv")
+        _write_json(metadata, out / "metadata.json")
+        return None
 
     curve = None
     if config.gamma_grid is not None:
         with _stage("cross-validation"):
             curve = cross_validate(theta, phi, omega, config.gamma_grid, constraints)
         gamma = curve.gamma_hat
-        gamma_source = "cross-validation"
+        metadata["gamma_source"] = "cross-validation"
     else:
         gamma = float(config.gamma)
-        gamma_source = "fixed"
+        metadata["gamma_source"] = "fixed"
+    metadata["gamma"] = gamma
+    if stop_after == "cross-validation":
+        out.mkdir(parents=True, exist_ok=True)
+        _write_cv_curve(curve, out / "cv_curve.csv")
+        _write_json(metadata, out / "metadata.json")
+        return None
 
     with _stage("estimate"):
         smoothed = smoothed_estimate(theta, phi, omega, gamma)
@@ -564,12 +442,9 @@ def run_pipeline(config: RunConfig) -> EstimateReport:
             theta_bm = smoothed.values
             residual = None
 
-    metadata = _base_metadata(config)
     metadata.update(
         {
             "m": data.m,
-            "gamma": gamma,
-            "gamma_source": gamma_source,
             "gamma_grid": None if config.gamma_grid is None else [float(g) for g in config.gamma_grid],
             "benchmark": bench_meta,
             "constraint_residual": residual,
@@ -609,11 +484,7 @@ def run_pipeline(config: RunConfig) -> EstimateReport:
                 "n_replicates": boot_cfg.n_replicates,
                 "gamma_policy": boot_cfg.gamma_policy,
                 "failed": list(report.failed),
-                "gibbs": {
-                    "n_iter": config.bootstrap_gibbs.n_iter,
-                    "n_burn": config.bootstrap_gibbs.n_burn,
-                    "thin": config.bootstrap_gibbs.thin,
-                },
+                "gibbs": _gibbs_metadata(config.bootstrap_gibbs),
             }
 
     result = EstimateReport(
@@ -630,51 +501,8 @@ def run_pipeline(config: RunConfig) -> EstimateReport:
         metadata=metadata,
     )
     with _stage("write"):
-        write_report(result, config.output_dir)
+        write_report(result, out)
     return result
-
-
-def fit_only(config: RunConfig) -> Path:
-    """Gibbs stage alone; writes fit.csv and metadata.json."""
-    with _stage("load"):
-        data, _, _, _, _, _ = _prepare_inputs(config)
-    with _stage("gibbs"):
-        summary = gibbs_fit(data, config.gibbs)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "fit.csv"
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "y", "D", "theta_bayes", "ess"])
-        for i, lab in enumerate(data.labels):
-            writer.writerow(
-                [lab, _fmt(data.y[i]), _fmt(data.D[i]), _fmt(summary.theta_bayes[i]), _fmt(summary.ess[i])]
-            )
-    meta = _base_metadata(config)
-    meta["sigma_u2_mean"] = summary.sigma_u2_mean
-    _write_json(meta, out / "metadata.json")
-    return target
-
-
-def cv_only(config: RunConfig) -> Path:
-    """Gibbs plus cross-validation; writes cv_curve.csv and metadata.json."""
-    if config.gamma_grid is None:
-        raise ValidationError("the cv command requires a gamma_grid (not a fixed gamma)")
-    with _stage("load"):
-        data, omega, phi, constraints, _, _ = _prepare_inputs(config)
-    with _stage("gibbs"):
-        summary = gibbs_fit(data, config.gibbs)
-    with _stage("cross-validation"):
-        curve = cross_validate(summary.theta_bayes, phi, omega, config.gamma_grid, constraints)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "cv_curve.csv"
-    _write_cv_curve(curve, target)
-    meta = _base_metadata(config)
-    meta["gamma"] = curve.gamma_hat
-    meta["gamma_source"] = "cross-validation"
-    _write_json(meta, out / "metadata.json")
-    return target
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +513,16 @@ def _write_json(obj: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_fit(data: AreaDataset, summary: PosteriorSummary, path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label", "y", "D", "theta_bayes", "ess"])
+        for i, lab in enumerate(data.labels):
+            writer.writerow(
+                [lab, _fmt(data.y[i]), _fmt(data.D[i]), _fmt(summary.theta_bayes[i]), _fmt(summary.ess[i])]
+            )
 
 
 def _write_cv_curve(curve: CvCurve, path: Path) -> None:

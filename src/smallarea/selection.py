@@ -136,7 +136,7 @@ def cross_validate(
     V(gamma) = (1/m) sum_i phi_i (d_i^{(-i)} - theta_i)^2 over the m
     held-out solves.  Grid points where some held-out solve is singular
     score +inf and record the failing areas; if every point is infeasible
-    the search fails.
+    the search fails, naming the areas that failed at every point.
     """
     theta = _vector(theta_bayes, "theta_bayes")
     m = theta.shape[0]
@@ -163,7 +163,8 @@ def cross_validate(
         scores[k] = np.inf if failed else total / m
         failures.append(tuple(failed))
     if not np.any(np.isfinite(scores)):
-        raise NumericalError("all grid points infeasible")
+        always = sorted(set.intersection(*map(set, failures)))
+        raise NumericalError(f"all grid points infeasible; areas {always} fail at every grid point")
     gamma_hat = float(grid[int(np.argmin(scores))])
     return CvCurve(grid, scores, gamma_hat, tuple(failures))
 

@@ -171,7 +171,7 @@ class TestBootstrapMse:
         def flaky(y_star, seed):
             if flaky.calls == 2:
                 flaky.calls += 1
-                raise RuntimeError("boom")
+                raise NumericalError("boom")
             flaky.calls += 1
             return inner(y_star, seed)
 
@@ -186,10 +186,20 @@ class TestBootstrapMse:
         data = make_dataset(rng, m=6)
 
         def always_fails(y_star, seed):
-            raise RuntimeError("boom")
+            raise NumericalError("boom")
 
         with pytest.raises(NumericalError, match="bootstrap replicates failed"):
             bootstrap_mse(data, data.y, always_fails, BootstrapConfig(n_replicates=10, seed=1))
+
+    def test_programming_errors_propagate(self):
+        rng = np.random.default_rng(14)
+        data = make_dataset(rng, m=6)
+
+        def buggy(y_star, seed):
+            raise TypeError("bad argument")
+
+        with pytest.raises(TypeError, match="bad argument"):
+            bootstrap_mse(data, data.y, buggy, BootstrapConfig(n_replicates=20, seed=1))
 
     def test_zero_sampling_variance_rejected(self):
         rng = np.random.default_rng(15)

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smallarea
 from smallarea.cli import main
 
 from test_pipeline import small_area_csv, write_config
@@ -103,10 +106,14 @@ class TestPlotData:
 def test_console_script_entry_point(workspace):
     tmp_path, _, area, edges = workspace
     cfg = write_config(tmp_path, area, edges)
+    # the child process imports the same package as this test
+    src = str(Path(smallarea.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "smallarea.cli", "estimate", "--config", str(cfg)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "estimates.csv" in proc.stdout

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from smallarea import (
     AreaDataset,
     CsvSchema,
+    GibbsConfig,
     NumericalError,
     RunConfig,
     ValidationError,
@@ -22,7 +24,6 @@ from smallarea.datasets import (
     synthetic_saipe_like,
     us_state_borders_path,
 )
-from smallarea.pipeline import cv_only, fit_only
 
 
 def small_area_csv(tmp_path, m=8, seed=0, zero_d=False):
@@ -62,6 +63,11 @@ def write_config(tmp_path, area_csv, edge_list, **overrides):
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(f"{k} = {v}" for k, v in values.items()) + "\n")
     return path
+
+
+def read_column(path, name):
+    with open(path, newline="") as fh:
+        return [row[name] for row in csv.DictReader(fh)]
 
 
 class TestLoadAreaCsv:
@@ -248,6 +254,21 @@ class TestRunPipeline:
         assert report.cv is not None
         assert report.metadata["gamma"] == report.cv.gamma_hat
 
+    def test_ragged_benchmark_matrix_rejected(self, tmp_path):
+        data, area, edges = small_area_csv(tmp_path)
+        m = data.m
+        (tmp_path / "M.csv").write_text(",".join(["1.0"] * m) + "\n" + ",".join(["1.0"] * (m - 1)) + "\n")
+        (tmp_path / "t.csv").write_text("10.0\n12.0\n")
+        cfg = write_config(
+            tmp_path,
+            area,
+            edges,
+            benchmark_matrix_csv="M.csv",
+            benchmark_targets_csv="t.csv",
+        )
+        with pytest.raises(ValidationError, match=rf"M.csv:2: expected {m} entries, got {m - 1}"):
+            run_pipeline(RunConfig.from_file(cfg))
+
     def test_matrix_benchmark_route(self, tmp_path):
         data, area, edges = small_area_csv(tmp_path)
         m = data.m
@@ -367,8 +388,10 @@ class TestRunPipeline:
             )
             + "\n"
         )
-        with pytest.raises(NumericalError, match="all grid points infeasible"):
+        with pytest.raises(NumericalError, match="all grid points infeasible") as exc:
             run_pipeline(RunConfig.from_file(cfg))
+        assert US_STATE_LABELS.index("AK") == 0 and US_STATE_LABELS.index("HI") == 11
+        assert "areas [0, 11] fail at every grid point" in str(exc.value)
 
     def test_population_benchmark_makes_isolated_areas_identifiable(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -397,8 +420,8 @@ class TestFitAndCvCommands:
     def test_fit_only_writes_bayes_table(self, tmp_path):
         _, area, edges = small_area_csv(tmp_path)
         cfg = write_config(tmp_path, area, edges)
-        path = fit_only(RunConfig.from_file(cfg))
-        text = path.read_text().splitlines()
+        assert run_pipeline(RunConfig.from_file(cfg), stop_after="gibbs") is None
+        text = (tmp_path / "out" / "fit.csv").read_text().splitlines()
         assert text[0] == "label,y,D,theta_bayes,ess"
         assert len(text) == 9
 
@@ -406,15 +429,56 @@ class TestFitAndCvCommands:
         _, area, edges = small_area_csv(tmp_path)
         cfg = write_config(tmp_path, area, edges)
         with pytest.raises(ValidationError, match="gamma_grid"):
-            cv_only(RunConfig.from_file(cfg))
+            run_pipeline(RunConfig.from_file(cfg), stop_after="cross-validation")
 
     def test_cv_only_writes_curve(self, tmp_path):
         _, area, edges = small_area_csv(tmp_path)
         cfg = write_config(tmp_path, area, edges, gamma="", gamma_grid="0.01,10,5")
-        path = cv_only(RunConfig.from_file(cfg))
-        rows = path.read_text().splitlines()
+        assert run_pipeline(RunConfig.from_file(cfg), stop_after="cross-validation") is None
+        rows = (tmp_path / "out" / "cv_curve.csv").read_text().splitlines()
         assert rows[0] == "gamma,score,failed_areas"
         assert len(rows) == 6
+
+    def test_unknown_stop_rejected(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges)
+        with pytest.raises(ValidationError, match="stop_after"):
+            run_pipeline(RunConfig.from_file(cfg), stop_after="estimate")
+
+    def test_stopped_runs_agree_with_the_full_run(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        overrides = dict(
+            gamma="",
+            gamma_grid="0.01,10,5",
+            benchmark_weight_column="benchmark_weight",
+            benchmark_target="11.0",
+        )
+        for out, stop in (("fit", "gibbs"), ("cv", "cross-validation"), ("run", "report")):
+            cfg = write_config(tmp_path, area, edges, output_dir=out, **overrides)
+            run_pipeline(RunConfig.from_file(cfg), stop_after=stop)
+        cv = (tmp_path / "cv" / "cv_curve.csv").read_bytes()
+        assert cv == (tmp_path / "run" / "cv_curve.csv").read_bytes()
+        fit = read_column(tmp_path / "fit" / "fit.csv", "theta_bayes")
+        assert fit == read_column(tmp_path / "run" / "estimates.csv", "theta_bayes")
+
+    def test_master_seed_drives_the_chain(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        thetas = []
+        for seed in (5, 6):
+            config = RunConfig(
+                area_csv=area,
+                edge_list=edges,
+                schema=CsvSchema(covariates=("x",)),
+                output_dir=tmp_path / f"seed{seed}",
+                seed=seed,
+                gamma=0.5,
+                gibbs=GibbsConfig(n_iter=400, n_burn=100),
+            )
+            thetas.append(run_pipeline(config).theta_bayes)
+            metadata = json.loads((tmp_path / f"seed{seed}" / "metadata.json").read_text())
+            assert metadata["seed"] == seed
+        assert not np.array_equal(thetas[0], thetas[1])
+
 
 
 class TestReportIo:
