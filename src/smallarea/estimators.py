@@ -8,8 +8,10 @@ smoothness penalty matrix omega, the smoothed estimator minimizes
 and the benchmarked estimator minimizes the same objective subject to
 linear constraints M d = t.  Both have closed forms; all solves factor the
 symmetric positive-definite matrix Sigma = Phi + gamma * omega instead of
-forming any inverse.  Unit-level (two-tier) and multivariate problems
-reduce to the same machinery through block stacking.
+forming any inverse.  There is one constrained solve,
+:func:`benchmarked_estimate`: the single weighted-mean benchmark and the
+unit-level (two-tier) benchmark are calls to it, and multivariate problems
+reduce to it through block stacking.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ __all__ = [
     "unit_level_smoothed",
 ]
 
-# Constraint Gram matrices with condition numbers beyond this are treated
-# as rank deficient.
+# Constraint Gram matrices and bordered held-out systems with condition
+# numbers beyond this are treated as singular.
 _CONDITION_LIMIT = 1e12
 
 # Benchmarked results must satisfy ||M d - t||_inf <= _RESIDUAL_TOL * (1 + ||t||_inf).
@@ -82,6 +84,22 @@ def _gamma_value(gamma) -> float:
     if not np.isfinite(g) or g < 0:
         raise ValidationError(f"gamma must be a finite nonnegative real, got {gamma!r}")
     return g
+
+
+def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | None = None):
+    """Validated (theta, phi, omega, gamma) of one smoothing problem.
+
+    ``size`` fixes the number of areas; otherwise theta's length does.
+    Constraints, when given, must be over that many parameters.
+    """
+    theta = _vector(theta_bayes, "theta_bayes", size)
+    m = theta.shape[0]
+    p, w, g = _phi_vector(phi, m), _omega_matrix(omega, m), _gamma_value(gamma)
+    if constraints is not None and constraints.n_parameters != m:
+        raise ValidationError(
+            f"constraints are over {constraints.n_parameters} parameters, expected {m}"
+        )
+    return theta, p, w, g
 
 
 @dataclass(frozen=True)
@@ -214,10 +232,7 @@ class StackedProblem:
 def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
     """Value of (d - theta)' Phi (d - theta) + gamma d' omega d."""
     d = np.asarray(delta, dtype=float)
-    theta = _vector(theta_bayes, "theta_bayes", d.shape[0])
-    p = _phi_vector(phi, d.shape[0])
-    w = _omega_matrix(omega, d.shape[0])
-    g = _gamma_value(gamma)
+    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, size=d.shape[0])
     r = d - theta
     return float(r @ (p * r) + g * (d @ w @ d))
 
@@ -232,33 +247,6 @@ def _sigma_factor(p: np.ndarray, w: np.ndarray, gamma: float):
         raise NumericalError(f"smoothing system is not positive definite: {exc}") from exc
 
 
-def _constrained_solve(cho, p_theta: np.ndarray, M: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Minimizer of the penalized objective subject to M d = t.
-
-    Uses the factored Sigma: the unconstrained solution is adjusted along
-    Sigma^{-1} M' by multipliers solving the k x k Gram system.
-    """
-    base = cho_solve(cho, p_theta)
-    sinv_mt = cho_solve(cho, M.T)
-    gram = M @ sinv_mt
-    gram = 0.5 * (gram + gram.T)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
-        raise NumericalError("degenerate or redundant constraints")
-    multipliers = np.linalg.solve(gram, t - M @ base)
-    return base + sinv_mt @ multipliers
-
-
-def _check_residual(values: np.ndarray, M: np.ndarray, t: np.ndarray) -> float:
-    residual = float(np.max(np.abs(M @ values - t)))
-    bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t))))
-    if residual > bound:
-        raise NumericalError(
-            f"benchmark residual {residual:.3e} exceeds tolerance {bound:.3e}"
-        )
-    return residual
-
-
 def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:
     """Smoothed estimator: the solution of (Phi + gamma*omega) d = Phi theta.
 
@@ -266,11 +254,7 @@ def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:
     Constant vectors pass through untouched for any gamma because the
     all-ones vector lies in the penalty's kernel.
     """
-    theta = _vector(theta_bayes, "theta_bayes")
-    m = theta.shape[0]
-    p = _phi_vector(phi, m)
-    w = _omega_matrix(omega, m)
-    g = _gamma_value(gamma)
+    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma)
     if g == 0.0:
         values = theta.copy()
     else:
@@ -282,38 +266,37 @@ def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: Constraint
     """Benchmarked estimator: minimizes the penalized objective under M d = t.
 
     Equals the smoothed estimator plus an adjustment proportional to the
-    constraint discrepancy t - M d_smooth, mapped through Sigma^{-1} M'.
+    constraint discrepancy t - M d_smooth, mapped through Sigma^{-1} M':
+    the multipliers solve the k x k Gram system M Sigma^{-1} M'.  This is
+    the package's only constrained solve.
     """
-    theta = _vector(theta_bayes, "theta_bayes")
-    m = theta.shape[0]
-    p = _phi_vector(phi, m)
-    w = _omega_matrix(omega, m)
-    g = _gamma_value(gamma)
     if not isinstance(constraints, ConstraintSet):
         raise ValidationError("constraints must be a ConstraintSet")
-    if constraints.n_parameters != m:
-        raise ValidationError(
-            f"constraints are over {constraints.n_parameters} parameters, expected {m}"
-        )
+    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
+    M, t = constraints.M, constraints.t
     cho = _sigma_factor(p, w, g)
-    values = _constrained_solve(cho, p * theta, constraints.M, constraints.t)
-    residual = _check_residual(values, constraints.M, constraints.t)
+    base = cho_solve(cho, p * theta)
+    sinv_mt = cho_solve(cho, M.T)
+    gram = M @ sinv_mt
+    gram = 0.5 * (gram + gram.T)
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
+        raise NumericalError("degenerate or redundant constraints")
+    values = base + sinv_mt @ np.linalg.solve(gram, t - M @ base)
+    residual = float(np.max(np.abs(M @ values - t)))
+    bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t))))
+    if residual > bound:
+        raise NumericalError(
+            f"benchmark residual {residual:.3e} exceeds tolerance {bound:.3e}"
+        )
     return BenchmarkedEstimate(values, penalized_objective(values, theta, p, w, g), residual)
 
 
 def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> BenchmarkedEstimate:
-    """Single weighted-mean benchmark sum_i w_i d_i = t, specialized form.
-
-    Agrees with :func:`benchmarked_estimate` for the 1 x m constraint
-    matrix w' to within roundoff; the multiplier is the scalar
-    (t - w' d_smooth) / (w' Sigma^{-1} w).
-    """
-    theta = _vector(theta_bayes, "theta_bayes")
-    m = theta.shape[0]
-    p = _phi_vector(phi, m)
-    om = _omega_matrix(omega, m)
-    g = _gamma_value(gamma)
-    wv = _vector(w, "w", m)
+    """Single weighted-mean benchmark sum_i w_i d_i = t: the k = 1 case of
+    :func:`benchmarked_estimate`, for nonnegative, not all zero weights."""
+    theta, p, om, g = _problem(theta_bayes, phi, omega, gamma)
+    wv = _vector(w, "w", theta.shape[0])
     if np.any(wv < 0):
         raise ValidationError("benchmark weights must be nonnegative")
     if not np.any(wv != 0):
@@ -321,15 +304,7 @@ def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> Benchma
     t = float(t)
     if not np.isfinite(t):
         raise ValidationError("benchmark target must be finite")
-    cho = _sigma_factor(p, om, g)
-    base = cho_solve(cho, p * theta)
-    sinv_w = cho_solve(cho, wv)
-    denom = float(wv @ sinv_w)
-    if not np.isfinite(denom) or denom <= 0:
-        raise NumericalError("degenerate or redundant constraints")
-    values = base + ((t - wv @ base) / denom) * sinv_w
-    residual = _check_residual(values, wv[np.newaxis, :], np.array([t]))
-    return BenchmarkedEstimate(values, penalized_objective(values, theta, p, om, g), residual)
+    return benchmarked_estimate(theta, p, om, g, ConstraintSet(wv[np.newaxis, :], [t]))
 
 
 def unit_level_smoothed(
@@ -407,11 +382,7 @@ def unit_level_benchmarked(
     # Sigma and the effective penalty are block-diagonal with each tier's
     # own gamma already folded in; the stacked solve then uses gamma = 1.
     omega_eff = block_diag(layout.gamma_area * w_a, layout.gamma_unit * w_u)
-    cho = _sigma_factor(phi_stack, omega_eff, 1.0)
-    values = _constrained_solve(cho, phi_stack * theta_stack, constraints.M, constraints.t)
-    residual = _check_residual(values, constraints.M, constraints.t)
-    objective = penalized_objective(values, theta_stack, phi_stack, omega_eff, 1.0)
-    return BenchmarkedEstimate(values, objective, residual)
+    return benchmarked_estimate(theta_stack, phi_stack, omega_eff, 1.0, constraints)
 
 
 def stack_multivariate(per_component) -> StackedProblem:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .exceptions import ValidationError
 
@@ -233,9 +233,8 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     y, D = data.y, data.D
     rng = np.random.Generator(np.random.Philox(config.seed))
 
-    xtx = X.T @ X
-    xtx_cho = cho_factor(xtx, lower=True)
-    chol_lower = np.linalg.cholesky(xtx)
+    chol_lower = np.linalg.cholesky(X.T @ X)
+    xtx_cho = (chol_lower, True)
 
     beta = cho_solve(xtx_cho, X.T @ y)
     resid = y - X @ beta

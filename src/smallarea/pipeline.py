@@ -37,12 +37,9 @@ import scipy
 from . import __version__
 from .bootstrap import GAMMA_POLICIES, BootstrapConfig, bootstrap_mse
 from .datasets import CsvSchema, _fmt, load_area_csv
-from .estimators import (
-    ConstraintSet,
-    benchmarked_estimate,
-    benchmarked_estimate_single,
-    smoothed_estimate,
-)
+from .estimators import _RESIDUAL_TOL, ConstraintSet, benchmarked_estimate, smoothed_estimate
+# Not called here; the benchmark's tracer looks this name up in this module.
+from .estimators import benchmarked_estimate_single  # noqa: F401
 from .exceptions import NumericalError, ValidationError
 from .fay_herriot import AreaDataset, GibbsConfig, PosteriorSummary, gibbs_fit
 from .selection import CvCurve, cross_validate, default_gamma_grid
@@ -149,6 +146,8 @@ class RunConfig:
     bootstrap_gibbs: GibbsConfig = field(default_factory=lambda: GibbsConfig(n_iter=2000, n_burn=500))
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if (self.gamma is None) == (self.gamma_grid is None):
             raise ValidationError("exactly one of a fixed gamma or a gamma grid must be chosen")
         if self.gamma is not None and not (np.isfinite(self.gamma) and self.gamma >= 0):
@@ -224,31 +223,40 @@ class RunConfig:
             p = Path(raw)
             return p if p.is_absolute() else base / p
 
-        gamma = float(values["gamma"]) if values["gamma"] else None
+        def number(key: str, kind: type = int):
+            """Value of a numeric key; one that does not parse is a ValidationError."""
+            try:
+                return kind(values[key])
+            except ValueError:
+                expected = "an integer" if kind is int else "a real number"
+                raise ValidationError(
+                    f"config key {key!r}: expected {expected}, got {values[key]!r}"
+                ) from None
+
         grid = _parse_grid_spec(values["gamma_grid"]) if values["gamma_grid"] else None
         return cls(
             area_csv=resolve("area_csv"),
             edge_list=resolve("edge_list"),
             schema=schema,
             output_dir=resolve("output_dir"),
-            seed=int(values["seed"]),
-            gamma=gamma,
+            seed=number("seed"),
+            gamma=number("gamma", float) if values["gamma"] else None,
             gamma_grid=grid,
-            benchmark_target=float(values["benchmark_target"]) if values["benchmark_target"] else None,
+            benchmark_target=number("benchmark_target", float) if values["benchmark_target"] else None,
             benchmark_matrix_csv=resolve("benchmark_matrix_csv"),
             benchmark_targets_csv=resolve("benchmark_targets_csv"),
             benchmark_provenance=values["benchmark_provenance"],
             gibbs=GibbsConfig(
-                n_iter=int(values["gibbs_iterations"]),
-                n_burn=int(values["gibbs_burn"]),
-                thin=int(values["gibbs_thin"]),
+                n_iter=number("gibbs_iterations"),
+                n_burn=number("gibbs_burn"),
+                thin=number("gibbs_thin"),
             ),
-            bootstrap_replicates=int(values["bootstrap_replicates"]),
+            bootstrap_replicates=number("bootstrap_replicates"),
             bootstrap_gamma_policy=values["bootstrap_gamma_policy"],
             bootstrap_gibbs=GibbsConfig(
-                n_iter=int(values["bootstrap_gibbs_iterations"]),
-                n_burn=int(values["bootstrap_gibbs_burn"]),
-                thin=int(values["bootstrap_gibbs_thin"]),
+                n_iter=number("bootstrap_gibbs_iterations"),
+                n_burn=number("bootstrap_gibbs_burn"),
+                thin=number("bootstrap_gibbs_thin"),
             ),
         )
 
@@ -285,7 +293,7 @@ class EstimateReport:
             if residual is None:
                 raise ValidationError("benchmarked reports must record the constraint residual")
             t = np.atleast_1d(np.asarray(bench["target"], dtype=float))
-            if residual > 1e-8 * (1.0 + float(np.max(np.abs(t)))):
+            if residual > _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t)))):
                 raise ValidationError(f"recorded constraint residual {residual} exceeds tolerance")
 
     @property
@@ -338,14 +346,13 @@ def _prepare_inputs(config: RunConfig):
     phi = data.phi
 
     constraints = None
-    single_weights = None
     bench_meta = None
     if config.schema.benchmark_weight is not None:
         raw = data.benchmark_weights
         if np.any(raw < 0) or raw.sum() <= 0:
             raise ValidationError("benchmark weight column must be nonnegative with a positive sum")
-        single_weights = raw / raw.sum()
-        constraints = ConstraintSet(single_weights[np.newaxis, :], np.array([config.benchmark_target]))
+        weights = raw / raw.sum()
+        constraints = ConstraintSet(weights[np.newaxis, :], np.array([config.benchmark_target]))
         bench_meta = {
             "kind": "weighted-mean",
             "target": config.benchmark_target,
@@ -359,17 +366,7 @@ def _prepare_inputs(config: RunConfig):
             "target": [float(v) for v in constraints.t],
             "provenance": config.benchmark_provenance,
         }
-    return data, omega, phi, constraints, single_weights, bench_meta
-
-
-def _constrained_fit(theta, phi, omega, gamma, constraints, single_weights):
-    """Benchmarked estimate via the single-constraint route when the
-    benchmark is one weighted mean, the general route otherwise."""
-    if single_weights is not None:
-        return benchmarked_estimate_single(
-            theta, phi, omega, gamma, single_weights, float(constraints.t[0])
-        )
-    return benchmarked_estimate(theta, phi, omega, gamma, constraints)
+    return data, omega, phi, constraints, bench_meta
 
 
 def _gibbs_metadata(gibbs: GibbsConfig) -> dict:
@@ -404,7 +401,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     metadata = _base_metadata(config)
 
     with _stage("load"):
-        data, omega, phi, constraints, single_weights, bench_meta = _prepare_inputs(config)
+        data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
 
     with _stage("gibbs"):
         summary = gibbs_fit(data, replace(config.gibbs, seed=config.seed))
@@ -435,7 +432,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     with _stage("estimate"):
         smoothed = smoothed_estimate(theta, phi, omega, gamma)
         if constraints is not None:
-            bench = _constrained_fit(theta, phi, omega, gamma, constraints, single_weights)
+            bench = benchmarked_estimate(theta, phi, omega, gamma, constraints)
             theta_bm = bench.values
             residual = bench.constraint_residual
         else:
@@ -473,9 +470,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
                 else:
                     star_gamma = gamma
                 if constraints is not None:
-                    return _constrained_fit(
-                        star_theta, phi, omega, star_gamma, constraints, single_weights
-                    ).values
+                    return benchmarked_estimate(star_theta, phi, omega, star_gamma, constraints).values
                 return smoothed_estimate(star_theta, phi, omega, star_gamma).values
 
             report = bootstrap_mse(data, theta_bm, replicate_pipeline, boot_cfg)

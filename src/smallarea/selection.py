@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .estimators import ConstraintSet, UnitLevelLayout, _gamma_value, _omega_matrix, _phi_vector, _vector
+from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem
 from .exceptions import NumericalError, ValidationError
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "default_gamma_grid",
     "loo_solution",
 ]
-
-_KKT_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,8 @@ def loo_solution(
     system is solvable at gamma > 0 unless the held-out area is isolated
     in the similarity graph and untouched by every constraint.
     """
-    theta = _vector(theta_bayes, "theta_bayes")
+    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
     m = theta.shape[0]
-    p = _phi_vector(phi, m)
-    w = _omega_matrix(omega, m)
-    g = _gamma_value(gamma)
     if g <= 0:
         raise ValidationError("held-out solves require gamma > 0")
     if not (0 <= index < m):
@@ -108,17 +103,13 @@ def loo_solution(
                 f"held-out area {index} is unidentified at gamma={g:g}"
             ) from None
     else:
-        if constraints.n_parameters != m:
-            raise ValidationError(
-                f"constraints are over {constraints.n_parameters} parameters, expected {m}"
-            )
         k = constraints.n_constraints
         kkt = np.zeros((m + k, m + k))
         kkt[:m, :m] = sigma
         kkt[:m, m:] = constraints.M.T
         kkt[m:, :m] = constraints.M
         cond = np.linalg.cond(kkt)
-        if not np.isfinite(cond) or cond > _KKT_CONDITION_LIMIT:
+        if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
             raise NumericalError(
                 f"held-out area {index} is unidentified at gamma={g:g}"
             )
@@ -138,10 +129,8 @@ def cross_validate(
     score +inf and record the failing areas; if every point is infeasible
     the search fails, naming the areas that failed at every point.
     """
-    theta = _vector(theta_bayes, "theta_bayes")
+    theta, p, w, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
     m = theta.shape[0]
-    p = _phi_vector(phi, m)
-    w = _omega_matrix(omega, m)
     grid = np.unique(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValidationError("gamma grid must be nonempty")

@@ -48,6 +48,20 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config_values, flags, message",
+        [
+            ({}, ["--seed", "-3"], "seed must be a nonnegative integer, got -3"),
+            ({"gibbs_iterations": "4e2"}, [], "config key 'gibbs_iterations'"),
+        ],
+        ids=["negative-seed-flag", "unparsable-config-value"],
+    )
+    def test_bad_numeric_settings_exit_2(self, workspace, capsys, config_values, flags, message):
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges, **config_values)
+        assert main(["fit", "--config", str(cfg), *flags]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestOverrides:
     def test_gamma_override(self, workspace):

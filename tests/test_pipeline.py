@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,24 @@ class TestRunConfig:
             bootstrap_gamma_policy="re-cross-validate",
         )
         with pytest.raises(ValidationError, match="re-cross-validate requires"):
+            RunConfig.from_file(cfg)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("gibbs_iterations", "4e2", "config key 'gibbs_iterations': expected an integer, got '4e2'"),
+            ("bootstrap_gibbs_thin", "", "config key 'bootstrap_gibbs_thin': expected an integer, got ''"),
+            ("seed", "x", "config key 'seed': expected an integer, got 'x'"),
+            ("gamma", "abc", "config key 'gamma': expected a real number, got 'abc'"),
+            ("benchmark_target", "x", "config key 'benchmark_target': expected a real number, got 'x'"),
+            ("seed", "-1", "seed must be a nonnegative integer, got -1"),
+        ],
+        ids=["int-exponent", "int-empty", "seed-text", "gamma-text", "target-text", "seed-negative"],
+    )
+    def test_bad_numeric_values_rejected(self, tmp_path, key, value, message):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges, **{key: value})
+        with pytest.raises(ValidationError, match=re.escape(message)):
             RunConfig.from_file(cfg)
 
 

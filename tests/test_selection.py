@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from smallarea import (
     ConstraintSet,
     CvCurve,
     NumericalError,
+    SimilaritySpec,
     UnitLevelLayout,
     ValidationError,
+    build_omega,
     cross_validate,
     cross_validate_unit,
     default_gamma_grid,
@@ -16,6 +19,7 @@ from smallarea import (
 from oracles import (
     constrained_quad_minimize,
     dropped_term_minimize,
+    kkt_solve,
     random_connected_instance,
     random_instance,
 )
@@ -85,6 +89,56 @@ class TestLooSolution:
         phi0[i] = 0.0
         lhs = (np.diag(phi0) + gamma * omega) @ sol
         np.testing.assert_allclose(lhs, phi0 * theta, atol=1e-10)
+
+
+def _floats(n, low, high):
+    return st.lists(st.floats(low, high), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def held_out_problems(draw):
+    """A random similarity graph in which some areas are isolated, zero to
+    two full-rank constraint rows with some columns zeroed, and the area
+    to hold out."""
+    m = draw(st.integers(2, 7))
+    isolated = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    q = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not (isolated[i] or isolated[j]) and draw(st.booleans()):
+                q[i, j] = q[j, i] = draw(st.floats(0.5, 2.0))
+    omega = build_omega(SimilaritySpec.from_matrix(q)).omega
+    constraints = None
+    k = draw(st.integers(0, 2))
+    if k:
+        touched = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k * m, max_size=k * m)))
+        M = (draw(_floats(k * m, 0.5, 2.0)) * signs).reshape(k, m) * touched
+        s = np.linalg.svd(M, compute_uv=False)
+        assume(s[-1] > 1e-2 * s[0])  # full row rank, and far from losing it
+        constraints = ConstraintSet(M, draw(_floats(k, -5.0, 5.0)))
+    theta, phi = draw(_floats(m, -5.0, 5.0)), draw(_floats(m, 0.5, 3.0))
+    return theta, phi, omega, draw(st.floats(0.1, 10.0)), draw(st.integers(0, m - 1)), constraints
+
+
+# derandomized, so every run of the suite checks the same examples
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(held_out_problems())
+def test_held_out_failure_rule(problem):
+    # A held-out solve fails exactly when the area is isolated (omega_ii = 0)
+    # and no constraint touches it (M[:, i] = 0); otherwise it is the
+    # bordered KKT solution with that area's loss weight set to zero.
+    theta, phi, omega, gamma, i, constraints = problem
+    untouched = constraints is None or not np.any(constraints.M[:, i])
+    if omega[i, i] == 0.0 and untouched:
+        with pytest.raises(NumericalError, match=f"held-out area {i} is unidentified"):
+            loo_solution(theta, phi, omega, gamma, i, constraints)
+        return
+    phi0 = phi.copy()
+    phi0[i] = 0.0
+    M, t = (None, None) if constraints is None else (constraints.M, constraints.t)
+    got = loo_solution(theta, phi, omega, gamma, i, constraints)
+    np.testing.assert_allclose(got, kkt_solve(theta, phi0, omega, gamma, M, t), rtol=1e-8, atol=1e-8)
 
 
 class TestCrossValidate:
