@@ -18,13 +18,13 @@ and sequential execution agree):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .fay_herriot import AreaDataset, GibbsConfig
+from .fay_herriot import AreaDataset
 
 __all__ = [
     "BootstrapConfig",
@@ -35,28 +35,19 @@ __all__ = [
     "standardized_residuals",
 ]
 
-GAMMA_POLICIES = ("fixed", "re-cross-validate")
-
 _MAX_FAILURE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replicate count, master seed, smoothing-factor policy, and the
-    sampler settings used inside each replicate."""
+    """Replicate count and the master seed of the replicate streams."""
 
     n_replicates: int
     seed: int = 0
-    gamma_policy: str = "fixed"
-    gibbs: GibbsConfig = field(default_factory=GibbsConfig)
 
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ValidationError(f"n_replicates must be >= 1, got {self.n_replicates}")
-        if self.gamma_policy not in GAMMA_POLICIES:
-            raise ValidationError(
-                f"gamma_policy must be one of {GAMMA_POLICIES}, got {self.gamma_policy!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Area CSV ingestion, bundled fixtures and the synthetic data generator.
+"""CSV tables, area CSV ingestion, bundled fixtures and the synthetic generator.
 
-:func:`load_area_csv` and :func:`write_area_csv` read and write the
-per-area CSV format described by a :class:`CsvSchema`; floats are written
-with 17 significant digits, so a written dataset loads back exactly.
+Every CSV table the package writes or reads goes through ``_write_table``
+and ``_read_table``: UTF-8, a header row, ``\\n`` line endings and floats
+with 17 significant digits (``inf`` included), so a table loads back
+exactly.  :func:`load_area_csv` and :func:`write_area_csv` read and write
+the per-area format described by a :class:`CsvSchema`.
 
 Two fixtures ship with the package: the public US state border list (50
 states plus DC, postal codes, one edge per line) and a 51-area synthetic
@@ -41,6 +43,25 @@ __all__ = [
 def _fmt(x: float) -> str:
     """Fixed 17-significant-digit float formatting (round-trips float64)."""
     return format(float(x), ".17g")
+
+
+def _write_table(path: Path, columns: dict) -> None:
+    """Write equal-length named columns: strings as they are, all else via :func:`_fmt`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(
+            [v if isinstance(v, str) else _fmt(v) for v in row]
+            for row in zip(*columns.values(), strict=True)
+        )
+
+
+def _read_table(path: Path) -> dict[str, list[str]]:
+    """Columns of a CSV file with a header row, by name, as raw strings."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    return {name: [row[name] for row in rows] for name in reader.fieldnames or ()}
 
 
 @dataclass(frozen=True)
@@ -87,32 +108,24 @@ def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"area CSV not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [schema.label, schema.y, schema.d, *schema.covariates]
-        for opt in (schema.phi, schema.benchmark_weight, schema.group):
-            if opt is not None:
-                needed.append(opt)
-        for col in needed:
-            if col not in header:
-                raise ValidationError(f"missing column {col!r} in {path}")
-        rows = list(reader)
-    if not rows:
+    table = _read_table(path)
+    needed = [schema.label, schema.y, schema.d, *schema.covariates]
+    needed += [c for c in (schema.phi, schema.benchmark_weight, schema.group) if c is not None]
+    for col in needed:
+        if col not in table:
+            raise ValidationError(f"missing column {col!r} in {path}")
+    if not table[schema.label]:
         raise ValidationError(f"area CSV {path} has no data rows")
 
-    labels = tuple(r[schema.label] for r in rows)
-    y = np.array([_parse_cell(r[schema.y], schema.y, i + 2) for i, r in enumerate(rows)])
-    D = np.array([_parse_cell(r[schema.d], schema.d, i + 2) for i, r in enumerate(rows)])
-    cov = np.column_stack(
-        [
-            np.array([_parse_cell(r[c], c, i + 2) for i, r in enumerate(rows)])
-            for c in schema.covariates
-        ]
-    )
-    phi = None
+    def numeric(col: str) -> np.ndarray:
+        return np.array([_parse_cell(raw, col, i + 2) for i, raw in enumerate(table[col])])
+
+    labels = tuple(table[schema.label])
+    y = numeric(schema.y)
+    D = numeric(schema.d)
+    cov = np.column_stack([numeric(c) for c in schema.covariates])
     if schema.phi is not None:
-        phi = np.array([_parse_cell(r[schema.phi], schema.phi, i + 2) for i, r in enumerate(rows)])
+        phi = numeric(schema.phi)
     elif np.any(D < 0):
         phi = None  # let the dataset's own check report the negative variance
     elif np.any(D == 0):
@@ -122,14 +135,8 @@ def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
         )
     else:
         phi = 1.0 / D
-    weights = None
-    if schema.benchmark_weight is not None:
-        weights = np.array(
-            [_parse_cell(r[schema.benchmark_weight], schema.benchmark_weight, i + 2) for i, r in enumerate(rows)]
-        )
-    groups = None
-    if schema.group is not None:
-        groups = tuple(r[schema.group] for r in rows)
+    weights = None if schema.benchmark_weight is None else numeric(schema.benchmark_weight)
+    groups = None if schema.group is None else tuple(table[schema.group])
     return AreaDataset(
         labels=labels,
         y=y,
@@ -153,27 +160,17 @@ def write_area_csv(data: AreaDataset, path: str | Path, schema: CsvSchema | None
             group="group" if data.groups is not None else None,
             add_intercept=data.intercept,
         )
+    columns = {schema.label: data.labels, schema.y: data.y, schema.d: data.D}
+    columns.update(zip(schema.covariates, data.covariates.T, strict=True))
+    for name, values in (
+        (schema.phi, data.phi),
+        (schema.benchmark_weight, data.benchmark_weights),
+        (schema.group, data.groups),
+    ):
+        if name is not None:
+            columns[name] = values
     path = Path(path)
-    header = [schema.label, schema.y, schema.d, *schema.covariates]
-    if schema.phi is not None:
-        header.append(schema.phi)
-    if schema.benchmark_weight is not None:
-        header.append(schema.benchmark_weight)
-    if schema.group is not None:
-        header.append(schema.group)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, lab in enumerate(data.labels):
-            row = [lab, _fmt(data.y[i]), _fmt(data.D[i])]
-            row += [_fmt(v) for v in data.covariates[i]]
-            if schema.phi is not None:
-                row.append(_fmt(data.phi[i]))
-            if schema.benchmark_weight is not None:
-                row.append(_fmt(data.benchmark_weights[i]))
-            if schema.group is not None:
-                row.append(data.groups[i])
-            writer.writerow(row)
+    _write_table(path, columns)
     return path
 
 

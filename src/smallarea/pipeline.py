@@ -6,9 +6,10 @@ estimate -> (optional) bootstrap -> write, and writes a report:
 and ``metadata.json`` in the output directory; ``stop_after`` ends the run
 after the sampler or the selection curve instead.  Everything is driven by
 a flat key/value config file (``key = value`` lines, ``#`` comments);
-unknown keys are rejected.  Floats are written with 17 significant digits,
-so a fixed seed yields byte-identical outputs.  Area CSV ingestion lives
-in :mod:`smallarea.datasets`.
+unknown keys are rejected.  This module fixes the columns of each report
+and plot-data table; :mod:`smallarea.datasets` writes and reads them all in
+one format (17-significant-digit floats, so a fixed seed yields
+byte-identical outputs) and also holds area CSV ingestion.
 
 Config keys (see README for details):
 
@@ -25,7 +26,6 @@ Config keys (see README for details):
 
 from __future__ import annotations
 
-import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -35,13 +35,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bootstrap import GAMMA_POLICIES, BootstrapConfig, bootstrap_mse
-from .datasets import CsvSchema, _fmt, load_area_csv
+from .bootstrap import BootstrapConfig, bootstrap_mse
+from .datasets import CsvSchema, _read_table, _write_table, load_area_csv
 from .estimators import _RESIDUAL_TOL, ConstraintSet, benchmarked_estimate, smoothed_estimate
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
 from .exceptions import NumericalError, ValidationError
-from .fay_herriot import AreaDataset, GibbsConfig, PosteriorSummary, gibbs_fit
+from .fay_herriot import GibbsConfig, gibbs_fit
 from .selection import CvCurve, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
 
@@ -55,6 +55,11 @@ __all__ = [
 ]
 
 PLOT_KINDS = ("scatter_constrained_vs_bayes", "scatter_by_group", "mse_by_area")
+
+GAMMA_POLICIES = ("fixed", "re-cross-validate")
+
+# numeric per-area columns of EstimateReport, in estimates.csv order
+_REPORT_COLUMNS = ("y", "D", "theta_bayes", "theta_smoothed", "theta_benchmarked")
 
 
 @contextmanager
@@ -161,8 +166,12 @@ class RunConfig:
         if uses_weight:
             if self.benchmark_target is None or not np.isfinite(self.benchmark_target):
                 raise ValidationError("a finite benchmark_target is required with a weight column")
+        elif self.benchmark_target is not None:
+            raise ValidationError("benchmark_target requires benchmark_weight_column")
         if uses_matrix and self.benchmark_targets_csv is None:
             raise ValidationError("benchmark_matrix_csv requires benchmark_targets_csv")
+        if self.benchmark_targets_csv is not None and not uses_matrix:
+            raise ValidationError("benchmark_targets_csv requires benchmark_matrix_csv")
         if self.bootstrap_replicates < 0:
             raise ValidationError("bootstrap_replicates must be >= 0")
         if self.bootstrap_gamma_policy not in GAMMA_POLICIES:
@@ -283,7 +292,7 @@ class EstimateReport:
 
     def __post_init__(self):
         m = len(self.labels)
-        for name in ("y", "D", "theta_bayes", "theta_smoothed", "theta_benchmarked"):
+        for name in _REPORT_COLUMNS:
             v = getattr(self, name)
             if np.asarray(v).shape != (m,):
                 raise ValidationError(f"report column {name} must have {m} rows")
@@ -409,7 +418,8 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     if stop_after == "gibbs":
         metadata["sigma_u2_mean"] = summary.sigma_u2_mean
         out.mkdir(parents=True, exist_ok=True)
-        _write_fit(data, summary, out / "fit.csv")
+        fit = {"label": data.labels, "y": data.y, "D": data.D, "theta_bayes": theta, "ess": summary.ess}
+        _write_table(out / "fit.csv", fit)
         _write_json(metadata, out / "metadata.json")
         return None
 
@@ -425,7 +435,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     metadata["gamma"] = gamma
     if stop_after == "cross-validation":
         out.mkdir(parents=True, exist_ok=True)
-        _write_cv_curve(curve, out / "cv_curve.csv")
+        _write_table(out / "cv_curve.csv", _cv_columns(curve))
         _write_json(metadata, out / "metadata.json")
         return None
 
@@ -452,18 +462,13 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     mse = bias = None
     if config.bootstrap_replicates > 0:
         with _stage("bootstrap"):
-            boot_cfg = BootstrapConfig(
-                n_replicates=config.bootstrap_replicates,
-                seed=config.seed,
-                gamma_policy=config.bootstrap_gamma_policy,
-                gibbs=config.bootstrap_gibbs,
-            )
+            boot_cfg = BootstrapConfig(n_replicates=config.bootstrap_replicates, seed=config.seed)
 
             def replicate_pipeline(y_star: np.ndarray, chain_seed: int) -> np.ndarray:
                 star = replace(data, y=y_star)
                 star_summary = gibbs_fit(star, replace(config.bootstrap_gibbs, seed=chain_seed))
                 star_theta = star_summary.theta_bayes
-                if boot_cfg.gamma_policy == "re-cross-validate":
+                if config.bootstrap_gamma_policy == "re-cross-validate":
                     star_gamma = cross_validate(
                         star_theta, phi, omega, config.gamma_grid, constraints
                     ).gamma_hat
@@ -477,7 +482,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
             mse, bias = report.mse, report.bias
             metadata["bootstrap"] = {
                 "n_replicates": boot_cfg.n_replicates,
-                "gamma_policy": boot_cfg.gamma_policy,
+                "gamma_policy": config.bootstrap_gamma_policy,
                 "failed": list(report.failed),
                 "gibbs": _gibbs_metadata(config.bootstrap_gibbs),
             }
@@ -510,51 +515,33 @@ def _write_json(obj: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_fit(data: AreaDataset, summary: PosteriorSummary, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "y", "D", "theta_bayes", "ess"])
-        for i, lab in enumerate(data.labels):
-            writer.writerow(
-                [lab, _fmt(data.y[i]), _fmt(data.D[i]), _fmt(summary.theta_bayes[i]), _fmt(summary.ess[i])]
-            )
+def _cv_columns(curve: CvCurve) -> dict:
+    return {
+        "gamma": curve.grid,
+        "score": curve.scores,
+        "failed_areas": [";".join(map(str, failed)) for failed in curve.failed_areas],
+    }
 
 
-def _write_cv_curve(curve: CvCurve, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gamma", "score", "failed_areas"])
-        for g, s, failed in zip(curve.grid, curve.scores, curve.failed_areas):
-            writer.writerow([_fmt(g), _fmt(s) if np.isfinite(s) else "inf", ";".join(map(str, failed))])
+def _mse_columns(report: EstimateReport) -> dict:
+    return {"label": report.labels, "mse": report.mse, "bias": report.bias}
+
+
+def _floats(column: list[str]) -> np.ndarray:
+    return np.array([float(v) for v in column])
 
 
 def write_report(report: EstimateReport, out_dir: str | Path) -> Path:
     """Write estimates.csv, cv_curve.csv, bootstrap_mse.csv, metadata.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "estimates.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "y", "D", "theta_bayes", "theta_smoothed", "theta_benchmarked", "group"])
-        for i, lab in enumerate(report.labels):
-            writer.writerow(
-                [
-                    lab,
-                    _fmt(report.y[i]),
-                    _fmt(report.D[i]),
-                    _fmt(report.theta_bayes[i]),
-                    _fmt(report.theta_smoothed[i]),
-                    _fmt(report.theta_benchmarked[i]),
-                    "" if report.groups is None else report.groups[i],
-                ]
-            )
+    numeric = {name: getattr(report, name) for name in _REPORT_COLUMNS}
+    group = [""] * report.m if report.groups is None else report.groups
+    _write_table(out / "estimates.csv", {"label": report.labels, **numeric, "group": group})
     if report.cv is not None:
-        _write_cv_curve(report.cv, out / "cv_curve.csv")
+        _write_table(out / "cv_curve.csv", _cv_columns(report.cv))
     if report.mse is not None:
-        with open(out / "bootstrap_mse.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["label", "mse", "bias"])
-            for i, lab in enumerate(report.labels):
-                writer.writerow([lab, _fmt(report.mse[i]), _fmt(report.bias[i])])
+        _write_table(out / "bootstrap_mse.csv", _mse_columns(report))
     _write_json(report.metadata, out / "metadata.json")
     return out
 
@@ -562,21 +549,12 @@ def write_report(report: EstimateReport, out_dir: str | Path) -> Path:
 def read_report(out_dir: str | Path) -> EstimateReport:
     """Reconstruct a report from the files written by :func:`write_report`."""
     out = Path(out_dir)
-    est = out / "estimates.csv"
-    if not est.exists():
+    est_path = out / "estimates.csv"
+    if not est_path.exists():
         raise ValidationError(f"no estimates.csv under {out}; run the pipeline first")
-    with open(est, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValidationError(f"{est} has no data rows")
-    labels = tuple(r["label"] for r in rows)
-    cols = {
-        name: np.array([float(r[name]) for r in rows])
-        for name in ("y", "D", "theta_bayes", "theta_smoothed", "theta_benchmarked")
-    }
-    groups = tuple(r["group"] for r in rows)
-    if all(g == "" for g in groups):
-        groups = None
+    est = _read_table(est_path)
+    if not est.get("label"):
+        raise ValidationError(f"{est_path} has no data rows")
     metadata = {}
     meta_path = out / "metadata.json"
     if meta_path.exists():
@@ -585,29 +563,19 @@ def read_report(out_dir: str | Path) -> EstimateReport:
     mse = bias = None
     boot_path = out / "bootstrap_mse.csv"
     if boot_path.exists():
-        with open(boot_path, "r", encoding="utf-8", newline="") as fh:
-            boot_rows = list(csv.DictReader(fh))
-        mse = np.array([float(r["mse"]) for r in boot_rows])
-        bias = np.array([float(r["bias"]) for r in boot_rows])
+        boot = _read_table(boot_path)
+        mse, bias = _floats(boot["mse"]), _floats(boot["bias"])
     curve = None
     cv_path = out / "cv_curve.csv"
     if cv_path.exists():
-        with open(cv_path, "r", encoding="utf-8", newline="") as fh:
-            cv_rows = list(csv.DictReader(fh))
-        grid = np.array([float(r["gamma"]) for r in cv_rows])
-        scores = np.array([np.inf if r["score"] == "inf" else float(r["score"]) for r in cv_rows])
-        failed = tuple(
-            tuple(int(i) for i in r["failed_areas"].split(";") if i) for r in cv_rows
-        )
+        cv = _read_table(cv_path)
+        grid, scores = _floats(cv["gamma"]), _floats(cv["score"])
+        failed = tuple(tuple(int(i) for i in f.split(";") if i) for f in cv["failed_areas"])
         curve = CvCurve(grid, scores, float(grid[int(np.argmin(scores))]), failed)
     return EstimateReport(
-        labels=labels,
-        y=cols["y"],
-        D=cols["D"],
-        theta_bayes=cols["theta_bayes"],
-        theta_smoothed=cols["theta_smoothed"],
-        theta_benchmarked=cols["theta_benchmarked"],
-        groups=groups,
+        labels=tuple(est["label"]),
+        **{name: _floats(est[name]) for name in _REPORT_COLUMNS},
+        groups=tuple(est["group"]) if any(est["group"]) else None,
         cv=curve,
         mse=mse,
         bias=bias,
@@ -621,35 +589,33 @@ def emit_plot_data(report: EstimateReport, kind: str, out_dir: str | Path) -> Pa
     ``scatter_constrained_vs_bayes``: one row per area with the Bayes and
     constrained estimates.  ``scatter_by_group``: one row per area per
     series (smoothed, benchmarked) with the group label.  ``mse_by_area``:
-    one row per area with bootstrap MSE and bias.
+    one row per area with bootstrap MSE and bias, the same table as
+    ``bootstrap_mse.csv``.  A rejected kind writes no file.
     """
     if kind not in PLOT_KINDS:
         raise ValidationError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
+    if kind == "scatter_constrained_vs_bayes":
+        columns = {
+            "label": report.labels,
+            "bayes": report.theta_bayes,
+            "constrained": report.theta_benchmarked,
+        }
+    elif kind == "scatter_by_group":
+        if report.groups is None:
+            raise ValidationError("scatter_by_group requires group labels in the report")
+        columns = {
+            "label": [*report.labels, *report.labels],
+            "group": [*report.groups, *report.groups],
+            "series": ["smoothed"] * report.m + ["benchmarked"] * report.m,
+            "bayes": [*report.theta_bayes, *report.theta_bayes],
+            "value": [*report.theta_smoothed, *report.theta_benchmarked],
+        }
+    else:  # mse_by_area
+        if report.mse is None:
+            raise ValidationError("mse_by_area requires bootstrap results in the report")
+        columns = _mse_columns(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / f"plot_{kind}.csv"
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if kind == "scatter_constrained_vs_bayes":
-            writer.writerow(["label", "bayes", "constrained"])
-            for i, lab in enumerate(report.labels):
-                writer.writerow([lab, _fmt(report.theta_bayes[i]), _fmt(report.theta_benchmarked[i])])
-        elif kind == "scatter_by_group":
-            if report.groups is None:
-                raise ValidationError("scatter_by_group requires group labels in the report")
-            writer.writerow(["label", "group", "series", "bayes", "value"])
-            for series, values in (
-                ("smoothed", report.theta_smoothed),
-                ("benchmarked", report.theta_benchmarked),
-            ):
-                for i, lab in enumerate(report.labels):
-                    writer.writerow(
-                        [lab, report.groups[i], series, _fmt(report.theta_bayes[i]), _fmt(values[i])]
-                    )
-        else:  # mse_by_area
-            if report.mse is None:
-                raise ValidationError("mse_by_area requires bootstrap results in the report")
-            writer.writerow(["label", "mse", "bias"])
-            for i, lab in enumerate(report.labels):
-                writer.writerow([lab, _fmt(report.mse[i]), _fmt(report.bias[i])])
+    _write_table(target, columns)
     return target

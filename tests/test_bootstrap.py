@@ -240,5 +240,3 @@ class TestReportValidation:
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_replicates"):
             BootstrapConfig(n_replicates=0)
-        with pytest.raises(ValidationError, match="gamma_policy"):
-            BootstrapConfig(n_replicates=1, gamma_policy="sometimes")

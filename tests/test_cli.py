@@ -53,8 +53,9 @@ class TestExitCodes:
         [
             ({}, ["--seed", "-3"], "seed must be a nonnegative integer, got -3"),
             ({"gibbs_iterations": "4e2"}, [], "config key 'gibbs_iterations'"),
+            ({}, ["--benchmark-target", "99"], "benchmark_target requires benchmark_weight_column"),
         ],
-        ids=["negative-seed-flag", "unparsable-config-value"],
+        ids=["negative-seed-flag", "unparsable-config-value", "target-without-weight-column"],
     )
     def test_bad_numeric_settings_exit_2(self, workspace, capsys, config_values, flags, message):
         tmp_path, _, area, edges = workspace

@@ -8,6 +8,8 @@ import pytest
 from smallarea import (
     AreaDataset,
     CsvSchema,
+    CvCurve,
+    EstimateReport,
     GibbsConfig,
     NumericalError,
     RunConfig,
@@ -18,6 +20,7 @@ from smallarea import (
     run_pipeline,
     write_area_csv,
 )
+from smallarea.pipeline import write_report
 from smallarea.datasets import (
     FIXTURE_SCHEMA,
     US_STATE_LABELS,
@@ -206,6 +209,25 @@ class TestRunConfig:
             bootstrap_gamma_policy="re-cross-validate",
         )
         with pytest.raises(ValidationError, match="re-cross-validate requires"):
+            RunConfig.from_file(cfg)
+
+    def test_unknown_gamma_policy_rejected(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges, bootstrap_gamma_policy="sometimes")
+        with pytest.raises(ValidationError, match="bootstrap_gamma_policy must be one of"):
+            RunConfig.from_file(cfg)
+
+    def test_target_without_weight_column_rejected(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges, benchmark_target="15.0")
+        with pytest.raises(ValidationError, match="benchmark_target requires benchmark_weight_column"):
+            RunConfig.from_file(cfg)
+
+    def test_targets_file_without_matrix_rejected(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        (tmp_path / "t.csv").write_text("10.0\n")
+        cfg = write_config(tmp_path, area, edges, benchmark_targets_csv="t.csv")
+        with pytest.raises(ValidationError, match="benchmark_targets_csv requires benchmark_matrix_csv"):
             RunConfig.from_file(cfg)
 
     @pytest.mark.parametrize(
@@ -554,11 +576,13 @@ class TestReportIo:
         )
         with pytest.raises(ValidationError, match="group"):
             emit_plot_data(stripped, "scatter_by_group", config.output_dir)
+        assert not (config.output_dir / "plot_scatter_by_group.csv").exists()
 
     def test_plot_data_mse_requires_bootstrap(self, tmp_path):
         report, config = self._run(tmp_path)
         with pytest.raises(ValidationError, match="bootstrap"):
             emit_plot_data(report, "mse_by_area", config.output_dir)
+        assert not (config.output_dir / "plot_mse_by_area.csv").exists()
 
     def test_plot_data_mse(self, tmp_path):
         report, config = self._run(
@@ -572,3 +596,52 @@ class TestReportIo:
         assert rows[0] == "label,mse,bias"
         assert len(rows) == 9
         assert all(float(r.split(",")[1]) >= 0 for r in rows[1:])
+
+    def test_report_format(self, tmp_path):
+        """The byte format of the report tables, independent of the sampler."""
+        report = EstimateReport(
+            labels=("a", "b", "c"),
+            y=np.array([0.1, 2.0, -3.5]),
+            D=np.array([1.0, 0.25, 2.0]),
+            theta_bayes=np.array([1.0 / 3.0, 2.0, -3.0]),
+            theta_smoothed=np.array([0.5, 1e-20, 123456789.0]),
+            theta_benchmarked=np.array([0.2, 2.5, -1.0 / 7.0]),
+            groups=None,
+            cv=CvCurve(np.array([0.1, 1.0]), np.array([np.inf, 0.75]), 1.0, ((0, 2), ())),
+            mse=np.array([0.01, 2.0, 0.5]),
+            bias=np.array([-0.1, 0.0, 1.0 / 3.0]),
+            metadata={"seed": 0},
+        )
+        out = write_report(report, tmp_path / "out")
+        assert (out / "estimates.csv").read_bytes() == (
+            b"label,y,D,theta_bayes,theta_smoothed,theta_benchmarked,group\n"
+            b"a,0.10000000000000001,1,0.33333333333333331,0.5,0.20000000000000001,\n"
+            b"b,2,0.25,2,9.9999999999999995e-21,2.5,\n"
+            b"c,-3.5,2,-3,123456789,-0.14285714285714285,\n"
+        )
+        assert (out / "cv_curve.csv").read_bytes() == (
+            b"gamma,score,failed_areas\n"
+            b"0.10000000000000001,inf,0;2\n"
+            b"1,0.75,\n"
+        )
+        assert (out / "bootstrap_mse.csv").read_bytes() == (
+            b"label,mse,bias\n"
+            b"a,0.01,-0.10000000000000001\n"
+            b"b,2,0\n"
+            b"c,0.5,0.33333333333333331\n"
+        )
+        assert (out / "metadata.json").read_bytes() == b'{\n  "seed": 0\n}\n'
+
+        loaded = read_report(out)
+        assert loaded.labels == report.labels
+        assert loaded.groups is None
+        for name in ("y", "D", "theta_bayes", "theta_smoothed", "theta_benchmarked", "mse", "bias"):
+            assert np.array_equal(getattr(loaded, name), getattr(report, name)), name
+        assert np.array_equal(loaded.cv.grid, report.cv.grid)
+        assert np.array_equal(loaded.cv.scores, report.cv.scores)
+        assert loaded.cv.failed_areas == ((0, 2), ())
+        assert loaded.cv.gamma_hat == 1.0
+        assert loaded.metadata == {"seed": 0}
+
+        plot = emit_plot_data(report, "mse_by_area", out)
+        assert plot.read_bytes() == (out / "bootstrap_mse.csv").read_bytes()
