@@ -19,6 +19,7 @@ import csv
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -56,12 +57,31 @@ def _write_table(path: Path, columns: dict) -> None:
         )
 
 
-def _read_table(path: Path) -> dict[str, list[str]]:
-    """Columns of a CSV file with a header row, by name, as raw strings."""
+def _read_table(path: Path, required: Iterable[str] = ()) -> dict[str, list[str]]:
+    """Columns of a CSV file with a header row, by name, as raw strings.
+    A ``required`` column that is absent is a ValidationError naming it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
-    return {name: [row[name] for row in rows] for name in reader.fieldnames or ()}
+    table = {name: [row[name] for row in rows] for name in reader.fieldnames or ()}
+    for name in required:
+        if name not in table:
+            raise ValidationError(f"missing column {name!r} in {path}")
+    return table
+
+
+def _floats(table: dict[str, list[str]], column: str, path: Path) -> np.ndarray:
+    """One column of a :func:`_read_table` result as floats.  A cell that
+    does not parse is a ValidationError naming its column, row and file."""
+    values = []
+    for row, raw in enumerate(table[column], start=2):
+        try:
+            values.append(float(raw))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"non-numeric value {raw!r} in column {column!r}, row {row} of {path}"
+            ) from None
+    return np.array(values)
 
 
 @dataclass(frozen=True)
@@ -88,15 +108,6 @@ class CsvSchema:
             raise ValidationError("schema must name at least one covariate column")
 
 
-def _parse_cell(raw: str, column: str, row: int) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"non-numeric value {raw!r} in column {column!r}, row {row}"
-        ) from None
-
-
 def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
     """Read and validate an area-level CSV into an AreaDataset.
 
@@ -108,17 +119,14 @@ def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"area CSV not found: {path}")
-    table = _read_table(path)
     needed = [schema.label, schema.y, schema.d, *schema.covariates]
     needed += [c for c in (schema.phi, schema.benchmark_weight, schema.group) if c is not None]
-    for col in needed:
-        if col not in table:
-            raise ValidationError(f"missing column {col!r} in {path}")
+    table = _read_table(path, needed)
     if not table[schema.label]:
         raise ValidationError(f"area CSV {path} has no data rows")
 
     def numeric(col: str) -> np.ndarray:
-        return np.array([_parse_cell(raw, col, i + 2) for i, raw in enumerate(table[col])])
+        return _floats(table, col, path)
 
     labels = tuple(table[schema.label])
     y = numeric(schema.y)

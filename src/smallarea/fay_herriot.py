@@ -12,15 +12,16 @@ full conditionals are conjugate:
     residual sum of squares, which is proper only when m > p + 2.
 
 A single chain is strictly sequential and fully reproducible from its
-seed (counter-based Philox generator).
+seed (counter-based Philox generator).  The loop calls no scipy routine,
+and the per-area effective sample size is computed when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .exceptions import ValidationError
 
@@ -161,7 +162,6 @@ class PosteriorSummary:
     sigma_u2_mean: float
     beta_draws: np.ndarray
     sigma_u2_draws: np.ndarray
-    ess: np.ndarray
     seed: int
 
     def __post_init__(self):
@@ -176,6 +176,11 @@ class PosteriorSummary:
     def n_draws(self) -> int:
         return self.theta_draws.shape[0]
 
+    @cached_property
+    def ess(self) -> np.ndarray:
+        """Per-area effective sample size of the theta draws, computed on first read."""
+        return _effective_sample_size(self.theta_draws)
+
 
 def posterior_mean(theta_draws: np.ndarray) -> np.ndarray:
     """Componentwise mean of retained draws."""
@@ -185,30 +190,27 @@ def posterior_mean(theta_draws: np.ndarray) -> np.ndarray:
     return draws.mean(axis=0)
 
 
-def _effective_sample_size(x: np.ndarray) -> float:
-    """ESS of one chain via the initial-positive-sequence rule on paired
-    autocorrelations."""
-    n = x.shape[0]
-    if n < 4:
-        return float(n)
-    xc = x - x.mean()
-    c0 = float(xc @ xc)
-    if c0 == 0.0:
-        return float(n)
-    # autocovariances via FFT
+def _effective_sample_size(draws: np.ndarray) -> np.ndarray:
+    """ESS of each column of an (n, m) chain via the initial-positive-sequence
+    rule on paired autocorrelations.  A constant column has ESS n, and so has
+    any column when n < 4: it has no pair, or only rho_1 + rho_2 = -1/2."""
+    n, m = draws.shape
+    ess = np.full(m, float(n))
+    varying = np.flatnonzero(np.ptp(draws, axis=0) > 0)
     size = int(2 ** np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(xc, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[:n].real
-    rho = acov / acov[0]
-    tau = 1.0
-    k = 1
-    while k + 1 < n:
-        pair = rho[k] + rho[k + 1]
-        if pair <= 0:
-            break
-        tau += 2.0 * pair
-        k += 2
-    return float(max(1.0, n / tau))
+    block = max(1, 2**18 // size)  # columns per FFT pass: bounds its buffers at a few MB
+    for lo in range(0, len(varying), block):
+        cols = varying[lo : lo + block]
+        xc = draws[:, cols] - draws[:, cols].mean(axis=0)
+        # autocovariances via FFT
+        f = np.fft.rfft(xc, size, axis=0)
+        acov = np.fft.irfft(f * np.conjugate(f), size, axis=0)[:n]
+        rho = acov / acov[0]
+        # pairs rho_k + rho_{k+1} for k = 1, 3, ..., summed up to the first one <= 0
+        pairs = rho[1 : n - 1 : 2] + rho[2:n:2]
+        tau = 1.0 + 2.0 * np.sum(pairs * np.cumprod(pairs > 0, axis=0), axis=0)
+        ess[cols] = np.maximum(1.0, n / tau)
+    return ess
 
 
 def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
@@ -233,18 +235,23 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     y, D = data.y, data.D
     rng = np.random.Generator(np.random.Philox(config.seed))
 
-    chol_lower = np.linalg.cholesky(X.T @ X)
-    xtx_cho = (chol_lower, True)
+    # beta | rest = P theta + sqrt(s2) R z: P = (X'X)^{-1} X', R = L^{-T}, X'X = LL'
+    xtx = X.T @ X
+    P = np.linalg.solve(xtx, X.T)
+    R = np.linalg.inv(np.linalg.cholesky(xtx)).T
 
-    beta = cho_solve(xtx_cho, X.T @ y)
-    resid = y - X @ beta
+    beta = P @ y
     if config.fixed_sigma_u2 is not None:
         sigma2 = float(config.fixed_sigma_u2)
     else:
-        sigma2 = max(1e-6, float(np.mean(resid**2) - np.mean(D)))
-    theta = y.copy()
+        sigma2 = max(1e-6, float(np.mean((y - X @ beta) ** 2) - np.mean(D)))
 
+    # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
     observed = D > 0
+    theta = y.copy()
+    X_obs = X[observed]
+    inv_D = 1.0 / D[observed]
+    y_over_D = y[observed] / D[observed]
     n_keep = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
     theta_draws = np.empty((n_keep, m))
     beta_draws = np.empty((n_keep, p))
@@ -252,18 +259,12 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     kept = 0
 
     for it in range(config.n_iter):
-        fit = X @ beta
         z = rng.standard_normal(m)
-        theta = y.copy()  # D_i = 0 pins theta_i = y_i
-        if np.any(observed):
-            prec = 1.0 / D[observed] + 1.0 / sigma2
-            mean = (y[observed] / D[observed] + fit[observed] / sigma2) / prec
-            theta[observed] = mean + z[observed] / np.sqrt(prec)
+        prec = inv_D + 1.0 / sigma2
+        mean = (y_over_D + (X_obs @ beta) / sigma2) / prec
+        theta[observed] = mean + z[observed] / np.sqrt(prec)
 
-        beta_mean = cho_solve(xtx_cho, X.T @ theta)
-        beta = beta_mean + np.sqrt(sigma2) * solve_triangular(
-            chol_lower.T, rng.standard_normal(p), lower=False
-        )
+        beta = P @ theta + np.sqrt(sigma2) * (R @ rng.standard_normal(p))
 
         if config.fixed_sigma_u2 is None:
             ssr = float(np.sum((theta - X @ beta) ** 2))
@@ -282,7 +283,6 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
             sigma2_draws[kept] = sigma2
             kept += 1
 
-    ess = np.array([_effective_sample_size(theta_draws[:, j]) for j in range(m)])
     return PosteriorSummary(
         theta_bayes=posterior_mean(theta_draws),
         theta_draws=theta_draws,
@@ -290,6 +290,5 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
         sigma_u2_mean=float(sigma2_draws.mean()),
         beta_draws=beta_draws,
         sigma_u2_draws=sigma2_draws,
-        ess=ess,
         seed=config.seed,
     )

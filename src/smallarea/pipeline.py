@@ -36,7 +36,7 @@ import scipy
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_mse
-from .datasets import CsvSchema, _read_table, _write_table, load_area_csv
+from .datasets import CsvSchema, _floats, _read_table, _write_table, load_area_csv
 from .estimators import _RESIDUAL_TOL, ConstraintSet, benchmarked_estimate, smoothed_estimate
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
@@ -292,9 +292,9 @@ class EstimateReport:
 
     def __post_init__(self):
         m = len(self.labels)
-        for name in _REPORT_COLUMNS:
+        for name in (*_REPORT_COLUMNS, "mse", "bias"):
             v = getattr(self, name)
-            if np.asarray(v).shape != (m,):
+            if v is not None and np.asarray(v).shape != (m,):
                 raise ValidationError(f"report column {name} must have {m} rows")
         bench = self.metadata.get("benchmark")
         if bench is not None:
@@ -527,10 +527,6 @@ def _mse_columns(report: EstimateReport) -> dict:
     return {"label": report.labels, "mse": report.mse, "bias": report.bias}
 
 
-def _floats(column: list[str]) -> np.ndarray:
-    return np.array([float(v) for v in column])
-
-
 def write_report(report: EstimateReport, out_dir: str | Path) -> Path:
     """Write estimates.csv, cv_curve.csv, bootstrap_mse.csv, metadata.json."""
     out = Path(out_dir)
@@ -552,29 +548,41 @@ def read_report(out_dir: str | Path) -> EstimateReport:
     est_path = out / "estimates.csv"
     if not est_path.exists():
         raise ValidationError(f"no estimates.csv under {out}; run the pipeline first")
-    est = _read_table(est_path)
-    if not est.get("label"):
+    est = _read_table(est_path, ["label", *_REPORT_COLUMNS, "group"])
+    if not est["label"]:
         raise ValidationError(f"{est_path} has no data rows")
     metadata = {}
     meta_path = out / "metadata.json"
     if meta_path.exists():
         with open(meta_path, "r", encoding="utf-8") as fh:
-            metadata = json.load(fh)
+            try:
+                metadata = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{meta_path} is not valid JSON: {exc}") from None
+        if not isinstance(metadata, dict):
+            raise ValidationError(f"{meta_path} must hold a JSON object")
     mse = bias = None
     boot_path = out / "bootstrap_mse.csv"
     if boot_path.exists():
-        boot = _read_table(boot_path)
-        mse, bias = _floats(boot["mse"]), _floats(boot["bias"])
+        boot = _read_table(boot_path, ["mse", "bias"])
+        mse, bias = _floats(boot, "mse", boot_path), _floats(boot, "bias", boot_path)
     curve = None
     cv_path = out / "cv_curve.csv"
     if cv_path.exists():
-        cv = _read_table(cv_path)
-        grid, scores = _floats(cv["gamma"]), _floats(cv["score"])
-        failed = tuple(tuple(int(i) for i in f.split(";") if i) for f in cv["failed_areas"])
+        cv = _read_table(cv_path, ["gamma", "score", "failed_areas"])
+        if not cv["gamma"]:
+            raise ValidationError(f"{cv_path} has no data rows")
+        grid, scores = _floats(cv, "gamma", cv_path), _floats(cv, "score", cv_path)
+        try:
+            failed = tuple(tuple(int(i) for i in f.split(";") if i) for f in cv["failed_areas"])
+        except ValueError:
+            raise ValidationError(
+                f"non-integer area index in column 'failed_areas' of {cv_path}"
+            ) from None
         curve = CvCurve(grid, scores, float(grid[int(np.argmin(scores))]), failed)
     return EstimateReport(
         labels=tuple(est["label"]),
-        **{name: _floats(est[name]) for name in _REPORT_COLUMNS},
+        **{name: _floats(est, name, est_path) for name in _REPORT_COLUMNS},
         groups=tuple(est["group"]) if any(est["group"]) else None,
         cv=curve,
         mse=mse,

@@ -70,18 +70,13 @@ class SimilaritySpec:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"similarity matrix must be square, got shape {arr.shape}")
         m = arr.shape[0]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if arr[i, j] != arr[j, i]:
-                    raise ValidationError(f"asymmetric similarity at ({i}, {j})")
-        entries = [
-            (i, j, arr[i, j])
-            for i in range(m)
-            for j in range(i + 1, m)
-            if arr[i, j] != 0.0
-        ]
+        asym = np.argwhere(np.triu(arr != arr.T, k=1))
+        if len(asym):
+            i, j = asym[0]
+            raise ValidationError(f"asymmetric similarity at ({i}, {j})")
+        rows, cols = np.nonzero(np.triu(arr, k=1))
         # run entries through __init__ so sign/finiteness checks apply
-        return cls(m, entries)
+        return cls(m, zip(rows, cols, arr[rows, cols]))
 
     @property
     def size(self) -> int:

@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from smallarea import (
     AreaDataset,
     GibbsConfig,
+    PosteriorSummary,
     ValidationError,
     gibbs_fit,
     posterior_mean,
 )
+from smallarea.datasets import FIXTURE_SCHEMA, load_area_csv, synthetic_dataset_path
+
+from oracles import reference_ess, reference_gibbs_draws
 
 
 def make_dataset(seed, m=30, sigma_u2=2.0, beta=(5.0, 1.0)):
@@ -161,6 +167,122 @@ class TestGibbsFit:
         fit = gibbs_fit(data, GibbsConfig(n_iter=3_000, n_burn=1_000, seed=5))
         sd = fit.beta_draws.std(axis=0, ddof=1)
         assert np.all(np.abs(fit.beta_mean - beta_true) <= 4.0 * sd)
+
+
+def _with_zero_variances(data):
+    D = data.D.copy()
+    D[[0, 7, 19]] = 0.0
+    return replace(data, D=D)
+
+
+class TestReferenceChain:
+    """gibbs_fit against the per-step triangular-solve chain in oracles."""
+
+    @pytest.mark.parametrize(
+        "dataset, config",
+        [
+            pytest.param(
+                lambda: load_area_csv(synthetic_dataset_path(), FIXTURE_SCHEMA),
+                GibbsConfig(n_iter=600, n_burn=100, seed=4),
+                id="bundled-fixture",
+            ),
+            pytest.param(
+                lambda: _with_zero_variances(make_dataset(1)[0]),
+                GibbsConfig(n_iter=400, n_burn=50, seed=5),
+                id="zero-sampling-variance",
+            ),
+            pytest.param(
+                lambda: make_dataset(2)[0],
+                GibbsConfig(n_iter=400, n_burn=50, seed=6, fixed_sigma_u2=1.5),
+                id="fixed-variance",
+            ),
+            pytest.param(
+                lambda: make_dataset(3)[0],
+                GibbsConfig(n_iter=400, n_burn=50, thin=3, seed=7),
+                id="thin-3",
+            ),
+            pytest.param(
+                lambda: replace(make_dataset(4)[0], intercept=False),
+                GibbsConfig(n_iter=400, n_burn=50, seed=8),
+                id="no-intercept",
+            ),
+        ],
+    )
+    def test_draws_match_reference(self, dataset, config):
+        data = dataset()
+        fit = gibbs_fit(data, config)
+        theta, beta, sigma2 = reference_gibbs_draws(data, config)
+        assert fit.theta_draws.shape == theta.shape
+        # relative to each column's largest draw: a coefficient draw near
+        # zero carries the rounding of the terms that cancel in it
+        for got, want in ((fit.theta_draws, theta), (fit.beta_draws, beta), (fit.sigma_u2_draws, sigma2)):
+            assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=0))
+        pinned = data.D == 0
+        assert np.array_equal(fit.theta_draws[:, pinned], np.tile(data.y[pinned], (fit.n_draws, 1)))
+
+
+class TestEffectiveSampleSize:
+    """PosteriorSummary.ess against the per-area loop in oracles."""
+
+    @staticmethod
+    def _summary(draws):
+        n = draws.shape[0]
+        return PosteriorSummary(
+            theta_bayes=draws.mean(axis=0),
+            theta_draws=draws,
+            beta_mean=np.zeros(1),
+            sigma_u2_mean=1.0,
+            beta_draws=np.zeros((n, 1)),
+            sigma_u2_draws=np.ones(n),
+            seed=0,
+        )
+
+    @staticmethod
+    def _ar1(rng, n, phi):
+        x = np.empty((n, len(phi)))
+        x[0] = rng.standard_normal(len(phi))
+        for t in range(1, n):
+            x[t] = phi * x[t - 1] + rng.standard_normal(len(phi))
+        return x
+
+    @pytest.mark.parametrize(
+        "draws",
+        [
+            # 600 columns of 500 draws take three FFT blocks
+            pytest.param(
+                lambda rng: TestEffectiveSampleSize._ar1(rng, 500, rng.uniform(-0.5, 0.95, 600)),
+                id="ar1",
+            ),
+            pytest.param(lambda rng: np.full((64, 2), 3.0), id="constant"),
+            pytest.param(lambda rng: rng.standard_normal((3, 4)), id="n-below-4"),
+        ],
+    )
+    def test_matches_reference(self, draws):
+        x = draws(np.random.default_rng(21))
+        ess = self._summary(x).ess
+        np.testing.assert_allclose(ess, reference_ess(x), rtol=1e-12, atol=0)
+
+    def test_anti_correlated_column_whose_first_pair_is_not_positive(self):
+        x = self._ar1(np.random.default_rng(21), 300, np.array([-0.9]))
+        xc = x[:, 0] - x[:, 0].mean()
+        acov = [xc[: len(xc) - k] @ xc[k:] for k in range(3)]
+        assert acov[1] + acov[2] <= 0
+        assert self._summary(x).ess[0] == 300.0
+        np.testing.assert_allclose(self._summary(x).ess, reference_ess(x), rtol=1e-12, atol=0)
+
+    def test_constant_column_is_n_whatever_its_mean_rounds_to(self):
+        # the float mean of 0.1 repeated 1000 times is not 0.1, so the
+        # centred column is a nonzero constant; its ESS is still n
+        x = np.column_stack([np.full(1000, 0.1), np.arange(1000.0) % 7])
+        assert x[:, 0].mean() != 0.1
+        assert self._summary(x).ess[0] == 1000.0
+
+    def test_computed_when_first_read(self):
+        data, _ = make_dataset(0)
+        fit = gibbs_fit(data, GibbsConfig(n_iter=300, n_burn=50, seed=1))
+        assert "ess" not in vars(fit)
+        assert fit.ess is fit.ess
+        np.testing.assert_allclose(fit.ess, reference_ess(fit.theta_draws), rtol=1e-12, atol=0)
 
 
 class TestPosteriorMean:

@@ -597,9 +597,10 @@ class TestReportIo:
         assert len(rows) == 9
         assert all(float(r.split(",")[1]) >= 0 for r in rows[1:])
 
-    def test_report_format(self, tmp_path):
-        """The byte format of the report tables, independent of the sampler."""
-        report = EstimateReport(
+    @staticmethod
+    def _hand_built_report():
+        """A 3-area report with every report file, built without the sampler."""
+        return EstimateReport(
             labels=("a", "b", "c"),
             y=np.array([0.1, 2.0, -3.5]),
             D=np.array([1.0, 0.25, 2.0]),
@@ -612,6 +613,10 @@ class TestReportIo:
             bias=np.array([-0.1, 0.0, 1.0 / 3.0]),
             metadata={"seed": 0},
         )
+
+    def test_report_format(self, tmp_path):
+        """The byte format of the report tables, independent of the sampler."""
+        report = self._hand_built_report()
         out = write_report(report, tmp_path / "out")
         assert (out / "estimates.csv").read_bytes() == (
             b"label,y,D,theta_bayes,theta_smoothed,theta_benchmarked,group\n"
@@ -645,3 +650,58 @@ class TestReportIo:
 
         plot = emit_plot_data(report, "mse_by_area", out)
         assert plot.read_bytes() == (out / "bootstrap_mse.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            pytest.param(
+                "estimates.csv", ",group\n", "\n", r"missing column 'group' in .*estimates\.csv",
+                id="missing-column",
+            ),
+            pytest.param(
+                "estimates.csv", "b,2,0.25,", "b,2,oops,",
+                r"'oops' in column 'D', row 3 of .*estimates\.csv",
+                id="non-numeric-estimate",
+            ),
+            pytest.param(
+                "cv_curve.csv", "1,0.75,", "1,high,",
+                r"'high' in column 'score', row 3 of .*cv_curve\.csv",
+                id="non-numeric-cv-score",
+            ),
+            pytest.param(
+                "cv_curve.csv", "inf,0;2", "inf,0;x",
+                r"non-integer area index in column 'failed_areas' of .*cv_curve\.csv",
+                id="non-integer-failed-area",
+            ),
+            pytest.param(
+                "bootstrap_mse.csv", "b,2,0\n", "b,2,zero\n",
+                r"'zero' in column 'bias', row 3 of .*bootstrap_mse\.csv",
+                id="non-numeric-mse-bias",
+            ),
+            pytest.param(
+                "metadata.json", "}", "", r"metadata\.json is not valid JSON",
+                id="unparsable-metadata",
+            ),
+            pytest.param(
+                "metadata.json", '{\n  "seed": 0\n}', "[0]", r"metadata\.json must hold a JSON object",
+                id="metadata-not-an-object",
+            ),
+            pytest.param(
+                "cv_curve.csv", "0.10000000000000001,inf,0;2\n1,0.75,\n", "",
+                r"cv_curve\.csv has no data rows",
+                id="empty-cv-curve",
+            ),
+            pytest.param(
+                "bootstrap_mse.csv", "c,0.5,0.33333333333333331\n", "", "report column mse must have 3 rows",
+                id="short-bootstrap-table",
+            ),
+        ],
+    )
+    def test_malformed_report_file_rejected(self, tmp_path, name, old, new, message):
+        out = write_report(self._hand_built_report(), tmp_path / "out")
+        path = out / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(ValidationError, match=message):
+            read_report(out)

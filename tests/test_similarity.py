@@ -54,9 +54,12 @@ class TestSimilaritySpec:
             SimilaritySpec(2, [(0, 2, 1.0)])
 
     def test_from_matrix_asymmetric_named_pair(self):
-        q = np.zeros((3, 3))
+        # the first asymmetric pair in row-major order is the one named
+        q = np.zeros((4, 4))
         q[1, 2] = 1.0
         q[2, 1] = 0.5
+        q[2, 3] = 1.0
+        q[3, 2] = 2.0
         with pytest.raises(ValidationError, match=r"asymmetric similarity at \(1, 2\)"):
             SimilaritySpec.from_matrix(q)
 
