@@ -7,8 +7,15 @@ synthetic responses; the full estimation pipeline is re-run on each
 replicate.  Squared deviations of the replicate estimates around the
 generating values give the per-area MSE.
 
-RNG stream contract (all replicates are independently seeded, so parallel
-and sequential execution agree):
+The pipeline is a batch callback: it receives every replicate at once,
+the (B, m) synthetic responses and the B chain seeds, and returns the
+(B, m) replicate estimates, so that the replicate chains can run in lock
+step (see :func:`smallarea.fay_herriot.gibbs_means`).  A row with any
+non-finite value is a failed replicate; a batch that raises
+ValidationError or NumericalError fails every replicate.
+
+RNG stream contract (all replicates are independently seeded, so a
+batched and a one-at-a-time run agree):
 
   * resampling indices for replicate b come from a Philox generator
     seeded with SeedSequence(entropy=seed, spawn_key=(b, 0));
@@ -126,19 +133,21 @@ def replicate_gibbs_seed(seed: int, index: int) -> int:
 def bootstrap_mse(
     data: AreaDataset,
     theta_bm: np.ndarray,
-    pipeline: Callable[[np.ndarray, int], np.ndarray],
+    pipeline: Callable[[np.ndarray, np.ndarray], np.ndarray],
     config: BootstrapConfig,
 ) -> BootstrapReport:
     """Residual-bootstrap MSE of a constrained fit.
 
-    ``theta_bm`` is the completed original fit; ``pipeline(y_star, seed)``
-    re-runs the full inference on a synthetic response vector and returns
-    the replicate's constrained estimates.  The generating values
-    ``theta_bm`` play the role of the truth: MSE_i averages
-    (estimate_i - theta_bm_i)^2 over replicates, and bias_i is the mean
-    deviation.  A replicate whose pipeline raises ValidationError or
-    NumericalError is recorded as failed; more than 5% failures abort the
-    report.  Any other exception is a bug and propagates.
+    ``theta_bm`` is the completed original fit; ``pipeline(Y_star, seeds)``
+    re-runs the full inference on the (B, m) synthetic responses, row b
+    with chain seed ``seeds[b]``, and returns the (B, m) replicate
+    constrained estimates.  The generating values ``theta_bm`` play the
+    role of the truth: MSE_i averages (estimate_i - theta_bm_i)^2 over
+    replicates, and bias_i is the mean deviation.  A row with a non-finite
+    value is a failed replicate; more than 5% failures abort the report.
+    A pipeline that raises ValidationError or NumericalError fails every
+    replicate, a result of the wrong shape is a NumericalError, and any
+    other exception is a bug and propagates.
     """
     theta_bm = np.asarray(theta_bm, dtype=float)
     m = data.m
@@ -153,27 +162,26 @@ def bootstrap_mse(
     residuals = standardized_residuals(data.y, theta_bm, sigma_u)
 
     B = config.n_replicates
-    replicates = np.full((B, m), np.nan)
-    failed: list[int] = []
+    y_star = np.empty((B, m))
     for b in range(B):
         rng = replicate_rng(config.seed, b)
-        draw = residuals[rng.integers(0, m, size=m)]
-        y_star = theta_bm + sigma_u * draw
-        try:
-            estimate = np.asarray(pipeline(y_star, replicate_gibbs_seed(config.seed, b)), dtype=float)
-            if estimate.shape != (m,) or not np.all(np.isfinite(estimate)):
-                raise NumericalError("pipeline returned a malformed estimate")
-        except (ValidationError, NumericalError):
-            failed.append(b)
-            continue
-        replicates[b] = estimate
-
+        y_star[b] = theta_bm + sigma_u * residuals[rng.integers(0, m, size=m)]
+    seeds = np.array([replicate_gibbs_seed(config.seed, b) for b in range(B)])
+    try:
+        replicates = np.array(pipeline(y_star, seeds), dtype=float)
+    except (ValidationError, NumericalError) as exc:
+        raise NumericalError(f"all {B} bootstrap replicates failed: {exc}") from exc
+    if replicates.shape != (B, m):
+        raise NumericalError(
+            f"pipeline returned shape {replicates.shape}, expected ({B}, {m})"
+        )
+    ok = np.all(np.isfinite(replicates), axis=1)
+    replicates[~ok] = np.nan
+    failed = np.flatnonzero(~ok)
     if len(failed) > _MAX_FAILURE_FRACTION * B:
         raise NumericalError(
             f"{len(failed)} of {B} bootstrap replicates failed (> {_MAX_FAILURE_FRACTION:.0%})"
         )
-    ok = np.ones(B, dtype=bool)
-    ok[failed] = False
     good = replicates[ok]
     mse = np.mean((good - theta_bm) ** 2, axis=0)
     bias = good.mean(axis=0) - theta_bm

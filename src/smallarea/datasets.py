@@ -59,15 +59,24 @@ def _write_table(path: Path, columns: dict) -> None:
 
 def _read_table(path: Path, required: Iterable[str] = ()) -> dict[str, list[str]]:
     """Columns of a CSV file with a header row, by name, as raw strings.
-    A ``required`` column that is absent is a ValidationError naming it."""
+    A ``required`` column that is absent, or a row whose cell count differs
+    from the header's, is a ValidationError naming the column or the line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    table = {name: [row[name] for row in rows] for name in reader.fieldnames or ()}
-    for name in required:
-        if name not in table:
-            raise ValidationError(f"missing column {name!r} in {path}")
-    return table
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name in required:
+            if name not in header:
+                raise ValidationError(f"missing column {name!r} in {path}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                )
+            rows.append(row)
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
 
 
 def _floats(table: dict[str, list[str]], column: str, path: Path) -> np.ndarray:

@@ -11,9 +11,20 @@ full conditionals are conjugate:
   * s2   | rest  is inverse-gamma with shape m/2 - 1 and scale half the
     residual sum of squares, which is proper only when m > p + 2.
 
-A single chain is strictly sequential and fully reproducible from its
-seed (counter-based Philox generator).  The loop calls no scipy routine,
-and the per-area effective sample size is computed when first read.
+One sampler core advances B chains in lock step, with theta (B, m),
+beta (B, p) and the model variance (B,): :func:`gibbs_fit` is its B = 1
+case and keeps the draws, and :func:`gibbs_means` runs a batch (the
+bootstrap replicates) keeping only a running sum of the retained theta.
+
+RNG stream contract: each chain is strictly sequential and reproducible
+from its own seed.  Chain b has its own counter-based ``Philox(seed_b)``
+generator, which each iteration draws normal(m), then normal(p) (one
+``standard_normal(m + p)`` call, the same stream), then gamma only when
+the variance is sampled and the chain's residual sum of squares is
+positive.  A chain therefore makes the same draws alone or inside a
+batch; only the rounding of the batched matrix products differs.  The
+loop calls no scipy routine, and the per-area effective sample size is
+computed when first read.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ __all__ = [
     "GibbsConfig",
     "PosteriorSummary",
     "gibbs_fit",
+    "gibbs_means",
     "posterior_mean",
 ]
 
@@ -213,6 +225,74 @@ def _effective_sample_size(draws: np.ndarray) -> np.ndarray:
     return ess
 
 
+def _lockstep(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig):
+    """Run one chain per row of ``Y`` in lock step; yield ``(theta, beta,
+    sigma2)``, shaped (B, m), (B, p) and (B,), at each retained iteration.
+
+    Row b is the chain on responses ``Y[b]`` with its own
+    ``Philox(seeds[b])`` generator.  The yielded arrays are overwritten by
+    the next step, so a caller that keeps them copies them.
+    """
+    X = data.X
+    m, p = X.shape
+    if m <= p + 2:
+        raise ValidationError(
+            "insufficient areas for flat-prior posterior propriety "
+            f"(m={m} must exceed p+2={p + 2})"
+        )
+    D = data.D
+    rngs = [np.random.Generator(np.random.Philox(int(s))) for s in seeds]
+
+    # beta | rest = P theta + sqrt(s2) R z: P = (X'X)^{-1} X', R = L^{-T}, X'X = LL';
+    # chains are rows here, so the loop multiplies by the transposes P' and R'
+    xtx = X.T @ X
+    Pt = np.linalg.solve(xtx, X.T).T
+    Rt = np.linalg.inv(np.linalg.cholesky(xtx))
+
+    beta = Y @ Pt
+    if config.fixed_sigma_u2 is not None:
+        sigma2 = np.full(len(rngs), float(config.fixed_sigma_u2))
+    else:
+        sigma2 = np.maximum(1e-6, np.mean((Y - beta @ X.T) ** 2, axis=1) - np.mean(D))
+
+    # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
+    observed = D > 0
+    cols = slice(0, m) if np.all(observed) else np.flatnonzero(observed)
+    theta = Y.copy()
+    Xt_obs = X[cols].T
+    inv_D = 1.0 / D[cols]
+    y_over_D = Y[:, cols] / D[cols]
+    # one standard_normal(m + p) call per row is the stream of normal(m)
+    # then normal(p): numpy draws each variate on its own
+    noise = np.empty((len(rngs), m + p))
+    z_p = noise[:, m:]
+    fills = [(rng.standard_normal, row) for rng, row in zip(rngs, noise)]
+    gammas = [rng.gamma for rng in rngs]
+    shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
+
+    for it in range(config.n_iter):
+        for fill, row in fills:
+            fill(out=row)
+        prec = inv_D + (1.0 / sigma2)[:, None]
+        mean = (y_over_D + (beta @ Xt_obs) / sigma2[:, None]) / prec
+        theta[:, cols] = mean + noise[:, cols] / np.sqrt(prec)
+
+        beta = theta @ Pt + np.sqrt(sigma2)[:, None] * (z_p @ Rt)
+
+        if config.fixed_sigma_u2 is None:
+            ssr = np.sum((theta - beta @ X.T) ** 2, axis=1)
+            # a row with degenerate residuals draws nothing: 1/inf = 0, floored below
+            g = [gam(shape, 2.0 / s) if s > 0 else np.inf for gam, s in zip(gammas, ssr.tolist())]
+            sigma2 = np.clip(1.0 / np.array(g), _SIGMA2_FLOOR, np.finfo(float).max)
+
+        if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
+            yield theta, beta, sigma2
+
+
+def _n_keep(config: GibbsConfig) -> int:
+    return (config.n_iter - config.n_burn + config.thin - 1) // config.thin
+
+
 def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     """Run the systematic-scan Gibbs sampler and summarize the chain.
 
@@ -225,63 +305,13 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     Raises ValidationError when m <= p + 2, where the flat prior does not
     yield a proper variance conditional.
     """
-    X = data.X
-    m, p = X.shape
-    if m <= p + 2:
-        raise ValidationError(
-            "insufficient areas for flat-prior posterior propriety "
-            f"(m={m} must exceed p+2={p + 2})"
-        )
-    y, D = data.y, data.D
-    rng = np.random.Generator(np.random.Philox(config.seed))
-
-    # beta | rest = P theta + sqrt(s2) R z: P = (X'X)^{-1} X', R = L^{-T}, X'X = LL'
-    xtx = X.T @ X
-    P = np.linalg.solve(xtx, X.T)
-    R = np.linalg.inv(np.linalg.cholesky(xtx)).T
-
-    beta = P @ y
-    if config.fixed_sigma_u2 is not None:
-        sigma2 = float(config.fixed_sigma_u2)
-    else:
-        sigma2 = max(1e-6, float(np.mean((y - X @ beta) ** 2) - np.mean(D)))
-
-    # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
-    observed = D > 0
-    theta = y.copy()
-    X_obs = X[observed]
-    inv_D = 1.0 / D[observed]
-    y_over_D = y[observed] / D[observed]
-    n_keep = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
-    theta_draws = np.empty((n_keep, m))
-    beta_draws = np.empty((n_keep, p))
+    n_keep = _n_keep(config)
+    theta_draws = np.empty((n_keep, data.m))
+    beta_draws = np.empty((n_keep, data.X.shape[1]))
     sigma2_draws = np.empty(n_keep)
-    kept = 0
-
-    for it in range(config.n_iter):
-        z = rng.standard_normal(m)
-        prec = inv_D + 1.0 / sigma2
-        mean = (y_over_D + (X_obs @ beta) / sigma2) / prec
-        theta[observed] = mean + z[observed] / np.sqrt(prec)
-
-        beta = P @ theta + np.sqrt(sigma2) * (R @ rng.standard_normal(p))
-
-        if config.fixed_sigma_u2 is None:
-            ssr = float(np.sum((theta - X @ beta) ** 2))
-            if ssr > 0:
-                # shape m/2 - 1 >= 1 under the propriety guard, so the
-                # gamma draw is positive
-                g = rng.gamma(0.5 * m - 1.0, 2.0 / ssr)
-                sigma2 = 1.0 / g
-            else:
-                sigma2 = 0.0  # degenerate residuals; floored below
-            sigma2 = float(min(max(sigma2, _SIGMA2_FLOOR), np.finfo(float).max))
-
-        if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
-            theta_draws[kept] = theta
-            beta_draws[kept] = beta
-            sigma2_draws[kept] = sigma2
-            kept += 1
+    chain = _lockstep(data, data.y[np.newaxis, :], [config.seed], config)
+    for k, (theta, beta, sigma2) in enumerate(chain):
+        theta_draws[k], beta_draws[k], sigma2_draws[k] = theta[0], beta[0], sigma2[0]
 
     return PosteriorSummary(
         theta_bayes=posterior_mean(theta_draws),
@@ -292,3 +322,26 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
         sigma_u2_draws=sigma2_draws,
         seed=config.seed,
     )
+
+
+def gibbs_means(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig) -> np.ndarray:
+    """Posterior means of theta for B chains run in lock step, as a (B, m) array.
+
+    Row b is the chain of :func:`gibbs_fit` on ``data`` with responses
+    ``Y[b]`` and seed ``seeds[b]`` (``config.seed`` is not used): the same
+    random stream, and the same ``theta_bayes`` up to the rounding of the
+    batched matrix products.  Only a running sum of the retained theta is
+    kept, so memory is O(Bm) and no ESS is computed.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != data.m or Y.shape[0] != len(seeds):
+        raise ValidationError(
+            f"responses have shape {Y.shape}, expected ({len(seeds)}, {data.m}): "
+            "one row per seed"
+        )
+    if not np.all(np.isfinite(Y)):
+        raise ValidationError("responses contain non-finite entries")
+    total = np.zeros(Y.shape)
+    for theta, _, _ in _lockstep(data, Y, seeds, config):
+        total += theta
+    return total / _n_keep(config)

@@ -41,7 +41,7 @@ from .estimators import _RESIDUAL_TOL, ConstraintSet, benchmarked_estimate, smoo
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
 from .exceptions import NumericalError, ValidationError
-from .fay_herriot import GibbsConfig, gibbs_fit
+from .fay_herriot import GibbsConfig, gibbs_fit, gibbs_means
 from .selection import CvCurve, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
 
@@ -298,6 +298,8 @@ class EstimateReport:
                 raise ValidationError(f"report column {name} must have {m} rows")
         bench = self.metadata.get("benchmark")
         if bench is not None:
+            if not isinstance(bench, dict) or "target" not in bench:
+                raise ValidationError("metadata key 'benchmark' must hold a 'target' entry")
             residual = self.metadata.get("constraint_residual")
             if residual is None:
                 raise ValidationError("benchmarked reports must record the constraint residual")
@@ -464,19 +466,27 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         with _stage("bootstrap"):
             boot_cfg = BootstrapConfig(n_replicates=config.bootstrap_replicates, seed=config.seed)
 
-            def replicate_pipeline(y_star: np.ndarray, chain_seed: int) -> np.ndarray:
-                star = replace(data, y=y_star)
-                star_summary = gibbs_fit(star, replace(config.bootstrap_gibbs, seed=chain_seed))
-                star_theta = star_summary.theta_bayes
-                if config.bootstrap_gamma_policy == "re-cross-validate":
-                    star_gamma = cross_validate(
-                        star_theta, phi, omega, config.gamma_grid, constraints
-                    ).gamma_hat
-                else:
-                    star_gamma = gamma
-                if constraints is not None:
-                    return benchmarked_estimate(star_theta, phi, omega, star_gamma, constraints).values
-                return smoothed_estimate(star_theta, phi, omega, star_gamma).values
+            def replicate_pipeline(y_star: np.ndarray, chain_seeds: np.ndarray) -> np.ndarray:
+                # one lock-step batch of chains, then each replicate's estimate;
+                # a row whose estimate fails stays NaN and is recorded as failed
+                thetas = gibbs_means(data, y_star, chain_seeds, config.bootstrap_gibbs)
+                estimates = np.full_like(thetas, np.nan)
+                for b, star_theta in enumerate(thetas):
+                    try:
+                        if config.bootstrap_gamma_policy == "re-cross-validate":
+                            star_gamma = cross_validate(
+                                star_theta, phi, omega, config.gamma_grid, constraints
+                            ).gamma_hat
+                        else:
+                            star_gamma = gamma
+                        if constraints is not None:
+                            estimate = benchmarked_estimate(star_theta, phi, omega, star_gamma, constraints)
+                        else:
+                            estimate = smoothed_estimate(star_theta, phi, omega, star_gamma)
+                    except (ValidationError, NumericalError):
+                        continue
+                    estimates[b] = estimate.values
+                return estimates
 
             report = bootstrap_mse(data, theta_bm, replicate_pipeline, boot_cfg)
             mse, bias = report.mse, report.bias

@@ -5,7 +5,8 @@ oracle assembles and LU-solves the full bordered KKT system, the
 unconstrained oracle runs a generic second-order optimizer, and the
 quadratic-form oracle evaluates the similarity double sum directly.  The
 Gibbs reference chain solves with the Cholesky factor of X'X on every
-iteration, and the reference ESS handles one area at a time.
+iteration, the reference ESS handles one area at a time, and the
+reference bootstrap replicate runs one full chain per replicate.
 """
 
 import numpy as np
@@ -204,3 +205,41 @@ def reference_ess(draws):
         return float(max(1.0, n / tau))
 
     return np.array([one(draws[:, j]) for j in range(draws.shape[1])])
+
+
+def per_replicate(estimate):
+    """A ``bootstrap_mse`` batch callback that calls ``estimate(y_star, seed)``
+    one replicate at a time.  A replicate whose call raises ValidationError
+    or NumericalError is a NaN row; any other exception propagates."""
+    from smallarea import NumericalError, ValidationError
+
+    def batch(y_star, seeds):
+        out = np.full(np.shape(y_star), np.nan)
+        for b, (y, seed) in enumerate(zip(y_star, seeds)):
+            try:
+                out[b] = estimate(y, seed)
+            except (ValidationError, NumericalError):
+                pass
+        return out
+
+    return batch
+
+
+def reference_replicate(data, phi, omega, gamma, constraints, gibbs, gamma_grid=None):
+    """One bootstrap replicate the way the pipeline ran it before its chains
+    ran in lock step: a full ``gibbs_fit`` on the synthetic responses, then
+    (with ``gamma_grid``) cross-validation, then the constrained estimate."""
+    from dataclasses import replace
+
+    from smallarea import benchmarked_estimate, cross_validate, gibbs_fit, smoothed_estimate
+
+    def run(y_star, seed):
+        theta = gibbs_fit(replace(data, y=y_star), replace(gibbs, seed=seed)).theta_bayes
+        g = gamma
+        if gamma_grid is not None:
+            g = cross_validate(theta, phi, omega, gamma_grid, constraints).gamma_hat
+        if constraints is not None:
+            return benchmarked_estimate(theta, phi, omega, g, constraints).values
+        return smoothed_estimate(theta, phi, omega, g).values
+
+    return run

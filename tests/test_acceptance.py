@@ -39,6 +39,7 @@ from oracles import (
     double_sum_penalty,
     dropped_term_minimize,
     kkt_solve,
+    per_replicate,
     random_connected_instance,
     random_instance,
     random_similarity,
@@ -275,8 +276,8 @@ def test_criterion_8_bootstrap():
         return smoothed_estimate(y_star, phi, omega, 0.7).values
 
     config = BootstrapConfig(n_replicates=200, seed=21)
-    a = bootstrap_mse(data, theta_bm, pipe, config)
-    b = bootstrap_mse(data, theta_bm, pipe, config)
+    a = bootstrap_mse(data, theta_bm, per_replicate(pipe), config)
+    b = bootstrap_mse(data, theta_bm, per_replicate(pipe), config)
     assert np.array_equal(a.replicates, b.replicates)
     assert np.array_equal(a.mse, b.mse) and np.array_equal(a.bias, b.bias)
     variance = np.mean((a.replicates - a.replicates.mean(axis=0)) ** 2, axis=0)
@@ -290,7 +291,10 @@ def test_criterion_8_bootstrap():
     passed = 0
     for seed in range(20):
         rep = bootstrap_mse(
-            tiny, np.zeros(5), lambda ys, s: ys, BootstrapConfig(n_replicates=10_000, seed=seed)
+            tiny,
+            np.zeros(5),
+            per_replicate(lambda ys, s: ys),
+            BootstrapConfig(n_replicates=10_000, seed=seed),
         )
         drawn = rep.replicates.ravel()
         counts = np.array([(drawn == v).sum() for v in y])

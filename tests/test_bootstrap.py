@@ -15,7 +15,7 @@ from smallarea import (
     standardized_residuals,
 )
 
-from oracles import random_connected_instance
+from oracles import per_replicate, random_connected_instance
 
 
 def make_dataset(rng, m=10):
@@ -69,7 +69,7 @@ class TestBootstrapMse:
         _, phi, omega = random_connected_instance(rng, data.m)
         pipe = smoothing_pipeline(omega, phi, 0.5)
         config = BootstrapConfig(n_replicates=1, seed=3)
-        report = bootstrap_mse(data, theta_bm, pipe, config)
+        report = bootstrap_mse(data, theta_bm, per_replicate(pipe), config)
         np.testing.assert_allclose(
             report.mse, (report.replicates[0] - theta_bm) ** 2, rtol=0, atol=0
         )
@@ -80,7 +80,7 @@ class TestBootstrapMse:
         theta_bm = data.y.copy()  # residuals vanish
         _, phi, omega = random_connected_instance(rng, data.m)
         pipe = smoothing_pipeline(omega, phi, 0.4)
-        report = bootstrap_mse(data, theta_bm, pipe, BootstrapConfig(n_replicates=5, seed=0))
+        report = bootstrap_mse(data, theta_bm, per_replicate(pipe), BootstrapConfig(n_replicates=5, seed=0))
         assert np.all(report.replicates == report.replicates[0])
         fixed_point = pipe(data.y, 0)
         np.testing.assert_allclose(report.bias, fixed_point - theta_bm, atol=1e-12)
@@ -94,7 +94,9 @@ class TestBootstrapMse:
         _, phi, omega = random_connected_instance(rng, data.m)
         pipe = smoothing_pipeline(omega, phi, 1.2)
         seed, B = 99, 200
-        report = bootstrap_mse(data, theta_bm, pipe, BootstrapConfig(n_replicates=B, seed=seed))
+        report = bootstrap_mse(
+            data, theta_bm, per_replicate(pipe), BootstrapConfig(n_replicates=B, seed=seed)
+        )
 
         sigma = np.sqrt(data.D)
         resid = (data.y - theta_bm) / sigma
@@ -120,8 +122,8 @@ class TestBootstrapMse:
         _, phi, omega = random_connected_instance(rng, data.m)
         pipe = smoothing_pipeline(omega, phi, 0.8)
         config = BootstrapConfig(n_replicates=50, seed=7)
-        a = bootstrap_mse(data, theta_bm, pipe, config)
-        b = bootstrap_mse(data, theta_bm, pipe, config)
+        a = bootstrap_mse(data, theta_bm, per_replicate(pipe), config)
+        b = bootstrap_mse(data, theta_bm, per_replicate(pipe), config)
         assert np.array_equal(a.replicates, b.replicates)
         assert np.array_equal(a.mse, b.mse)
         assert np.array_equal(a.bias, b.bias)
@@ -132,7 +134,9 @@ class TestBootstrapMse:
         theta_bm = data.y - 0.4
         _, phi, omega = random_connected_instance(rng, data.m)
         pipe = smoothing_pipeline(omega, phi, 0.6)
-        report = bootstrap_mse(data, theta_bm, pipe, BootstrapConfig(n_replicates=100, seed=11))
+        report = bootstrap_mse(
+            data, theta_bm, per_replicate(pipe), BootstrapConfig(n_replicates=100, seed=11)
+        )
         variance = np.mean((report.replicates - report.replicates.mean(axis=0)) ** 2, axis=0)
         np.testing.assert_allclose(report.mse, report.bias**2 + variance, rtol=0, atol=1e-10)
 
@@ -152,7 +156,10 @@ class TestBootstrapMse:
         passed = 0
         for seed in range(20):
             report = bootstrap_mse(
-                data, theta_bm, lambda ys, s: ys, BootstrapConfig(n_replicates=B, seed=seed)
+                data,
+                theta_bm,
+                per_replicate(lambda ys, s: ys),
+                BootstrapConfig(n_replicates=B, seed=seed),
             )
             drawn = report.replicates.ravel()
             counts = np.array([(drawn == v).sum() for v in y])
@@ -176,7 +183,9 @@ class TestBootstrapMse:
             return inner(y_star, seed)
 
         flaky.calls = 0
-        report = bootstrap_mse(data, theta_bm, flaky, BootstrapConfig(n_replicates=40, seed=1))
+        report = bootstrap_mse(
+            data, theta_bm, per_replicate(flaky), BootstrapConfig(n_replicates=40, seed=1)
+        )
         assert report.failed == (2,)
         assert np.all(np.isnan(report.replicates[2]))
         assert np.all(np.isfinite(report.mse))
@@ -189,7 +198,9 @@ class TestBootstrapMse:
             raise NumericalError("boom")
 
         with pytest.raises(NumericalError, match="bootstrap replicates failed"):
-            bootstrap_mse(data, data.y, always_fails, BootstrapConfig(n_replicates=10, seed=1))
+            bootstrap_mse(
+                data, data.y, per_replicate(always_fails), BootstrapConfig(n_replicates=10, seed=1)
+            )
 
     def test_programming_errors_propagate(self):
         rng = np.random.default_rng(14)
@@ -199,7 +210,56 @@ class TestBootstrapMse:
             raise TypeError("bad argument")
 
         with pytest.raises(TypeError, match="bad argument"):
-            bootstrap_mse(data, data.y, buggy, BootstrapConfig(n_replicates=20, seed=1))
+            bootstrap_mse(data, data.y, per_replicate(buggy), BootstrapConfig(n_replicates=20, seed=1))
+
+    def test_one_batch_call_with_every_replicate(self):
+        rng = np.random.default_rng(16)
+        data = make_dataset(rng, m=6)
+        calls = []
+
+        def identity(y_star, seeds):
+            calls.append((y_star.copy(), list(seeds)))
+            return y_star
+
+        report = bootstrap_mse(data, data.y + 0.1, identity, BootstrapConfig(n_replicates=7, seed=4))
+        assert len(calls) == 1
+        y_star, seeds = calls[0]
+        assert y_star.shape == (7, 6)
+        assert seeds == [replicate_gibbs_seed(4, b) for b in range(7)]
+        assert np.array_equal(report.replicates, y_star)
+
+    def test_non_finite_row_is_a_failed_replicate(self):
+        rng = np.random.default_rng(17)
+        data = make_dataset(rng, m=6)
+
+        def one_bad_row(y_star, seeds):
+            out = y_star.copy()
+            out[3, 2] = np.inf
+            return out
+
+        report = bootstrap_mse(data, data.y, one_bad_row, BootstrapConfig(n_replicates=40, seed=2))
+        assert report.failed == (3,)
+        assert np.all(np.isnan(report.replicates[3]))
+        assert np.all(np.isfinite(report.mse))
+
+    @pytest.mark.parametrize("error", [ValidationError, NumericalError])
+    def test_failing_batch_fails_every_replicate(self, error):
+        rng = np.random.default_rng(18)
+        data = make_dataset(rng, m=6)
+
+        def diverged(y_star, seeds):
+            raise error("chain diverged")
+
+        with pytest.raises(NumericalError, match="all 20 bootstrap replicates failed: chain diverged"):
+            bootstrap_mse(data, data.y, diverged, BootstrapConfig(n_replicates=20, seed=1))
+
+    def test_wrong_shape_is_a_numerical_error(self):
+        rng = np.random.default_rng(19)
+        data = make_dataset(rng, m=6)
+        with pytest.raises(NumericalError, match=r"shape \(5, 5\), expected \(5, 6\)"):
+            bootstrap_mse(
+                data, data.y, lambda ys, s: ys[:, 1:], BootstrapConfig(n_replicates=5, seed=1)
+            )
 
     def test_zero_sampling_variance_rejected(self):
         rng = np.random.default_rng(15)

@@ -9,6 +9,7 @@ from smallarea import (
     PosteriorSummary,
     ValidationError,
     gibbs_fit,
+    gibbs_means,
     posterior_mean,
 )
 from smallarea.datasets import FIXTURE_SCHEMA, load_area_csv, synthetic_dataset_path
@@ -219,6 +220,82 @@ class TestReferenceChain:
             assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=0))
         pinned = data.D == 0
         assert np.array_equal(fit.theta_draws[:, pinned], np.tile(data.y[pinned], (fit.n_draws, 1)))
+
+
+class TestLockStep:
+    """gibbs_means, B chains in lock step, against one reference chain per row."""
+
+    CASES = {
+        "bundled-fixture": (
+            lambda: load_area_csv(synthetic_dataset_path(), FIXTURE_SCHEMA),
+            GibbsConfig(n_iter=600, n_burn=100),
+        ),
+        "zero-sampling-variance": (
+            lambda: _with_zero_variances(make_dataset(1)[0]),
+            GibbsConfig(n_iter=400, n_burn=50),
+        ),
+        "fixed-variance": (lambda: make_dataset(2)[0], GibbsConfig(n_iter=400, n_burn=50, fixed_sigma_u2=1.5)),
+        "thin-3": (lambda: make_dataset(3)[0], GibbsConfig(n_iter=400, n_burn=50, thin=3)),
+        "no-intercept": (
+            lambda: replace(make_dataset(4)[0], intercept=False),
+            GibbsConfig(n_iter=400, n_burn=50),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_match_reference_chains(self, case):
+        dataset, config = self.CASES[case]
+        data = dataset()
+        rng = np.random.default_rng(31)
+        Y = data.y + rng.normal(0.0, 1.0, size=(4, data.m))
+        seeds = [5, 17, 2**32 - 1, 40]
+        means = gibbs_means(data, Y, seeds, config)
+        assert means.shape == (4, data.m)
+        for b, seed in enumerate(seeds):
+            draws, _, _ = reference_gibbs_draws(replace(data, y=Y[b]), replace(config, seed=seed))
+            scale = np.abs(draws).max(axis=0)
+            assert np.all(np.abs(means[b] - draws.mean(axis=0)) <= 1e-10 * scale), b
+            # a row alone is the same chain as inside the batch
+            alone = gibbs_means(data, Y[b : b + 1], [seed], config)[0]
+            assert np.all(np.abs(alone - means[b]) <= 1e-12 * scale), b
+        pinned = data.D == 0
+        np.testing.assert_allclose(means[:, pinned], Y[:, pinned], rtol=1e-13, atol=0)
+
+    def test_keeps_no_draws(self):
+        import tracemalloc
+
+        data, _ = make_dataset(5, m=200)
+        config = GibbsConfig(n_iter=3000, n_burn=100)
+        Y = np.tile(data.y, (2, 1))
+        tracemalloc.start()
+        try:
+            gibbs_means(data, Y, [1, 2], config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # retained draws would take 2 x 2900 x 200 x 8 bytes, about 9 MB
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "Y, seeds, message",
+        [
+            pytest.param(np.zeros((2, 29)), [1, 2], r"shape \(2, 29\), expected \(2, 30\)", id="columns"),
+            pytest.param(np.zeros((2, 30)), [1], r"expected \(1, 30\)", id="seeds"),
+            pytest.param(np.zeros(30), [1], r"expected \(1, 30\)", id="one-dimensional"),
+            pytest.param(np.full((1, 30), np.nan), [1], "non-finite", id="non-finite"),
+        ],
+    )
+    def test_bad_responses_rejected(self, Y, seeds, message):
+        data, _ = make_dataset(0)
+        with pytest.raises(ValidationError, match=message):
+            gibbs_means(data, Y, seeds, GibbsConfig(n_iter=20, n_burn=5))
+
+    def test_propriety_guard(self):
+        data = AreaDataset(
+            tuple("abcd"), np.arange(4.0), np.ones(4), np.array([[0.0], [1.0], [3.0], [2.0]]), ("x",)
+        )
+        with pytest.raises(ValidationError, match="propriety"):
+            gibbs_means(data, data.y[None, :], [0], GibbsConfig(n_iter=20, n_burn=5))
 
 
 class TestEffectiveSampleSize:

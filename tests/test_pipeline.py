@@ -7,6 +7,7 @@ import pytest
 
 from smallarea import (
     AreaDataset,
+    BootstrapConfig,
     CsvSchema,
     CvCurve,
     EstimateReport,
@@ -14,13 +15,14 @@ from smallarea import (
     NumericalError,
     RunConfig,
     ValidationError,
+    bootstrap_mse,
     emit_plot_data,
     load_area_csv,
     read_report,
     run_pipeline,
     write_area_csv,
 )
-from smallarea.pipeline import write_report
+from smallarea.pipeline import _prepare_inputs, write_report
 from smallarea.datasets import (
     FIXTURE_SCHEMA,
     US_STATE_LABELS,
@@ -28,6 +30,8 @@ from smallarea.datasets import (
     synthetic_saipe_like,
     us_state_borders_path,
 )
+
+from oracles import per_replicate, reference_replicate
 
 
 def small_area_csv(tmp_path, m=8, seed=0, zero_d=False):
@@ -111,6 +115,15 @@ class TestLoadAreaCsv:
         path = tmp_path / "a.csv"
         path.write_text("label,y,D,x\na,1.0,0.0,0.1\nb,1.0,0.5,0.2\n")
         with pytest.raises(ValidationError, match="phi column"):
+            load_area_csv(path, CsvSchema(covariates=("x",)))
+
+    @pytest.mark.parametrize(
+        "row, cells", [pytest.param("b,2.0,0.5", 3, id="short"), pytest.param("b,2.0,0.5,0.2,9", 5, id="long")]
+    )
+    def test_ragged_row_names_the_line(self, tmp_path, row, cells):
+        path = tmp_path / "a.csv"
+        path.write_text(f"label,y,D,x\na,1.0,0.5,0.1\n{row}\nc,3.0,0.5,0.3\n")
+        with pytest.raises(ValidationError, match=rf"a\.csv:3: expected 4 cells, got {cells}"):
             load_area_csv(path, CsvSchema(covariates=("x",)))
 
     def test_explicit_phi_column(self, tmp_path):
@@ -457,6 +470,71 @@ class TestRunPipeline:
         assert report.cv.failed_areas == ((),) * 4
 
 
+class TestLockStepBootstrap:
+    """The pipeline's lock-step bootstrap against one chain per replicate."""
+
+    @staticmethod
+    def _config(tmp_path, **overrides):
+        values = {
+            "area_csv": synthetic_dataset_path(),
+            "edge_list": us_state_borders_path(),
+            "covariate_columns": "tax_poverty_rate,nonfiler_rate,foodstamp_rate",
+            "benchmark_weight_column": "benchmark_weight",
+            "benchmark_target": 15.0,
+            "gamma_grid": "0.001,10,4",
+            "gibbs_iterations": 300,
+            "gibbs_burn": 100,
+            "bootstrap_replicates": 20,
+            "bootstrap_gibbs_iterations": 200,
+            "bootstrap_gibbs_burn": 50,
+            "seed": 11,
+            "output_dir": tmp_path / "out",
+            **overrides,
+        }
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
+        return RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("policy", ["fixed", "re-cross-validate"])
+    def test_matches_one_chain_per_replicate(self, tmp_path, policy):
+        config = self._config(tmp_path, bootstrap_gamma_policy=policy)
+        run_pipeline(config)
+        written = read_report(config.output_dir)
+        data, omega, phi, constraints, _ = _prepare_inputs(config)
+        replicate = reference_replicate(
+            data,
+            phi,
+            omega,
+            written.metadata["gamma"],
+            constraints,
+            config.bootstrap_gibbs,
+            config.gamma_grid if policy == "re-cross-validate" else None,
+        )
+        boot = BootstrapConfig(n_replicates=config.bootstrap_replicates, seed=config.seed)
+        want = bootstrap_mse(data, written.theta_benchmarked, per_replicate(replicate), boot)
+        for got, ref in ((written.mse, want.mse), (written.bias, want.bias)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max())
+        assert written.metadata["bootstrap"]["failed"] == list(want.failed) == []
+
+    def test_failed_estimate_fails_only_its_replicate(self, tmp_path, monkeypatch):
+        import smallarea.pipeline
+
+        real = smallarea.pipeline.benchmarked_estimate
+        calls = []
+
+        def singular_on_fourth_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 4:  # the point estimate, then replicates 0, 1 and 2
+                raise NumericalError("singular system")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(smallarea.pipeline, "benchmarked_estimate", singular_on_fourth_call)
+        report = run_pipeline(self._config(tmp_path, gamma_grid=None, gamma=0.5))
+        assert len(calls) == 21
+        assert report.metadata["bootstrap"]["failed"] == [2]
+        assert np.all(np.isfinite(report.mse))
+
+
 class TestFitAndCvCommands:
     def test_fit_only_writes_bayes_table(self, tmp_path):
         _, area, edges = small_area_csv(tmp_path)
@@ -694,6 +772,19 @@ class TestReportIo:
             pytest.param(
                 "bootstrap_mse.csv", "c,0.5,0.33333333333333331\n", "", "report column mse must have 3 rows",
                 id="short-bootstrap-table",
+            ),
+            pytest.param(
+                "cv_curve.csv", "1,0.75,\n", "1,0.75\n", r"cv_curve\.csv:3: expected 3 cells, got 2",
+                id="short-row",
+            ),
+            pytest.param(
+                "bootstrap_mse.csv", "b,2,0\n", "b,2,0,7\n", r"bootstrap_mse\.csv:3: expected 3 cells, got 4",
+                id="long-row",
+            ),
+            pytest.param(
+                "metadata.json", '{\n  "seed": 0\n}', '{"benchmark": {}, "constraint_residual": 0}',
+                "metadata key 'benchmark' must hold a 'target' entry",
+                id="benchmark-without-target",
             ),
         ],
     )
