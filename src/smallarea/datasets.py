@@ -57,8 +57,15 @@ def _write_table(path: Path, columns: dict) -> None:
         )
 
 
-def _read_table(path: Path, required: Iterable[str] = ()) -> dict[str, list[str]]:
-    """Columns of a CSV file with a header row, by name, as raw strings.
+class _Table(dict):
+    """Columns of a CSV file by name, as raw strings; ``lines`` holds the
+    line number of each data row in the file."""
+
+    lines: list[int]
+
+
+def _read_table(path: Path, required: Iterable[str] = ()) -> _Table:
+    """Columns of a CSV file with a header row, skipping blank lines.
     A ``required`` column that is absent, or a row whose cell count differs
     from the header's, is a ValidationError naming the column or the line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -67,7 +74,7 @@ def _read_table(path: Path, required: Iterable[str] = ()) -> dict[str, list[str]
         for name in required:
             if name not in header:
                 raise ValidationError(f"missing column {name!r} in {path}")
-        rows = []
+        rows, lines = [], []
         for row in reader:
             if not row:
                 continue  # blank line
@@ -76,14 +83,18 @@ def _read_table(path: Path, required: Iterable[str] = ()) -> dict[str, list[str]
                     f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
                 )
             rows.append(row)
-    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+            lines.append(reader.line_num)
+    table = _Table((name, [row[j] for row in rows]) for j, name in enumerate(header))
+    table.lines = lines
+    return table
 
 
-def _floats(table: dict[str, list[str]], column: str, path: Path) -> np.ndarray:
+def _floats(table: _Table, column: str, path: Path) -> np.ndarray:
     """One column of a :func:`_read_table` result as floats.  A cell that
-    does not parse is a ValidationError naming its column, row and file."""
+    does not parse is a ValidationError naming its column, row (its line
+    in the file) and file."""
     values = []
-    for row, raw in enumerate(table[column], start=2):
+    for row, raw in zip(table.lines, table[column], strict=True):
         try:
             values.append(float(raw))
         except (TypeError, ValueError):

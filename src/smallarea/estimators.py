@@ -6,12 +6,13 @@ smoothness penalty matrix omega, the smoothed estimator minimizes
     (d - theta)' Phi (d - theta) + gamma d' omega d
 
 and the benchmarked estimator minimizes the same objective subject to
-linear constraints M d = t.  Both have closed forms; all solves factor the
-symmetric positive-definite matrix Sigma = Phi + gamma * omega instead of
-forming any inverse.  There is one constrained solve,
-:func:`benchmarked_estimate`: the single weighted-mean benchmark and the
-unit-level (two-tier) benchmark are calls to it, and multivariate problems
-reduce to it through block stacking.
+linear constraints M d = t.  Both have closed forms from one private solve
+that factors the symmetric positive-definite Sigma = Phi + gamma * omega
+once, rejects an ill-conditioned Sigma as a NumericalError and also gives
+the hat-matrix column behind each held-out fit of ``selection``.
+:func:`benchmarked_estimate` is the one constrained estimate: the single
+weighted-mean benchmark and the unit-level (two-tier) benchmark are calls
+to it, and multivariate problems reduce to it through block stacking.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpocon
 
 from .exceptions import NumericalError, ValidationError
 from .similarity import SmoothnessMatrix
@@ -40,8 +42,8 @@ __all__ = [
     "unit_level_smoothed",
 ]
 
-# Constraint Gram matrices and bordered held-out systems with condition
-# numbers beyond this are treated as singular.
+# Sigma, constraint Gram matrices and held-out fits (through 1 - A_ii)
+# with condition numbers beyond this are treated as singular.
 _CONDITION_LIMIT = 1e12
 
 # Benchmarked results must satisfy ||M d - t||_inf <= _RESIDUAL_TOL * (1 + ||t||_inf).
@@ -59,10 +61,8 @@ def _vector(x, name: str, size: int | None = None) -> np.ndarray:
     return v
 
 
-def _phi_vector(phi, size: int) -> np.ndarray:
-    v = phi.phi if isinstance(phi, LossWeights) else _vector(phi, "phi", size)
-    if v.shape[0] != size:
-        raise ValidationError(f"phi has length {v.shape[0]}, expected {size}")
+def _phi_vector(phi, size: int | None = None) -> np.ndarray:
+    v = _vector(phi.phi if isinstance(phi, LossWeights) else phi, "phi", size)
     if np.any(v <= 0):
         raise ValidationError("loss weights must be strictly positive")
     return v
@@ -109,10 +109,7 @@ class LossWeights:
     phi: np.ndarray
 
     def __post_init__(self):
-        v = _vector(self.phi, "phi")
-        if np.any(v <= 0):
-            raise ValidationError("loss weights must be strictly positive")
-        object.__setattr__(self, "phi", v)
+        object.__setattr__(self, "phi", _phi_vector(self.phi))
 
     def __len__(self) -> int:
         return self.phi.shape[0]
@@ -229,22 +226,49 @@ class StackedProblem:
     omega: np.ndarray
 
 
-def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
-    """Value of (d - theta)' Phi (d - theta) + gamma d' omega d."""
-    d = np.asarray(delta, dtype=float)
-    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, size=d.shape[0])
+def _objective(d, theta, p, w, g) -> float:
     r = d - theta
     return float(r @ (p * r) + g * (d @ w @ d))
 
 
-def _sigma_factor(p: np.ndarray, w: np.ndarray, gamma: float):
-    """Cholesky factor of Sigma = Phi + gamma * omega (positive definite)."""
-    sigma = gamma * w
+def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
+    """Value of (d - theta)' Phi (d - theta) + gamma d' omega d."""
+    d = np.asarray(delta, dtype=float)
+    return _objective(d, *_problem(theta_bayes, phi, omega, gamma, size=d.shape[0]))
+
+
+def _solve(theta, p, w, g, constraints=None, column=None):
+    """Minimizer d of the penalized objective, under M d = t when
+    ``constraints`` are given, over arrays already checked by :func:`_problem`.
+    Sigma is factored once; an ill-conditioned Sigma or Gram matrix
+    M Sigma^{-1} M' is a NumericalError.  The fit is linear, d = A theta + c;
+    ``column=i`` returns (d, A e_i), A e_i solved with right-hand side
+    phi_i e_i and target 0."""
+    sigma = g * w
     sigma[np.diag_indices_from(sigma)] += p
     try:
-        return cho_factor(sigma, lower=True)
-    except LinAlgError as exc:  # cannot happen for phi > 0, psd omega
-        raise NumericalError(f"smoothing system is not positive definite: {exc}") from exc
+        cho = cho_factor(sigma, lower=True)
+        norm = np.abs(sigma, out=sigma).sum(axis=0).max()  # sigma is not needed again
+        rcond = dpocon(cho[0], norm, uplo="L")[0]
+    except LinAlgError:  # not positive definite: cannot happen for phi > 0, psd omega
+        rcond = 0.0
+    if not rcond >= 1.0 / _CONDITION_LIMIT:
+        raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
+    rhs = p * theta
+    if column is not None:
+        rhs = np.column_stack((rhs, np.where(np.arange(p.size) == column, p, 0.0)))
+    values = cho_solve(cho, rhs, check_finite=False)  # a factor that passed pocon is finite
+    if constraints is not None:
+        M, t = constraints.M, constraints.t
+        if column is not None:
+            t = np.column_stack((t, np.zeros_like(t)))
+        sinv_mt = cho_solve(cho, M.T, check_finite=False)
+        gram = M @ sinv_mt
+        gram = 0.5 * (gram + gram.T)
+        if not np.linalg.cond(gram) <= _CONDITION_LIMIT:
+            raise NumericalError("degenerate or redundant constraints")
+        values = values + sinv_mt @ np.linalg.solve(gram, t - M @ values)
+    return values if column is None else tuple(values.T)
 
 
 def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:
@@ -255,11 +279,8 @@ def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:
     all-ones vector lies in the penalty's kernel.
     """
     theta, p, w, g = _problem(theta_bayes, phi, omega, gamma)
-    if g == 0.0:
-        values = theta.copy()
-    else:
-        values = cho_solve(_sigma_factor(p, w, g), p * theta)
-    return SmoothedEstimate(values, penalized_objective(values, theta, p, w, g))
+    values = theta.copy() if g == 0.0 else _solve(theta, p, w, g)
+    return SmoothedEstimate(values, _objective(values, theta, p, w, g))
 
 
 def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: ConstraintSet) -> BenchmarkedEstimate:
@@ -273,23 +294,14 @@ def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: Constraint
     if not isinstance(constraints, ConstraintSet):
         raise ValidationError("constraints must be a ConstraintSet")
     theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
-    M, t = constraints.M, constraints.t
-    cho = _sigma_factor(p, w, g)
-    base = cho_solve(cho, p * theta)
-    sinv_mt = cho_solve(cho, M.T)
-    gram = M @ sinv_mt
-    gram = 0.5 * (gram + gram.T)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
-        raise NumericalError("degenerate or redundant constraints")
-    values = base + sinv_mt @ np.linalg.solve(gram, t - M @ base)
-    residual = float(np.max(np.abs(M @ values - t)))
-    bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t))))
+    values = _solve(theta, p, w, g, constraints)
+    residual = float(np.max(np.abs(constraints.M @ values - constraints.t)))
+    bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(constraints.t))))
     if residual > bound:
         raise NumericalError(
             f"benchmark residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )
-    return BenchmarkedEstimate(values, penalized_objective(values, theta, p, w, g), residual)
+    return BenchmarkedEstimate(values, _objective(values, theta, p, w, g), residual)
 
 
 def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> BenchmarkedEstimate:

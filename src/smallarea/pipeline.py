@@ -303,8 +303,14 @@ class EstimateReport:
             residual = self.metadata.get("constraint_residual")
             if residual is None:
                 raise ValidationError("benchmarked reports must record the constraint residual")
-            t = np.atleast_1d(np.asarray(bench["target"], dtype=float))
-            if residual > _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t)))):
+            try:
+                t = np.atleast_1d(np.asarray(bench["target"], dtype=float))
+                bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t))))
+            except (TypeError, ValueError):
+                raise ValidationError("metadata key 'benchmark' must hold a numeric 'target'") from None
+            if isinstance(residual, bool) or not isinstance(residual, (int, float)) or not residual >= 0:
+                raise ValidationError("metadata key 'constraint_residual' must be a nonnegative number")
+            if residual > bound:
                 raise ValidationError(f"recorded constraint residual {residual} exceeds tolerance")
 
     @property

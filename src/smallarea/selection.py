@@ -3,6 +3,9 @@
 Each held-out problem drops one area's loss term (zeroing its weight)
 while keeping the full penalty and any benchmark constraints, so the
 held-out coordinate is predicted by smoothness and constraints alone.
+Held-out fits come from the full fit: the exact leave-one-out identity
+for linear smoothers turns the full fit and one column of its hat matrix,
+both from the estimators' single factor of Sigma, into the held-out fit.
 The score of a grid point is the weighted mean squared gap between those
 predictions and the Bayes estimates; the selected gamma minimizes it,
 with ties broken toward the smallest value.
@@ -13,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem
+from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem, _solve
 from .exceptions import NumericalError, ValidationError
 
 __all__ = [
@@ -77,46 +79,31 @@ def loo_solution(
 ) -> np.ndarray:
     """Solve the smoothing problem with area ``index``'s loss term dropped.
 
-    The drop is implemented by zeroing that entry of the weight vector;
-    the penalty and any constraints still act on the whole vector.  The
-    system is solvable at gamma > 0 unless the held-out area is isolated
-    in the similarity graph and untouched by every constraint.
+    The penalty and any constraints still act on the whole vector.
+    Dropping the term is the same as replacing theta_i by the held-out
+    prediction itself, so the full fit d = A theta + c gives the held-out
+    fit d + (d_i - theta_i) / (1 - A_ii) * A e_i.  The area is unidentified
+    when 1 - A_ii <= 1/_CONDITION_LIMIT (A_ii = 1 when it is isolated in
+    the similarity graph and untouched by every constraint) or when the
+    shared solve is ill-conditioned.
     """
     theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
-    m = theta.shape[0]
     if g <= 0:
         raise ValidationError("held-out solves require gamma > 0")
-    if not (0 <= index < m):
-        raise ValidationError(f"area index {index} out of range [0, {m})")
-
-    p_held = p.copy()
-    p_held[index] = 0.0
-    sigma = g * w
-    sigma[np.diag_indices_from(sigma)] += p_held
-    rhs = p_held * theta
-
-    if constraints is None:
-        try:
-            solution = cho_solve(cho_factor(sigma, lower=True), rhs)
-        except LinAlgError:
-            raise NumericalError(
-                f"held-out area {index} is unidentified at gamma={g:g}"
-            ) from None
-    else:
-        k = constraints.n_constraints
-        kkt = np.zeros((m + k, m + k))
-        kkt[:m, :m] = sigma
-        kkt[:m, m:] = constraints.M.T
-        kkt[m:, :m] = constraints.M
-        cond = np.linalg.cond(kkt)
-        if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
-            raise NumericalError(
-                f"held-out area {index} is unidentified at gamma={g:g}"
-            )
-        solution = np.linalg.solve(kkt, np.concatenate((rhs, constraints.t)))[:m]
-    if not np.all(np.isfinite(solution)):
-        raise NumericalError(f"held-out area {index} is unidentified at gamma={g:g}")
-    return solution
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValidationError(f"area index must be an integer, got {index!r}")
+    if not (0 <= index < theta.size):
+        raise ValidationError(f"area index {index} out of range [0, {theta.size})")
+    try:
+        d, a = _solve(theta, p, w, g, constraints, column=index)
+        gap = 1.0 - a[index]
+    except NumericalError:
+        gap = 0.0
+    if gap > 1.0 / _CONDITION_LIMIT:
+        solution = d + ((d[index] - theta[index]) / gap) * a
+        if np.all(np.isfinite(solution)):
+            return solution
+    raise NumericalError(f"held-out area {index} is unidentified at gamma={g:g}")
 
 
 def cross_validate(

@@ -6,7 +6,9 @@ unconstrained oracle runs a generic second-order optimizer, and the
 quadratic-form oracle evaluates the similarity double sum directly.  The
 Gibbs reference chain solves with the Cholesky factor of X'X on every
 iteration, the reference ESS handles one area at a time, and the
-reference bootstrap replicate runs one full chain per replicate.
+reference bootstrap replicate runs one full chain per replicate.  The
+reference held-out solve refactors the zero-weight system for every
+held-out area and borders it with the constraints.
 """
 
 import numpy as np
@@ -243,3 +245,49 @@ def reference_replicate(data, phi, omega, gamma, constraints, gibbs, gamma_grid=
         return smoothed_estimate(theta, phi, omega, g).values
 
     return run
+
+
+def reference_loo_solution(theta_bayes, phi, omega, gamma, index, constraints=None):
+    """``selection.loo_solution`` as it was before held-out fits came from
+    the full fit: one Cholesky solve of the zero-weight system, or with
+    constraints one bordered KKT solve behind an SVD condition check."""
+    from scipy.linalg import cho_factor, cho_solve, LinAlgError
+
+    from smallarea import NumericalError, ValidationError
+    from smallarea.estimators import _CONDITION_LIMIT, _problem
+
+    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
+    m = theta.shape[0]
+    if g <= 0:
+        raise ValidationError("held-out solves require gamma > 0")
+    if not (0 <= index < m):
+        raise ValidationError(f"area index {index} out of range [0, {m})")
+
+    p_held = p.copy()
+    p_held[index] = 0.0
+    sigma = g * w
+    sigma[np.diag_indices_from(sigma)] += p_held
+    rhs = p_held * theta
+
+    if constraints is None:
+        try:
+            solution = cho_solve(cho_factor(sigma, lower=True), rhs)
+        except LinAlgError:
+            raise NumericalError(
+                f"held-out area {index} is unidentified at gamma={g:g}"
+            ) from None
+    else:
+        k = constraints.n_constraints
+        kkt = np.zeros((m + k, m + k))
+        kkt[:m, :m] = sigma
+        kkt[:m, m:] = constraints.M.T
+        kkt[m:, :m] = constraints.M
+        cond = np.linalg.cond(kkt)
+        if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
+            raise NumericalError(
+                f"held-out area {index} is unidentified at gamma={g:g}"
+            )
+        solution = np.linalg.solve(kkt, np.concatenate((rhs, constraints.t)))[:m]
+    if not np.all(np.isfinite(solution)):
+        raise NumericalError(f"held-out area {index} is unidentified at gamma={g:g}")
+    return solution

@@ -10,6 +10,7 @@ from smallarea import (
     ValidationError,
     benchmarked_estimate,
     benchmarked_estimate_single,
+    loo_solution,
     penalized_objective,
     smoothed_estimate,
     stack_multivariate,
@@ -242,6 +243,18 @@ class TestOptimality:
         smooth = smoothed_estimate(theta, phi, omega, 1e8).values
         target = float(phi @ theta / phi.sum())
         np.testing.assert_allclose(smooth, np.full(m, target), atol=1e-3)
+
+    def test_ill_conditioned_sigma_is_numerical_error(self):
+        # at gamma = 1e15 Sigma's condition number is about 4e15: the shared
+        # solve refuses it instead of returning an imprecise estimate
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            smoothed_estimate(TOY_THETA, TOY_PHI, TOY_OMEGA, 1e15)
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            benchmarked_estimate(
+                TOY_THETA, TOY_PHI, TOY_OMEGA, 1e15, ConstraintSet([[0.5, 0.5]], [3.0])
+            )
+        with pytest.raises(NumericalError, match="held-out area 0 is unidentified at gamma=1e\\+15"):
+            loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1e15, 0)
 
     def test_roughness_non_increasing_in_gamma(self):
         rng = np.random.default_rng(23)

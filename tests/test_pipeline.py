@@ -98,6 +98,10 @@ class TestLoadAreaCsv:
         path.write_text("label,y,D,x\na,1.0,0.5,0.1\nb,oops,0.5,0.2\n")
         with pytest.raises(ValidationError, match="'oops' in column 'y', row 3"):
             load_area_csv(path, CsvSchema(covariates=("x",)))
+        # a skipped blank line still counts: the row is named by its line
+        path.write_text("label,y,D,x\na,1.0,0.5,0.1\n\nb,oops,0.5,0.2\n")
+        with pytest.raises(ValidationError, match="'oops' in column 'y', row 4"):
+            load_area_csv(path, CsvSchema(covariates=("x",)))
 
     def test_negative_d_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -785,6 +789,21 @@ class TestReportIo:
                 "metadata.json", '{\n  "seed": 0\n}', '{"benchmark": {}, "constraint_residual": 0}',
                 "metadata key 'benchmark' must hold a 'target' entry",
                 id="benchmark-without-target",
+            ),
+            pytest.param(
+                "metadata.json", '{\n  "seed": 0\n}', '{"benchmark": {"target": "x"}, "constraint_residual": 0}',
+                "metadata key 'benchmark' must hold a numeric 'target'",
+                id="non-numeric-benchmark-target",
+            ),
+            pytest.param(
+                "metadata.json", '{\n  "seed": 0\n}', '{"benchmark": {"target": 1}, "constraint_residual": "x"}',
+                "metadata key 'constraint_residual' must be a nonnegative number",
+                id="non-numeric-constraint-residual",
+            ),
+            pytest.param(
+                "metadata.json", '{\n  "seed": 0\n}', '{"benchmark": {"target": 1}, "constraint_residual": NaN}',
+                "metadata key 'constraint_residual' must be a nonnegative number",
+                id="nan-constraint-residual",
             ),
         ],
     )

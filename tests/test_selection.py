@@ -22,6 +22,7 @@ from oracles import (
     kkt_solve,
     random_connected_instance,
     random_instance,
+    reference_loo_solution,
 )
 
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
@@ -73,6 +74,15 @@ class TestLooSolution:
         with pytest.raises(NumericalError, match="held-out area 1 is unidentified"):
             loo_solution(np.ones(3), np.ones(3), omega, 1.0, 1)
 
+    @pytest.mark.parametrize("index", [1.5, True, np.float64(1.0)])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(ValidationError, match="area index must be an integer"):
+            loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, index)
+
+    def test_numpy_integer_index(self):
+        got = loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, np.int64(1))
+        np.testing.assert_array_equal(got, loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, 1))
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValidationError, match="gamma > 0"):
             loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 0.0, 0)
@@ -96,10 +106,11 @@ def _floats(n, low, high):
 
 
 @st.composite
-def held_out_problems(draw):
+def held_out_problems(draw, weights=lambda m: _floats(m, 0.5, 3.0), gammas=st.floats(0.1, 10.0)):
     """A random similarity graph in which some areas are isolated, zero to
     two full-rank constraint rows with some columns zeroed, and the area
-    to hold out."""
+    to hold out; loss weights and gamma come from ``weights(m)`` and
+    ``gammas``."""
     m = draw(st.integers(2, 7))
     isolated = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     q = np.zeros((m, m))
@@ -117,8 +128,8 @@ def held_out_problems(draw):
         s = np.linalg.svd(M, compute_uv=False)
         assume(s[-1] > 1e-2 * s[0])  # full row rank, and far from losing it
         constraints = ConstraintSet(M, draw(_floats(k, -5.0, 5.0)))
-    theta, phi = draw(_floats(m, -5.0, 5.0)), draw(_floats(m, 0.5, 3.0))
-    return theta, phi, omega, draw(st.floats(0.1, 10.0)), draw(st.integers(0, m - 1)), constraints
+    theta, phi = draw(_floats(m, -5.0, 5.0)), draw(weights(m))
+    return theta, phi, omega, draw(gammas), draw(st.integers(0, m - 1)), constraints
 
 
 # derandomized, so every run of the suite checks the same examples
@@ -139,6 +150,29 @@ def test_held_out_failure_rule(problem):
     M, t = (None, None) if constraints is None else (constraints.M, constraints.t)
     got = loo_solution(theta, phi, omega, gamma, i, constraints)
     np.testing.assert_allclose(got, kkt_solve(theta, phi0, omega, gamma, M, t), rtol=1e-8, atol=1e-8)
+
+
+# loss weights over three decades and gamma over six
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    held_out_problems(
+        weights=lambda m: _floats(m, -1.0, 2.0).map(lambda e: 10.0**e),
+        gammas=st.sampled_from([1e-4, 1e-2, 1.0, 1e2]),
+    )
+)
+def test_held_out_fits_match_reference_solve(problem):
+    # Holding out each area in turn, the full-fit identity and the bordered
+    # reference solve fail on the same areas and agree on every other fit.
+    theta, phi, omega, gamma, _, constraints = problem
+    for i in range(len(theta)):
+        try:
+            want = reference_loo_solution(theta, phi, omega, gamma, i, constraints)
+        except NumericalError:
+            with pytest.raises(NumericalError, match=f"held-out area {i} is unidentified"):
+                loo_solution(theta, phi, omega, gamma, i, constraints)
+            continue
+        got = loo_solution(theta, phi, omega, gamma, i, constraints)
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 class TestCrossValidate:
