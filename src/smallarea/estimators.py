@@ -6,10 +6,15 @@ smoothness penalty matrix omega, the smoothed estimator minimizes
     (d - theta)' Phi (d - theta) + gamma d' omega d
 
 and the benchmarked estimator minimizes the same objective subject to
-linear constraints M d = t.  Both have closed forms from one private solve
-that factors the symmetric positive-definite Sigma = Phi + gamma * omega
-once, rejects an ill-conditioned Sigma as a NumericalError and also gives
-the hat-matrix column behind each held-out fit of ``selection``.
+linear constraints M d = t.  Both have closed forms from one private
+solver, built once for a (phi, omega, constraints): it factors the
+symmetric positive-definite Sigma = Phi + gamma * omega once per gamma,
+rejects an ill-conditioned Sigma as a NumericalError, keeps the last
+gamma's factor for every later solve at that gamma and also gives the
+hat-matrix column behind each held-out fit of ``selection``.  A caller
+that solves many times, such as the pipeline's estimates, cross-validation
+and bootstrap, passes the solver in place of omega; a call with a plain
+omega builds a one-off solver.
 :func:`benchmarked_estimate` is the one constrained estimate: the single
 weighted-mean benchmark and the unit-level (two-tier) benchmark are calls
 to it, and multivariate problems reduce to it through block stacking.
@@ -86,20 +91,113 @@ def _gamma_value(gamma) -> float:
     return g
 
 
+def _same_constraints(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a is b or (np.array_equal(a.M, b.M) and np.array_equal(a.t, b.t))
+
+
 def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | None = None):
-    """Validated (theta, phi, omega, gamma) of one smoothing problem.
+    """Validated theta, the Sigma solver and gamma of one smoothing problem.
 
     ``size`` fixes the number of areas; otherwise theta's length does.
-    Constraints, when given, must be over that many parameters.
+    ``omega`` is a penalty matrix, validated into a one-off solver together
+    with ``phi`` and ``constraints``, or a :class:`_SigmaSolver` built
+    earlier, whose omega is not checked again; ``phi`` and any
+    ``constraints`` must then equal the ones it was built with.
     """
     theta = _vector(theta_bayes, "theta_bayes", size)
     m = theta.shape[0]
-    p, w, g = _phi_vector(phi, m), _omega_matrix(omega, m), _gamma_value(gamma)
-    if constraints is not None and constraints.n_parameters != m:
-        raise ValidationError(
-            f"constraints are over {constraints.n_parameters} parameters, expected {m}"
-        )
-    return theta, p, w, g
+    if isinstance(omega, _SigmaSolver):
+        solver = omega
+        if not np.array_equal(_phi_vector(phi, m), solver.phi):
+            raise ValidationError("phi differs from the loss weights the solver was built with")
+        if constraints is not None and not _same_constraints(constraints, solver.constraints):
+            raise ValidationError("constraints differ from those the solver was built with")
+    else:
+        solver = _SigmaSolver(phi, omega, constraints, m)
+    return theta, solver, _gamma_value(gamma)
+
+
+class _SigmaSolver:
+    """Solves with Sigma(gamma) = Phi + gamma * omega for one validated
+    (phi, omega, constraints).
+
+    Only theta and gamma vary between the solves of a run, so the solver
+    keeps what the last gamma it was asked about needed: the Cholesky
+    factor of Sigma and, from the first constrained solve on,
+    Sigma^{-1} M' and the condition-checked Gram matrix M Sigma^{-1} M', or
+    the NumericalError message either step raised.  Another solve at that
+    gamma costs two triangular solves plus the k x k correction.  A solver
+    lives as long as the caller that built it holds it.
+    """
+
+    def __init__(self, phi, omega, constraints=None, size: int | None = None):
+        self.phi = _phi_vector(phi, size)
+        m = self.phi.shape[0]
+        self.omega = _omega_matrix(omega, m)
+        if constraints is not None and constraints.n_parameters != m:
+            raise ValidationError(
+                f"constraints are over {constraints.n_parameters} parameters, expected {m}"
+            )
+        self.constraints = constraints
+        self._gamma = None
+        self._cho = self._gram = None  # factor / (Sigma^{-1} M', Gram), or an error message
+
+    def _factor(self, g: float):
+        if g != self._gamma:
+            self._gamma, self._cho, self._gram = g, None, None  # drop the old factor first
+            self._cho = self._cholesky(g)
+        if isinstance(self._cho, str):
+            raise NumericalError(self._cho)
+        return self._cho
+
+    def _cholesky(self, g: float):
+        sigma = g * self.omega
+        sigma[np.diag_indices_from(sigma)] += self.phi
+        try:
+            cho = cho_factor(sigma, lower=True)
+            norm = np.abs(sigma, out=sigma).sum(axis=0).max()  # sigma is not needed again
+            rcond = dpocon(cho[0], norm, uplo="L")[0]
+        except LinAlgError:  # not positive definite: cannot happen for phi > 0, psd omega
+            rcond = 0.0
+        if not rcond >= 1.0 / _CONDITION_LIMIT:
+            return f"smoothing system is singular or ill-conditioned at gamma={g:g}"
+        return cho
+
+    def _constrained(self, g: float):
+        cho = self._factor(g)
+        if self._gram is None:
+            sinv_mt = cho_solve(cho, self.constraints.M.T, check_finite=False)
+            gram = self.constraints.M @ sinv_mt
+            gram = 0.5 * (gram + gram.T)
+            if np.linalg.cond(gram) <= _CONDITION_LIMIT:
+                self._gram = (sinv_mt, gram)
+            else:
+                self._gram = "degenerate or redundant constraints"
+        if isinstance(self._gram, str):
+            raise NumericalError(self._gram)
+        return self._gram
+
+    def solve(self, theta, g: float, constrained: bool = False, column=None):
+        """Minimizer d of the penalized objective at gamma ``g``, under
+        M d = t when ``constrained``.  An ill-conditioned Sigma or Gram
+        matrix is a NumericalError.  The fit is linear, d = A theta + c;
+        ``column=i`` returns (d, A e_i), A e_i solved with right-hand side
+        phi_i e_i and target 0."""
+        cho = self._factor(g)
+        p = self.phi
+        rhs = p * theta
+        if column is not None:
+            rhs = np.column_stack((rhs, np.where(np.arange(p.size) == column, p, 0.0)))
+        values = cho_solve(cho, rhs, check_finite=False)  # a factor that passed pocon is finite
+        if constrained:
+            sinv_mt, gram = self._constrained(g)
+            M, t = self.constraints.M, self.constraints.t
+            if column is not None:
+                t = np.column_stack((t, np.zeros_like(t)))
+            values = values + sinv_mt @ np.linalg.solve(gram, t - M @ values)
+        return values if column is None else tuple(values.T)
 
 
 @dataclass(frozen=True)
@@ -226,49 +324,16 @@ class StackedProblem:
     omega: np.ndarray
 
 
-def _objective(d, theta, p, w, g) -> float:
+def _objective(d, theta, solver: _SigmaSolver, g) -> float:
     r = d - theta
-    return float(r @ (p * r) + g * (d @ w @ d))
+    return float(r @ (solver.phi * r) + g * (d @ solver.omega @ d))
 
 
 def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
     """Value of (d - theta)' Phi (d - theta) + gamma d' omega d."""
     d = np.asarray(delta, dtype=float)
-    return _objective(d, *_problem(theta_bayes, phi, omega, gamma, size=d.shape[0]))
-
-
-def _solve(theta, p, w, g, constraints=None, column=None):
-    """Minimizer d of the penalized objective, under M d = t when
-    ``constraints`` are given, over arrays already checked by :func:`_problem`.
-    Sigma is factored once; an ill-conditioned Sigma or Gram matrix
-    M Sigma^{-1} M' is a NumericalError.  The fit is linear, d = A theta + c;
-    ``column=i`` returns (d, A e_i), A e_i solved with right-hand side
-    phi_i e_i and target 0."""
-    sigma = g * w
-    sigma[np.diag_indices_from(sigma)] += p
-    try:
-        cho = cho_factor(sigma, lower=True)
-        norm = np.abs(sigma, out=sigma).sum(axis=0).max()  # sigma is not needed again
-        rcond = dpocon(cho[0], norm, uplo="L")[0]
-    except LinAlgError:  # not positive definite: cannot happen for phi > 0, psd omega
-        rcond = 0.0
-    if not rcond >= 1.0 / _CONDITION_LIMIT:
-        raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
-    rhs = p * theta
-    if column is not None:
-        rhs = np.column_stack((rhs, np.where(np.arange(p.size) == column, p, 0.0)))
-    values = cho_solve(cho, rhs, check_finite=False)  # a factor that passed pocon is finite
-    if constraints is not None:
-        M, t = constraints.M, constraints.t
-        if column is not None:
-            t = np.column_stack((t, np.zeros_like(t)))
-        sinv_mt = cho_solve(cho, M.T, check_finite=False)
-        gram = M @ sinv_mt
-        gram = 0.5 * (gram + gram.T)
-        if not np.linalg.cond(gram) <= _CONDITION_LIMIT:
-            raise NumericalError("degenerate or redundant constraints")
-        values = values + sinv_mt @ np.linalg.solve(gram, t - M @ values)
-    return values if column is None else tuple(values.T)
+    theta, solver, g = _problem(theta_bayes, phi, omega, gamma, size=d.shape[0])
+    return _objective(d, theta, solver, g)
 
 
 def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:
@@ -278,9 +343,9 @@ def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:
     Constant vectors pass through untouched for any gamma because the
     all-ones vector lies in the penalty's kernel.
     """
-    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma)
-    values = theta.copy() if g == 0.0 else _solve(theta, p, w, g)
-    return SmoothedEstimate(values, _objective(values, theta, p, w, g))
+    theta, solver, g = _problem(theta_bayes, phi, omega, gamma)
+    values = theta.copy() if g == 0.0 else solver.solve(theta, g)
+    return SmoothedEstimate(values, _objective(values, theta, solver, g))
 
 
 def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: ConstraintSet) -> BenchmarkedEstimate:
@@ -293,21 +358,21 @@ def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: Constraint
     """
     if not isinstance(constraints, ConstraintSet):
         raise ValidationError("constraints must be a ConstraintSet")
-    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
-    values = _solve(theta, p, w, g, constraints)
+    theta, solver, g = _problem(theta_bayes, phi, omega, gamma, constraints)
+    values = solver.solve(theta, g, constrained=True)
     residual = float(np.max(np.abs(constraints.M @ values - constraints.t)))
     bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(constraints.t))))
     if residual > bound:
         raise NumericalError(
             f"benchmark residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )
-    return BenchmarkedEstimate(values, _objective(values, theta, p, w, g), residual)
+    return BenchmarkedEstimate(values, _objective(values, theta, solver, g), residual)
 
 
 def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> BenchmarkedEstimate:
     """Single weighted-mean benchmark sum_i w_i d_i = t: the k = 1 case of
     :func:`benchmarked_estimate`, for nonnegative, not all zero weights."""
-    theta, p, om, g = _problem(theta_bayes, phi, omega, gamma)
+    theta, solver, g = _problem(theta_bayes, phi, omega, gamma)
     wv = _vector(w, "w", theta.shape[0])
     if np.any(wv < 0):
         raise ValidationError("benchmark weights must be nonnegative")
@@ -316,7 +381,9 @@ def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> Benchma
     t = float(t)
     if not np.isfinite(t):
         raise ValidationError("benchmark target must be finite")
-    return benchmarked_estimate(theta, p, om, g, ConstraintSet(wv[np.newaxis, :], [t]))
+    return benchmarked_estimate(
+        theta, solver.phi, solver.omega, g, ConstraintSet(wv[np.newaxis, :], [t])
+    )
 
 
 def unit_level_smoothed(

@@ -37,7 +37,13 @@ import scipy
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_mse
 from .datasets import CsvSchema, _floats, _read_table, _write_table, load_area_csv
-from .estimators import _RESIDUAL_TOL, ConstraintSet, benchmarked_estimate, smoothed_estimate
+from .estimators import (
+    _RESIDUAL_TOL,
+    ConstraintSet,
+    _SigmaSolver,
+    benchmarked_estimate,
+    smoothed_estimate,
+)
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
 from .exceptions import NumericalError, ValidationError
@@ -419,6 +425,9 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
 
     with _stage("load"):
         data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
+        # every estimator call of the run, bootstrap included, solves with
+        # this one (phi, omega, constraints) and reuses the last gamma's factor
+        solver = _SigmaSolver(phi, omega, constraints)
 
     with _stage("gibbs"):
         summary = gibbs_fit(data, replace(config.gibbs, seed=config.seed))
@@ -434,7 +443,11 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     curve = None
     if config.gamma_grid is not None:
         with _stage("cross-validation"):
-            curve = cross_validate(theta, phi, omega, config.gamma_grid, constraints)
+            try:
+                curve = cross_validate(theta, phi, solver, config.gamma_grid, constraints)
+            except NumericalError as exc:  # every grid point failed
+                labels = ", ".join(data.labels[i] for i in exc.areas)
+                raise NumericalError(f"{exc} ({labels})") from exc
         gamma = curve.gamma_hat
         metadata["gamma_source"] = "cross-validation"
     else:
@@ -448,9 +461,9 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         return None
 
     with _stage("estimate"):
-        smoothed = smoothed_estimate(theta, phi, omega, gamma)
+        smoothed = smoothed_estimate(theta, phi, solver, gamma)
         if constraints is not None:
-            bench = benchmarked_estimate(theta, phi, omega, gamma, constraints)
+            bench = benchmarked_estimate(theta, phi, solver, gamma, constraints)
             theta_bm = bench.values
             residual = bench.constraint_residual
         else:
@@ -481,14 +494,14 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
                     try:
                         if config.bootstrap_gamma_policy == "re-cross-validate":
                             star_gamma = cross_validate(
-                                star_theta, phi, omega, config.gamma_grid, constraints
+                                star_theta, phi, solver, config.gamma_grid, constraints
                             ).gamma_hat
                         else:
                             star_gamma = gamma
                         if constraints is not None:
-                            estimate = benchmarked_estimate(star_theta, phi, omega, star_gamma, constraints)
+                            estimate = benchmarked_estimate(star_theta, phi, solver, star_gamma, constraints)
                         else:
-                            estimate = smoothed_estimate(star_theta, phi, omega, star_gamma)
+                            estimate = smoothed_estimate(star_theta, phi, solver, star_gamma)
                     except (ValidationError, NumericalError):
                         continue
                     estimates[b] = estimate.values

@@ -5,7 +5,8 @@ while keeping the full penalty and any benchmark constraints, so the
 held-out coordinate is predicted by smoothness and constraints alone.
 Held-out fits come from the full fit: the exact leave-one-out identity
 for linear smoothers turns the full fit and one column of its hat matrix,
-both from the estimators' single factor of Sigma, into the held-out fit.
+both from the estimators' factor of Sigma at that gamma, into the held-out
+fit.  One grid point factors Sigma once for all of its held-out fits.
 The score of a grid point is the weighted mean squared gap between those
 predictions and the Bayes estimates; the selected gamma minimizes it,
 with ties broken toward the smallest value.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem, _solve
+from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem
 from .exceptions import NumericalError, ValidationError
 
 __all__ = [
@@ -87,7 +88,7 @@ def loo_solution(
     the similarity graph and untouched by every constraint) or when the
     shared solve is ill-conditioned.
     """
-    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
+    theta, solver, g = _problem(theta_bayes, phi, omega, gamma, constraints)
     if g <= 0:
         raise ValidationError("held-out solves require gamma > 0")
     if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
@@ -95,7 +96,7 @@ def loo_solution(
     if not (0 <= index < theta.size):
         raise ValidationError(f"area index {index} out of range [0, {theta.size})")
     try:
-        d, a = _solve(theta, p, w, g, constraints, column=index)
+        d, a = solver.solve(theta, g, constraints is not None, column=index)
         gap = 1.0 - a[index]
     except NumericalError:
         gap = 0.0
@@ -114,10 +115,14 @@ def cross_validate(
     V(gamma) = (1/m) sum_i phi_i (d_i^{(-i)} - theta_i)^2 over the m
     held-out solves.  Grid points where some held-out solve is singular
     score +inf and record the failing areas; if every point is infeasible
-    the search fails, naming the areas that failed at every point.
+    the search fails with a NumericalError that names the areas that
+    failed at every point and holds their indices in its ``areas``
+    attribute.  ``omega`` may be the estimators' Sigma solver, so that the
+    grid's factors serve the caller's later solves too; each grid point
+    factors Sigma once for all of its held-out fits.
     """
-    theta, p, w, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
-    m = theta.shape[0]
+    theta, solver, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
+    p, m = solver.phi, theta.shape[0]
     grid = np.unique(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValidationError("gamma grid must be nonempty")
@@ -131,7 +136,7 @@ def cross_validate(
         failed: list[int] = []
         for i in range(m):
             try:
-                held = loo_solution(theta, p, w, g, i, constraints)
+                held = loo_solution(theta, p, solver, g, i, constraints)
             except NumericalError:
                 failed.append(i)
                 continue
@@ -140,7 +145,9 @@ def cross_validate(
         failures.append(tuple(failed))
     if not np.any(np.isfinite(scores)):
         always = sorted(set.intersection(*map(set, failures)))
-        raise NumericalError(f"all grid points infeasible; areas {always} fail at every grid point")
+        error = NumericalError(f"all grid points infeasible; areas {always} fail at every grid point")
+        error.areas = tuple(always)
+        raise error
     gamma_hat = float(grid[int(np.argmin(scores))])
     return CvCurve(grid, scores, gamma_hat, tuple(failures))
 

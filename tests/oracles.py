@@ -227,6 +227,22 @@ def per_replicate(estimate):
     return batch
 
 
+def count_factorizations(monkeypatch):
+    """Record every Cholesky factorization the estimators make: returns the
+    list that each ``smallarea.estimators.cho_factor`` call appends to."""
+    import smallarea.estimators
+
+    real = smallarea.estimators.cho_factor
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(smallarea.estimators, "cho_factor", counted)
+    return calls
+
+
 def reference_replicate(data, phi, omega, gamma, constraints, gibbs, gamma_grid=None):
     """One bootstrap replicate the way the pipeline ran it before its chains
     ran in lock step: a full ``gibbs_fit`` on the synthetic responses, then
@@ -256,8 +272,8 @@ def reference_loo_solution(theta_bayes, phi, omega, gamma, index, constraints=No
     from smallarea import NumericalError, ValidationError
     from smallarea.estimators import _CONDITION_LIMIT, _problem
 
-    theta, p, w, g = _problem(theta_bayes, phi, omega, gamma, constraints)
-    m = theta.shape[0]
+    theta, solver, g = _problem(theta_bayes, phi, omega, gamma, constraints)
+    p, w, m = solver.phi, solver.omega, theta.shape[0]
     if g <= 0:
         raise ValidationError("held-out solves require gamma > 0")
     if not (0 <= index < m):

@@ -31,7 +31,7 @@ from smallarea.datasets import (
     us_state_borders_path,
 )
 
-from oracles import per_replicate, reference_replicate
+from oracles import count_factorizations, per_replicate, reference_replicate
 
 
 def small_area_csv(tmp_path, m=8, seed=0, zero_d=False):
@@ -450,6 +450,7 @@ class TestRunPipeline:
             run_pipeline(RunConfig.from_file(cfg))
         assert US_STATE_LABELS.index("AK") == 0 and US_STATE_LABELS.index("HI") == 11
         assert "areas [0, 11] fail at every grid point" in str(exc.value)
+        assert str(exc.value).endswith("fail at every grid point (AK, HI)")
 
     def test_population_benchmark_makes_isolated_areas_identifiable(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -537,6 +538,13 @@ class TestLockStepBootstrap:
         assert len(calls) == 21
         assert report.metadata["bootstrap"]["failed"] == [2]
         assert np.all(np.isfinite(report.mse))
+
+    def test_fixed_gamma_run_factors_sigma_once(self, tmp_path, monkeypatch):
+        # both estimates and every replicate's estimate use gamma's one factor
+        factors = count_factorizations(monkeypatch)
+        report = run_pipeline(self._config(tmp_path, gamma_grid=None, gamma=0.5, bootstrap_replicates=6))
+        assert factors == [(51, 51)]
+        assert report.metadata["bootstrap"]["failed"] == []
 
 
 class TestFitAndCvCommands:

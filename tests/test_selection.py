@@ -14,10 +14,14 @@ from smallarea import (
     cross_validate_unit,
     default_gamma_grid,
     loo_solution,
+    smoothed_estimate,
+    benchmarked_estimate,
 )
+from smallarea.estimators import _SigmaSolver
 
 from oracles import (
     constrained_quad_minimize,
+    count_factorizations,
     dropped_term_minimize,
     kkt_solve,
     random_connected_instance,
@@ -175,7 +179,79 @@ def test_held_out_fits_match_reference_solve(problem):
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
+def _outcomes(theta, phi, omega, gamma, constraints):
+    """Both estimates and every held-out fit at one gamma, through ``omega``
+    (a penalty matrix or a solver): each is an array, or the message of
+    the NumericalError it raised."""
+
+    def run(fn, *args):
+        try:
+            result = fn(*args)
+        except NumericalError as exc:
+            return str(exc)
+        return getattr(result, "values", result)
+
+    out = [run(smoothed_estimate, theta, phi, omega, gamma)]
+    if constraints is not None:
+        out.append(run(benchmarked_estimate, theta, phi, omega, gamma, constraints))
+    return out + [run(loo_solution, theta, phi, omega, gamma, i, constraints) for i in range(len(theta))]
+
+
+def _assert_same_outcomes(shared, fresh):
+    for got, want in zip(shared, fresh, strict=True):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
+# One solver shared across a gamma sequence that revisits earlier values,
+# with an ill-conditioned gamma between feasible ones.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(held_out_problems(), st.floats(0.1, 10.0))
+def test_shared_solver_matches_one_off_calls(problem, other):
+    theta, phi, omega, gamma, _, constraints = problem
+    solver = _SigmaSolver(phi, omega, constraints)
+    for g in (gamma, other, gamma, 1e15, other, 1e15, gamma):
+        shared = _outcomes(theta, phi, solver, g, constraints)
+        _assert_same_outcomes(shared, _outcomes(theta, phi, omega, g, constraints))
+        if g == 1e15:
+            continue
+        for i, got in enumerate(shared[-len(theta):]):
+            try:
+                want = reference_loo_solution(theta, phi, omega, g, i, constraints)
+            except NumericalError:
+                assert isinstance(got, str)
+                continue
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    with pytest.raises(ValidationError, match="phi differs"):
+        loo_solution(theta, 2.0 * phi, solver, gamma, 0, constraints)
+    other_constraints = ConstraintSet(np.ones((1, len(theta))), [1.0])
+    if constraints is not None:
+        other_constraints = ConstraintSet(constraints.M, constraints.t + 1.0)
+        # an equal set is the same problem
+        copy = ConstraintSet(constraints.M.copy(), constraints.t.copy())
+        _assert_same_outcomes(
+            _outcomes(theta, phi, solver, gamma, copy),
+            _outcomes(theta, phi, omega, gamma, constraints),
+        )
+    with pytest.raises(ValidationError, match="constraints differ"):
+        loo_solution(theta, phi, solver, gamma, 0, other_constraints)
+    with pytest.raises(ValidationError, match="constraints differ"):
+        cross_validate(theta, phi, solver, [gamma], other_constraints)
+
+
 class TestCrossValidate:
+    def test_factors_sigma_once_per_grid_point(self, monkeypatch):
+        theta, phi, omega = random_connected_instance(np.random.default_rng(4), 9)
+        constraints = ConstraintSet(np.ones((1, 9)) / 9, [0.0])
+        factors = count_factorizations(monkeypatch)
+        grid = np.append(np.geomspace(0.01, 100.0, 5), 1e15)  # the last point is ill-conditioned
+        curve = cross_validate(theta, phi, omega, grid, constraints)
+        assert factors == [(9, 9)] * 6
+        assert np.all(np.isfinite(curve.scores[:-1]))
+        assert curve.failed_areas[-1] == tuple(range(9))
+
     def test_single_point_grid(self):
         curve = cross_validate(TOY_THETA, TOY_PHI, TOY_OMEGA, [0.8])
         assert curve.gamma_hat == 0.8
@@ -259,8 +335,9 @@ class TestCrossValidate:
 
     def test_all_grid_points_infeasible(self):
         omega = np.zeros((2, 2))
-        with pytest.raises(NumericalError, match="all grid points infeasible"):
+        with pytest.raises(NumericalError, match="all grid points infeasible") as exc:
             cross_validate(TOY_THETA, TOY_PHI, omega, [0.5, 1.0])
+        assert exc.value.areas == (0, 1)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="nonempty"):
