@@ -17,14 +17,19 @@ case and keeps the draws, and :func:`gibbs_means` runs a batch (the
 bootstrap replicates) keeping only a running sum of the retained theta.
 
 RNG stream contract: each chain is strictly sequential and reproducible
-from its own seed.  Chain b has its own counter-based ``Philox(seed_b)``
-generator, which each iteration draws normal(m), then normal(p) (one
-``standard_normal(m + p)`` call, the same stream), then gamma only when
-the variance is sampled and the chain's residual sum of squares is
-positive.  A chain therefore makes the same draws alone or inside a
-batch; only the rounding of the batched matrix products differs.  The
-loop calls no scipy routine, and the per-area effective sample size is
-computed when first read.
+from its own seed, and draws from two counter-based streams.  Chain b's
+``Philox(seed_b)`` gives one ``standard_normal(m + p)`` per iteration:
+theta's m normals, then beta's p.  When the variance is sampled,
+``Philox(seed_b).jumped()``, a disjoint stream 2^128 draws ahead, gives
+one ``standard_gamma(m/2 - 1)`` per iteration, drawn whether or not that
+iteration's residual sum of squares is positive; a fixed variance creates
+no gamma stream.  The loop fills each stream several iterations per call,
+but the block length is not part of the contract: numpy fills a buffer in
+order, so a block holds exactly the draws of the per-iteration calls.  A
+chain therefore makes the same draws alone or inside a batch; only the
+rounding of the batched matrix products differs.  The loop calls no scipy
+routine, and the per-area effective sample size is computed when first
+read.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ __all__ = [
 ]
 
 _SIGMA2_FLOOR = 1e-12
+_SIGMA2_MAX = float(np.finfo(float).max)
+_BLOCK_DRAWS = 2**16  # normals buffered per block across all chains: 512 KiB
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,21 @@ class AreaDataset:
         return self.covariates.copy()
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or any non-integer (2.0 included) is a
+    ValidationError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(name: str, value) -> int:
+    seed = _integer(name, value)
+    if seed < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class GibbsConfig:
     """Chain length and seeding.  ``fixed_sigma_u2`` pins the model variance
@@ -148,6 +170,9 @@ class GibbsConfig:
     fixed_sigma_u2: float | None = None
 
     def __post_init__(self):
+        for name in ("n_iter", "n_burn", "thin"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
         if self.n_burn < 0 or self.n_iter <= self.n_burn:
             raise ValidationError(
                 f"need n_iter > n_burn >= 0, got n_iter={self.n_iter}, n_burn={self.n_burn}"
@@ -229,9 +254,14 @@ def _lockstep(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig):
     """Run one chain per row of ``Y`` in lock step; yield ``(theta, beta,
     sigma2)``, shaped (B, m), (B, p) and (B,), at each retained iteration.
 
-    Row b is the chain on responses ``Y[b]`` with its own
-    ``Philox(seeds[b])`` generator.  The yielded arrays are overwritten by
-    the next step, so a caller that keeps them copies them.
+    Row b is the chain on responses ``Y[b]`` with its own two streams (see
+    the module docstring).  Every K iterations each chain refills its rows
+    of a (B, K, m + p) normal block and a (B, K) gamma block with one call
+    per stream, so the loop makes at most 2B generator calls per K
+    iterations.  K bounds the normal block at ``_BLOCK_DRAWS`` doubles and
+    the last block is shorter; since numpy fills in order, K changes no
+    draw.  The yielded arrays are overwritten by the next step, so a caller
+    that keeps them copies them.
     """
     X = data.X
     m, p = X.shape
@@ -241,7 +271,13 @@ def _lockstep(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig):
             f"(m={m} must exceed p+2={p + 2})"
         )
     D = data.D
-    rngs = [np.random.Generator(np.random.Philox(int(s))) for s in seeds]
+    B = len(seeds)
+    sampled = config.fixed_sigma_u2 is None
+    # two disjoint streams per chain: the normals, and (2^128 draws ahead) the gammas
+    normal_fills = [np.random.Generator(np.random.Philox(s)).standard_normal for s in seeds]
+    gamma_fills = [
+        np.random.Generator(np.random.Philox(s).jumped()).standard_gamma for s in seeds if sampled
+    ]
 
     # beta | rest = P theta + sqrt(s2) R z: P = (X'X)^{-1} X', R = L^{-T}, X'X = LL';
     # chains are rows here, so the loop multiplies by the transposes P' and R'
@@ -250,40 +286,49 @@ def _lockstep(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig):
     Rt = np.linalg.inv(np.linalg.cholesky(xtx))
 
     beta = Y @ Pt
-    if config.fixed_sigma_u2 is not None:
-        sigma2 = np.full(len(rngs), float(config.fixed_sigma_u2))
-    else:
+    if sampled:
         sigma2 = np.maximum(1e-6, np.mean((Y - beta @ X.T) ** 2, axis=1) - np.mean(D))
+    else:
+        sigma2 = np.full(B, float(config.fixed_sigma_u2))
 
     # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
     observed = D > 0
     cols = slice(0, m) if np.all(observed) else np.flatnonzero(observed)
     theta = Y.copy()
+    Xt = np.ascontiguousarray(X.T)
     Xt_obs = X[cols].T
     inv_D = 1.0 / D[cols]
     y_over_D = Y[:, cols] / D[cols]
-    # one standard_normal(m + p) call per row is the stream of normal(m)
-    # then normal(p): numpy draws each variate on its own
-    noise = np.empty((len(rngs), m + p))
-    z_p = noise[:, m:]
-    fills = [(rng.standard_normal, row) for rng, row in zip(rngs, noise)]
-    gammas = [rng.gamma for rng in rngs]
+    # noise[b, k] is chain b's standard_normal(m + p) of the block's k-th
+    # iteration (normal(m), then normal(p)) and gam[b, k] its standard_gamma
+    K = max(1, min(config.n_iter, _BLOCK_DRAWS // (B * (m + p))))
+    noise = np.empty((B, K, m + p))
+    gam = np.empty((B, K))
     shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
 
     for it in range(config.n_iter):
-        for fill, row in fills:
-            fill(out=row)
+        k = it % K
+        if k == 0:
+            n = min(K, config.n_iter - it)
+            for fill, block in zip(normal_fills, noise):
+                fill(out=block[:n])
+            for fill, row in zip(gamma_fills, gam):
+                fill(shape, out=row[:n])
+        z = noise[:, k]
         prec = inv_D + (1.0 / sigma2)[:, None]
         mean = (y_over_D + (beta @ Xt_obs) / sigma2[:, None]) / prec
-        theta[:, cols] = mean + noise[:, cols] / np.sqrt(prec)
+        theta[:, cols] = mean + z[:, cols] / np.sqrt(prec)
 
-        beta = theta @ Pt + np.sqrt(sigma2)[:, None] * (z_p @ Rt)
+        beta = theta @ Pt + np.sqrt(sigma2)[:, None] * (z[:, m:] @ Rt)
 
-        if config.fixed_sigma_u2 is None:
-            ssr = np.sum((theta - beta @ X.T) ** 2, axis=1)
-            # a row with degenerate residuals draws nothing: 1/inf = 0, floored below
-            g = [gam(shape, 2.0 / s) if s > 0 else np.inf for gam, s in zip(gammas, ssr.tolist())]
-            sigma2 = np.clip(1.0 / np.array(g), _SIGMA2_FLOOR, np.finfo(float).max)
+        if sampled:
+            resid = theta - beta @ Xt
+            ssr = (resid * resid).sum(axis=1)
+            # s2 = 1 / gamma(shape, scale 2/ssr), scaled as numpy's gamma scales;
+            # a row with degenerate residuals gets 1/inf = 0, floored below
+            with np.errstate(divide="ignore", over="ignore"):
+                sigma2 = 1.0 / ((2.0 / ssr) * gam[:, k])
+            sigma2 = np.minimum(np.maximum(sigma2, _SIGMA2_FLOOR), _SIGMA2_MAX)
 
         if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
             yield theta, beta, sigma2
@@ -341,6 +386,7 @@ def gibbs_means(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig) ->
         )
     if not np.all(np.isfinite(Y)):
         raise ValidationError("responses contain non-finite entries")
+    seeds = [_seed(f"seeds[{b}]", s) for b, s in enumerate(seeds)]
     total = np.zeros(Y.shape)
     for theta, _, _ in _lockstep(data, Y, seeds, config):
         total += theta

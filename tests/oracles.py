@@ -140,14 +140,16 @@ def constrained_quad_minimize(theta, phi, omega, gamma, M, t):
 def reference_gibbs_draws(data, config):
     """The Gibbs chain of ``fay_herriot.gibbs_fit`` written as one
     triangular solve per step: the same conditionals and the same random
-    stream (normal(m), normal(p), then gamma when the variance is sampled
-    and the residuals are nonzero).  Returns the retained theta, beta and
-    model-variance draws."""
+    streams, drawn one iteration at a time.  Each iteration takes normal(m)
+    then normal(p) from ``Philox(seed)`` and, when the variance is sampled,
+    one standard gamma from ``Philox(seed).jumped()``, used or not.
+    Returns the retained theta, beta and model-variance draws."""
     from scipy.linalg import cho_solve, solve_triangular
 
     X, y, D = data.X, data.y, data.D
     m, p = X.shape
     rng = np.random.Generator(np.random.Philox(config.seed))
+    gamma_rng = np.random.Generator(np.random.Philox(config.seed).jumped())
     chol_lower = np.linalg.cholesky(X.T @ X)
     xtx_cho = (chol_lower, True)
     beta = cho_solve(xtx_cho, X.T @ y)
@@ -170,7 +172,8 @@ def reference_gibbs_draws(data, config):
         )
         if config.fixed_sigma_u2 is None:
             ssr = float(np.sum((theta - X @ beta) ** 2))
-            sigma2 = 1.0 / rng.gamma(0.5 * m - 1.0, 2.0 / ssr) if ssr > 0 else 0.0
+            g = gamma_rng.standard_gamma(0.5 * m - 1.0)
+            sigma2 = ssr / (2.0 * g)
             sigma2 = float(min(max(sigma2, 1e-12), np.finfo(float).max))
         if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
             thetas.append(theta)

@@ -12,6 +12,7 @@ from smallarea import (
     gibbs_means,
     posterior_mean,
 )
+from smallarea import fay_herriot
 from smallarea.datasets import FIXTURE_SCHEMA, load_area_csv, synthetic_dataset_path
 
 from oracles import reference_ess, reference_gibbs_draws
@@ -81,6 +82,26 @@ class TestGibbsConfig:
     def test_fixed_variance_must_be_positive(self):
         with pytest.raises(ValidationError, match="fixed_sigma_u2"):
             GibbsConfig(fixed_sigma_u2=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", 2.9, "seed must be an integer"),
+            ("seed", True, "seed must be an integer"),
+            ("seed", -1, "seed must be a nonnegative integer"),
+            ("n_iter", 20.0, "n_iter must be an integer"),
+            ("n_burn", np.float64(5.0), "n_burn must be an integer"),
+            ("thin", 1.5, "thin must be an integer"),
+        ],
+    )
+    def test_non_integer_field_or_negative_seed_rejected(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            GibbsConfig(**{"n_iter": 20, "n_burn": 5, field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = GibbsConfig(n_iter=np.int64(20), n_burn=np.int32(5), thin=np.uint8(2), seed=np.uint32(7))
+        assert (config.n_iter, config.n_burn, config.thin, config.seed) == (20, 5, 2, 7)
+        assert type(config.seed) is int
 
 
 class TestGibbsFit:
@@ -207,6 +228,12 @@ class TestReferenceChain:
                 GibbsConfig(n_iter=400, n_burn=50, seed=8),
                 id="no-intercept",
             ),
+            # m + p = 32, so one chain fills 2048 iterations per block: 2048 + 452
+            pytest.param(
+                lambda: make_dataset(5)[0],
+                GibbsConfig(n_iter=2500, n_burn=100, seed=9),
+                id="two-blocks",
+            ),
         ],
     )
     def test_draws_match_reference(self, dataset, config):
@@ -240,6 +267,8 @@ class TestLockStep:
             lambda: replace(make_dataset(4)[0], intercept=False),
             GibbsConfig(n_iter=400, n_burn=50),
         ),
+        # four chains of m + p = 32 fill 512 iterations per block: 512 + 512 + 276
+        "three-blocks": (lambda: make_dataset(6)[0], GibbsConfig(n_iter=1300, n_burn=50)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -260,6 +289,69 @@ class TestLockStep:
             assert np.all(np.abs(alone - means[b]) <= 1e-12 * scale), b
         pinned = data.D == 0
         np.testing.assert_allclose(means[:, pinned], Y[:, pinned], rtol=1e-13, atol=0)
+
+    def test_one_iteration_blocks(self):
+        # B (m + p) exceeds the block, so every chain draws one iteration per call
+        data, _ = make_dataset(6, m=400)
+        B = 164
+        assert B * (data.m + data.X.shape[1]) > fay_herriot._BLOCK_DRAWS
+        config = GibbsConfig(n_iter=30, n_burn=5)
+        Y = data.y + np.random.default_rng(32).normal(0.0, 1.0, size=(B, data.m))
+        seeds = list(range(300, 300 + B))
+        means = gibbs_means(data, Y, seeds, config)
+        for b, seed in enumerate(seeds):
+            draws, _, _ = reference_gibbs_draws(replace(data, y=Y[b]), replace(config, seed=seed))
+            scale = np.abs(draws).max(axis=0)
+            assert np.all(np.abs(means[b] - draws.mean(axis=0)) <= 1e-10 * scale), b
+            alone = gibbs_means(data, Y[b : b + 1], [seed], config)[0]
+            assert np.all(np.abs(alone - means[b]) <= 1e-12 * scale), b
+
+    @pytest.mark.parametrize("fixed_sigma_u2", [None, 1.5], ids=["sampled", "fixed"])
+    def test_block_size_is_not_part_of_the_stream(self, monkeypatch, fixed_sigma_u2):
+        data, _ = make_dataset(7)
+        config = GibbsConfig(n_iter=300, n_burn=20, fixed_sigma_u2=fixed_sigma_u2)
+        Y = data.y + np.random.default_rng(33).normal(0.0, 1.0, size=(3, data.m))
+        default = gibbs_means(data, Y, [1, 2, 3], config)
+        for block in (1, 7 * 3 * 32):  # K = 1, and K = 7, which does not divide 300
+            monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", block)
+            assert np.array_equal(gibbs_means(data, Y, [1, 2, 3], config), default), block
+
+    def test_fixed_variance_stream_is_per_iteration_normals(self):
+        """With the variance fixed the chain draws only normals, one
+        standard_normal(m + p) per iteration: the stream of a plain loop."""
+        data, _ = make_dataset(8)
+        config = GibbsConfig(n_iter=2500, n_burn=100, seed=12, fixed_sigma_u2=0.8)
+        X, D = data.X, data.D
+        m, p = X.shape
+        rng = np.random.Generator(np.random.Philox(config.seed))
+        xtx = X.T @ X
+        Pt = np.linalg.solve(xtx, X.T).T
+        Rt = np.linalg.inv(np.linalg.cholesky(xtx))
+        sigma2 = np.full(1, config.fixed_sigma_u2)
+        y = data.y[np.newaxis, :]
+        beta = y @ Pt
+        thetas = []
+        for it in range(config.n_iter):
+            z = rng.standard_normal(m + p)[np.newaxis, :]
+            prec = 1.0 / D + (1.0 / sigma2)[:, None]
+            theta = (y / D + (beta @ X.T) / sigma2[:, None]) / prec + z[:, :m] / np.sqrt(prec)
+            beta = theta @ Pt + np.sqrt(sigma2)[:, None] * (z[:, m:] @ Rt)
+            if it >= config.n_burn:
+                thetas.append(theta[0])
+        assert np.array_equal(gibbs_fit(data, config).theta_draws, np.array(thetas))
+
+    def test_zero_residuals_floor_the_variance_without_warning(self):
+        # y = 2^60 on an intercept-only design with D = 0: theta is pinned to
+        # y, and beta's noise is below the rounding of 2^60, so every
+        # residual sum of squares is exactly 0 (warnings are errors here)
+        m = 8
+        data = AreaDataset(tuple("abcdefgh"), np.full(m, 2.0**60), np.zeros(m), np.empty((m, 0)), ())
+        config = GibbsConfig(n_iter=50, n_burn=10, seed=3)
+        fit = gibbs_fit(data, config)
+        assert np.all(fit.beta_draws == 2.0**60)
+        assert np.all(fit.sigma_u2_draws == 1e-12)
+        means = gibbs_means(data, np.tile(data.y, (3, 1)), [1, 2, 3], config)
+        assert np.all(means == 2.0**60)
 
     def test_keeps_no_draws(self):
         import tracemalloc
@@ -296,6 +388,27 @@ class TestLockStep:
         )
         with pytest.raises(ValidationError, match="propriety"):
             gibbs_means(data, data.y[None, :], [0], GibbsConfig(n_iter=20, n_burn=5))
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            pytest.param(1.7, r"seeds\[1\] must be an integer", id="fractional"),
+            pytest.param(np.float64(2.0), r"seeds\[1\] must be an integer", id="numpy-float"),
+            pytest.param(True, r"seeds\[1\] must be an integer", id="bool"),
+            pytest.param(-3, r"seeds\[1\] must be a nonnegative integer", id="negative"),
+        ],
+    )
+    def test_bad_seeds_rejected(self, seed, message):
+        data, _ = make_dataset(0)
+        with pytest.raises(ValidationError, match=message):
+            gibbs_means(data, np.tile(data.y, (2, 1)), [4, seed], GibbsConfig(n_iter=20, n_burn=5))
+
+    def test_numpy_integer_seeds_accepted(self):
+        data, _ = make_dataset(0)
+        config = GibbsConfig(n_iter=20, n_burn=5)
+        Y = np.tile(data.y, (2, 1))
+        as_numpy = gibbs_means(data, Y, np.array([4, 9], dtype=np.uint32), config)
+        assert np.array_equal(as_numpy, gibbs_means(data, Y, [4, 9], config))
 
 
 class TestEffectiveSampleSize:
