@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import NumericalError, ValidationError
+from .exceptions import NumericalError, ValidationError, _integer, _vector
 from .fay_herriot import AreaDataset
 
 __all__ = [
@@ -53,8 +53,8 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_replicates < 1:
-            raise ValidationError(f"n_replicates must be >= 1, got {self.n_replicates}")
+        object.__setattr__(self, "n_replicates", _integer("n_replicates", self.n_replicates, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,9 @@ class BootstrapReport:
 
 def standardized_residuals(y, theta_bm, sigma_u) -> np.ndarray:
     """(y_i - fit_i) / sd_i.  Every observation sd must be positive."""
-    y = np.asarray(y, dtype=float)
-    fit = np.asarray(theta_bm, dtype=float)
-    sd = np.asarray(sigma_u, dtype=float)
-    if not (y.shape == fit.shape == sd.shape) or y.ndim != 1:
-        raise ValidationError("y, theta_bm and sigma_u must be equal-length vectors")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(fit)) and np.all(np.isfinite(sd))):
-        raise ValidationError("residual inputs contain non-finite entries")
+    y = _vector("y", y)
+    fit = _vector("theta_bm", theta_bm, y.size)
+    sd = _vector("sigma_u", sigma_u, y.size)
     if np.any(sd <= 0):
         i = int(np.argmin(sd))
         raise ValidationError(
@@ -149,10 +145,8 @@ def bootstrap_mse(
     replicate, a result of the wrong shape is a NumericalError, and any
     other exception is a bug and propagates.
     """
-    theta_bm = np.asarray(theta_bm, dtype=float)
     m = data.m
-    if theta_bm.shape != (m,):
-        raise ValidationError(f"theta_bm has shape {theta_bm.shape}, expected ({m},)")
+    theta_bm = _vector("theta_bm", theta_bm, m)
     if np.any(data.D <= 0):
         i = int(np.argmin(data.D))
         raise ValidationError(

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve, LinAlgError
 from scipy.linalg.lapack import dpocon
 
-from .exceptions import NumericalError, ValidationError
+from .exceptions import NumericalError, ValidationError, _integer, _real, _vector
 from .similarity import SmoothnessMatrix
 
 __all__ = [
@@ -55,40 +55,23 @@ _CONDITION_LIMIT = 1e12
 _RESIDUAL_TOL = 1e-8
 
 
-def _vector(x, name: str, size: int | None = None) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if size is not None and v.shape[0] != size:
-        raise ValidationError(f"{name} has length {v.shape[0]}, expected {size}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return v
-
-
 def _phi_vector(phi, size: int | None = None) -> np.ndarray:
-    v = _vector(phi.phi if isinstance(phi, LossWeights) else phi, "phi", size)
+    v = _vector("phi", phi.phi if isinstance(phi, LossWeights) else phi, size)
     if np.any(v <= 0):
         raise ValidationError("loss weights must be strictly positive")
     return v
 
 
 def _omega_matrix(omega, size: int) -> np.ndarray:
-    w = omega.omega if isinstance(omega, SmoothnessMatrix) else np.asarray(omega, dtype=float)
-    if w.ndim != 2 or w.shape != (size, size):
+    w = (omega if isinstance(omega, SmoothnessMatrix) else SmoothnessMatrix(omega)).omega
+    if w.shape != (size, size):
         raise ValidationError(f"penalty matrix has shape {w.shape}, expected ({size}, {size})")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("penalty matrix contains non-finite entries")
-    if not np.array_equal(w, w.T):
-        raise ValidationError("penalty matrix must be symmetric")
     return w
 
 
-def _gamma_value(gamma) -> float:
-    g = float(gamma)
-    if not np.isfinite(g) or g < 0:
-        raise ValidationError(f"gamma must be a finite nonnegative real, got {gamma!r}")
-    return g
+def _residual_bound(t) -> float:
+    """Largest accepted ||M d - t||_inf of a benchmarked result with targets t."""
+    return _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t))))
 
 
 def _same_constraints(a, b) -> bool:
@@ -106,7 +89,7 @@ def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | N
     earlier, whose omega is not checked again; ``phi`` and any
     ``constraints`` must then equal the ones it was built with.
     """
-    theta = _vector(theta_bayes, "theta_bayes", size)
+    theta = _vector("theta_bayes", theta_bayes, size)
     m = theta.shape[0]
     if isinstance(omega, _SigmaSolver):
         solver = omega
@@ -116,7 +99,7 @@ def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | N
             raise ValidationError("constraints differ from those the solver was built with")
     else:
         solver = _SigmaSolver(phi, omega, constraints, m)
-    return theta, solver, _gamma_value(gamma)
+    return theta, solver, _real("gamma", gamma, 0)
 
 
 class _SigmaSolver:
@@ -233,7 +216,7 @@ class ConstraintSet:
             )
         if not np.all(np.isfinite(M)):
             raise ValidationError("constraint matrix contains non-finite entries")
-        t = _vector(self.t, "t", k)
+        t = _vector("t", self.t, k)
         s = np.linalg.svd(M, compute_uv=False)
         if s[-1] <= s[0] * 1e-12 or s[0] == 0.0:
             raise ValidationError("constraint matrix is rank deficient")
@@ -265,15 +248,17 @@ class UnitLevelLayout:
     gamma_unit: float
 
     def __post_init__(self):
-        counts = tuple(int(n) for n in self.units_per_area)
-        if len(counts) == 0 or any(n < 1 for n in counts):
+        counts = tuple(
+            _integer(f"units_per_area[{i}]", n, 1) for i, n in enumerate(self.units_per_area)
+        )
+        if len(counts) == 0:
             raise ValidationError("every area must contain at least one unit")
         phi = _phi_vector(self.phi, len(counts))
-        xi = _vector(self.xi, "xi", sum(counts))
+        xi = _vector("xi", self.xi, sum(counts))
         if np.any(xi <= 0):
             raise ValidationError("unit loss weights must be strictly positive")
-        ga = _gamma_value(self.gamma_area)
-        gu = _gamma_value(self.gamma_unit)
+        ga = _real("gamma_area", self.gamma_area, 0)
+        gu = _real("gamma_unit", self.gamma_unit, 0)
         object.__setattr__(self, "units_per_area", counts)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "xi", xi)
@@ -361,7 +346,7 @@ def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: Constraint
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma, constraints)
     values = solver.solve(theta, g, constrained=True)
     residual = float(np.max(np.abs(constraints.M @ values - constraints.t)))
-    bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(constraints.t))))
+    bound = _residual_bound(constraints.t)
     if residual > bound:
         raise NumericalError(
             f"benchmark residual {residual:.3e} exceeds tolerance {bound:.3e}"
@@ -373,16 +358,13 @@ def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> Benchma
     """Single weighted-mean benchmark sum_i w_i d_i = t: the k = 1 case of
     :func:`benchmarked_estimate`, for nonnegative, not all zero weights."""
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma)
-    wv = _vector(w, "w", theta.shape[0])
+    wv = _vector("w", w, theta.shape[0])
     if np.any(wv < 0):
         raise ValidationError("benchmark weights must be nonnegative")
     if not np.any(wv != 0):
         raise ValidationError("benchmark weight vector must be nonzero")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValidationError("benchmark target must be finite")
     return benchmarked_estimate(
-        theta, solver.phi, solver.omega, g, ConstraintSet(wv[np.newaxis, :], [t])
+        theta, solver.phi, solver.omega, g, ConstraintSet(wv[np.newaxis, :], [_real("t", t)])
     )
 
 
@@ -396,8 +378,8 @@ def unit_level_smoothed(
     smoothing factor.
     """
     m, n = layout.n_areas, layout.n_units
-    theta_a = _vector(theta_area_bayes, "theta_area_bayes", m)
-    theta_u = _vector(theta_unit_bayes, "theta_unit_bayes", n)
+    theta_a = _vector("theta_area_bayes", theta_area_bayes, m)
+    theta_u = _vector("theta_unit_bayes", theta_unit_bayes, n)
     area = smoothed_estimate(theta_a, layout.phi, _omega_matrix(omega_area, m), layout.gamma_area)
     unit = smoothed_estimate(theta_u, layout.xi, _omega_matrix(omega_unit, n), layout.gamma_unit)
     return area, unit
@@ -434,14 +416,12 @@ def unit_level_benchmarked(
     unit weights in its block-sparse rows.
     """
     m, n = layout.n_areas, layout.n_units
-    theta_a = _vector(theta_area_bayes, "theta_area_bayes", m)
-    theta_u = _vector(theta_unit_bayes, "theta_unit_bayes", n)
+    theta_a = _vector("theta_area_bayes", theta_area_bayes, m)
+    theta_u = _vector("theta_unit_bayes", theta_unit_bayes, n)
     w_a = _omega_matrix(omega_area, m)
     w_u = _omega_matrix(omega_unit, n)
-    eta = _vector(eta, "eta", m)
-    t_area = float(t_area)
-    if not np.isfinite(t_area):
-        raise ValidationError("t_area must be finite")
+    eta = _vector("eta", eta, m)
+    t_area = _real("t_area", t_area)
     weights = np.asarray(unit_weights, dtype=float)
     if weights.shape != (m, n):
         raise ValidationError(f"unit_weights has shape {weights.shape}, expected ({m}, {n})")
@@ -479,7 +459,7 @@ def stack_multivariate(per_component) -> StackedProblem:
     thetas, phis, omegas = [], [], []
     m = None
     for c, (theta, phi, omega) in enumerate(triples):
-        theta = _vector(theta, f"theta_bayes[{c}]")
+        theta = _vector(f"theta_bayes[{c}]", theta)
         if m is None:
             m = theta.shape[0]
         elif theta.shape[0] != m:

@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the three value checks
+every config and public entry point runs its numbers through.
 
 The CLI maps ValidationError to exit code 2 and NumericalError to exit
 code 3; everything else is a bug and propagates.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -12,3 +18,47 @@ class ValidationError(ValueError):
 class NumericalError(RuntimeError):
     """Raised when a computation fails numerically (singular or degenerate
     systems, excessive bootstrap failures)."""
+
+
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int, at least ``minimum`` when given.  A bool or any
+    non-integer (2.0 included) is a ValidationError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        kind = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _real(name: str, value, minimum: float | None = None) -> float:
+    """``value`` as a finite float, at least ``minimum`` when given.  A bool,
+    a string or any other non-number is a ValidationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x) or (minimum is not None and x < minimum):
+        kind = {None: "a finite real", 0: "a finite nonnegative real"}.get(minimum, f"a finite real >= {minimum}")
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return x
+
+
+def _vector(name: str, value, size: int | None = None) -> np.ndarray:
+    """``value`` as a finite 1-d float64 array, of length ``size`` when
+    given.  Bools, strings and other non-numbers are a ValidationError
+    naming ``name``."""
+    try:
+        v = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{name} must be a vector of real numbers") from None
+    if v.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be a vector of real numbers, got dtype {v.dtype}")
+    v = v.astype(float, copy=False)
+    if v.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional, got shape {v.shape}")
+    if size is not None and v.shape[0] != size:
+        raise ValidationError(f"{name} has length {v.shape[0]}, expected {size}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return v

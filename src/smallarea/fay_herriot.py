@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, _integer, _real, _vector
 
 __all__ = [
     "AreaDataset",
@@ -83,13 +83,8 @@ class AreaDataset:
         if len(set(labels)) != m:
             dup = next(s for s in labels if labels.count(s) > 1)
             raise ValidationError(f"duplicate label {dup!r}")
-        y = np.asarray(self.y, dtype=float)
-        D = np.asarray(self.D, dtype=float)
-        for name, v in (("y", y), ("D", D)):
-            if v.shape != (m,):
-                raise ValidationError(f"{name} has shape {v.shape}, expected ({m},)")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError(f"{name} contains non-finite entries")
+        y = _vector("y", self.y, m)
+        D = _vector("D", self.D, m)
         if np.any(D < 0):
             i = int(np.argmin(D))
             raise ValidationError(f"negative sampling variance D at area {labels[i]!r}")
@@ -111,16 +106,11 @@ class AreaDataset:
         groups = None if self.groups is None else tuple(str(s) for s in self.groups)
         if groups is not None and len(groups) != m:
             raise ValidationError(f"{len(groups)} group labels for {m} areas")
-        phi = self.phi
-        if phi is not None:
-            phi = np.asarray(phi, dtype=float)
-            if phi.shape != (m,) or not np.all(np.isfinite(phi)) or np.any(phi <= 0):
-                raise ValidationError("phi must be a strictly positive length-m vector")
+        phi = None if self.phi is None else _vector("phi", self.phi, m)
+        if phi is not None and np.any(phi <= 0):
+            raise ValidationError("phi must be strictly positive")
         bw = self.benchmark_weights
-        if bw is not None:
-            bw = np.asarray(bw, dtype=float)
-            if bw.shape != (m,) or not np.all(np.isfinite(bw)):
-                raise ValidationError("benchmark_weights must be a finite length-m vector")
+        bw = None if bw is None else _vector("benchmark_weights", bw, m)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "D", D)
@@ -142,21 +132,6 @@ class AreaDataset:
         return self.covariates.copy()
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or any non-integer (2.0 included) is a
-    ValidationError naming ``name``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _seed(name: str, value) -> int:
-    seed = _integer(name, value)
-    if seed < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
-    return seed
-
-
 @dataclass(frozen=True)
 class GibbsConfig:
     """Chain length and seeding.  ``fixed_sigma_u2`` pins the model variance
@@ -170,19 +145,17 @@ class GibbsConfig:
     fixed_sigma_u2: float | None = None
 
     def __post_init__(self):
-        for name in ("n_iter", "n_burn", "thin"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "seed", _seed("seed", self.seed))
+        for name, minimum in (("n_iter", None), ("n_burn", None), ("thin", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if self.n_burn < 0 or self.n_iter <= self.n_burn:
             raise ValidationError(
                 f"need n_iter > n_burn >= 0, got n_iter={self.n_iter}, n_burn={self.n_burn}"
             )
-        if self.thin < 1:
-            raise ValidationError(f"thin must be >= 1, got {self.thin}")
-        if self.fixed_sigma_u2 is not None and not (
-            np.isfinite(self.fixed_sigma_u2) and self.fixed_sigma_u2 > 0
-        ):
-            raise ValidationError("fixed_sigma_u2 must be a positive real")
+        if self.fixed_sigma_u2 is not None:
+            s2 = _real("fixed_sigma_u2", self.fixed_sigma_u2, 0)
+            if s2 == 0:
+                raise ValidationError("fixed_sigma_u2 must be a positive real")
+            object.__setattr__(self, "fixed_sigma_u2", s2)
 
 
 @dataclass(frozen=True)
@@ -378,6 +351,8 @@ def gibbs_means(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig) ->
     batched matrix products.  Only a running sum of the retained theta is
     kept, so memory is O(Bm) and no ESS is computed.
     """
+    if len(seeds) == 0:
+        raise ValidationError("at least one chain is required: seeds is empty")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != data.m or Y.shape[0] != len(seeds):
         raise ValidationError(
@@ -386,7 +361,7 @@ def gibbs_means(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig) ->
         )
     if not np.all(np.isfinite(Y)):
         raise ValidationError("responses contain non-finite entries")
-    seeds = [_seed(f"seeds[{b}]", s) for b, s in enumerate(seeds)]
+    seeds = [_integer(f"seeds[{b}]", s, 0) for b, s in enumerate(seeds)]
     total = np.zeros(Y.shape)
     for theta, _, _ in _lockstep(data, Y, seeds, config):
         total += theta

@@ -38,15 +38,15 @@ from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_mse
 from .datasets import CsvSchema, _floats, _read_table, _write_table, load_area_csv
 from .estimators import (
-    _RESIDUAL_TOL,
     ConstraintSet,
+    _residual_bound,
     _SigmaSolver,
     benchmarked_estimate,
     smoothed_estimate,
 )
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
-from .exceptions import NumericalError, ValidationError
+from .exceptions import NumericalError, ValidationError, _integer, _real
 from .fay_herriot import GibbsConfig, gibbs_fit, gibbs_means
 from .selection import CvCurve, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
@@ -157,12 +157,15 @@ class RunConfig:
     bootstrap_gibbs: GibbsConfig = field(default_factory=lambda: GibbsConfig(n_iter=2000, n_burn=500))
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        replicates = _integer("bootstrap_replicates", self.bootstrap_replicates, 0)
+        object.__setattr__(self, "bootstrap_replicates", replicates)
         if (self.gamma is None) == (self.gamma_grid is None):
             raise ValidationError("exactly one of a fixed gamma or a gamma grid must be chosen")
-        if self.gamma is not None and not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValidationError(f"gamma must be a finite nonnegative real, got {self.gamma!r}")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0))
+        if self.benchmark_target is not None:
+            object.__setattr__(self, "benchmark_target", _real("benchmark_target", self.benchmark_target))
         uses_weight = self.schema.benchmark_weight is not None
         uses_matrix = self.benchmark_matrix_csv is not None
         if uses_weight and uses_matrix:
@@ -170,16 +173,14 @@ class RunConfig:
                 "choose one benchmark form: a weight column or a constraint matrix file"
             )
         if uses_weight:
-            if self.benchmark_target is None or not np.isfinite(self.benchmark_target):
-                raise ValidationError("a finite benchmark_target is required with a weight column")
+            if self.benchmark_target is None:
+                raise ValidationError("a benchmark_target is required with a weight column")
         elif self.benchmark_target is not None:
             raise ValidationError("benchmark_target requires benchmark_weight_column")
         if uses_matrix and self.benchmark_targets_csv is None:
             raise ValidationError("benchmark_matrix_csv requires benchmark_targets_csv")
         if self.benchmark_targets_csv is not None and not uses_matrix:
             raise ValidationError("benchmark_targets_csv requires benchmark_matrix_csv")
-        if self.bootstrap_replicates < 0:
-            raise ValidationError("bootstrap_replicates must be >= 0")
         if self.bootstrap_gamma_policy not in GAMMA_POLICIES:
             raise ValidationError(
                 f"bootstrap_gamma_policy must be one of {GAMMA_POLICIES}"
@@ -310,8 +311,7 @@ class EstimateReport:
             if residual is None:
                 raise ValidationError("benchmarked reports must record the constraint residual")
             try:
-                t = np.atleast_1d(np.asarray(bench["target"], dtype=float))
-                bound = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t))))
+                bound = _residual_bound(np.asarray(bench["target"], dtype=float))
             except (TypeError, ValueError):
                 raise ValidationError("metadata key 'benchmark' must hold a numeric 'target'") from None
             if isinstance(residual, bool) or not isinstance(residual, (int, float)) or not residual >= 0:
@@ -451,7 +451,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         gamma = curve.gamma_hat
         metadata["gamma_source"] = "cross-validation"
     else:
-        gamma = float(config.gamma)
+        gamma = config.gamma
         metadata["gamma_source"] = "fixed"
     metadata["gamma"] = gamma
     if stop_after == "cross-validation":

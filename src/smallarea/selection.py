@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem
-from .exceptions import NumericalError, ValidationError
+from .exceptions import NumericalError, ValidationError, _integer, _real, _vector
 
 __all__ = [
     "CvCurve",
@@ -44,9 +44,9 @@ class CvCurve:
     failed_areas: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _vector("grid", self.grid)
         scores = np.asarray(self.scores, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
+        if grid.size == 0:
             raise ValidationError("grid must be a nonempty 1-d array")
         if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
             raise ValidationError("grid must be strictly positive and strictly increasing")
@@ -70,8 +70,9 @@ class CvCurve:
 
 def default_gamma_grid(low: float = 1e-4, high: float = 1e2, num: int = 40) -> np.ndarray:
     """Logarithmic grid of candidate smoothing factors."""
-    if not (0 < low < high) or num < 1:
-        raise ValidationError("need 0 < low < high and num >= 1")
+    low, high, num = _real("low", low), _real("high", high), _integer("num", num, 1)
+    if not 0 < low < high:
+        raise ValidationError(f"need 0 < low < high, got low={low:g}, high={high:g}")
     return np.geomspace(low, high, num)
 
 
@@ -91,8 +92,7 @@ def loo_solution(
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma, constraints)
     if g <= 0:
         raise ValidationError("held-out solves require gamma > 0")
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ValidationError(f"area index must be an integer, got {index!r}")
+    index = _integer("area index", index)
     if not (0 <= index < theta.size):
         raise ValidationError(f"area index {index} out of range [0, {theta.size})")
     try:
@@ -123,10 +123,10 @@ def cross_validate(
     """
     theta, solver, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
     p, m = solver.phi, theta.shape[0]
-    grid = np.unique(np.asarray(grid, dtype=float))
+    grid = np.unique(_vector("gamma grid", grid))
     if grid.size == 0:
         raise ValidationError("gamma grid must be nonempty")
-    if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
+    if np.any(grid <= 0):
         raise ValidationError("gamma grid entries must be positive finite reals")
 
     scores = np.empty(grid.size)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, _integer, _real
 
 __all__ = [
     "SimilaritySpec",
@@ -37,22 +37,16 @@ class SimilaritySpec:
     """
 
     def __init__(self, size: int, entries: Iterable[tuple[int, int, float]]):
-        if not isinstance(size, (int, np.integer)) or size <= 0:
-            raise ValidationError(f"size must be a positive integer, got {size!r}")
-        self._size = int(size)
+        self._size = _integer("size", size, 1)
         pairs: dict[tuple[int, int], float] = {}
         for entry in entries:
             i, j, q = entry
-            if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-                raise ValidationError(f"indices must be integers, got ({i!r}, {j!r})")
-            i, j = int(i), int(j)
+            i, j = _integer("index i", i), _integer("index j", j)
             if not (0 <= i < self._size and 0 <= j < self._size):
                 raise ValidationError(
                     f"index out of range at ({i}, {j}); valid range is [0, {self._size})"
                 )
-            q = float(q)
-            if not np.isfinite(q):
-                raise ValidationError(f"non-finite similarity at ({i}, {j})")
+            q = _real(f"similarity at ({i}, {j})", q)
             if q < 0:
                 raise ValidationError(f"negative similarity at ({i}, {j})")
             if i == j:
@@ -189,7 +183,7 @@ def load_adjacency(
         for lab in (a, b):
             if lab not in index:
                 raise ValidationError(f"unknown label {lab!r} in edge list")
-        w = float(w)
+        w = _real(f"weight on edge {a}-{b}", w)
         if w < 0:
             raise ValidationError(f"negative weight on edge {a}-{b}")
         i, j = index[a], index[b]

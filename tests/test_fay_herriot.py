@@ -375,6 +375,7 @@ class TestLockStep:
             pytest.param(np.zeros((2, 30)), [1], r"expected \(1, 30\)", id="seeds"),
             pytest.param(np.zeros(30), [1], r"expected \(1, 30\)", id="one-dimensional"),
             pytest.param(np.full((1, 30), np.nan), [1], "non-finite", id="non-finite"),
+            pytest.param(np.zeros((0, 30)), [], "at least one chain", id="empty-batch"),
         ],
     )
     def test_bad_responses_rejected(self, Y, seeds, message):

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match=re.escape(message)):
             RunConfig.from_file(cfg)
 
+    def test_file_defaults_match_code_defaults(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("area_csv = a.csv\nedge_list = e.txt\ncovariate_columns = x\ngamma = 0.5\n")
+        from_file = RunConfig.from_file(path)
+        in_code = RunConfig(
+            area_csv=tmp_path / "a.csv",
+            edge_list=tmp_path / "e.txt",
+            schema=CsvSchema(covariates=("x",)),
+            output_dir=tmp_path / "out",
+            gamma=0.5,
+        )
+        for f in fields(RunConfig):
+            assert getattr(from_file, f.name) == getattr(in_code, f.name), f.name
+
 
 class TestRunPipeline:
     def test_gamma_zero_no_benchmark_passes_bayes_through(self, tmp_path):
@@ -386,6 +401,24 @@ class TestRunPipeline:
                 bootstrap_gibbs_burn="50",
             )
             run_pipeline(RunConfig.from_file(cfg))
+            blobs.append({n: (tmp_path / out / n).read_bytes() for n in names})
+        assert blobs[0] == blobs[1]
+
+    def test_numpy_integer_seed_and_replicates_write_the_same_report(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            area,
+            edges,
+            bootstrap_replicates="2",
+            bootstrap_gibbs_iterations="200",
+            bootstrap_gibbs_burn="50",
+        )
+        base = RunConfig.from_file(cfg)
+        names = ("estimates.csv", "bootstrap_mse.csv", "metadata.json")
+        blobs = []
+        for out, seed, reps in (("plain", 3, 2), ("numpy", np.int64(3), np.int64(2))):
+            run_pipeline(replace(base, output_dir=tmp_path / out, seed=seed, bootstrap_replicates=reps))
             blobs.append({n: (tmp_path / out / n).read_bytes() for n in names})
         assert blobs[0] == blobs[1]
 
