@@ -7,14 +7,15 @@ smoothness penalty matrix omega, the smoothed estimator minimizes
 
 and the benchmarked estimator minimizes the same objective subject to
 linear constraints M d = t.  Both have closed forms from one private
-solver, built once for a (phi, omega, constraints): it factors the
-symmetric positive-definite Sigma = Phi + gamma * omega once per gamma,
-rejects an ill-conditioned Sigma as a NumericalError, keeps the last
-gamma's factor for every later solve at that gamma and also gives the
-hat-matrix column behind each held-out fit of ``selection``.  A caller
-that solves many times, such as the pipeline's estimates, cross-validation
-and bootstrap, passes the solver in place of omega; a call with a plain
-omega builds a one-off solver.
+solver, built once for a (phi, omega, constraints): it inverts the
+symmetric positive-definite Sigma = Phi + gamma * omega once per gamma
+with numpy, rejects an indefinite or ill-conditioned Sigma as a
+NumericalError, keeps
+the last gamma's inverse for every later solve at that gamma and also
+gives the hat-matrix column behind each held-out fit of ``selection``.
+A caller that solves many times, such as the pipeline's estimates,
+cross-validation and bootstrap, passes the solver in place of omega; a
+call with a plain omega builds a one-off solver.
 :func:`benchmarked_estimate` is the one constrained estimate: the single
 weighted-mean benchmark and the unit-level (two-tier) benchmark are calls
 to it, and multivariate problems reduce to it through block stacking.
@@ -25,10 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, LinAlgError
-from scipy.linalg.lapack import dpocon
 
-from .exceptions import NumericalError, ValidationError, _integer, _real, _vector
+from .exceptions import NumericalError, ValidationError, _integer, _matrix, _real, _vector
 from .similarity import SmoothnessMatrix
 
 __all__ = [
@@ -107,12 +106,14 @@ class _SigmaSolver:
     (phi, omega, constraints).
 
     Only theta and gamma vary between the solves of a run, so the solver
-    keeps what the last gamma it was asked about needed: the Cholesky
-    factor of Sigma and, from the first constrained solve on,
-    Sigma^{-1} M' and the condition-checked Gram matrix M Sigma^{-1} M', or
-    the NumericalError message either step raised.  Another solve at that
-    gamma costs two triangular solves plus the k x k correction.  A solver
-    lives as long as the caller that built it holds it.
+    keeps what the last gamma it was asked about needed: S = Sigma^{-1},
+    kept when Sigma has a Cholesky factor (so an indefinite omega is
+    rejected) and the exact 1-norm condition number ||Sigma|| ||S|| is at
+    most _CONDITION_LIMIT, and, from the first constrained solve on, S M' and
+    the condition-checked Gram matrix M S M', or the NumericalError
+    message either step raised.  Every solve at that gamma is a product
+    with S plus the k x k correction.  A solver lives as long as the
+    caller that built it holds it.
     """
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
@@ -125,33 +126,33 @@ class _SigmaSolver:
             )
         self.constraints = constraints
         self._gamma = None
-        self._cho = self._gram = None  # factor / (Sigma^{-1} M', Gram), or an error message
+        self._inv = self._gram = None  # S / (S M', Gram), or an error message
 
-    def _factor(self, g: float):
+    def _inverse(self, g: float):
         if g != self._gamma:
-            self._gamma, self._cho, self._gram = g, None, None  # drop the old factor first
-            self._cho = self._cholesky(g)
-        if isinstance(self._cho, str):
-            raise NumericalError(self._cho)
-        return self._cho
+            self._gamma, self._inv, self._gram = g, None, None  # drop the old inverse first
+            self._inv = self._invert(g)
+        if isinstance(self._inv, str):
+            raise NumericalError(self._inv)
+        return self._inv
 
-    def _cholesky(self, g: float):
+    def _invert(self, g: float):
         sigma = g * self.omega
         sigma[np.diag_indices_from(sigma)] += self.phi
         try:
-            cho = cho_factor(sigma, lower=True)
-            norm = np.abs(sigma, out=sigma).sum(axis=0).max()  # sigma is not needed again
-            rcond = dpocon(cho[0], norm, uplo="L")[0]
-        except LinAlgError:  # not positive definite: cannot happen for phi > 0, psd omega
-            rcond = 0.0
-        if not rcond >= 1.0 / _CONDITION_LIMIT:
+            np.linalg.cholesky(sigma)  # rejects a Sigma that is not positive definite
+            inv = np.linalg.inv(sigma)
+            cond = np.linalg.norm(sigma, 1) * np.linalg.norm(inv, 1)
+        except np.linalg.LinAlgError:  # not positive definite, or exactly singular
+            cond = np.inf
+        if not cond <= _CONDITION_LIMIT:
             return f"smoothing system is singular or ill-conditioned at gamma={g:g}"
-        return cho
+        return inv
 
-    def _constrained(self, g: float):
-        cho = self._factor(g)
+    def _constrain(self, values, g: float, t):
+        """``values`` plus the S M' lambda that puts the sum on M d = t."""
         if self._gram is None:
-            sinv_mt = cho_solve(cho, self.constraints.M.T, check_finite=False)
+            sinv_mt = self._inverse(g) @ self.constraints.M.T
             gram = self.constraints.M @ sinv_mt
             gram = 0.5 * (gram + gram.T)
             if np.linalg.cond(gram) <= _CONDITION_LIMIT:
@@ -160,27 +161,21 @@ class _SigmaSolver:
                 self._gram = "degenerate or redundant constraints"
         if isinstance(self._gram, str):
             raise NumericalError(self._gram)
-        return self._gram
+        sinv_mt, gram = self._gram
+        return values + sinv_mt @ np.linalg.solve(gram, t - self.constraints.M @ values)
 
-    def solve(self, theta, g: float, constrained: bool = False, column=None):
+    def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
         M d = t when ``constrained``.  An ill-conditioned Sigma or Gram
-        matrix is a NumericalError.  The fit is linear, d = A theta + c;
-        ``column=i`` returns (d, A e_i), A e_i solved with right-hand side
-        phi_i e_i and target 0."""
-        cho = self._factor(g)
-        p = self.phi
-        rhs = p * theta
-        if column is not None:
-            rhs = np.column_stack((rhs, np.where(np.arange(p.size) == column, p, 0.0)))
-        values = cho_solve(cho, rhs, check_finite=False)  # a factor that passed pocon is finite
-        if constrained:
-            sinv_mt, gram = self._constrained(g)
-            M, t = self.constraints.M, self.constraints.t
-            if column is not None:
-                t = np.column_stack((t, np.zeros_like(t)))
-            values = values + sinv_mt @ np.linalg.solve(gram, t - M @ values)
-        return values if column is None else tuple(values.T)
+        matrix is a NumericalError."""
+        d = self._inverse(g) @ (self.phi * theta)
+        return self._constrain(d, g, self.constraints.t) if constrained else d
+
+    def hat_column(self, i: int, g: float, constrained: bool = False):
+        """Column i of A in the linear fit d = A theta + c: phi_i S e_i,
+        moved onto M a = 0 when ``constrained``."""
+        a = self.phi[i] * self._inverse(g)[:, i]
+        return self._constrain(a, g, 0.0) if constrained else a
 
 
 @dataclass(frozen=True)
@@ -204,9 +199,7 @@ class ConstraintSet:
     t: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        if M.ndim != 2:
-            raise ValidationError(f"constraint matrix must be 2-d, got shape {M.shape}")
+        M = _matrix("M", self.M)
         k, m = M.shape
         if k < 1:
             raise ValidationError("at least one constraint row is required")
@@ -214,8 +207,6 @@ class ConstraintSet:
             raise ValidationError(
                 f"{k} constraints on {m} parameters cannot have full row rank"
             )
-        if not np.all(np.isfinite(M)):
-            raise ValidationError("constraint matrix contains non-finite entries")
         t = _vector("t", self.t, k)
         s = np.linalg.svd(M, compute_uv=False)
         if s[-1] <= s[0] * 1e-12 or s[0] == 0.0:
@@ -307,6 +298,15 @@ class StackedProblem:
     theta_bayes: np.ndarray
     phi: np.ndarray
     omega: np.ndarray
+
+
+def _block_diag(*blocks) -> np.ndarray:
+    """Square blocks laid along the diagonal of a zero matrix."""
+    out, at = np.zeros((sum(map(len, blocks)),) * 2), 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def _objective(d, theta, solver: _SigmaSolver, g) -> float:
@@ -422,11 +422,7 @@ def unit_level_benchmarked(
     w_u = _omega_matrix(omega_unit, n)
     eta = _vector("eta", eta, m)
     t_area = _real("t_area", t_area)
-    weights = np.asarray(unit_weights, dtype=float)
-    if weights.shape != (m, n):
-        raise ValidationError(f"unit_weights has shape {weights.shape}, expected ({m}, {n})")
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError("unit_weights contains non-finite entries")
+    weights = _matrix("unit_weights", unit_weights, (m, n))
     _check_block_sparsity(layout, weights)
 
     M = np.zeros((m + 1, m + n))
@@ -440,7 +436,7 @@ def unit_level_benchmarked(
     theta_stack = np.concatenate((theta_a, theta_u))
     # Sigma and the effective penalty are block-diagonal with each tier's
     # own gamma already folded in; the stacked solve then uses gamma = 1.
-    omega_eff = block_diag(layout.gamma_area * w_a, layout.gamma_unit * w_u)
+    omega_eff = _block_diag(layout.gamma_area * w_a, layout.gamma_unit * w_u)
     return benchmarked_estimate(theta_stack, phi_stack, omega_eff, 1.0, constraints)
 
 
@@ -472,5 +468,5 @@ def stack_multivariate(per_component) -> StackedProblem:
     return StackedProblem(
         theta_bayes=np.concatenate(thetas),
         phi=np.concatenate(phis),
-        omega=block_diag(*omegas),
+        omega=_block_diag(*omegas),
     )

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the three value checks
-every config and public entry point runs its numbers through.
+"""Exception types shared across the package, and the value checks every
+config and public entry point runs its numbers through.
 
 The CLI maps ValidationError to exit code 2 and NumericalError to exit
 code 3; everything else is a bug and propagates.
@@ -44,21 +44,42 @@ def _real(name: str, value, minimum: float | None = None) -> float:
     return x
 
 
+def _reals(name: str, value, ndim: int) -> np.ndarray:
+    """``value`` as an ``ndim``-dimensional float64 array, not yet checked
+    for finiteness.  Bools, strings and other non-numbers are a
+    ValidationError naming ``name``."""
+    kind, dims = ("vector", "one") if ndim == 1 else ("matrix", "two")
+    try:
+        v = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{name} must be a {kind} of real numbers") from None
+    if v.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be a {kind} of real numbers, got dtype {v.dtype}")
+    v = v.astype(float, copy=False)
+    if v.ndim != ndim:
+        raise ValidationError(f"{name} must be {dims}-dimensional, got shape {v.shape}")
+    return v
+
+
 def _vector(name: str, value, size: int | None = None) -> np.ndarray:
     """``value`` as a finite 1-d float64 array, of length ``size`` when
     given.  Bools, strings and other non-numbers are a ValidationError
     naming ``name``."""
-    try:
-        v = np.asarray(value)
-    except ValueError:  # ragged nesting
-        raise ValidationError(f"{name} must be a vector of real numbers") from None
-    if v.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} must be a vector of real numbers, got dtype {v.dtype}")
-    v = v.astype(float, copy=False)
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {v.shape}")
+    v = _reals(name, value, 1)
     if size is not None and v.shape[0] != size:
         raise ValidationError(f"{name} has length {v.shape[0]}, expected {size}")
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} contains non-finite entries")
     return v
+
+
+def _matrix(name: str, value, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """``value`` as a finite 2-d float64 array, of ``shape`` when given.
+    Bools, strings and other non-numbers are a ValidationError naming
+    ``name``."""
+    a = _reals(name, value, 2)
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return a

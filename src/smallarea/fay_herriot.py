@@ -27,9 +27,8 @@ no gamma stream.  The loop fills each stream several iterations per call,
 but the block length is not part of the contract: numpy fills a buffer in
 order, so a block holds exactly the draws of the per-iteration calls.  A
 chain therefore makes the same draws alone or inside a batch; only the
-rounding of the batched matrix products differs.  The loop calls no scipy
-routine, and the per-area effective sample size is computed when first
-read.
+rounding of the batched matrix products differs.  The per-area effective
+sample size is computed when first read.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ValidationError, _integer, _real, _vector
+from .exceptions import ValidationError, _integer, _matrix, _real, _vector
 
 __all__ = [
     "AreaDataset",
@@ -88,11 +87,9 @@ class AreaDataset:
         if np.any(D < 0):
             i = int(np.argmin(D))
             raise ValidationError(f"negative sampling variance D at area {labels[i]!r}")
-        cov = np.asarray(self.covariates, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != m:
+        cov = _matrix("covariates", self.covariates)
+        if cov.shape[0] != m:
             raise ValidationError(f"covariates have shape {cov.shape}, expected ({m}, q)")
-        if not np.all(np.isfinite(cov)):
-            raise ValidationError("covariates contain non-finite entries")
         names = tuple(str(s) for s in self.covariate_names)
         if len(names) != cov.shape[1]:
             raise ValidationError(

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_mse
@@ -48,7 +47,7 @@ from .estimators import (
 from .estimators import benchmarked_estimate_single  # noqa: F401
 from .exceptions import NumericalError, ValidationError, _integer, _real
 from .fay_herriot import GibbsConfig, gibbs_fit, gibbs_means
-from .selection import CvCurve, cross_validate, default_gamma_grid
+from .selection import CvCurve, _grid, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
 
 __all__ = [
@@ -164,6 +163,8 @@ class RunConfig:
             raise ValidationError("exactly one of a fixed gamma or a gamma grid must be chosen")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0))
+        else:
+            object.__setattr__(self, "gamma_grid", _grid("gamma_grid", self.gamma_grid))
         if self.benchmark_target is not None:
             object.__setattr__(self, "benchmark_target", _real("benchmark_target", self.benchmark_target))
         uses_weight = self.schema.benchmark_weight is not None
@@ -400,7 +401,6 @@ def _base_metadata(config: RunConfig) -> dict:
     return {
         "smallarea_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "seed": config.seed,
         "gibbs": _gibbs_metadata(config.gibbs),
     }
@@ -426,7 +426,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     with _stage("load"):
         data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
         # every estimator call of the run, bootstrap included, solves with
-        # this one (phi, omega, constraints) and reuses the last gamma's factor
+        # this one (phi, omega, constraints) and reuses the last gamma's inverse
         solver = _SigmaSolver(phi, omega, constraints)
 
     with _stage("gibbs"):

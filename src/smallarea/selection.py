@@ -5,8 +5,8 @@ while keeping the full penalty and any benchmark constraints, so the
 held-out coordinate is predicted by smoothness and constraints alone.
 Held-out fits come from the full fit: the exact leave-one-out identity
 for linear smoothers turns the full fit and one column of its hat matrix,
-both from the estimators' factor of Sigma at that gamma, into the held-out
-fit.  One grid point factors Sigma once for all of its held-out fits.
+both from the estimators' inverse of Sigma at that gamma, into the held-out
+fit.  One grid point inverts Sigma once for all of its held-out fits.
 The score of a grid point is the weighted mean squared gap between those
 predictions and the Bayes estimates; the selected gamma minimizes it,
 with ties broken toward the smallest value.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem
-from .exceptions import NumericalError, ValidationError, _integer, _real, _vector
+from .exceptions import NumericalError, ValidationError, _integer, _real, _reals, _vector
 
 __all__ = [
     "CvCurve",
@@ -28,6 +28,14 @@ __all__ = [
     "default_gamma_grid",
     "loo_solution",
 ]
+
+
+def _grid(name: str, value) -> np.ndarray:
+    """``value`` as a float64 vector of positive finite gammas, nonempty."""
+    grid = _vector(name, value)
+    if grid.size == 0 or np.any(grid <= 0):
+        raise ValidationError(f"{name} must be a nonempty vector of positive finite reals")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,10 @@ class CvCurve:
     failed_areas: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        grid = _vector("grid", self.grid)
-        scores = np.asarray(self.scores, dtype=float)
-        if grid.size == 0:
-            raise ValidationError("grid must be a nonempty 1-d array")
-        if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValidationError("grid must be strictly positive and strictly increasing")
+        grid = _grid("grid", self.grid)
+        scores = _reals("scores", self.scores, 1)  # +inf marks a failed grid point
+        if np.any(np.diff(grid) <= 0):
+            raise ValidationError("grid must be strictly increasing")
         if scores.shape != grid.shape:
             raise ValidationError("scores must align with the grid")
         if np.any(np.isnan(scores)):
@@ -95,8 +101,9 @@ def loo_solution(
     index = _integer("area index", index)
     if not (0 <= index < theta.size):
         raise ValidationError(f"area index {index} out of range [0, {theta.size})")
+    constrained = constraints is not None
     try:
-        d, a = solver.solve(theta, g, constraints is not None, column=index)
+        d, a = solver.solve(theta, g, constrained), solver.hat_column(index, g, constrained)
         gap = 1.0 - a[index]
     except NumericalError:
         gap = 0.0
@@ -118,16 +125,12 @@ def cross_validate(
     the search fails with a NumericalError that names the areas that
     failed at every point and holds their indices in its ``areas``
     attribute.  ``omega`` may be the estimators' Sigma solver, so that the
-    grid's factors serve the caller's later solves too; each grid point
-    factors Sigma once for all of its held-out fits.
+    grid's inverses serve the caller's later solves too; each grid point
+    inverts Sigma once for all of its held-out fits.
     """
     theta, solver, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
     p, m = solver.phi, theta.shape[0]
-    grid = np.unique(_vector("gamma grid", grid))
-    if grid.size == 0:
-        raise ValidationError("gamma grid must be nonempty")
-    if np.any(grid <= 0):
-        raise ValidationError("gamma grid entries must be positive finite reals")
+    grid = np.unique(_grid("gamma grid", grid))
 
     scores = np.empty(grid.size)
     failures: list[tuple[int, ...]] = []

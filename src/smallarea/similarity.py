@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError, _integer, _real
+from .exceptions import ValidationError, _integer, _matrix, _real
 
 __all__ = [
     "SimilaritySpec",
@@ -60,8 +60,8 @@ class SimilaritySpec:
     @classmethod
     def from_matrix(cls, q: np.ndarray) -> "SimilaritySpec":
         """Build a spec from a dense square matrix, validating symmetry."""
-        arr = np.asarray(q, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = _matrix("similarity matrix", q)
+        if arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"similarity matrix must be square, got shape {arr.shape}")
         m = arr.shape[0]
         asym = np.argwhere(np.triu(arr != arr.T, k=1))
@@ -101,11 +101,9 @@ class SmoothnessMatrix:
     omega: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.omega, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = _matrix("omega", self.omega)
+        if arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"penalty matrix must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("penalty matrix contains non-finite entries")
         if not np.array_equal(arr, arr.T):
             raise ValidationError("penalty matrix must be symmetric")
         object.__setattr__(self, "omega", arr)

@@ -231,18 +231,18 @@ def per_replicate(estimate):
 
 
 def count_factorizations(monkeypatch):
-    """Record every Cholesky factorization the estimators make: returns the
-    list that each ``smallarea.estimators.cho_factor`` call appends to."""
-    import smallarea.estimators
+    """Record every inversion of Sigma the estimators make: returns the
+    list that each ``_SigmaSolver._invert`` call appends Sigma's shape to."""
+    from smallarea.estimators import _SigmaSolver
 
-    real = smallarea.estimators.cho_factor
+    real = _SigmaSolver._invert
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counted(self, g):
+        calls.append(self.omega.shape)
+        return real(self, g)
 
-    monkeypatch.setattr(smallarea.estimators, "cho_factor", counted)
+    monkeypatch.setattr(_SigmaSolver, "_invert", counted)
     return calls
 
 

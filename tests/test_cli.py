@@ -118,17 +118,30 @@ class TestPlotData:
         assert main(["plot-data", "--config", str(cfg), "--kind", "mse_by_area"]) == 2
 
 
+def _child_env():
+    # the child process imports the same package as this test
+    src = str(Path(smallarea.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, smallarea, smallarea.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_entry_point(workspace):
     tmp_path, _, area, edges = workspace
     cfg = write_config(tmp_path, area, edges)
-    # the child process imports the same package as this test
-    src = str(Path(smallarea.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "smallarea.cli", "estimate", "--config", str(cfg)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "estimates.csv" in proc.stdout

@@ -256,6 +256,16 @@ class TestOptimality:
         with pytest.raises(NumericalError, match="held-out area 0 is unidentified at gamma=1e\\+15"):
             loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1e15, 0)
 
+    def test_indefinite_sigma_is_numerical_error(self):
+        # a symmetric but indefinite omega makes Sigma = [[0, 1], [1, 0]],
+        # well conditioned but indefinite: its stationary point [3, 1] is a
+        # saddle, not a minimizer, so the solve refuses it
+        omega = -0.5 * TOY_OMEGA
+        with pytest.raises(NumericalError, match="ill-conditioned at gamma=1"):
+            smoothed_estimate(TOY_THETA, TOY_PHI, omega, 1.0)
+        with pytest.raises(NumericalError, match="ill-conditioned at gamma=1"):
+            benchmarked_estimate(TOY_THETA, TOY_PHI, omega, 1.0, ConstraintSet([[0.5, 0.5]], [2.0]))
+
     def test_roughness_non_increasing_in_gamma(self):
         rng = np.random.default_rng(23)
         for _ in range(20):

@@ -8,18 +8,22 @@ import numpy as np
 import pytest
 
 from smallarea import (
+    AreaDataset,
     BootstrapConfig,
+    ConstraintSet,
     CsvSchema,
     CvCurve,
     GibbsConfig,
     RunConfig,
     SimilaritySpec,
+    SmoothnessMatrix,
     UnitLevelLayout,
     ValidationError,
     default_gamma_grid,
     smoothed_estimate,
+    unit_level_benchmarked,
 )
-from smallarea.exceptions import _integer, _real, _vector
+from smallarea.exceptions import _integer, _matrix, _real, _vector
 
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
 TOY_PHI = np.ones(2)
@@ -87,6 +91,21 @@ class TestCheckers:
         with pytest.raises(ValidationError, match=re.escape(message)):
             _vector("v", value, 2)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([["a", "b"]], "a must be a matrix of real numbers"),
+            ([[True, False]], "a must be a matrix of real numbers"),
+            ([[1.0], [2.0, 3.0]], "a must be a matrix of real numbers"),
+            ([1.0, 2.0], "a must be two-dimensional, got shape (2,)"),
+            (np.ones((2, 1)), "a has shape (2, 1), expected (1, 2)"),
+            ([[1.0, np.nan]], "a contains non-finite entries"),
+        ],
+    )
+    def test_matrix_rejects(self, value, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            _matrix("a", value, (1, 2))
+
 
 def _run_config(**overrides) -> RunConfig:
     fields = {
@@ -140,3 +159,59 @@ def _layout(**overrides) -> UnitLevelLayout:
 def test_bad_value_is_a_validation_error_naming_the_field(build, field):
     with pytest.raises(ValidationError, match=re.escape(field)):
         build()
+
+
+def _unit_weights(weights):
+    return unit_level_benchmarked(
+        _layout(), [1.0, 2.0], [1.0, 2.0, 3.0], TOY_OMEGA, np.zeros((3, 3)), [0.5, 0.5], 1.0, weights
+    )
+
+
+TEXT = [["a", "b"], ["c", "d"]]
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda: SmoothnessMatrix(TEXT), "omega", id="penalty-text"),
+        pytest.param(lambda: SmoothnessMatrix([[True, False], [False, True]]), "omega", id="penalty-bool"),
+        pytest.param(lambda: SmoothnessMatrix([[1.0, np.inf], [np.inf, 1.0]]), "omega", id="penalty-inf"),
+        pytest.param(lambda: SimilaritySpec.from_matrix(TEXT), "similarity matrix", id="similarity-text"),
+        pytest.param(lambda: ConstraintSet([["a", "b"]], [1.0]), "M must be a matrix", id="constraints-text"),
+        pytest.param(lambda: ConstraintSet([1.0, 1.0], [1.0]), "M must be two-dimensional", id="constraints-1d"),
+        pytest.param(lambda: ConstraintSet([[1.0, np.nan]], [1.0]), "M contains", id="constraints-nan"),
+        pytest.param(
+            lambda: AreaDataset(("a", "b"), [1.0, 2.0], [1.0, 1.0], [["x"], ["y"]], ("x",)),
+            "covariates",
+            id="covariates-text",
+        ),
+        pytest.param(
+            lambda: AreaDataset(("a", "b"), [1.0, 2.0], [1.0, 1.0], [[1.0], [np.inf]], ("x",)),
+            "covariates",
+            id="covariates-inf",
+        ),
+        pytest.param(lambda: _unit_weights([["a", "b", "c"], ["d", "e", "f"]]), "unit_weights", id="unit-weights-text"),
+        pytest.param(lambda: _unit_weights(np.ones((2, 2))), "unit_weights", id="unit-weights-shape"),
+        pytest.param(lambda: CvCurve([0.5, 1.0], ["a", "b"], 0.5), "scores", id="curve-scores-text"),
+        pytest.param(lambda: CvCurve([0.5, 1.0], [[1.0, 2.0]], 0.5), "scores", id="curve-scores-2d"),
+    ],
+)
+def test_bad_matrix_is_a_validation_error_naming_the_field(build, field):
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        build()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(np.array([0.1, -1.0]), id="negative"),
+        pytest.param(np.array([0.0, 1.0]), id="zero"),
+        pytest.param(np.array([]), id="empty"),
+        pytest.param(np.array([0.1, np.inf]), id="inf"),
+        pytest.param(["a", "b"], id="text"),
+        pytest.param(np.ones((2, 2)), id="2d"),
+    ],
+)
+def test_bad_gamma_grid_is_rejected_at_construction(grid):
+    with pytest.raises(ValidationError, match="gamma_grid"):
+        _run_config(gamma=None, gamma_grid=grid)

@@ -166,8 +166,15 @@ def test_held_out_failure_rule(problem):
 )
 def test_held_out_fits_match_reference_solve(problem):
     # Holding out each area in turn, the full-fit identity and the bordered
-    # reference solve fail on the same areas and agree on every other fit.
+    # reference solve fail on the same areas and agree on every other fit;
+    # the full-fit estimates agree with the bordered solve too.
     theta, phi, omega, gamma, _, constraints = problem
+    fits = [(smoothed_estimate(theta, phi, omega, gamma), None, None)]
+    if constraints is not None:
+        fits.append((benchmarked_estimate(theta, phi, omega, gamma, constraints), constraints.M, constraints.t))
+    for fit, M, t in fits:
+        want = kkt_solve(theta, phi, omega, gamma, M, t)
+        assert np.max(np.abs(fit.values - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
     for i in range(len(theta)):
         try:
             want = reference_loo_solution(theta, phi, omega, gamma, i, constraints)
