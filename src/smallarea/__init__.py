@@ -33,7 +33,7 @@ from .estimators import (
     unit_level_benchmarked,
     unit_level_smoothed,
 )
-from .fay_herriot import AreaDataset, GibbsConfig, PosteriorSummary, gibbs_fit, gibbs_means, posterior_mean
+from .fay_herriot import AreaDataset, GibbsConfig, PosteriorSummary, exact_means, gibbs_fit, posterior_mean
 from .selection import CvCurve, cross_validate, cross_validate_unit, default_gamma_grid, loo_solution
 from .bootstrap import (
     BootstrapConfig,
@@ -75,8 +75,8 @@ __all__ = [
     "cross_validate_unit",
     "default_gamma_grid",
     "emit_plot_data",
+    "exact_means",
     "gibbs_fit",
-    "gibbs_means",
     "load_adjacency",
     "load_area_csv",
     "loo_solution",

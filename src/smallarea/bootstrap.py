@@ -9,9 +9,9 @@ generating values give the per-area MSE.
 
 The pipeline is a batch callback: it receives every replicate at once,
 the (B, m) synthetic responses and the B chain seeds, and returns the
-(B, m) replicate estimates, so that the replicate chains can run in lock
-step (see :func:`smallarea.fay_herriot.gibbs_means`).  A row with any
-non-finite value is a failed replicate; a batch that raises
+(B, m) replicate estimates, so that one call can compute every
+replicate's posterior mean (see :func:`smallarea.fay_herriot.exact_means`).
+A row with any non-finite value is a failed replicate; a batch that raises
 ValidationError or NumericalError fails every replicate.
 
 RNG stream contract (all replicates are independently seeded, so a
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import NumericalError, ValidationError, _integer, _vector
+from .exceptions import NumericalError, ValidationError, _integer, _reals, _vector
 from .fay_herriot import AreaDataset
 
 __all__ = [
@@ -73,13 +73,9 @@ class BootstrapReport:
     failed: tuple[int, ...] = ()
 
     def __post_init__(self):
-        mse = np.asarray(self.mse, dtype=float)
-        bias = np.asarray(self.bias, dtype=float)
-        reps = np.asarray(self.replicates, dtype=float)
-        if reps.ndim != 2:
-            raise ValidationError("replicates must be a (B, m) matrix")
-        if mse.shape != (reps.shape[1],) or bias.shape != (reps.shape[1],):
-            raise ValidationError("mse and bias must have one entry per area")
+        reps = _reals("replicates", self.replicates, 2)  # failed replicates are NaN rows
+        mse = _vector("mse", self.mse, reps.shape[1])
+        bias = _vector("bias", self.bias, reps.shape[1])
         if np.any(mse < 0):
             raise ValidationError("MSE entries must be nonnegative")
         ok = np.ones(reps.shape[0], dtype=bool)

@@ -1,4 +1,4 @@
-"""Gibbs sampler for the two-level normal area model.
+"""Gibbs sampler and exact posterior means for the two-level normal area model.
 
 The model:  y_i | t_i ~ N(t_i, D_i) with known sampling variance D_i, and
 t_i | beta ~ N(x_i' beta, s2) with a flat prior on (s2, beta).  All three
@@ -11,23 +11,22 @@ full conditionals are conjugate:
   * s2   | rest  is inverse-gamma with shape m/2 - 1 and scale half the
     residual sum of squares, which is proper only when m > p + 2.
 
-One sampler core advances B chains in lock step, with theta (B, m),
-beta (B, p) and the model variance (B,): :func:`gibbs_fit` is its B = 1
-case and keeps the draws, and :func:`gibbs_means` runs a batch (the
-bootstrap replicates) keeping only a running sum of the retained theta.
+The chain (:func:`gibbs_fit`) gives the pipeline's theta_bayes, its draws
+and their ESS.  :func:`exact_means` computes the same posterior mean
+exactly, by one-dimensional quadrature over s2, for any number of response
+vectors at once: the bootstrap replicates' Bayes step, and the Monte Carlo
+error check of the chain.
 
-RNG stream contract: each chain is strictly sequential and reproducible
-from its own seed, and draws from two counter-based streams.  Chain b's
-``Philox(seed_b)`` gives one ``standard_normal(m + p)`` per iteration:
-theta's m normals, then beta's p.  When the variance is sampled,
-``Philox(seed_b).jumped()``, a disjoint stream 2^128 draws ahead, gives
-one ``standard_gamma(m/2 - 1)`` per iteration, drawn whether or not that
-iteration's residual sum of squares is positive; a fixed variance creates
-no gamma stream.  The loop fills each stream several iterations per call,
-but the block length is not part of the contract: numpy fills a buffer in
-order, so a block holds exactly the draws of the per-iteration calls.  A
-chain therefore makes the same draws alone or inside a batch; only the
-rounding of the batched matrix products differs.  The per-area effective
+RNG stream contract: the chain is strictly sequential and reproducible
+from its seed, and draws from two counter-based streams.  ``Philox(seed)``
+gives one ``standard_normal(m + p)`` per iteration: theta's m normals, then
+beta's p.  When the variance is sampled, ``Philox(seed).jumped()``, a
+disjoint stream 2^128 draws ahead, gives one ``standard_gamma(m/2 - 1)``
+per iteration, drawn whether or not that iteration's residual sum of
+squares is positive; a fixed variance creates no gamma stream.  The loop
+fills each stream several iterations per call, but the block length is
+not part of the contract: numpy fills a buffer in order, so a block holds
+exactly the draws of the per-iteration calls.  The per-area effective
 sample size is computed when first read.
 """
 
@@ -44,14 +43,18 @@ __all__ = [
     "AreaDataset",
     "GibbsConfig",
     "PosteriorSummary",
+    "exact_means",
     "gibbs_fit",
-    "gibbs_means",
     "posterior_mean",
 ]
 
 _SIGMA2_FLOOR = 1e-12
 _SIGMA2_MAX = float(np.finfo(float).max)
 _BLOCK_DRAWS = 2**16  # normals buffered per block across all chains: 512 KiB
+_COARSE_NODES = 48  # nodes of exact_means's bracketing pass
+_FINE_NODES = 200  # trapezoid nodes over each row's window
+_LOG_WEIGHT_CUT = 38.0  # nodes this far below the largest log weight (e^-38) are dropped
+_CHUNK_DOUBLES = 2**15  # largest (rows x nodes x m) temporary of exact_means: 256 KiB
 
 
 @dataclass(frozen=True)
@@ -220,92 +223,12 @@ def _effective_sample_size(draws: np.ndarray) -> np.ndarray:
     return ess
 
 
-def _lockstep(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig):
-    """Run one chain per row of ``Y`` in lock step; yield ``(theta, beta,
-    sigma2)``, shaped (B, m), (B, p) and (B,), at each retained iteration.
-
-    Row b is the chain on responses ``Y[b]`` with its own two streams (see
-    the module docstring).  Every K iterations each chain refills its rows
-    of a (B, K, m + p) normal block and a (B, K) gamma block with one call
-    per stream, so the loop makes at most 2B generator calls per K
-    iterations.  K bounds the normal block at ``_BLOCK_DRAWS`` doubles and
-    the last block is shorter; since numpy fills in order, K changes no
-    draw.  The yielded arrays are overwritten by the next step, so a caller
-    that keeps them copies them.
-    """
-    X = data.X
-    m, p = X.shape
+def _check_propriety(m: int, p: int) -> None:
     if m <= p + 2:
         raise ValidationError(
             "insufficient areas for flat-prior posterior propriety "
             f"(m={m} must exceed p+2={p + 2})"
         )
-    D = data.D
-    B = len(seeds)
-    sampled = config.fixed_sigma_u2 is None
-    # two disjoint streams per chain: the normals, and (2^128 draws ahead) the gammas
-    normal_fills = [np.random.Generator(np.random.Philox(s)).standard_normal for s in seeds]
-    gamma_fills = [
-        np.random.Generator(np.random.Philox(s).jumped()).standard_gamma for s in seeds if sampled
-    ]
-
-    # beta | rest = P theta + sqrt(s2) R z: P = (X'X)^{-1} X', R = L^{-T}, X'X = LL';
-    # chains are rows here, so the loop multiplies by the transposes P' and R'
-    xtx = X.T @ X
-    Pt = np.linalg.solve(xtx, X.T).T
-    Rt = np.linalg.inv(np.linalg.cholesky(xtx))
-
-    beta = Y @ Pt
-    if sampled:
-        sigma2 = np.maximum(1e-6, np.mean((Y - beta @ X.T) ** 2, axis=1) - np.mean(D))
-    else:
-        sigma2 = np.full(B, float(config.fixed_sigma_u2))
-
-    # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
-    observed = D > 0
-    cols = slice(0, m) if np.all(observed) else np.flatnonzero(observed)
-    theta = Y.copy()
-    Xt = np.ascontiguousarray(X.T)
-    Xt_obs = X[cols].T
-    inv_D = 1.0 / D[cols]
-    y_over_D = Y[:, cols] / D[cols]
-    # noise[b, k] is chain b's standard_normal(m + p) of the block's k-th
-    # iteration (normal(m), then normal(p)) and gam[b, k] its standard_gamma
-    K = max(1, min(config.n_iter, _BLOCK_DRAWS // (B * (m + p))))
-    noise = np.empty((B, K, m + p))
-    gam = np.empty((B, K))
-    shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
-
-    for it in range(config.n_iter):
-        k = it % K
-        if k == 0:
-            n = min(K, config.n_iter - it)
-            for fill, block in zip(normal_fills, noise):
-                fill(out=block[:n])
-            for fill, row in zip(gamma_fills, gam):
-                fill(shape, out=row[:n])
-        z = noise[:, k]
-        prec = inv_D + (1.0 / sigma2)[:, None]
-        mean = (y_over_D + (beta @ Xt_obs) / sigma2[:, None]) / prec
-        theta[:, cols] = mean + z[:, cols] / np.sqrt(prec)
-
-        beta = theta @ Pt + np.sqrt(sigma2)[:, None] * (z[:, m:] @ Rt)
-
-        if sampled:
-            resid = theta - beta @ Xt
-            ssr = (resid * resid).sum(axis=1)
-            # s2 = 1 / gamma(shape, scale 2/ssr), scaled as numpy's gamma scales;
-            # a row with degenerate residuals gets 1/inf = 0, floored below
-            with np.errstate(divide="ignore", over="ignore"):
-                sigma2 = 1.0 / ((2.0 / ssr) * gam[:, k])
-            sigma2 = np.minimum(np.maximum(sigma2, _SIGMA2_FLOOR), _SIGMA2_MAX)
-
-        if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
-            yield theta, beta, sigma2
-
-
-def _n_keep(config: GibbsConfig) -> int:
-    return (config.n_iter - config.n_burn + config.thin - 1) // config.thin
 
 
 def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
@@ -315,18 +238,79 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     the model variance from its method-of-moments estimate (floored at
     1e-6), and theta from y.  Each iteration updates theta, then beta,
     then the model variance; iterations past the burn-in are retained at
-    the thinning stride.
+    the thinning stride.  Every K iterations the chain refills a (K, m + p)
+    normal block and a K-long gamma block with one call per stream (see
+    the module docstring); K bounds the normal block at ``_BLOCK_DRAWS``
+    doubles and the last block is shorter.
 
     Raises ValidationError when m <= p + 2, where the flat prior does not
     yield a proper variance conditional.
     """
-    n_keep = _n_keep(config)
-    theta_draws = np.empty((n_keep, data.m))
-    beta_draws = np.empty((n_keep, data.X.shape[1]))
+    X, y, D = data.X, data.y, data.D
+    m, p = X.shape
+    _check_propriety(m, p)
+    sampled = config.fixed_sigma_u2 is None
+    # two disjoint streams: the normals, and (2^128 draws ahead) the gammas
+    normals = np.random.Generator(np.random.Philox(config.seed)).standard_normal
+    gammas = np.random.Generator(np.random.Philox(config.seed).jumped()).standard_gamma
+
+    # beta | rest = P theta + sqrt(s2) R z: P = (X'X)^{-1} X', R = L^{-T}, X'X = LL';
+    # theta and z are row vectors here, so the loop multiplies by P' and R'
+    xtx = X.T @ X
+    Pt = np.linalg.solve(xtx, X.T).T
+    Rt = np.linalg.inv(np.linalg.cholesky(xtx))
+
+    beta = y @ Pt
+    if sampled:
+        sigma2 = np.maximum(1e-6, np.mean((y - beta @ X.T) ** 2) - np.mean(D))
+    else:
+        sigma2 = np.float64(config.fixed_sigma_u2)
+
+    # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
+    observed = D > 0
+    cols = slice(0, m) if np.all(observed) else np.flatnonzero(observed)
+    theta = y.copy()
+    Xt = np.ascontiguousarray(X.T)
+    Xt_obs = X[cols].T
+    inv_D = 1.0 / D[cols]
+    y_over_D = y[cols] / D[cols]
+    # noise[k] is the block's k-th standard_normal(m + p) (normal(m), then
+    # normal(p)) and gam[k] its standard_gamma
+    K = max(1, min(config.n_iter, _BLOCK_DRAWS // (m + p)))
+    noise = np.empty((K, m + p))
+    gam = np.empty(K)
+    shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
+
+    n_keep = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
+    theta_draws = np.empty((n_keep, m))
+    beta_draws = np.empty((n_keep, p))
     sigma2_draws = np.empty(n_keep)
-    chain = _lockstep(data, data.y[np.newaxis, :], [config.seed], config)
-    for k, (theta, beta, sigma2) in enumerate(chain):
-        theta_draws[k], beta_draws[k], sigma2_draws[k] = theta[0], beta[0], sigma2[0]
+    for it in range(config.n_iter):
+        k = it % K
+        if k == 0:
+            n = min(K, config.n_iter - it)
+            normals(out=noise[:n])
+            if sampled:
+                gammas(shape, out=gam[:n])
+        z = noise[k]
+        prec = inv_D + 1.0 / sigma2
+        mean = (y_over_D + (beta @ Xt_obs) / sigma2) / prec
+        theta[cols] = mean + z[cols] / np.sqrt(prec)
+
+        beta = theta @ Pt + np.sqrt(sigma2) * (z[m:] @ Rt)
+
+        if sampled:
+            resid = theta - beta @ Xt
+            ssr = (resid * resid).sum()
+            # s2 = 1 / gamma(shape, scale 2/ssr), scaled as numpy's gamma scales;
+            # degenerate residuals give 1/inf = 0, floored below
+            with np.errstate(divide="ignore", over="ignore"):
+                sigma2 = 1.0 / ((2.0 / ssr) * gam[k])
+            sigma2 = np.minimum(np.maximum(sigma2, _SIGMA2_FLOOR), _SIGMA2_MAX)
+
+        if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
+            j = (it - config.n_burn) // config.thin
+            theta_draws[j], beta_draws[j], sigma2_draws[j] = theta, beta, sigma2
 
     return PosteriorSummary(
         theta_bayes=posterior_mean(theta_draws),
@@ -339,27 +323,132 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     )
 
 
-def gibbs_means(data: AreaDataset, Y: np.ndarray, seeds, config: GibbsConfig) -> np.ndarray:
-    """Posterior means of theta for B chains run in lock step, as a (B, m) array.
+def _node_terms(X, XX, D, Y, T):
+    """Log posterior weight in t = log s2 of each node ``T`` (R, n) of rows
+    ``Y`` (R, m), and ``V^{-1}(y - X beta_hat)`` at each node, (R, n, m)."""
+    R, n = T.shape
+    m, p = X.shape
+    # log|V|, then V^{-1} in V's buffer: buffers are reused so that the
+    # chunk's peak is two (R, n, m) arrays and one transient
+    v = np.exp(T)[:, :, None] + D
+    log_det = np.log(v).sum(axis=-1)
+    w = np.reciprocal(v, out=v)
+    # X'V^{-1}X and X'V^{-1}y for every (row, node): one GEMM each; the
+    # unit-diagonal rescaling S A S, S = diag(A)^{-1/2}, is factored for
+    # the determinant and solved for beta_hat
+    A = (w.reshape(R * n, m) @ XX).reshape(R, n, p, p)
+    b = ((w * Y[:, None, :]).reshape(R * n, m) @ X).reshape(R, n, p, 1)
+    S = 1.0 / np.sqrt(np.diagonal(A, axis1=-2, axis2=-1))[..., None]
+    A *= S * S.swapaxes(-1, -2)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:  # numerically singular: the chunk's rows come out NaN
+        return np.full(T.shape, np.nan), np.full((R, n, m), np.nan)
+    beta = S * np.linalg.solve(A, S * b)
+    wr = beta[..., 0] @ X.T
+    np.subtract(Y[:, None, :], wr, out=wr)
+    quad_form = np.einsum("rnm,rnm,rnm->rn", wr, wr, w)
+    wr *= w
+    log_det += 2.0 * (np.log(np.diagonal(L, axis1=-2, axis2=-1)) - np.log(S[..., 0])).sum(axis=-1)
+    # the node's Jacobian ds2 = s2 dt is the leading T
+    return T - 0.5 * (log_det + quad_form), wr
 
-    Row b is the chain of :func:`gibbs_fit` on ``data`` with responses
-    ``Y[b]`` and seed ``seeds[b]`` (``config.seed`` is not used): the same
-    random stream, and the same ``theta_bayes`` up to the rounding of the
-    batched matrix products.  Only a running sum of the retained theta is
-    kept, so memory is O(Bm) and no ESS is computed.
+
+def _chunks(R: int, n: int, m: int):
+    """(row, node) slices covering an (R, n) grid whose (rows x nodes x m)
+    blocks hold at most ``_CHUNK_DOUBLES`` doubles."""
+    pairs = max(1, _CHUNK_DOUBLES // m)
+    rows, nodes = (max(1, pairs // n), n) if n <= pairs else (1, pairs)
+    for r in range(0, R, rows):
+        for k in range(0, n, nodes):
+            yield slice(r, r + rows), slice(k, k + nodes)
+
+
+def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np.ndarray:
+    """Exact posterior means of theta under the sampler's model and flat
+    prior, one row per row of the responses ``Y``, as a (B, m) array.
+
+    Given s2, theta | y is normal with mean ``y - D * V^{-1}(y - X beta_hat)``,
+    where V = diag(s2 + D) and beta_hat is the GLS fit; integrating beta
+    out leaves ``p(s2 | y) ∝ |V|^{-1/2} |X'V^{-1}X|^{-1/2} exp(-y'Py/2)``
+    (Morris 1983; Datta, Rao & Smith 2005).  The mean is the integral of
+    the first against the second, taken in t = log s2.  A coarse pass of
+    48 nodes brackets each row's window, the nodes within 38 of the largest
+    log weight, plus one node spacing either side; a 200-node trapezoid
+    over that window, normalised by log-sum-exp, gives the row.  The
+    coarse range follows the weight's two tails, which are known: below
+    the harmonic scale 1 / sum(1/D_i) of the sampling variances the log
+    weight falls like t, and above both the largest D_i and the residual
+    scale SSR / (m - p - 2) it falls like (m - p - 2) t / 2.  The range
+    runs from 45 below the first to 45 + 76 / (m - p - 2) above the second.
+    A row whose window reaches an end of that range is NaN, never
+    truncated.  Temporaries are chunked over rows and nodes, each at most
+    ``_CHUNK_DOUBLES`` doubles.
+
+    Areas with D_i = 0 get theta_i = y_i exactly.  With ``fixed_sigma_u2``
+    each row is the conditional mean at that variance.  Raises
+    ValidationError when m <= p + 2, where the posterior is improper.
     """
-    if len(seeds) == 0:
-        raise ValidationError("at least one chain is required: seeds is empty")
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != data.m or Y.shape[0] != len(seeds):
-        raise ValidationError(
-            f"responses have shape {Y.shape}, expected ({len(seeds)}, {data.m}): "
-            "one row per seed"
-        )
-    if not np.all(np.isfinite(Y)):
-        raise ValidationError("responses contain non-finite entries")
-    seeds = [_integer(f"seeds[{b}]", s, 0) for b, s in enumerate(seeds)]
-    total = np.zeros(Y.shape)
-    for theta, _, _ in _lockstep(data, Y, seeds, config):
-        total += theta
-    return total / _n_keep(config)
+    X = data.X
+    m, p = X.shape
+    _check_propriety(m, p)
+    if np.any(data.D == 0):
+        # rotate the design so the directions the D = 0 areas pin as s2 -> 0
+        # are coordinates, which the diagonal rescaling then balances; a
+        # rotation changes no fitted value and no determinant
+        X = X @ np.linalg.svd(X[data.D == 0])[2].T
+    Y = _matrix("responses", Y)
+    if Y.shape[0] == 0 or Y.shape[1] != m:
+        raise ValidationError(f"responses have shape {Y.shape}, expected (B, {m}) with B >= 1")
+    D = data.D
+    XX = (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
+    B = Y.shape[0]
+    out = Y.copy()
+    if fixed_sigma_u2 is not None:
+        s2 = _real("fixed_sigma_u2", fixed_sigma_u2, 0)
+        if s2 == 0:
+            raise ValidationError("fixed_sigma_u2 must be a positive real")
+        T = np.full((B, 1), np.log(s2))
+        for rows, _ in _chunks(B, 1, m):
+            out[rows] -= D * _node_terms(X, XX, D, Y[rows], T[rows])[1][:, 0]
+        return out
+    if not np.any(D > 0):
+        return out
+
+    # coarse range from the two tails (see the docstring)
+    decay = m - p - 2
+    ssr = np.sum((Y - Y @ np.linalg.pinv(X).T @ X.T) ** 2, axis=1)
+    low = np.log(1.0 / np.sum(1.0 / D[D > 0])) - 45.0
+    high = np.log(np.maximum(ssr / decay, D.max())) + 45.0 + 76.0 / decay
+    T = low + (high - low)[:, None] * np.linspace(0.0, 1.0, _COARSE_NODES)
+    coarse = np.empty((B, _COARSE_NODES))
+    for rows, nodes in _chunks(B, _COARSE_NODES, m):
+        coarse[rows, nodes] = _node_terms(X, XX, D, Y[rows], T[rows, nodes])[0]
+    kept = coarse >= coarse.max(axis=1, keepdims=True) - _LOG_WEIGHT_CUT
+    first = np.argmax(kept, axis=1)
+    last = _COARSE_NODES - 1 - np.argmax(kept[:, ::-1], axis=1)
+    ok = (first > 0) & (last < _COARSE_NODES - 1) & np.all(np.isfinite(coarse), axis=1)
+    out[~ok] = np.nan
+    rows_ok = np.flatnonzero(ok)
+    lo = T[rows_ok, first[ok] - 1]
+    hi = T[rows_ok, last[ok] + 1]
+    T = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _FINE_NODES)
+    Y = Y[ok]
+    ends = np.zeros(_FINE_NODES)
+    ends[[0, -1]] = np.log(0.5)  # trapezoid end weights
+
+    # running log-sum-exp of the weights and of the weighted V^{-1} residuals
+    top = np.full(len(Y), -np.inf)
+    total = np.zeros(len(Y))
+    acc = np.zeros(Y.shape)
+    for rows, nodes in _chunks(len(Y), _FINE_NODES, m):
+        log_w, wr = _node_terms(X, XX, D, Y[rows], T[rows, nodes])
+        log_w += ends[nodes]
+        new_top = np.maximum(top[rows], log_w.max(axis=1))
+        scale = np.exp(top[rows] - new_top)
+        e = np.exp(log_w - new_top[:, None])
+        total[rows] = total[rows] * scale + e.sum(axis=1)
+        acc[rows] = acc[rows] * scale[:, None] + np.einsum("rn,rnm->rm", e, wr)
+        top[rows] = new_top
+    out[ok] -= D * (acc / total[:, None])
+    return out

@@ -22,6 +22,10 @@ Config keys (see README for details):
   gibbs_iterations, gibbs_burn, gibbs_thin,
   bootstrap_replicates, bootstrap_gamma_policy,
   bootstrap_gibbs_iterations, bootstrap_gibbs_burn, bootstrap_gibbs_thin
+
+The bootstrap replicates' Bayes step is the exact posterior mean
+(:func:`smallarea.fay_herriot.exact_means`), so the three
+``bootstrap_gibbs_*`` keys are still parsed and checked but change nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .estimators import (
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
 from .exceptions import NumericalError, ValidationError, _integer, _real
-from .fay_herriot import GibbsConfig, gibbs_fit, gibbs_means
+from .fay_herriot import GibbsConfig, exact_means, gibbs_fit
 from .selection import CvCurve, _grid, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
 
@@ -137,7 +141,9 @@ class RunConfig:
     """Everything a pipeline run needs; see the module docstring for the
     config-file key names.  ``seed`` seeds the main chain and the bootstrap
     streams; the ``seed`` fields of ``gibbs`` and ``bootstrap_gibbs`` are
-    ignored."""
+    ignored.  Of ``bootstrap_gibbs`` only ``fixed_sigma_u2`` is used: when
+    set, each replicate's Bayes step is the conditional mean at that
+    variance."""
 
     area_csv: Path
     edge_list: Path
@@ -393,16 +399,13 @@ def _prepare_inputs(config: RunConfig):
     return data, omega, phi, constraints, bench_meta
 
 
-def _gibbs_metadata(gibbs: GibbsConfig) -> dict:
-    return {"n_iter": gibbs.n_iter, "n_burn": gibbs.n_burn, "thin": gibbs.thin}
-
-
 def _base_metadata(config: RunConfig) -> dict:
+    gibbs = config.gibbs
     return {
         "smallarea_version": __version__,
         "numpy_version": np.__version__,
         "seed": config.seed,
-        "gibbs": _gibbs_metadata(config.gibbs),
+        "gibbs": {"n_iter": gibbs.n_iter, "n_burn": gibbs.n_burn, "thin": gibbs.thin},
     }
 
 
@@ -431,7 +434,11 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
 
     with _stage("gibbs"):
         summary = gibbs_fit(data, replace(config.gibbs, seed=config.seed))
+        exact = exact_means(data, data.y[np.newaxis, :], config.gibbs.fixed_sigma_u2)[0]
     theta = summary.theta_bayes
+    gap = float(np.max(np.abs(theta - exact)))
+    # the chain's largest Monte Carlo error against the exact mean (None if that failed)
+    metadata["theta_bayes_max_mc_gap"] = gap if np.isfinite(gap) else None
     if stop_after == "gibbs":
         metadata["sigma_u2_mean"] = summary.sigma_u2_mean
         out.mkdir(parents=True, exist_ok=True)
@@ -486,9 +493,11 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
             boot_cfg = BootstrapConfig(n_replicates=config.bootstrap_replicates, seed=config.seed)
 
             def replicate_pipeline(y_star: np.ndarray, chain_seeds: np.ndarray) -> np.ndarray:
-                # one lock-step batch of chains, then each replicate's estimate;
-                # a row whose estimate fails stays NaN and is recorded as failed
-                thetas = gibbs_means(data, y_star, chain_seeds, config.bootstrap_gibbs)
+                # every replicate's exact posterior mean (it draws nothing, so
+                # the chain seeds go unused), then each replicate's estimate; a
+                # NaN mean is rejected by the estimators, and a row whose
+                # estimate fails stays NaN and is recorded as failed
+                thetas = exact_means(data, y_star, config.bootstrap_gibbs.fixed_sigma_u2)
                 estimates = np.full_like(thetas, np.nan)
                 for b, star_theta in enumerate(thetas):
                     try:
@@ -513,7 +522,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
                 "n_replicates": boot_cfg.n_replicates,
                 "gamma_policy": config.bootstrap_gamma_policy,
                 "failed": list(report.failed),
-                "gibbs": _gibbs_metadata(config.bootstrap_gibbs),
+                "bayes_step": "exact",
             }
 
     result = EstimateReport(

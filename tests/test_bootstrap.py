@@ -300,3 +300,24 @@ class TestReportValidation:
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_replicates"):
             BootstrapConfig(n_replicates=0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param({"mse": ["a", "b"]}, "mse must be a vector of real numbers", id="mse-text"),
+            pytest.param({"bias": [0.0, "b"]}, "bias must be a vector of real numbers", id="bias-text"),
+            pytest.param({"bias": [0.0, np.nan]}, "bias contains non-finite", id="bias-nan"),
+            pytest.param({"mse": np.zeros(3)}, "mse has length 3, expected 2", id="mse-length"),
+            pytest.param({"replicates": [["a", "b"]]}, "replicates must be a matrix of real numbers", id="replicates-text"),
+            pytest.param({"replicates": np.zeros(2)}, "replicates must be two-dimensional", id="replicates-1d"),
+        ],
+    )
+    def test_bad_fields_are_validation_errors_naming_the_field(self, fields, message):
+        values = {"mse": np.zeros(2), "bias": np.zeros(2), "replicates": np.zeros((2, 2)), **fields}
+        with pytest.raises(ValidationError, match=message):
+            BootstrapReport(**values)
+
+    def test_failed_replicates_stay_nan_rows(self):
+        reps = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]])
+        report = BootstrapReport(mse=np.ones(2), bias=np.zeros(2), replicates=reps, failed=(1,))
+        assert np.all(np.isnan(report.replicates[1]))

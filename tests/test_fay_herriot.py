@@ -2,20 +2,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallarea import (
     AreaDataset,
     GibbsConfig,
     PosteriorSummary,
     ValidationError,
+    exact_means,
     gibbs_fit,
-    gibbs_means,
     posterior_mean,
 )
 from smallarea import fay_herriot
 from smallarea.datasets import FIXTURE_SCHEMA, load_area_csv, synthetic_dataset_path
 
-from oracles import reference_ess, reference_gibbs_draws
+from oracles import exact_posterior_mean, reference_ess, reference_gibbs_draws
 
 
 def make_dataset(seed, m=30, sigma_u2=2.0, beta=(5.0, 1.0)):
@@ -250,7 +251,9 @@ class TestReferenceChain:
 
 
 class TestLockStep:
-    """gibbs_means, B chains in lock step, against one reference chain per row."""
+    """What the lock-step batch sampler guaranteed, checked where it lives
+    now: gibbs_fit's stream for any responses and seed, and the input
+    checks and memory bound of exact_means, the batch that replaced it."""
 
     CASES = {
         "bundled-fixture": (
@@ -267,54 +270,46 @@ class TestLockStep:
             lambda: replace(make_dataset(4)[0], intercept=False),
             GibbsConfig(n_iter=400, n_burn=50),
         ),
-        # four chains of m + p = 32 fill 512 iterations per block: 512 + 512 + 276
+        # with 512 iterations per block (set in the test): 512 + 512 + 276
         "three-blocks": (lambda: make_dataset(6)[0], GibbsConfig(n_iter=1300, n_burn=50)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_rows_match_reference_chains(self, case):
+    def test_rows_match_reference_chains(self, monkeypatch, case):
         dataset, config = self.CASES[case]
+        if case == "three-blocks":
+            monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", 512 * 32)  # m + p = 32
         data = dataset()
         rng = np.random.default_rng(31)
         Y = data.y + rng.normal(0.0, 1.0, size=(4, data.m))
-        seeds = [5, 17, 2**32 - 1, 40]
-        means = gibbs_means(data, Y, seeds, config)
-        assert means.shape == (4, data.m)
-        for b, seed in enumerate(seeds):
-            draws, _, _ = reference_gibbs_draws(replace(data, y=Y[b]), replace(config, seed=seed))
-            scale = np.abs(draws).max(axis=0)
-            assert np.all(np.abs(means[b] - draws.mean(axis=0)) <= 1e-10 * scale), b
-            # a row alone is the same chain as inside the batch
-            alone = gibbs_means(data, Y[b : b + 1], [seed], config)[0]
-            assert np.all(np.abs(alone - means[b]) <= 1e-12 * scale), b
         pinned = data.D == 0
-        np.testing.assert_allclose(means[:, pinned], Y[:, pinned], rtol=1e-13, atol=0)
-
-    def test_one_iteration_blocks(self):
-        # B (m + p) exceeds the block, so every chain draws one iteration per call
-        data, _ = make_dataset(6, m=400)
-        B = 164
-        assert B * (data.m + data.X.shape[1]) > fay_herriot._BLOCK_DRAWS
-        config = GibbsConfig(n_iter=30, n_burn=5)
-        Y = data.y + np.random.default_rng(32).normal(0.0, 1.0, size=(B, data.m))
-        seeds = list(range(300, 300 + B))
-        means = gibbs_means(data, Y, seeds, config)
-        for b, seed in enumerate(seeds):
-            draws, _, _ = reference_gibbs_draws(replace(data, y=Y[b]), replace(config, seed=seed))
+        for b, seed in enumerate([5, 17, 2**32 - 1, 40]):
+            row, row_config = replace(data, y=Y[b]), replace(config, seed=seed)
+            fit = gibbs_fit(row, row_config)
+            draws, _, _ = reference_gibbs_draws(row, row_config)
             scale = np.abs(draws).max(axis=0)
-            assert np.all(np.abs(means[b] - draws.mean(axis=0)) <= 1e-10 * scale), b
-            alone = gibbs_means(data, Y[b : b + 1], [seed], config)[0]
-            assert np.all(np.abs(alone - means[b]) <= 1e-12 * scale), b
+            assert np.all(np.abs(fit.theta_bayes - draws.mean(axis=0)) <= 1e-10 * scale), b
+            np.testing.assert_allclose(fit.theta_bayes[pinned], Y[b, pinned], rtol=1e-13, atol=0)
+
+    def test_one_iteration_blocks(self, monkeypatch):
+        # m + p exceeds the block, so the chain draws one iteration per call
+        data, _ = make_dataset(6, m=400)
+        monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", data.m)
+        config = GibbsConfig(n_iter=30, n_burn=5, seed=300)
+        draws, _, _ = reference_gibbs_draws(data, config)
+        got = gibbs_fit(data, config).theta_draws
+        assert np.all(np.abs(got - draws) <= 1e-10 * np.abs(draws).max(axis=0))
 
     @pytest.mark.parametrize("fixed_sigma_u2", [None, 1.5], ids=["sampled", "fixed"])
     def test_block_size_is_not_part_of_the_stream(self, monkeypatch, fixed_sigma_u2):
         data, _ = make_dataset(7)
-        config = GibbsConfig(n_iter=300, n_burn=20, fixed_sigma_u2=fixed_sigma_u2)
-        Y = data.y + np.random.default_rng(33).normal(0.0, 1.0, size=(3, data.m))
-        default = gibbs_means(data, Y, [1, 2, 3], config)
-        for block in (1, 7 * 3 * 32):  # K = 1, and K = 7, which does not divide 300
+        config = GibbsConfig(n_iter=300, n_burn=20, seed=2, fixed_sigma_u2=fixed_sigma_u2)
+        default = gibbs_fit(data, config)
+        for block in (1, 7 * 32):  # K = 1, and K = 7, which does not divide 300 (m + p = 32)
             monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", block)
-            assert np.array_equal(gibbs_means(data, Y, [1, 2, 3], config), default), block
+            fit = gibbs_fit(data, config)
+            for name in ("theta_draws", "beta_draws", "sigma_u2_draws"):
+                assert np.array_equal(getattr(fit, name), getattr(default, name)), (block, name)
 
     def test_fixed_variance_stream_is_per_iteration_normals(self):
         """With the variance fixed the chain draws only normals, one
@@ -350,66 +345,136 @@ class TestLockStep:
         fit = gibbs_fit(data, config)
         assert np.all(fit.beta_draws == 2.0**60)
         assert np.all(fit.sigma_u2_draws == 1e-12)
-        means = gibbs_means(data, np.tile(data.y, (3, 1)), [1, 2, 3], config)
-        assert np.all(means == 2.0**60)
+        # with every D = 0, theta = y at every variance
+        assert np.all(exact_means(data, np.tile(data.y, (3, 1))) == 2.0**60)
 
     def test_keeps_no_draws(self):
         import tracemalloc
 
         data, _ = make_dataset(5, m=200)
-        config = GibbsConfig(n_iter=3000, n_burn=100)
-        Y = np.tile(data.y, (2, 1))
+        Y = np.tile(data.y, (50, 1))
         tracemalloc.start()
         try:
-            gibbs_means(data, Y, [1, 2], config)
+            exact_means(data, Y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # retained draws would take 2 x 2900 x 200 x 8 bytes, about 9 MB
-        assert peak < 1_000_000
+        # one unchunked (rows x nodes x m) temporary of the 200-node pass
+        # would take 50 x 200 x 200 x 8 bytes = 16 MB; chunked ones take 256 KiB
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize(
-        "Y, seeds, message",
+        "Y, message",
         [
-            pytest.param(np.zeros((2, 29)), [1, 2], r"shape \(2, 29\), expected \(2, 30\)", id="columns"),
-            pytest.param(np.zeros((2, 30)), [1], r"expected \(1, 30\)", id="seeds"),
-            pytest.param(np.zeros(30), [1], r"expected \(1, 30\)", id="one-dimensional"),
-            pytest.param(np.full((1, 30), np.nan), [1], "non-finite", id="non-finite"),
-            pytest.param(np.zeros((0, 30)), [], "at least one chain", id="empty-batch"),
+            pytest.param(np.zeros((2, 29)), r"shape \(2, 29\), expected \(B, 30\)", id="columns"),
+            pytest.param(np.zeros(30), r"responses must be two-dimensional, got shape \(30,\)", id="one-dimensional"),
+            pytest.param(np.full((1, 30), np.nan), "responses contains non-finite", id="non-finite"),
+            pytest.param(np.zeros((0, 30)), r"expected \(B, 30\) with B >= 1", id="empty-batch"),
+            pytest.param([["a"] * 30], "responses must be a matrix of real numbers", id="text"),
         ],
     )
-    def test_bad_responses_rejected(self, Y, seeds, message):
+    def test_bad_responses_rejected(self, Y, message):
         data, _ = make_dataset(0)
         with pytest.raises(ValidationError, match=message):
-            gibbs_means(data, Y, seeds, GibbsConfig(n_iter=20, n_burn=5))
+            exact_means(data, Y)
 
     def test_propriety_guard(self):
         data = AreaDataset(
             tuple("abcd"), np.arange(4.0), np.ones(4), np.array([[0.0], [1.0], [3.0], [2.0]]), ("x",)
         )
         with pytest.raises(ValidationError, match="propriety"):
-            gibbs_means(data, data.y[None, :], [0], GibbsConfig(n_iter=20, n_burn=5))
+            exact_means(data, data.y[None, :])
+        with pytest.raises(ValidationError, match="propriety"):
+            gibbs_fit(data, GibbsConfig(n_iter=20, n_burn=5))
 
     @pytest.mark.parametrize(
         "seed, message",
         [
-            pytest.param(1.7, r"seeds\[1\] must be an integer", id="fractional"),
-            pytest.param(np.float64(2.0), r"seeds\[1\] must be an integer", id="numpy-float"),
-            pytest.param(True, r"seeds\[1\] must be an integer", id="bool"),
-            pytest.param(-3, r"seeds\[1\] must be a nonnegative integer", id="negative"),
+            pytest.param(1.7, "seed must be an integer", id="fractional"),
+            pytest.param(np.float64(2.0), "seed must be an integer", id="numpy-float"),
+            pytest.param(True, "seed must be an integer", id="bool"),
+            pytest.param(-3, "seed must be a nonnegative integer", id="negative"),
         ],
     )
     def test_bad_seeds_rejected(self, seed, message):
         data, _ = make_dataset(0)
         with pytest.raises(ValidationError, match=message):
-            gibbs_means(data, np.tile(data.y, (2, 1)), [4, seed], GibbsConfig(n_iter=20, n_burn=5))
+            gibbs_fit(data, GibbsConfig(n_iter=20, n_burn=5, seed=seed))
 
     def test_numpy_integer_seeds_accepted(self):
         data, _ = make_dataset(0)
-        config = GibbsConfig(n_iter=20, n_burn=5)
-        Y = np.tile(data.y, (2, 1))
-        as_numpy = gibbs_means(data, Y, np.array([4, 9], dtype=np.uint32), config)
-        assert np.array_equal(as_numpy, gibbs_means(data, Y, [4, 9], config))
+        as_numpy = gibbs_fit(data, GibbsConfig(n_iter=20, n_burn=5, seed=np.uint32(4)))
+        plain = gibbs_fit(data, GibbsConfig(n_iter=20, n_burn=5, seed=4))
+        assert np.array_equal(as_numpy.theta_draws, plain.theta_draws)
+
+
+def _oracle_case(seed):
+    """A random problem for the exact-mean cross-check: m from p + 3 to 60,
+    D over four decades with up to a quarter of the areas at D = 0, and
+    B <= 5 response rows around a random regression."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(0, 3))
+    intercept = q == 0 or bool(rng.integers(0, 2))
+    p = q + intercept
+    m = int(rng.integers(p + 3, 61))
+    D = 10.0 ** rng.uniform(-2.0, 2.0, m)
+    D[rng.choice(m, int(rng.integers(0, m // 4 + 1)), replace=False)] = 0.0
+    cov = rng.normal(size=(m, q))
+    X = np.column_stack([np.ones(m), cov]) if intercept else cov
+    sigma_u2 = 10.0 ** rng.uniform(-2.0, 2.0)
+    B = int(rng.integers(1, 6))
+    Y = X @ rng.normal(0.0, 3.0, p) + rng.normal(0.0, np.sqrt(sigma_u2), (B, m)) + np.sqrt(D) * rng.normal(size=(B, m))
+    data = AreaDataset(tuple(f"a{i}" for i in range(m)), Y[0], D, cov, tuple(f"x{j}" for j in range(q)), intercept)
+    return data, Y
+
+
+class TestExactMeans:
+    """exact_means against the quad oracle, and the chain against both."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, seed):
+        data, Y = _oracle_case(seed)
+        got = exact_means(data, Y)
+        for b, y in enumerate(Y):
+            want = exact_posterior_mean(y, data.D, data.X)
+            assert np.max(np.abs(got[b] - want)) <= 1e-9 * (1.0 + np.abs(y).max()), b
+
+    def test_zero_sampling_variance_returns_y_exactly(self):
+        data = _with_zero_variances(make_dataset(1)[0])
+        Y = data.y + np.random.default_rng(3).normal(size=(3, data.m))
+        pinned = data.D == 0
+        assert np.array_equal(exact_means(data, Y)[:, pinned], Y[:, pinned])
+
+    def test_fixed_variance_is_the_conditional_mean(self):
+        data, _ = make_dataset(2)
+        got = exact_means(data, data.y[None, :], fixed_sigma_u2=1.5)[0]
+        np.testing.assert_allclose(got, known_variance_posterior_mean(data, 1.5), rtol=1e-12, atol=0)
+
+    def test_improper_row_is_nan_not_truncated(self):
+        # five D = 0 areas on the intercept with equal y: p(s2 | y) grows like
+        # s2^{-2} dt as s2 -> 0, so the window reaches the range's lower end
+        D = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 4.0])
+        data = AreaDataset(tuple("abcdefgh"), y, D, np.empty((8, 0)), ())
+        got = exact_means(data, np.vstack([y, y + np.arange(8.0)]))
+        assert np.all(np.isnan(got[0]))
+        assert np.all(np.isfinite(got[1]))
+
+    def test_gibbs_fit_is_unbiased_against_the_exact_mean(self):
+        """z = (chain mean - exact mean) / MCSE per area, pooled over five
+        fixed seeds of 20000/2000 iterations on the fixture.  The bounds were
+        fixed before the first run: |mean z| <= 0.5 and sd(z) in [0.5, 1.5]."""
+        data = load_area_csv(synthetic_dataset_path(), FIXTURE_SCHEMA)
+        exact = exact_posterior_mean(data.y, data.D, data.X)
+        z = []
+        for seed in range(5):
+            fit = gibbs_fit(data, GibbsConfig(n_iter=20_000, n_burn=2_000, seed=seed))
+            mcse = fit.theta_draws.std(axis=0, ddof=1) / np.sqrt(fit.ess)
+            z.append((fit.theta_bayes - exact) / mcse)
+        z = np.concatenate(z)
+        assert abs(z.mean()) <= 0.5
+        assert 0.5 <= z.std(ddof=1) <= 1.5
 
 
 class TestEffectiveSampleSize:
