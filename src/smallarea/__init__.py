@@ -39,7 +39,6 @@ from .bootstrap import (
     BootstrapConfig,
     BootstrapReport,
     bootstrap_mse,
-    replicate_gibbs_seed,
     replicate_rng,
     standardized_residuals,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "posterior_mean",
     "read_edge_list",
     "read_report",
-    "replicate_gibbs_seed",
     "replicate_rng",
     "run_pipeline",
     "smoothed_estimate",

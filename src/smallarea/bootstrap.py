@@ -7,20 +7,17 @@ synthetic responses; the full estimation pipeline is re-run on each
 replicate.  Squared deviations of the replicate estimates around the
 generating values give the per-area MSE.
 
-The pipeline is a batch callback: it receives every replicate at once,
-the (B, m) synthetic responses and the B chain seeds, and returns the
-(B, m) replicate estimates, so that one call can compute every
-replicate's posterior mean (see :func:`smallarea.fay_herriot.exact_means`).
-A row with any non-finite value is a failed replicate; a batch that raises
+The pipeline is a batch callback: it receives the (B, m) synthetic
+responses of every replicate at once and returns the (B, m) replicate
+estimates, so that one call can compute every replicate's posterior mean
+(see :func:`smallarea.fay_herriot.exact_means`).  A row with any
+non-finite value is a failed replicate; a batch that raises
 ValidationError or NumericalError fails every replicate.
 
 RNG stream contract (all replicates are independently seeded, so a
-batched and a one-at-a-time run agree):
-
-  * resampling indices for replicate b come from a Philox generator
-    seeded with SeedSequence(entropy=seed, spawn_key=(b, 0));
-  * the chain seed passed to the pipeline for replicate b is the first
-    state word of SeedSequence(entropy=seed, spawn_key=(b, 1)).
+batched and a one-at-a-time run agree): resampling indices for replicate
+b come from a Philox generator seeded with
+SeedSequence(entropy=seed, spawn_key=(b, 0)).
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "BootstrapConfig",
     "BootstrapReport",
     "bootstrap_mse",
-    "replicate_gibbs_seed",
     "replicate_rng",
     "standardized_residuals",
 ]
@@ -78,8 +74,13 @@ class BootstrapReport:
         bias = _vector("bias", self.bias, reps.shape[1])
         if np.any(mse < 0):
             raise ValidationError("MSE entries must be nonnegative")
-        ok = np.ones(reps.shape[0], dtype=bool)
-        ok[list(self.failed)] = False
+        B = reps.shape[0]
+        failed = tuple(_integer(f"failed[{k}]", b, 0) for k, b in enumerate(self.failed))
+        for k, b in enumerate(failed):
+            if b >= B:
+                raise ValidationError(f"failed[{k}] must be less than the {B} replicates, got {b}")
+        ok = np.ones(B, dtype=bool)
+        ok[list(failed)] = False
         if np.any(ok):
             good = reps[ok]
             center = good.mean(axis=0)
@@ -90,7 +91,7 @@ class BootstrapReport:
         object.__setattr__(self, "mse", mse)
         object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "replicates", reps)
-        object.__setattr__(self, "failed", tuple(int(b) for b in self.failed))
+        object.__setattr__(self, "failed", failed)
 
     @property
     def n_replicates(self) -> int:
@@ -116,30 +117,24 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def replicate_gibbs_seed(seed: int, index: int) -> int:
-    """Chain seed for one replicate (see module docstring)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index, 1))
-    return int(ss.generate_state(1)[0])
-
-
 def bootstrap_mse(
     data: AreaDataset,
     theta_bm: np.ndarray,
-    pipeline: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    pipeline: Callable[[np.ndarray], np.ndarray],
     config: BootstrapConfig,
 ) -> BootstrapReport:
     """Residual-bootstrap MSE of a constrained fit.
 
-    ``theta_bm`` is the completed original fit; ``pipeline(Y_star, seeds)``
-    re-runs the full inference on the (B, m) synthetic responses, row b
-    with chain seed ``seeds[b]``, and returns the (B, m) replicate
-    constrained estimates.  The generating values ``theta_bm`` play the
-    role of the truth: MSE_i averages (estimate_i - theta_bm_i)^2 over
-    replicates, and bias_i is the mean deviation.  A row with a non-finite
-    value is a failed replicate; more than 5% failures abort the report.
-    A pipeline that raises ValidationError or NumericalError fails every
-    replicate, a result of the wrong shape is a NumericalError, and any
-    other exception is a bug and propagates.
+    ``theta_bm`` is the completed original fit; ``pipeline(Y_star)``
+    re-runs the full inference on the (B, m) synthetic responses and
+    returns the (B, m) replicate constrained estimates.  The generating
+    values ``theta_bm`` play the role of the truth: MSE_i averages
+    (estimate_i - theta_bm_i)^2 over replicates, and bias_i is the mean
+    deviation.  A row with a non-finite value is a failed replicate; more
+    than 5% failures abort the report.  A pipeline that raises
+    ValidationError or NumericalError fails every replicate, a result of
+    the wrong shape is a NumericalError, and any other exception is a bug
+    and propagates.
     """
     m = data.m
     theta_bm = _vector("theta_bm", theta_bm, m)
@@ -156,9 +151,8 @@ def bootstrap_mse(
     for b in range(B):
         rng = replicate_rng(config.seed, b)
         y_star[b] = theta_bm + sigma_u * residuals[rng.integers(0, m, size=m)]
-    seeds = np.array([replicate_gibbs_seed(config.seed, b) for b in range(B)])
     try:
-        replicates = np.array(pipeline(y_star, seeds), dtype=float)
+        replicates = np.array(pipeline(y_star), dtype=float)
     except (ValidationError, NumericalError) as exc:
         raise NumericalError(f"all {B} bootstrap replicates failed: {exc}") from exc
     if replicates.shape != (B, m):

@@ -50,7 +50,7 @@ __all__ = [
 
 _SIGMA2_FLOOR = 1e-12
 _SIGMA2_MAX = float(np.finfo(float).max)
-_BLOCK_DRAWS = 2**16  # normals buffered per block across all chains: 512 KiB
+_BLOCK_DRAWS = 2**16  # normals buffered per block of the chain: 512 KiB
 _COARSE_NODES = 48  # nodes of exact_means's bracketing pass
 _FINE_NODES = 200  # trapezoid nodes over each row's window
 _LOG_WEIGHT_CUT = 38.0  # nodes this far below the largest log weight (e^-38) are dropped
@@ -132,6 +132,14 @@ class AreaDataset:
         return self.covariates.copy()
 
 
+def _fixed_variance(value) -> float:
+    """A pinned model variance as a float; it must be a positive real."""
+    s2 = _real("fixed_sigma_u2", value, 0)
+    if s2 == 0:
+        raise ValidationError("fixed_sigma_u2 must be a positive real")
+    return s2
+
+
 @dataclass(frozen=True)
 class GibbsConfig:
     """Chain length and seeding.  ``fixed_sigma_u2`` pins the model variance
@@ -152,10 +160,7 @@ class GibbsConfig:
                 f"need n_iter > n_burn >= 0, got n_iter={self.n_iter}, n_burn={self.n_burn}"
             )
         if self.fixed_sigma_u2 is not None:
-            s2 = _real("fixed_sigma_u2", self.fixed_sigma_u2, 0)
-            if s2 == 0:
-                raise ValidationError("fixed_sigma_u2 must be a positive real")
-            object.__setattr__(self, "fixed_sigma_u2", s2)
+            object.__setattr__(self, "fixed_sigma_u2", _fixed_variance(self.fixed_sigma_u2))
 
 
 @dataclass(frozen=True)
@@ -405,10 +410,7 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     B = Y.shape[0]
     out = Y.copy()
     if fixed_sigma_u2 is not None:
-        s2 = _real("fixed_sigma_u2", fixed_sigma_u2, 0)
-        if s2 == 0:
-            raise ValidationError("fixed_sigma_u2 must be a positive real")
-        T = np.full((B, 1), np.log(s2))
+        T = np.full((B, 1), np.log(_fixed_variance(fixed_sigma_u2)))
         for rows, _ in _chunks(B, 1, m):
             out[rows] -= D * _node_terms(X, XX, D, Y[rows], T[rows])[1][:, 0]
         return out

@@ -24,8 +24,9 @@ Config keys (see README for details):
   bootstrap_gibbs_iterations, bootstrap_gibbs_burn, bootstrap_gibbs_thin
 
 The bootstrap replicates' Bayes step is the exact posterior mean
-(:func:`smallarea.fay_herriot.exact_means`), so the three
-``bootstrap_gibbs_*`` keys are still parsed and checked but change nothing.
+(:func:`smallarea.fay_herriot.exact_means`) under the main fit's model, so
+the three ``bootstrap_gibbs_*`` keys are accepted for old configs and
+checked, but store nothing.
 """
 
 from __future__ import annotations
@@ -140,10 +141,10 @@ def _parse_grid_spec(raw: str) -> np.ndarray:
 class RunConfig:
     """Everything a pipeline run needs; see the module docstring for the
     config-file key names.  ``seed`` seeds the main chain and the bootstrap
-    streams; the ``seed`` fields of ``gibbs`` and ``bootstrap_gibbs`` are
-    ignored.  Of ``bootstrap_gibbs`` only ``fixed_sigma_u2`` is used: when
-    set, each replicate's Bayes step is the conditional mean at that
-    variance."""
+    streams; the ``seed`` field of ``gibbs`` is ignored.  ``gibbs`` is the
+    run's one Bayes step: it sets the main chain, and its
+    ``fixed_sigma_u2``, when set, pins the model variance of the chain, of
+    the chain's exact-mean check and of every bootstrap replicate."""
 
     area_csv: Path
     edge_list: Path
@@ -159,7 +160,6 @@ class RunConfig:
     gibbs: GibbsConfig = field(default_factory=GibbsConfig)
     bootstrap_replicates: int = 0
     bootstrap_gamma_policy: str = "fixed"
-    bootstrap_gibbs: GibbsConfig = field(default_factory=lambda: GibbsConfig(n_iter=2000, n_burn=500))
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
@@ -257,6 +257,13 @@ class RunConfig:
                 ) from None
 
         grid = _parse_grid_spec(values["gamma_grid"]) if values["gamma_grid"] else None
+        # the bootstrap_gibbs_* keys of old configs are checked as chain
+        # settings and dropped: the replicates' Bayes step is ``gibbs``'s
+        GibbsConfig(
+            n_iter=number("bootstrap_gibbs_iterations"),
+            n_burn=number("bootstrap_gibbs_burn"),
+            thin=number("bootstrap_gibbs_thin"),
+        )
         return cls(
             area_csv=resolve("area_csv"),
             edge_list=resolve("edge_list"),
@@ -276,11 +283,6 @@ class RunConfig:
             ),
             bootstrap_replicates=number("bootstrap_replicates"),
             bootstrap_gamma_policy=values["bootstrap_gamma_policy"],
-            bootstrap_gibbs=GibbsConfig(
-                n_iter=number("bootstrap_gibbs_iterations"),
-                n_burn=number("bootstrap_gibbs_burn"),
-                thin=number("bootstrap_gibbs_thin"),
-            ),
         )
 
 
@@ -492,12 +494,12 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         with _stage("bootstrap"):
             boot_cfg = BootstrapConfig(n_replicates=config.bootstrap_replicates, seed=config.seed)
 
-            def replicate_pipeline(y_star: np.ndarray, chain_seeds: np.ndarray) -> np.ndarray:
-                # every replicate's exact posterior mean (it draws nothing, so
-                # the chain seeds go unused), then each replicate's estimate; a
-                # NaN mean is rejected by the estimators, and a row whose
-                # estimate fails stays NaN and is recorded as failed
-                thetas = exact_means(data, y_star, config.bootstrap_gibbs.fixed_sigma_u2)
+            def replicate_pipeline(y_star: np.ndarray) -> np.ndarray:
+                # every replicate's exact posterior mean under the main fit's
+                # model, then each replicate's estimate; a NaN mean is rejected
+                # by the estimators, and a row whose estimate fails stays NaN
+                # and is recorded as failed
+                thetas = exact_means(data, y_star, config.gibbs.fixed_sigma_u2)
                 estimates = np.full_like(thetas, np.nan)
                 for b, star_theta in enumerate(thetas):
                     try:

@@ -215,16 +215,16 @@ def reference_ess(draws):
 
 
 def per_replicate(estimate):
-    """A ``bootstrap_mse`` batch callback that calls ``estimate(y_star, seed)``
+    """A ``bootstrap_mse`` batch callback that calls ``estimate(y_star)``
     one replicate at a time.  A replicate whose call raises ValidationError
     or NumericalError is a NaN row; any other exception propagates."""
     from smallarea import NumericalError, ValidationError
 
-    def batch(y_star, seeds):
+    def batch(y_star):
         out = np.full(np.shape(y_star), np.nan)
-        for b, (y, seed) in enumerate(zip(y_star, seeds)):
+        for b, y in enumerate(y_star):
             try:
-                out[b] = estimate(y, seed)
+                out[b] = estimate(y)
             except (ValidationError, NumericalError):
                 pass
         return out
@@ -248,14 +248,18 @@ def count_factorizations(monkeypatch):
     return calls
 
 
-def reference_replicate(data, phi, omega, gamma, constraints, gamma_grid=None):
+def reference_replicate(data, phi, omega, gamma, constraints, gamma_grid=None, fixed_sigma_u2=None):
     """One bootstrap replicate computed alone: the exact posterior mean of
-    the synthetic responses by :func:`exact_posterior_mean`, then (with
-    ``gamma_grid``) cross-validation, then the constrained estimate."""
+    the synthetic responses by :func:`exact_posterior_mean` (with
+    ``fixed_sigma_u2``, by :func:`known_variance_posterior_mean`), then
+    (with ``gamma_grid``) cross-validation, then the constrained estimate."""
     from smallarea import benchmarked_estimate, cross_validate, smoothed_estimate
 
-    def run(y_star, seed):
-        theta = exact_posterior_mean(y_star, data.D, data.X)
+    def run(y_star):
+        if fixed_sigma_u2 is None:
+            theta = exact_posterior_mean(y_star, data.D, data.X)
+        else:
+            theta = known_variance_posterior_mean(y_star, data.D, data.X, fixed_sigma_u2)
         g = gamma
         if gamma_grid is not None:
             g = cross_validate(theta, phi, omega, gamma_grid, constraints).gamma_hat
@@ -310,6 +314,15 @@ def reference_loo_solution(theta_bayes, phi, omega, gamma, index, constraints=No
     if not np.all(np.isfinite(solution)):
         raise NumericalError(f"held-out area {index} is unidentified at gamma={g:g}")
     return solution
+
+
+def known_variance_posterior_mean(y, D, X, sigma_u2):
+    """Closed-form posterior mean when the model variance is known: the
+    shrinkage blend of y and the GLS regression fit."""
+    V = D + sigma_u2
+    beta_gls = np.linalg.solve(X.T @ (X / V[:, None]), X.T @ (y / V))
+    g = sigma_u2 / (sigma_u2 + D)
+    return g * y + (1.0 - g) * (X @ beta_gls)
 
 
 def exact_posterior_mean(y, D, X):

@@ -272,7 +272,7 @@ def test_criterion_8_bootstrap():
     theta_bm = data.y + rng.normal(0.0, 0.5, size=m)
     _, phi, omega = random_connected_instance(rng, m)
 
-    def pipe(y_star, seed):
+    def pipe(y_star):
         return smoothed_estimate(y_star, phi, omega, 0.7).values
 
     config = BootstrapConfig(n_replicates=200, seed=21)
@@ -293,7 +293,7 @@ def test_criterion_8_bootstrap():
         rep = bootstrap_mse(
             tiny,
             np.zeros(5),
-            per_replicate(lambda ys, s: ys),
+            per_replicate(lambda ys: ys),
             BootstrapConfig(n_replicates=10_000, seed=seed),
         )
         drawn = rep.replicates.ravel()

@@ -9,7 +9,6 @@ from smallarea import (
     NumericalError,
     ValidationError,
     bootstrap_mse,
-    replicate_gibbs_seed,
     replicate_rng,
     smoothed_estimate,
     standardized_residuals,
@@ -34,7 +33,7 @@ def make_dataset(rng, m=10):
 def smoothing_pipeline(omega, phi, gamma):
     """A cheap full-inference stand-in: smooth the synthetic responses."""
 
-    def run(y_star, seed):
+    def run(y_star):
         return smoothed_estimate(y_star, phi, omega, gamma).values
 
     return run
@@ -82,7 +81,7 @@ class TestBootstrapMse:
         pipe = smoothing_pipeline(omega, phi, 0.4)
         report = bootstrap_mse(data, theta_bm, per_replicate(pipe), BootstrapConfig(n_replicates=5, seed=0))
         assert np.all(report.replicates == report.replicates[0])
-        fixed_point = pipe(data.y, 0)
+        fixed_point = pipe(data.y)
         np.testing.assert_allclose(report.bias, fixed_point - theta_bm, atol=1e-12)
 
     def test_matches_independent_reimplementation(self):
@@ -107,10 +106,7 @@ class TestBootstrapMse:
             )
             u = resid[gen.integers(0, data.m, size=data.m)]
             y_star = theta_bm + sigma * u
-            chain_seed = int(
-                np.random.SeedSequence(entropy=seed, spawn_key=(b, 1)).generate_state(1)[0]
-            )
-            reps[b] = pipe(y_star, chain_seed)
+            reps[b] = pipe(y_star)
         np.testing.assert_allclose(report.replicates, reps, rtol=0, atol=1e-12)
         np.testing.assert_allclose(report.mse, np.mean((reps - theta_bm) ** 2, axis=0), atol=1e-12)
         np.testing.assert_allclose(report.bias, reps.mean(axis=0) - theta_bm, atol=1e-12)
@@ -158,7 +154,7 @@ class TestBootstrapMse:
             report = bootstrap_mse(
                 data,
                 theta_bm,
-                per_replicate(lambda ys, s: ys),
+                per_replicate(lambda ys: ys),
                 BootstrapConfig(n_replicates=B, seed=seed),
             )
             drawn = report.replicates.ravel()
@@ -175,12 +171,12 @@ class TestBootstrapMse:
         _, phi, omega = random_connected_instance(rng, 6)
         inner = smoothing_pipeline(omega, phi, 0.5)
 
-        def flaky(y_star, seed):
+        def flaky(y_star):
             if flaky.calls == 2:
                 flaky.calls += 1
                 raise NumericalError("boom")
             flaky.calls += 1
-            return inner(y_star, seed)
+            return inner(y_star)
 
         flaky.calls = 0
         report = bootstrap_mse(
@@ -194,7 +190,7 @@ class TestBootstrapMse:
         rng = np.random.default_rng(14)
         data = make_dataset(rng, m=6)
 
-        def always_fails(y_star, seed):
+        def always_fails(y_star):
             raise NumericalError("boom")
 
         with pytest.raises(NumericalError, match="bootstrap replicates failed"):
@@ -206,7 +202,7 @@ class TestBootstrapMse:
         rng = np.random.default_rng(14)
         data = make_dataset(rng, m=6)
 
-        def buggy(y_star, seed):
+        def buggy(y_star):
             raise TypeError("bad argument")
 
         with pytest.raises(TypeError, match="bad argument"):
@@ -217,22 +213,21 @@ class TestBootstrapMse:
         data = make_dataset(rng, m=6)
         calls = []
 
-        def identity(y_star, seeds):
-            calls.append((y_star.copy(), list(seeds)))
+        def identity(y_star):
+            calls.append(y_star.copy())
             return y_star
 
         report = bootstrap_mse(data, data.y + 0.1, identity, BootstrapConfig(n_replicates=7, seed=4))
         assert len(calls) == 1
-        y_star, seeds = calls[0]
+        y_star = calls[0]
         assert y_star.shape == (7, 6)
-        assert seeds == [replicate_gibbs_seed(4, b) for b in range(7)]
         assert np.array_equal(report.replicates, y_star)
 
     def test_non_finite_row_is_a_failed_replicate(self):
         rng = np.random.default_rng(17)
         data = make_dataset(rng, m=6)
 
-        def one_bad_row(y_star, seeds):
+        def one_bad_row(y_star):
             out = y_star.copy()
             out[3, 2] = np.inf
             return out
@@ -247,7 +242,7 @@ class TestBootstrapMse:
         rng = np.random.default_rng(18)
         data = make_dataset(rng, m=6)
 
-        def diverged(y_star, seeds):
+        def diverged(y_star):
             raise error("chain diverged")
 
         with pytest.raises(NumericalError, match="all 20 bootstrap replicates failed: chain diverged"):
@@ -258,7 +253,7 @@ class TestBootstrapMse:
         data = make_dataset(rng, m=6)
         with pytest.raises(NumericalError, match=r"shape \(5, 5\), expected \(5, 6\)"):
             bootstrap_mse(
-                data, data.y, lambda ys, s: ys[:, 1:], BootstrapConfig(n_replicates=5, seed=1)
+                data, data.y, lambda ys: ys[:, 1:], BootstrapConfig(n_replicates=5, seed=1)
             )
 
     def test_zero_sampling_variance_rejected(self):
@@ -272,7 +267,7 @@ class TestBootstrapMse:
             data.covariate_names,
         )
         with pytest.raises(ValidationError, match="positive sampling variance"):
-            bootstrap_mse(data, data.y, lambda ys, s: ys, BootstrapConfig(n_replicates=2))
+            bootstrap_mse(data, data.y, lambda ys: ys, BootstrapConfig(n_replicates=2))
 
 
 class TestStreamContract:
@@ -280,10 +275,6 @@ class TestStreamContract:
         a = replicate_rng(0, 0).integers(0, 100, size=8)
         b = replicate_rng(0, 1).integers(0, 100, size=8)
         assert not np.array_equal(a, b)
-
-    def test_gibbs_seed_is_deterministic(self):
-        assert replicate_gibbs_seed(5, 3) == replicate_gibbs_seed(5, 3)
-        assert replicate_gibbs_seed(5, 3) != replicate_gibbs_seed(5, 4)
 
 
 class TestReportValidation:
@@ -316,6 +307,19 @@ class TestReportValidation:
         values = {"mse": np.zeros(2), "bias": np.zeros(2), "replicates": np.zeros((2, 2)), **fields}
         with pytest.raises(ValidationError, match=message):
             BootstrapReport(**values)
+
+    @pytest.mark.parametrize(
+        "failed, message",
+        [
+            pytest.param((5,), r"failed\[0\] must be less than the 2 replicates, got 5", id="past-the-end"),
+            pytest.param(("a",), r"failed\[0\] must be an integer, got 'a'", id="text"),
+            pytest.param((0, -1), r"failed\[1\] must be a nonnegative integer, got -1", id="negative"),
+        ],
+    )
+    def test_bad_failed_index_rejected(self, failed, message):
+        reps = np.full((2, 2), np.nan)
+        with pytest.raises(ValidationError, match=message):
+            BootstrapReport(mse=np.zeros(2), bias=np.zeros(2), replicates=reps, failed=failed)
 
     def test_failed_replicates_stay_nan_rows(self):
         reps = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]])

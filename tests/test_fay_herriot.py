@@ -16,7 +16,7 @@ from smallarea import (
 from smallarea import fay_herriot
 from smallarea.datasets import FIXTURE_SCHEMA, load_area_csv, synthetic_dataset_path
 
-from oracles import exact_posterior_mean, reference_ess, reference_gibbs_draws
+from oracles import exact_posterior_mean, known_variance_posterior_mean, reference_ess, reference_gibbs_draws
 
 
 def make_dataset(seed, m=30, sigma_u2=2.0, beta=(5.0, 1.0)):
@@ -34,16 +34,6 @@ def make_dataset(seed, m=30, sigma_u2=2.0, beta=(5.0, 1.0)):
         intercept=True,
     )
     return data, theta
-
-
-def known_variance_posterior_mean(data, sigma_u2):
-    """Closed-form posterior mean when the model variance is known: the
-    shrinkage blend of y and the GLS regression fit."""
-    X, y, D = data.X, data.y, data.D
-    V = D + sigma_u2
-    beta_gls = np.linalg.solve(X.T @ (X / V[:, None]), X.T @ (y / V))
-    g = sigma_u2 / (sigma_u2 + D)
-    return g * y + (1.0 - g) * (X @ beta_gls)
 
 
 class TestAreaDataset:
@@ -154,7 +144,7 @@ class TestGibbsFit:
         fit = gibbs_fit(
             data, GibbsConfig(n_iter=20_000, n_burn=2_000, seed=0, fixed_sigma_u2=sigma_u2)
         )
-        target = known_variance_posterior_mean(data, sigma_u2)
+        target = known_variance_posterior_mean(data.y, data.D, data.X, sigma_u2)
         mc_se = fit.theta_draws.std(axis=0, ddof=1) / np.sqrt(fit.ess)
         assert np.all(np.abs(fit.theta_bayes - target) <= 3.0 * mc_se)
         assert np.array_equal(fit.sigma_u2_draws, np.full(fit.n_draws, sigma_u2))
@@ -251,9 +241,8 @@ class TestReferenceChain:
 
 
 class TestLockStep:
-    """What the lock-step batch sampler guaranteed, checked where it lives
-    now: gibbs_fit's stream for any responses and seed, and the input
-    checks and memory bound of exact_means, the batch that replaced it."""
+    """gibbs_fit's stream for any responses and seed, and the input checks
+    and memory bound of exact_means, the batched Bayes step."""
 
     CASES = {
         "bundled-fixture": (
@@ -449,7 +438,7 @@ class TestExactMeans:
     def test_fixed_variance_is_the_conditional_mean(self):
         data, _ = make_dataset(2)
         got = exact_means(data, data.y[None, :], fixed_sigma_u2=1.5)[0]
-        np.testing.assert_allclose(got, known_variance_posterior_mean(data, 1.5), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, known_variance_posterior_mean(data.y, data.D, data.X, 1.5), rtol=1e-12, atol=0)
 
     def test_improper_row_is_nan_not_truncated(self):
         # five D = 0 areas on the intercept with equal y: p(s2 | y) grows like

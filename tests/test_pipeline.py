@@ -257,8 +257,9 @@ class TestRunConfig:
             ("gamma", "abc", "config key 'gamma': expected a real number, got 'abc'"),
             ("benchmark_target", "x", "config key 'benchmark_target': expected a real number, got 'x'"),
             ("seed", "-1", "seed must be a nonnegative integer, got -1"),
+            ("bootstrap_gibbs_burn", "2000", "need n_iter > n_burn >= 0, got n_iter=2000, n_burn=2000"),
         ],
-        ids=["int-exponent", "int-empty", "seed-text", "gamma-text", "target-text", "seed-negative"],
+        ids=["int-exponent", "int-empty", "seed-text", "gamma-text", "target-text", "seed-negative", "old-key-burn"],
     )
     def test_bad_numeric_values_rejected(self, tmp_path, key, value, message):
         _, area, edges = small_area_csv(tmp_path)
@@ -509,7 +510,8 @@ class TestRunPipeline:
 
 
 class TestLockStepBootstrap:
-    """The pipeline's lock-step bootstrap against one chain per replicate."""
+    """The pipeline's batched bootstrap against the oracle's Bayes step,
+    taken one replicate at a time."""
 
     @staticmethod
     def _config(tmp_path, **overrides):
@@ -559,6 +561,30 @@ class TestLockStepBootstrap:
         assert written.metadata["bootstrap"]["failed"] == list(want.failed) == []
         assert written.metadata["bootstrap"]["bayes_step"] == "exact"
         assert "gibbs" not in written.metadata["bootstrap"]
+
+    def test_replicates_follow_the_fixed_variance(self, tmp_path):
+        """A pinned model variance pins it in every replicate too: each
+        replicate's Bayes step is the known-variance conditional mean.
+        Tolerance, fixed before the first run: exact_means's fixed-variance
+        path agrees with the closed form to about 1e-12 (1 + |y*|_inf), which
+        moves bias and MSE by far less than 1e-8; integrating over the
+        variance instead moves them by orders of magnitude more."""
+        base = self._config(tmp_path, bootstrap_replicates=4)
+        config = replace(base, gibbs=GibbsConfig(n_iter=300, n_burn=100, fixed_sigma_u2=1.5))
+        run_pipeline(config)
+        written = read_report(config.output_dir)
+        data, omega, phi, constraints, _ = _prepare_inputs(config)
+        args = (data, phi, omega, written.metadata["gamma"], constraints)
+        boot = BootstrapConfig(n_replicates=config.bootstrap_replicates, seed=config.seed)
+        pinned = per_replicate(reference_replicate(*args, fixed_sigma_u2=1.5))
+        want = bootstrap_mse(data, written.theta_benchmarked, pinned, boot)
+        for got, ref in ((written.mse, want.mse), (written.bias, want.bias)):
+            assert np.all(np.abs(got - ref) <= 1e-8)
+        assert written.metadata["bootstrap"]["failed"] == list(want.failed) == []
+        # the bound tells the two Bayes steps apart: integrating over the
+        # variance lands far outside it
+        sampled = bootstrap_mse(data, written.theta_benchmarked, per_replicate(reference_replicate(*args)), boot)
+        assert np.max(np.abs(written.mse - sampled.mse)) > 1e-6
 
     def test_metadata_records_the_chain_gap_to_the_exact_mean(self, tmp_path):
         config = self._config(tmp_path, bootstrap_replicates=0)
