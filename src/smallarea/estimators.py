@@ -92,7 +92,8 @@ def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | N
     m = theta.shape[0]
     if isinstance(omega, _SigmaSolver):
         solver = omega
-        if not np.array_equal(_phi_vector(phi, m), solver.phi):
+        own = phi is solver.phi and len(phi) == m  # the solver's own weights pass unchecked
+        if not own and not np.array_equal(_phi_vector(phi, m), solver.phi):
             raise ValidationError("phi differs from the loss weights the solver was built with")
         if constraints is not None and not _same_constraints(constraints, solver.constraints):
             raise ValidationError("constraints differ from those the solver was built with")
@@ -109,11 +110,12 @@ class _SigmaSolver:
     keeps what the last gamma it was asked about needed: S = Sigma^{-1},
     kept when Sigma has a Cholesky factor (so an indefinite omega is
     rejected) and the exact 1-norm condition number ||Sigma|| ||S|| is at
-    most _CONDITION_LIMIT, and, from the first constrained solve on, S M' and
-    the condition-checked Gram matrix M S M', or the NumericalError
-    message either step raised.  Every solve at that gamma is a product
-    with S plus the k x k correction.  A solver lives as long as the
-    caller that built it holds it.
+    most _CONDITION_LIMIT, and, from the first constrained solve on, the
+    projector S M' (M S M')^{-1} formed once from the condition-checked
+    Gram matrix M S M', or the NumericalError message either step raised.
+    Every solve at that gamma is a product with S, plus one with the
+    projector when constrained.  A solver lives as long as the caller that
+    built it holds it.
     """
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
@@ -126,11 +128,11 @@ class _SigmaSolver:
             )
         self.constraints = constraints
         self._gamma = None
-        self._inv = self._gram = None  # S / (S M', Gram), or an error message
+        self._inv = self._proj = None  # S / S M' (M S M')^{-1}, or an error message
 
     def _inverse(self, g: float):
         if g != self._gamma:
-            self._gamma, self._inv, self._gram = g, None, None  # drop the old inverse first
+            self._gamma, self._inv, self._proj = g, None, None  # drop the old inverse first
             self._inv = self._invert(g)
         if isinstance(self._inv, str):
             raise NumericalError(self._inv)
@@ -151,18 +153,17 @@ class _SigmaSolver:
 
     def _constrain(self, values, g: float, t):
         """``values`` plus the S M' lambda that puts the sum on M d = t."""
-        if self._gram is None:
+        if self._proj is None:
             sinv_mt = self._inverse(g) @ self.constraints.M.T
             gram = self.constraints.M @ sinv_mt
             gram = 0.5 * (gram + gram.T)
             if np.linalg.cond(gram) <= _CONDITION_LIMIT:
-                self._gram = (sinv_mt, gram)
+                self._proj = np.linalg.solve(gram, sinv_mt.T).T
             else:
-                self._gram = "degenerate or redundant constraints"
-        if isinstance(self._gram, str):
-            raise NumericalError(self._gram)
-        sinv_mt, gram = self._gram
-        return values + sinv_mt @ np.linalg.solve(gram, t - self.constraints.M @ values)
+                self._proj = "degenerate or redundant constraints"
+        if isinstance(self._proj, str):
+            raise NumericalError(self._proj)
+        return values + self._proj @ (t - self.constraints.M @ values)
 
     def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
@@ -316,7 +317,7 @@ def _objective(d, theta, solver: _SigmaSolver, g) -> float:
 
 def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
     """Value of (d - theta)' Phi (d - theta) + gamma d' omega d."""
-    d = np.asarray(delta, dtype=float)
+    d = _vector("delta", delta)
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma, size=d.shape[0])
     return _objective(d, theta, solver, g)
 

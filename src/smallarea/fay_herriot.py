@@ -15,7 +15,9 @@ The chain (:func:`gibbs_fit`) gives the pipeline's theta_bayes, its draws
 and their ESS.  :func:`exact_means` computes the same posterior mean
 exactly, by one-dimensional quadrature over s2, for any number of response
 vectors at once: the bootstrap replicates' Bayes step, and the Monte Carlo
-error check of the chain.
+error check of the chain.  The vectors share one lattice of nodes in
+log s2, so everything that depends on s2 alone (V, X'V^{-1}X, its factor
+and inverse) is computed once per node for the whole batch.
 
 RNG stream contract: the chain is strictly sequential and reproducible
 from its seed, and draws from two counter-based streams.  ``Philox(seed)``
@@ -51,10 +53,10 @@ __all__ = [
 _SIGMA2_FLOOR = 1e-12
 _SIGMA2_MAX = float(np.finfo(float).max)
 _BLOCK_DRAWS = 2**16  # normals buffered per block of the chain: 512 KiB
-_COARSE_NODES = 48  # nodes of exact_means's bracketing pass
-_FINE_NODES = 200  # trapezoid nodes over each row's window
+_COARSE_NODES = 48  # coarse nodes across the shortest row range of a batch
+_FINE_NODES = 200  # fine nodes across the narrowest window of a batch
 _LOG_WEIGHT_CUT = 38.0  # nodes this far below the largest log weight (e^-38) are dropped
-_CHUNK_DOUBLES = 2**15  # largest (rows x nodes x m) temporary of exact_means: 256 KiB
+_CHUNK_DOUBLES = 2**15  # largest temporary of exact_means's node and row chunks: 256 KiB
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,8 @@ class PosteriorSummary:
 
 def posterior_mean(theta_draws: np.ndarray) -> np.ndarray:
     """Componentwise mean of retained draws."""
-    draws = np.asarray(theta_draws, dtype=float)
-    if draws.ndim != 2 or draws.shape[0] == 0:
+    draws = _matrix("theta_draws", theta_draws)
+    if draws.shape[0] == 0:
         raise ValidationError("at least one retained draw is required")
     return draws.mean(axis=0)
 
@@ -328,45 +330,109 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     )
 
 
-def _node_terms(X, XX, D, Y, T):
-    """Log posterior weight in t = log s2 of each node ``T`` (R, n) of rows
-    ``Y`` (R, m), and ``V^{-1}(y - X beta_hat)`` at each node, (R, n, m)."""
-    R, n = T.shape
-    m, p = X.shape
-    # log|V|, then V^{-1} in V's buffer: buffers are reused so that the
-    # chunk's peak is two (R, n, m) arrays and one transient
-    v = np.exp(T)[:, :, None] + D
-    log_det = np.log(v).sum(axis=-1)
+def _nodes(X, XX, D, T):
+    """The terms of nodes ``T`` (n,) in t = log s2 that no response row
+    changes: w = 1 / (e^t + D), (n, m); the constant of the log weight,
+    t - (log|V| + log|X'WX|) / 2, (n,); and (X'WX)^{-1}, (n, p, p).  A node
+    whose terms are not finite, or whose X'WX has no Cholesky factor, gets
+    a NaN constant and a zero w and inverse, so that it reaches only the
+    rows that read it, and makes them NaN."""
+    n, (m, p) = len(T), X.shape
+    v = np.exp(T)[:, None] + D
+    const = T - 0.5 * np.log(v).sum(axis=1)  # the node's Jacobian ds2 = s2 dt is the leading T
     w = np.reciprocal(v, out=v)
-    # X'V^{-1}X and X'V^{-1}y for every (row, node): one GEMM each; the
-    # unit-diagonal rescaling S A S, S = diag(A)^{-1/2}, is factored for
-    # the determinant and solved for beta_hat
-    A = (w.reshape(R * n, m) @ XX).reshape(R, n, p, p)
-    b = ((w * Y[:, None, :]).reshape(R * n, m) @ X).reshape(R, n, p, 1)
-    S = 1.0 / np.sqrt(np.diagonal(A, axis1=-2, axis2=-1))[..., None]
-    A *= S * S.swapaxes(-1, -2)
+    # X'WX rescaled to unit diagonal, S A S with S = diag(A)^{-1/2}, is
+    # factored for the determinant and inverted
+    A = (w @ XX).reshape(n, p, p)
+    s = 1.0 / np.sqrt(np.diagonal(A, axis1=1, axis2=2))
+    A *= s[:, :, None] * s[:, None, :]
     try:
         L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:  # numerically singular: the chunk's rows come out NaN
-        return np.full(T.shape, np.nan), np.full((R, n, m), np.nan)
-    beta = S * np.linalg.solve(A, S * b)
-    wr = beta[..., 0] @ X.T
-    np.subtract(Y[:, None, :], wr, out=wr)
-    quad_form = np.einsum("rnm,rnm,rnm->rn", wr, wr, w)
-    wr *= w
-    log_det += 2.0 * (np.log(np.diagonal(L, axis1=-2, axis2=-1)) - np.log(S[..., 0])).sum(axis=-1)
-    # the node's Jacobian ds2 = s2 dt is the leading T
-    return T - 0.5 * (log_det + quad_form), wr
+    except np.linalg.LinAlgError:  # some node is numerically singular: factor each alone
+        L = np.array([_cholesky_or_nan(a) for a in A])
+    const += np.log(s).sum(axis=1) - np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    bad = ~np.isfinite(const)  # as is every node with a w that is not finite
+    A[bad] = np.eye(p)
+    inv = np.linalg.inv(A) * (s[:, :, None] * s[:, None, :])
+    const[bad], w[bad], inv[bad] = np.nan, 0.0, 0.0
+    return w, const, inv
 
 
-def _chunks(R: int, n: int, m: int):
-    """(row, node) slices covering an (R, n) grid whose (rows x nodes x m)
-    blocks hold at most ``_CHUNK_DOUBLES`` doubles."""
-    pairs = max(1, _CHUNK_DOUBLES // m)
-    rows, nodes = (max(1, pairs // n), n) if n <= pairs else (1, pairs)
-    for r in range(0, R, rows):
-        for k in range(0, n, nodes):
-            yield slice(r, r + rows), slice(k, k + nodes)
+def _cholesky_or_nan(a):
+    """The Cholesky factor of ``a``, or NaN where it has none."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return np.full_like(a, np.nan)
+
+
+def _row_terms(X, Y, w, inv, const):
+    """Log posterior weight (n, R) and GLS fit beta_hat (n, p, R) of the
+    rows ``Y`` (R, m) at the n nodes of :func:`_nodes`.  One GEMM of w with
+    the products x_k * y and y * y gives every (node, row)'s b = X'Wy and
+    y'Wy; then beta_hat = (X'WX)^{-1} b and y'Py = y'Wy - b' beta_hat."""
+    (R, m), p = Y.shape, X.shape[1]
+    prods = np.empty((p + 1, R, m))
+    prods[:p] = X.T[:, None, :]
+    prods[p] = Y
+    prods *= Y
+    G = (w @ prods.reshape(-1, m).T).reshape(-1, p + 1, R)
+    beta = inv @ G[:, :p]
+    ypy = G[:, p] - (G[:, :p] * beta).sum(axis=1)
+    return const[:, None] - 0.5 * ypy, beta
+
+
+def _node_chunks(X, D, T):
+    """:func:`_nodes` of ``T`` in chunks, with the number of rows per chunk,
+    such that each (nodes x m) and (rows x (p + 1) x max(m, nodes))
+    temporary holds at most ``_CHUNK_DOUBLES`` doubles."""
+    m, p = X.shape
+    XX = (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
+    size = max(1, _CHUNK_DOUBLES // m)
+    rows = max(1, _CHUNK_DOUBLES // ((p + 1) * max(m, min(size, len(T)))))
+    for k in range(0, len(T), size):
+        yield slice(k, k + size), _nodes(X, XX, D, T[k : k + size]), rows
+
+
+def _log_weights(X, D, Y, T):
+    """Log posterior weight of every row of ``Y`` at every node ``T``, (B, n)."""
+    out = np.empty((len(Y), len(T)))
+    for nodes, (w, const, inv), rows in _node_chunks(X, D, T):
+        for k in range(0, len(Y), rows):
+            r = slice(k, k + rows)
+            out[r, nodes] = _row_terms(X, Y[r], w, inv, const)[0].T
+    return out
+
+
+def _window_means(X, D, Y, T, lo, hi):
+    """V^{-1}(y - X beta_hat) of each row of ``Y`` averaged over the nodes
+    ``T`` inside its window [lo_r, hi_r] with the posterior weights, (B, m):
+    a running log-sum-exp over node chunks, and for each chunk one GEMM of
+    w with the normalised weights e_j and e_j * beta_hat_j, which gives
+    sum_j e_j w_j * y - sum_j e_j w_j * (X beta_hat_j)."""
+    (B, m), p = Y.shape, X.shape[1]
+    top = np.full(B, -np.inf)
+    total = np.zeros(B)
+    acc = np.zeros((B, m))
+    for nodes, (w, const, inv), rows in _node_chunks(X, D, T):
+        t = T[nodes, None]
+        here = np.flatnonzero((lo <= t[-1]) & (hi >= t[0]))  # each has a node in this chunk
+        for k in range(0, len(here), rows):
+            r = here[k : k + rows]
+            log_w, beta = _row_terms(X, Y[r], w, inv, const)
+            log_w[(t < lo[r]) | (t > hi[r])] = -np.inf
+            new_top = np.maximum(top[r], log_w.max(axis=0))
+            scale = np.exp(top[r] - new_top)
+            e = np.exp(log_w - new_top)
+            sums = np.empty((len(t), p + 1, len(r)))
+            sums[:, 0] = e
+            np.multiply(e[:, None, :], beta, out=sums[:, 1:])
+            sums = (sums.reshape(len(t), -1).T @ w).reshape(p + 1, len(r), m)
+            total[r] = total[r] * scale + e.sum(axis=0)
+            fit = (sums[1:] * X.T[:, None, :]).sum(axis=0)
+            acc[r] = acc[r] * scale[:, None] + Y[r] * sums[0] - fit
+            top[r] = new_top
+    return acc / total[:, None]
 
 
 def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np.ndarray:
@@ -377,18 +443,37 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     where V = diag(s2 + D) and beta_hat is the GLS fit; integrating beta
     out leaves ``p(s2 | y) ∝ |V|^{-1/2} |X'V^{-1}X|^{-1/2} exp(-y'Py/2)``
     (Morris 1983; Datta, Rao & Smith 2005).  The mean is the integral of
-    the first against the second, taken in t = log s2.  A coarse pass of
-    48 nodes brackets each row's window, the nodes within 38 of the largest
-    log weight, plus one node spacing either side; a 200-node trapezoid
-    over that window, normalised by log-sum-exp, gives the row.  The
-    coarse range follows the weight's two tails, which are known: below
+    the first against the second, taken in t = log s2.
+
+    The range of t follows the weight's two tails, which are known: below
     the harmonic scale 1 / sum(1/D_i) of the sampling variances the log
     weight falls like t, and above both the largest D_i and the residual
-    scale SSR / (m - p - 2) it falls like (m - p - 2) t / 2.  The range
-    runs from 45 below the first to 45 + 76 / (m - p - 2) above the second.
-    A row whose window reaches an end of that range is NaN, never
-    truncated.  Temporaries are chunked over rows and nodes, each at most
-    ``_CHUNK_DOUBLES`` doubles.
+    scale SSR / (m - p - 2) of row r it falls like (m - p - 2) t / 2.  Row
+    r's range runs from ``low``, 45 below the first, to ``high_r``, 45 +
+    76 / (m - p - 2) above the second (capped where e^t overflows).  All
+    rows share one lattice of nodes, so each node's w = 1 / (e^t + D),
+    log|V|, X'V^{-1}X, its Cholesky factor and its inverse are computed
+    once for the batch, and the per-row terms are GEMMs over the nodes.
+    A coarse lattice from ``low``, spaced (min_r high_r - low) / 47 and
+    running to max_r high_r, brackets each row's window from the nodes in
+    its own range: the nodes within 38 of its largest log weight, plus one
+    node either side.  A row whose window reaches an end of its range is
+    NaN, never truncated.  A fine lattice spaced (narrowest window) / 199
+    covers every window, and each row's mean is the weighted average over
+    the fine nodes inside its window, normalised by log-sum-exp.  Every
+    row so gets at least 199 intervals across its window; a row's value
+    depends on the rest of its batch only through the lattice spacing.
+    The coarse lattice has 48 + 47 * Δ / (min_r high_r - low) nodes, Δ the
+    spread of high_r, with min_r high_r - low >= 90; the fine lattice has
+    about 199 * U / W, U the width of the union of the windows and W the
+    narrowest.  Rows of one model, such as bootstrap replicates, have
+    nearby windows, so both stay near 48 and 200; rows whose residual
+    scales differ by a factor k widen U by about 2 log k.  Before the
+    quadrature each row is moved by a fitted value X c, which changes
+    neither y'Py nor y - X beta_hat: c fits the D = 0 areas exactly and
+    the others by least squares within what that leaves free, so that
+    y'Py = y'V^{-1}y - b' beta_hat does not cancel.  Temporaries are
+    chunked over nodes and rows, each at most ``_CHUNK_DOUBLES`` doubles.
 
     Areas with D_i = 0 get theta_i = y_i exactly.  With ``fixed_sigma_u2``
     each row is the conditional mean at that variance.  Raises
@@ -397,60 +482,56 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     X = data.X
     m, p = X.shape
     _check_propriety(m, p)
-    if np.any(data.D == 0):
-        # rotate the design so the directions the D = 0 areas pin as s2 -> 0
-        # are coordinates, which the diagonal rescaling then balances; a
-        # rotation changes no fitted value and no determinant
-        X = X @ np.linalg.svd(X[data.D == 0])[2].T
     Y = _matrix("responses", Y)
     if Y.shape[0] == 0 or Y.shape[1] != m:
         raise ValidationError(f"responses have shape {Y.shape}, expected (B, {m}) with B >= 1")
+    s2 = None if fixed_sigma_u2 is None else _fixed_variance(fixed_sigma_u2)
     D = data.D
-    XX = (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
-    B = Y.shape[0]
-    out = Y.copy()
-    if fixed_sigma_u2 is not None:
-        T = np.full((B, 1), np.log(_fixed_variance(fixed_sigma_u2)))
-        for rows, _ in _chunks(B, 1, m):
-            out[rows] -= D * _node_terms(X, XX, D, Y[rows], T[rows])[1][:, 0]
-        return out
     if not np.any(D > 0):
-        return out
+        return Y.copy()
+    # each row moved by a fitted value X c, which changes neither y'Py nor
+    # y - X beta_hat: the least-squares fit, or with D = 0 areas a c that
+    # fits them exactly first (see the docstring)
+    fitted = Y @ np.linalg.pinv(X).T @ X.T
+    moved = Y - fitted
+    zero = D == 0
+    if np.any(zero):
+        # rotate the design so the directions the D = 0 areas pin as s2 -> 0
+        # are its first r coordinates, which the diagonal rescaling then
+        # balances; a rotation changes no fitted value and no determinant
+        X = X @ np.linalg.svd(X[zero])[2].T
+        r = np.linalg.matrix_rank(X[zero])
+        c = np.linalg.lstsq(X[zero, :r], Y[:, zero].T, rcond=None)[0]
+        rest = Y[:, ~zero].T - X[~zero, :r] @ c
+        c = np.vstack([c, np.linalg.lstsq(X[~zero, r:], rest, rcond=None)[0]])
+        moved = Y - (X @ c).T
+    if s2 is not None:  # one node, which every row reads
+        t = np.full(len(Y), np.log(s2))
+        return Y - D * _window_means(X, D, moved, t[:1], t, t)
 
-    # coarse range from the two tails (see the docstring)
+    # coarse lattice from the two tails (see the docstring)
     decay = m - p - 2
-    ssr = np.sum((Y - Y @ np.linalg.pinv(X).T @ X.T) ** 2, axis=1)
+    ssr = np.sum((Y - fitted) ** 2, axis=1)
     low = np.log(1.0 / np.sum(1.0 / D[D > 0])) - 45.0
     high = np.log(np.maximum(ssr / decay, D.max())) + 45.0 + 76.0 / decay
-    T = low + (high - low)[:, None] * np.linspace(0.0, 1.0, _COARSE_NODES)
-    coarse = np.empty((B, _COARSE_NODES))
-    for rows, nodes in _chunks(B, _COARSE_NODES, m):
-        coarse[rows, nodes] = _node_terms(X, XX, D, Y[rows], T[rows, nodes])[0]
+    high = np.minimum(high, np.log(_SIGMA2_MAX))
+    step = (high.min() - low) / (_COARSE_NODES - 1)
+    ends = np.floor((high - low) / step + 1e-9).astype(int)  # each row's last coarse node
+    T = low + step * np.arange(ends.max() + 1)
+    coarse = _log_weights(X, D, moved, T)
+    own = np.arange(len(T)) <= ends[:, None]
+    finite = np.all(np.isfinite(coarse) | ~own, axis=1)
+    coarse[~own] = -np.inf
     kept = coarse >= coarse.max(axis=1, keepdims=True) - _LOG_WEIGHT_CUT
     first = np.argmax(kept, axis=1)
-    last = _COARSE_NODES - 1 - np.argmax(kept[:, ::-1], axis=1)
-    ok = (first > 0) & (last < _COARSE_NODES - 1) & np.all(np.isfinite(coarse), axis=1)
+    last = len(T) - 1 - np.argmax(kept[:, ::-1], axis=1)
+    ok = (first > 0) & (last < ends) & finite
+    out = Y.copy()
     out[~ok] = np.nan
-    rows_ok = np.flatnonzero(ok)
-    lo = T[rows_ok, first[ok] - 1]
-    hi = T[rows_ok, last[ok] + 1]
-    T = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _FINE_NODES)
-    Y = Y[ok]
-    ends = np.zeros(_FINE_NODES)
-    ends[[0, -1]] = np.log(0.5)  # trapezoid end weights
-
-    # running log-sum-exp of the weights and of the weighted V^{-1} residuals
-    top = np.full(len(Y), -np.inf)
-    total = np.zeros(len(Y))
-    acc = np.zeros(Y.shape)
-    for rows, nodes in _chunks(len(Y), _FINE_NODES, m):
-        log_w, wr = _node_terms(X, XX, D, Y[rows], T[rows, nodes])
-        log_w += ends[nodes]
-        new_top = np.maximum(top[rows], log_w.max(axis=1))
-        scale = np.exp(top[rows] - new_top)
-        e = np.exp(log_w - new_top[:, None])
-        total[rows] = total[rows] * scale + e.sum(axis=1)
-        acc[rows] = acc[rows] * scale[:, None] + np.einsum("rn,rnm->rm", e, wr)
-        top[rows] = new_top
-    out[ok] -= D * (acc / total[:, None])
+    if not np.any(ok):
+        return out
+    lo, hi = T[first[ok] - 1], T[last[ok] + 1]
+    h = np.min(hi - lo) / (_FINE_NODES - 1)
+    fine = lo.min() + h * np.arange(np.ceil((hi.max() - lo.min()) / h) + 1)
+    out[ok] -= D * _window_means(X, D, moved[ok], fine, lo, hi)
     return out

@@ -204,6 +204,18 @@ class TestOptimality:
                 perturbed = penalized_objective(best.values + step, theta, phi, omega, gamma)
                 assert perturbed >= best.objective_value - 1e-9
 
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            pytest.param(["a", "b"], "delta must be a vector of real numbers", id="text"),
+            pytest.param([1.0, np.nan], "delta contains non-finite entries", id="non-finite"),
+            pytest.param([True, False], "delta must be a vector of real numbers", id="bool"),
+        ],
+    )
+    def test_bad_delta_rejected(self, delta, message):
+        with pytest.raises(ValidationError, match=message):
+            penalized_objective(delta, TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0)
+
     def test_benchmarked_is_a_minimum_on_the_feasible_set(self):
         rng = np.random.default_rng(18)
         for _ in range(50):

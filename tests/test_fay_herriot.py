@@ -348,8 +348,9 @@ class TestLockStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one unchunked (rows x nodes x m) temporary of the 200-node pass
-        # would take 50 x 200 x 200 x 8 bytes = 16 MB; chunked ones take 256 KiB
+        # unchunked, the fine lattice's (nodes x m) weights would take
+        # 200 x 200 x 8 bytes = 320 KB and its (nodes x (p + 1) x rows)
+        # terms 200 x 3 x 50 x 8 bytes = 240 KB each; chunked ones take 256 KiB
         assert peak < 2_000_000
 
     @pytest.mark.parametrize(
@@ -449,6 +450,93 @@ class TestExactMeans:
         got = exact_means(data, np.vstack([y, y + np.arange(8.0)]))
         assert np.all(np.isnan(got[0]))
         assert np.all(np.isfinite(got[1]))
+
+    def test_rows_of_different_scales_match_oracle(self):
+        """Rows at 1x, 10x and 100x the residual scale around one regression
+        share a lattice spaced for the narrowest window; the bound was fixed
+        before the first run."""
+        data, _ = make_dataset(9)
+        rng = np.random.default_rng(41)
+        fit = data.X @ np.array([1.0, 2.0, -1.0])[: data.X.shape[1]]
+        Y = fit + np.array([1.0, 10.0, 100.0, 10.0, 1.0])[:, None] * rng.normal(size=(5, data.m))
+        got = exact_means(data, Y)
+        for b, y in enumerate(Y):
+            want = exact_posterior_mean(y, data.D, data.X)
+            assert np.max(np.abs(got[b] - want)) <= 1e-9 * (1.0 + np.abs(y).max()), b
+
+    def test_chunk_size_is_not_part_of_the_result(self, monkeypatch):
+        # with 3 nodes and 1 row per chunk, some node chunks hold none of a
+        # row's window and some row chunks none of a node chunk's rows
+        data, _ = make_dataset(9)
+        rng = np.random.default_rng(42)
+        Y = data.y + np.array([0.1, 1.0, 100.0])[:, None] * rng.normal(size=(3, data.m))
+        default = exact_means(data, Y)
+        monkeypatch.setattr(fay_herriot, "_CHUNK_DOUBLES", 3 * data.m)
+        np.testing.assert_allclose(exact_means(data, Y), default, rtol=1e-12, atol=0)
+
+    def test_nodes_without_a_factor_make_their_rows_nan(self, monkeypatch):
+        data, _ = make_dataset(9)
+        Y = data.y + np.random.default_rng(43).normal(size=(2, data.m))
+        default = exact_means(data, Y)
+        cholesky = np.linalg.cholesky
+
+        def stack_fails(a):  # so each node is factored alone, and each has a factor
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", stack_fails)
+        assert np.array_equal(exact_means(data, Y), default)
+
+        def every_node_fails(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", every_node_fails)
+        assert np.all(np.isnan(exact_means(data, Y)))
+        assert np.all(np.isnan(exact_means(data, Y, fixed_sigma_u2=1.5)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_match_rows_alone(self, seed):
+        """A row's value depends on its batch only through the lattice
+        spacing; the bound was fixed before the first run."""
+        data, Y = _oracle_case(seed)
+        got = exact_means(data, Y)
+        for b, y in enumerate(Y):
+            alone = exact_means(data, Y[b : b + 1])[0]
+            assert np.max(np.abs(got[b] - alone)) <= 1e-11 * (1.0 + np.abs(y).max()), b
+
+    def test_improper_row_beside_finite_rows(self):
+        # the improper row of test_improper_row_is_nan_not_truncated shares
+        # the lattice with finite rows, which must still match the oracle
+        D = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 4.0])
+        data = AreaDataset(tuple("abcdefgh"), y, D, np.empty((8, 0)), ())
+        Y = np.vstack([y + np.arange(8.0), y, y + np.arange(8.0) ** 2, y - 5.0 * np.arange(8.0)])
+        got = exact_means(data, Y)
+        assert np.all(np.isnan(got[1]))
+        for b in (0, 2, 3):
+            want = exact_posterior_mean(Y[b], D, data.X)
+            assert np.max(np.abs(got[b] - want)) <= 1e-9 * (1.0 + np.abs(Y[b]).max()), b
+
+    def test_factors_each_node_once_for_the_batch(self, monkeypatch):
+        """200 bootstrap-like rows on the fixture, y* = theta + sqrt(D) z
+        around the exact mean theta, factor X'V^{-1}X at each node of the
+        shared lattice once: a few hundred matrices, where one factorization
+        per (row, node) would be 200 x 248 = 49,600."""
+        data = load_area_csv(synthetic_dataset_path(), FIXTURE_SCHEMA)
+        theta = exact_means(data, data.y[None, :])[0]
+        Y = theta + np.sqrt(data.D) * np.random.default_rng(5).normal(size=(200, data.m))
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            factored.append(int(np.prod(np.shape(a)[:-2])))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        assert np.all(np.isfinite(exact_means(data, Y)))
+        assert sum(factored) < 1_000
 
     def test_gibbs_fit_is_unbiased_against_the_exact_mean(self):
         """z = (chain mean - exact mean) / MCSE per area, pooled over five
@@ -551,3 +639,15 @@ class TestPosteriorMean:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
             posterior_mean(np.empty((0, 3)))
+
+    @pytest.mark.parametrize(
+        "draws, message",
+        [
+            pytest.param([["a", "b"]], "theta_draws must be a matrix of real numbers", id="text"),
+            pytest.param([[1.0, np.nan]], "theta_draws contains non-finite entries", id="non-finite"),
+            pytest.param([[True, False]], "theta_draws must be a matrix of real numbers", id="bool"),
+        ],
+    )
+    def test_bad_draws_rejected(self, draws, message):
+        with pytest.raises(ValidationError, match=message):
+            posterior_mean(draws)
