@@ -10,9 +10,10 @@ linear constraints M d = t.  Both have closed forms from one private
 solver, built once for a (phi, omega, constraints): it inverts the
 symmetric positive-definite Sigma = Phi + gamma * omega once per gamma
 with numpy, rejects an indefinite or ill-conditioned Sigma as a
-NumericalError, keeps
-the last gamma's inverse for every later solve at that gamma and also
-gives the hat-matrix column behind each held-out fit of ``selection``.
+NumericalError, and keeps the last gamma's inverse for every later solve
+at that gamma.  For the held-out fits of ``selection`` it also keeps, at
+that gamma, the full fit of one theta and the table of hat-matrix columns
+A e_i, so that each held-out fit reads one row of it.
 A caller that solves many times, such as the pipeline's estimates,
 cross-validation and bootstrap, passes the solver in place of omega; a
 call with a plain omega builds a one-off solver.
@@ -114,8 +115,11 @@ class _SigmaSolver:
     projector S M' (M S M')^{-1} formed once from the condition-checked
     Gram matrix M S M', or the NumericalError message either step raised.
     Every solve at that gamma is a product with S, plus one with the
-    projector when constrained.  A solver lives as long as the caller that
-    built it holds it.
+    projector when constrained.  The same slot holds the table of the
+    last :meth:`held_out` call, the full fit d and the m x m A', keyed by
+    ``constrained`` and a copy of theta; a new gamma drops it with S and
+    the projector.  A solver lives as long as the caller that built it
+    holds it.
     """
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
@@ -129,10 +133,12 @@ class _SigmaSolver:
         self.constraints = constraints
         self._gamma = None
         self._inv = self._proj = None  # S / S M' (M S M')^{-1}, or an error message
+        self._table = None  # (constrained, theta, d, A') of the last held_out call
 
     def _inverse(self, g: float):
         if g != self._gamma:
-            self._gamma, self._inv, self._proj = g, None, None  # drop the old inverse first
+            # drop the old gamma's arrays before the new inverse is formed
+            self._gamma, self._inv, self._proj, self._table = g, None, None, None
             self._inv = self._invert(g)
         if isinstance(self._inv, str):
             raise NumericalError(self._inv)
@@ -172,11 +178,21 @@ class _SigmaSolver:
         d = self._inverse(g) @ (self.phi * theta)
         return self._constrain(d, g, self.constraints.t) if constrained else d
 
-    def hat_column(self, i: int, g: float, constrained: bool = False):
-        """Column i of A in the linear fit d = A theta + c: phi_i S e_i,
-        moved onto M a = 0 when ``constrained``."""
-        a = self.phi[i] * self._inverse(g)[:, i]
-        return self._constrain(a, g, 0.0) if constrained else a
+    def held_out(self, theta, g: float, constrained: bool = False):
+        """The full fit d = A theta + c at gamma ``g`` and A', whose row i
+        is A e_i = phi_i S e_i, moved onto M a = 0 when ``constrained``.
+        Both are kept until gamma, ``constrained`` or the values of theta
+        change, so the held-out fits of one grid point share them."""
+        S = self._inverse(g)
+        table = self._table
+        if table is None or table[0] != constrained or not np.array_equal(table[1], theta):
+            self._table = None  # drop the old table before the new one is formed
+            d = self.solve(theta, g, constrained)
+            At = S.T * self.phi[:, None]
+            if constrained:  # solve has formed the projector
+                At -= (At @ self.constraints.M.T) @ self._proj.T
+            self._table = table = (constrained, theta.copy(), d, At)
+        return table[2], table[3]
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def _vector(name: str, value, size: int | None = None) -> np.ndarray:
     v = _reals(name, value, 1)
     if size is not None and v.shape[0] != size:
         raise ValidationError(f"{name} has length {v.shape[0]}, expected {size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return v
 
@@ -80,6 +80,6 @@ def _matrix(name: str, value, shape: tuple[int, int] | None = None) -> np.ndarra
     a = _reals(name, value, 2)
     if shape is not None and a.shape != shape:
         raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return a

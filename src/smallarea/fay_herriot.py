@@ -34,6 +34,7 @@ sample size is computed when first read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -238,6 +239,22 @@ def _check_propriety(m: int, p: int) -> None:
         )
 
 
+def _variance_draw(ssr: float, g: float) -> float:
+    """The model-variance draw 1 / gamma(shape, scale 2/ssr) from the
+    standard gamma draw ``g``, scaled as numpy's gamma scales, and clamped
+    to [_SIGMA2_FLOOR, _SIGMA2_MAX].  Python floats do the arithmetic; a
+    division by zero (ssr = 0, or a product that underflows to 0) takes
+    the numpy-scalar route, where 1/0 is inf and 0 * inf is NaN.  A
+    degenerate residual so gives 1/inf = 0, floored, and a NaN stays NaN:
+    ``max``/``min`` keep their first argument when the comparison fails."""
+    try:
+        s2 = 1.0 / ((2.0 / ssr) * g)
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s2 = float(1.0 / ((2.0 / np.float64(ssr)) * np.float64(g)))
+    return min(max(s2, _SIGMA2_FLOOR), _SIGMA2_MAX)
+
+
 def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     """Run the systematic-scan Gibbs sampler and summarize the chain.
 
@@ -248,7 +265,12 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     the thinning stride.  Every K iterations the chain refills a (K, m + p)
     normal block and a K-long gamma block with one call per stream (see
     the module docstring); K bounds the normal block at ``_BLOCK_DRAWS``
-    doubles and the last block is shorter.
+    doubles and the last block is shorter.  The loop writes theta's
+    precision, its square root, the conditional mean, the noise term and
+    the residuals into buffers allocated once, and holds the model
+    variance as a Python float (:func:`_variance_draw`); the operations
+    and their order are those of a loop that allocates fresh arrays, so
+    the draws are bit for bit the same.
 
     Raises ValidationError when m <= p + 2, where the flat prior does not
     yield a proper variance conditional.
@@ -269,13 +291,14 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
 
     beta = y @ Pt
     if sampled:
-        sigma2 = np.maximum(1e-6, np.mean((y - beta @ X.T) ** 2) - np.mean(D))
+        sigma2 = float(np.maximum(1e-6, np.mean((y - beta @ X.T) ** 2) - np.mean(D)))
     else:
-        sigma2 = np.float64(config.fixed_sigma_u2)
+        sigma2 = config.fixed_sigma_u2
 
     # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
     observed = D > 0
-    cols = slice(0, m) if np.all(observed) else np.flatnonzero(observed)
+    every = bool(np.all(observed))
+    cols = slice(0, m) if every else np.flatnonzero(observed)
     theta = y.copy()
     Xt = np.ascontiguousarray(X.T)
     Xt_obs = X[cols].T
@@ -285,8 +308,11 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     # normal(p)) and gam[k] its standard_gamma
     K = max(1, min(config.n_iter, _BLOCK_DRAWS // (m + p)))
     noise = np.empty((K, m + p))
-    gam = np.empty(K)
     shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
+    # buffers the loop writes in place of the arrays each step would allocate
+    prec, mean, step = (np.empty(len(inv_D)) for _ in range(3))
+    new = theta[cols] if every else np.empty(len(inv_D))  # theta itself, when no area is pinned
+    resid = np.empty(m)
 
     n_keep = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
     theta_draws = np.empty((n_keep, m))
@@ -298,22 +324,23 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
             n = min(K, config.n_iter - it)
             normals(out=noise[:n])
             if sampled:
-                gammas(shape, out=gam[:n])
+                gam = gammas(shape, n).tolist()  # Python floats for _variance_draw
         z = noise[k]
-        prec = inv_D + 1.0 / sigma2
-        mean = (y_over_D + (beta @ Xt_obs) / sigma2) / prec
-        theta[cols] = mean + z[cols] / np.sqrt(prec)
+        np.add(inv_D, 1.0 / sigma2, out=prec)
+        np.divide(np.matmul(beta, Xt_obs, out=mean), sigma2, out=mean)
+        np.divide(np.add(y_over_D, mean, out=mean), prec, out=mean)
+        np.divide(z[cols], np.sqrt(prec, out=step), out=step)
+        np.add(mean, step, out=new)
+        if not every:
+            theta[cols] = new
 
-        beta = theta @ Pt + np.sqrt(sigma2) * (z[m:] @ Rt)
+        beta = theta @ Pt
+        beta += math.sqrt(sigma2) * (z[m:] @ Rt)
 
         if sampled:
-            resid = theta - beta @ Xt
-            ssr = (resid * resid).sum()
-            # s2 = 1 / gamma(shape, scale 2/ssr), scaled as numpy's gamma scales;
-            # degenerate residuals give 1/inf = 0, floored below
-            with np.errstate(divide="ignore", over="ignore"):
-                sigma2 = 1.0 / ((2.0 / ssr) * gam[k])
-            sigma2 = np.minimum(np.maximum(sigma2, _SIGMA2_FLOOR), _SIGMA2_MAX)
+            np.subtract(theta, np.matmul(beta, Xt, out=resid), out=resid)
+            ssr = float(np.add.reduce(np.multiply(resid, resid, out=resid)))
+            sigma2 = _variance_draw(ssr, gam[k])
 
         if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
             j = (it - config.n_burn) // config.thin

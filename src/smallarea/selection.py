@@ -4,9 +4,11 @@ Each held-out problem drops one area's loss term (zeroing its weight)
 while keeping the full penalty and any benchmark constraints, so the
 held-out coordinate is predicted by smoothness and constraints alone.
 Held-out fits come from the full fit: the exact leave-one-out identity
-for linear smoothers turns the full fit and one column of its hat matrix,
-both from the estimators' inverse of Sigma at that gamma, into the held-out
-fit.  One grid point inverts Sigma once for all of its held-out fits.
+for linear smoothers (Craven & Wahba 1979) turns the full fit and one
+column of its hat matrix into the held-out fit.  The estimators' solver
+forms both once per grid point, from its one inverse of Sigma at that
+gamma: the full fit and the table whose row i is that column, so each
+held-out fit reads one row and costs O(m).
 The score of a grid point is the weighted mean squared gap between those
 predictions and the Bayes estimates; the selected gamma minimizes it,
 with ties broken toward the smallest value.
@@ -103,13 +105,14 @@ def loo_solution(
         raise ValidationError(f"area index {index} out of range [0, {theta.size})")
     constrained = constraints is not None
     try:
-        d, a = solver.solve(theta, g, constrained), solver.hat_column(index, g, constrained)
+        d, At = solver.held_out(theta, g, constrained)
+        a = At[index]
         gap = 1.0 - a[index]
     except NumericalError:
         gap = 0.0
     if gap > 1.0 / _CONDITION_LIMIT:
         solution = d + ((d[index] - theta[index]) / gap) * a
-        if np.all(np.isfinite(solution)):
+        if np.isfinite(solution).all():
             return solution
     raise NumericalError(f"held-out area {index} is unidentified at gamma={g:g}")
 
@@ -126,7 +129,8 @@ def cross_validate(
     failed at every point and holds their indices in its ``areas``
     attribute.  ``omega`` may be the estimators' Sigma solver, so that the
     grid's inverses serve the caller's later solves too; each grid point
-    inverts Sigma once for all of its held-out fits.
+    inverts Sigma and builds the held-out table once for all of its
+    held-out fits.
     """
     theta, solver, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
     p, m = solver.phi, theta.shape[0]

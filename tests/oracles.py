@@ -5,12 +5,14 @@ oracle assembles and LU-solves the full bordered KKT system, the
 unconstrained oracle runs a generic second-order optimizer, and the
 quadratic-form oracle evaluates the similarity double sum directly.  The
 Gibbs reference chain solves with the Cholesky factor of X'X on every
-iteration, the reference ESS handles one area at a time, the exact
-posterior mean integrates over the model variance with adaptive
-quadrature and an explicit projection matrix, and the reference bootstrap
-replicate takes that mean one replicate at a time.  The
-reference held-out solve refactors the zero-weight system for every
-held-out area and borders it with the constraints.
+iteration, and the reference Gibbs loop is the sampler's loop before its
+buffers were reused, which the sampler must match bit for bit.  The
+reference ESS handles one area at a time, the exact posterior mean
+integrates over the model variance with adaptive quadrature and an
+explicit projection matrix, and the reference bootstrap replicate takes
+that mean one replicate at a time.  The reference held-out solve
+refactors the zero-weight system for every held-out area and borders it
+with the constraints.
 """
 
 import numpy as np
@@ -182,6 +184,74 @@ def reference_gibbs_draws(data, config):
             betas.append(beta)
             sigma2s.append(sigma2)
     return np.array(thetas), np.array(betas), np.array(sigma2s)
+
+
+def reference_gibbs_loop(data, config):
+    """The loop of ``fay_herriot.gibbs_fit`` as it was before its buffers
+    were reused: fresh arrays every iteration, a numpy-scalar model
+    variance and one ``np.errstate`` per variance update.  It reads
+    ``fay_herriot._BLOCK_DRAWS`` when called, so a test that patches the
+    block size patches both loops.  Returns the retained theta, beta and
+    model-variance draws, which ``gibbs_fit`` must reproduce bit for bit."""
+    from smallarea import fay_herriot
+
+    X, y, D = data.X, data.y, data.D
+    m, p = X.shape
+    sampled = config.fixed_sigma_u2 is None
+    normals = np.random.Generator(np.random.Philox(config.seed)).standard_normal
+    gammas = np.random.Generator(np.random.Philox(config.seed).jumped()).standard_gamma
+
+    xtx = X.T @ X
+    Pt = np.linalg.solve(xtx, X.T).T
+    Rt = np.linalg.inv(np.linalg.cholesky(xtx))
+
+    beta = y @ Pt
+    if sampled:
+        sigma2 = np.maximum(1e-6, np.mean((y - beta @ X.T) ** 2) - np.mean(D))
+    else:
+        sigma2 = np.float64(config.fixed_sigma_u2)
+
+    observed = D > 0
+    cols = slice(0, m) if np.all(observed) else np.flatnonzero(observed)
+    theta = y.copy()
+    Xt = np.ascontiguousarray(X.T)
+    Xt_obs = X[cols].T
+    inv_D = 1.0 / D[cols]
+    y_over_D = y[cols] / D[cols]
+    K = max(1, min(config.n_iter, fay_herriot._BLOCK_DRAWS // (m + p)))
+    noise = np.empty((K, m + p))
+    gam = np.empty(K)
+    shape = 0.5 * m - 1.0
+
+    n_keep = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
+    theta_draws = np.empty((n_keep, m))
+    beta_draws = np.empty((n_keep, p))
+    sigma2_draws = np.empty(n_keep)
+    for it in range(config.n_iter):
+        k = it % K
+        if k == 0:
+            n = min(K, config.n_iter - it)
+            normals(out=noise[:n])
+            if sampled:
+                gammas(shape, out=gam[:n])
+        z = noise[k]
+        prec = inv_D + 1.0 / sigma2
+        mean = (y_over_D + (beta @ Xt_obs) / sigma2) / prec
+        theta[cols] = mean + z[cols] / np.sqrt(prec)
+
+        beta = theta @ Pt + np.sqrt(sigma2) * (z[m:] @ Rt)
+
+        if sampled:
+            resid = theta - beta @ Xt
+            ssr = (resid * resid).sum()
+            with np.errstate(divide="ignore", over="ignore"):
+                sigma2 = 1.0 / ((2.0 / ssr) * gam[k])
+            sigma2 = np.minimum(np.maximum(sigma2, 1e-12), np.finfo(float).max)
+
+        if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
+            j = (it - config.n_burn) // config.thin
+            theta_draws[j], beta_draws[j], sigma2_draws[j] = theta, beta, sigma2
+    return theta_draws, beta_draws, sigma2_draws
 
 
 def reference_ess(draws):

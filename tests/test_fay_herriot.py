@@ -16,7 +16,13 @@ from smallarea import (
 from smallarea import fay_herriot
 from smallarea.datasets import FIXTURE_SCHEMA, load_area_csv, synthetic_dataset_path
 
-from oracles import exact_posterior_mean, known_variance_posterior_mean, reference_ess, reference_gibbs_draws
+from oracles import (
+    exact_posterior_mean,
+    known_variance_posterior_mean,
+    reference_ess,
+    reference_gibbs_draws,
+    reference_gibbs_loop,
+)
 
 
 def make_dataset(seed, m=30, sigma_u2=2.0, beta=(5.0, 1.0)):
@@ -280,6 +286,26 @@ class TestLockStep:
             assert np.all(np.abs(fit.theta_bayes - draws.mean(axis=0)) <= 1e-10 * scale), b
             np.testing.assert_allclose(fit.theta_bayes[pinned], Y[b, pinned], rtol=1e-13, atol=0)
 
+    # block sizes in normals (m + p = 32 for make_dataset): 512 iterations, and one
+    BITWISE_BLOCKS = {"three-blocks": 512 * 32, "one-iteration-blocks": 32}
+
+    @pytest.mark.parametrize("case", [*CASES, "one-iteration-blocks"])
+    def test_draws_match_the_unbuffered_loop_bitwise(self, monkeypatch, case):
+        """The buffered loop makes the same operations in the same order as
+        the loop it replaced, so every retained draw is bit for bit equal."""
+        dataset, config = self.CASES.get(case) or (lambda: make_dataset(9)[0], GibbsConfig(n_iter=90, n_burn=10))
+        if case in self.BITWISE_BLOCKS:
+            monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", self.BITWISE_BLOCKS[case])
+        data = dataset()
+        Y = data.y + np.random.default_rng(37).normal(0.0, 1.0, size=(3, data.m))
+        for b, seed in enumerate([5, 2**32 - 1, 40]):
+            row, row_config = replace(data, y=Y[b]), replace(config, seed=seed)
+            fit = gibbs_fit(row, row_config)
+            want = reference_gibbs_loop(row, row_config)
+            got = (fit.theta_draws, fit.beta_draws, fit.sigma_u2_draws)
+            for name, g, w in zip(("theta", "beta", "sigma2"), got, want, strict=True):
+                assert np.array_equal(g, w), (seed, name)
+
     def test_one_iteration_blocks(self, monkeypatch):
         # m + p exceeds the block, so the chain draws one iteration per call
         data, _ = make_dataset(6, m=400)
@@ -336,6 +362,17 @@ class TestLockStep:
         assert np.all(fit.sigma_u2_draws == 1e-12)
         # with every D = 0, theta = y at every variance
         assert np.all(exact_means(data, np.tile(data.y, (3, 1))) == 2.0**60)
+
+    @pytest.mark.parametrize("ssr", [0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf, np.nan])
+    @pytest.mark.parametrize("g", [0.0, 5e-324, 0.5, 1e300])
+    def test_variance_draw_matches_the_numpy_scalar_formula(self, ssr, g):
+        # the formula the loop used before the variance became a Python float;
+        # 0 * inf (ssr = 0 or 5e-324 with g = 0) is NaN, so invalid is ignored too
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = np.minimum(np.maximum(1.0 / ((2.0 / np.float64(ssr)) * np.float64(g)), 1e-12), np.finfo(float).max)
+        got = fay_herriot._variance_draw(ssr, g)
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
 
     def test_keeps_no_draws(self):
         import tracemalloc

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -246,6 +248,76 @@ def test_shared_solver_matches_one_off_calls(problem, other):
         loo_solution(theta, phi, solver, gamma, 0, other_constraints)
     with pytest.raises(ValidationError, match="constraints differ"):
         cross_validate(theta, phi, solver, [gamma], other_constraints)
+
+
+class TestHeldOutTable:
+    """One solver keeps the full fit and A' of its last held-out call; every
+    call through it equals the same call through a fresh solver."""
+
+    M = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+    CONSTRAINTS = ConstraintSet(M, [1.0, -2.0])
+
+    def _setup(self):
+        theta, phi, omega = random_connected_instance(np.random.default_rng(11), 8)
+        return theta, phi, omega, _SigmaSolver(phi, omega, self.CONSTRAINTS)
+
+    def _check(self, theta, phi, omega, solver, gamma, i, constraints):
+        """loo_solution through ``solver`` against a fresh solver: equal
+        arrays, or the same NumericalError message."""
+        fresh = _SigmaSolver(phi, omega, self.CONSTRAINTS)
+        try:
+            want = loo_solution(theta, phi, fresh, gamma, i, constraints)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError, match=f"^{re.escape(str(exc))}$"):
+                loo_solution(theta, phi, solver, gamma, i, constraints)
+            return str(exc)
+        assert np.array_equal(loo_solution(theta, phi, solver, gamma, i, constraints), want)
+
+    def test_theta_mutated_in_place(self):
+        theta, phi, omega, solver = self._setup()
+        for c in (None, self.CONSTRAINTS):
+            self._check(theta, phi, omega, solver, 0.7, 0, c)
+            theta[3] += 1.0  # same array object, new values
+            self._check(theta, phi, omega, solver, 0.7, 1, c)
+
+    def test_gamma_alternated(self):
+        theta, phi, omega, solver = self._setup()
+        for g in (0.3, 4.0, 0.3, 4.0):
+            for i in (0, 5):
+                self._check(theta, phi, omega, solver, g, i, self.CONSTRAINTS)
+
+    def test_constrained_and_unconstrained_interleaved(self, monkeypatch):
+        theta, phi, omega, solver = self._setup()
+        factors = count_factorizations(monkeypatch)
+        for c in (None, self.CONSTRAINTS, None, self.CONSTRAINTS):
+            for i in (2, 7):
+                self._check(theta, phi, solver.omega, solver, 1.5, i, c)
+        # the shared solver inverted Sigma once; every fresh one once too
+        assert len(factors) == 1 + 8
+
+    def test_ill_conditioned_gamma_between_good_ones(self):
+        theta, phi, omega, solver = self._setup()
+        for g in (0.5, 1e15, 0.5, 1e15, 2.0):
+            for i in (0, 4):
+                message = self._check(theta, phi, omega, solver, g, i, self.CONSTRAINTS)
+                assert (message == f"held-out area {i} is unidentified at gamma=1e+15") == (g == 1e15)
+
+    def test_smoothed_estimate_at_another_gamma_between_held_out_calls(self):
+        theta, phi, omega, solver = self._setup()
+        for c in (None, self.CONSTRAINTS):
+            self._check(theta, phi, omega, solver, 0.9, 0, c)
+            smoothed_estimate(theta, phi, solver, 3.0)
+            self._check(theta, phi, omega, solver, 0.9, 1, c)
+            benchmarked_estimate(theta, phi, solver, 0.9, self.CONSTRAINTS)
+            self._check(theta, phi, omega, solver, 0.9, 2, c)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_cross_validate_inverts_once_per_grid_point(self, monkeypatch, constrained):
+        theta, phi, omega, solver = self._setup()
+        constraints = self.CONSTRAINTS if constrained else None
+        factors = count_factorizations(monkeypatch)
+        cross_validate(theta, phi, solver, np.geomspace(0.01, 100.0, 4), constraints)
+        assert factors == [(8, 8)] * 4
 
 
 class TestCrossValidate:
