@@ -51,21 +51,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output_dir"] = args.out
+    flags = {
+        "seed": args.seed,
+        "output_dir": args.out,
+        "benchmark_target": args.benchmark_target,
+        "bootstrap_replicates": args.bootstrap_reps,
+    }
+    updates = {key: value for key, value in flags.items() if value is not None}
     if args.gamma is not None:
         updates["gamma"] = args.gamma
         updates["gamma_grid"] = None
     elif args.gamma_grid is not None:
         updates["gamma"] = None
         updates["gamma_grid"] = _parse_grid_spec(args.gamma_grid)
-    if args.benchmark_target is not None:
-        updates["benchmark_target"] = args.benchmark_target
-    if args.bootstrap_reps is not None:
-        updates["bootstrap_replicates"] = args.bootstrap_reps
     return replace(config, **updates) if updates else config
 
 

@@ -3,8 +3,11 @@
 Every CSV table the package writes or reads goes through ``_write_table``
 and ``_read_table``: UTF-8, a header row, ``\\n`` line endings and floats
 with 17 significant digits (``inf`` included), so a table loads back
-exactly.  :func:`load_area_csv` and :func:`write_area_csv` read and write
-the per-area format described by a :class:`CsvSchema`.
+exactly.  ``_read_table`` gets its text from the package's one input
+reader, :func:`smallarea.exceptions._read_input`, so a missing, unreadable
+or non-UTF-8 area CSV or report file is a ValidationError naming it.
+:func:`load_area_csv` and :func:`write_area_csv` read and write the
+per-area format described by a :class:`CsvSchema`.
 
 Two fixtures ship with the package: the public US state border list (50
 states plus DC, postal codes, one edge per line) and a 51-area synthetic
@@ -16,6 +19,7 @@ stands in for survey microdata that cannot be redistributed.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -23,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, _read_input
 from .fay_herriot import AreaDataset
 from .similarity import build_omega, load_adjacency, read_edge_list
 
@@ -58,50 +62,48 @@ def _write_table(path: Path, columns: dict) -> None:
 
 
 class _Table(dict):
-    """Columns of a CSV file by name, as raw strings; ``lines`` holds the
-    line number of each data row in the file."""
+    """Columns of the CSV file ``path`` by name, as raw strings; ``lines``
+    holds the line number of each data row in the file."""
 
+    path: str | Path
     lines: list[int]
 
-
-def _read_table(path: Path, required: Iterable[str] = ()) -> _Table:
-    """Columns of a CSV file with a header row, skipping blank lines.
-    A ``required`` column that is absent, or a row whose cell count differs
-    from the header's, is a ValidationError naming the column or the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for name in required:
-            if name not in header:
-                raise ValidationError(f"missing column {name!r} in {path}")
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue  # blank line
-            if len(row) != len(header):
+    def floats(self, column: str) -> np.ndarray:
+        """One column as floats.  A cell that does not parse is a
+        ValidationError naming its column, row (its line) and file."""
+        values = []
+        for row, raw in zip(self.lines, self[column], strict=True):
+            try:
+                values.append(float(raw))
+            except (TypeError, ValueError):
                 raise ValidationError(
-                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
-                )
-            rows.append(row)
-            lines.append(reader.line_num)
-    table = _Table((name, [row[j] for row in rows]) for j, name in enumerate(header))
-    table.lines = lines
-    return table
+                    f"non-numeric value {raw!r} in column {column!r}, row {row} of {self.path}"
+                ) from None
+        return np.array(values)
 
 
-def _floats(table: _Table, column: str, path: Path) -> np.ndarray:
-    """One column of a :func:`_read_table` result as floats.  A cell that
-    does not parse is a ValidationError naming its column, row (its line
-    in the file) and file."""
-    values = []
-    for row, raw in zip(table.lines, table[column], strict=True):
-        try:
-            values.append(float(raw))
-        except (TypeError, ValueError):
+def _read_table(path: str | Path, what: str, required: Iterable[str] = ()) -> _Table:
+    """Columns of CSV input file ``what`` with a header row, skipping blank
+    lines.  A ``required`` column that is absent, or a row whose cell count
+    differs from the header's, is a ValidationError naming it."""
+    reader = csv.reader(io.StringIO(_read_input(path, what), newline=""))
+    header = next(reader, [])
+    for name in required:
+        if name not in header:
+            raise ValidationError(f"missing column {name!r} in {path}")
+    rows, lines = [], []
+    for row in reader:
+        if not row:
+            continue  # blank line
+        if len(row) != len(header):
             raise ValidationError(
-                f"non-numeric value {raw!r} in column {column!r}, row {row} of {path}"
-            ) from None
-    return np.array(values)
+                f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
+            )
+        rows.append(row)
+        lines.append(reader.line_num)
+    table = _Table((name, [row[j] for row in rows]) for j, name in enumerate(header))
+    table.path, table.lines = path, lines
+    return table
 
 
 @dataclass(frozen=True)
@@ -136,24 +138,17 @@ def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
     (reported with row and column), negative D, and duplicate labels are
     all rejected.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"area CSV not found: {path}")
     needed = [schema.label, schema.y, schema.d, *schema.covariates]
     needed += [c for c in (schema.phi, schema.benchmark_weight, schema.group) if c is not None]
-    table = _read_table(path, needed)
+    table = _read_table(path, "area CSV", needed)
     if not table[schema.label]:
         raise ValidationError(f"area CSV {path} has no data rows")
-
-    def numeric(col: str) -> np.ndarray:
-        return _floats(table, col, path)
-
     labels = tuple(table[schema.label])
-    y = numeric(schema.y)
-    D = numeric(schema.d)
-    cov = np.column_stack([numeric(c) for c in schema.covariates])
+    y = table.floats(schema.y)
+    D = table.floats(schema.d)
+    cov = np.column_stack([table.floats(c) for c in schema.covariates])
     if schema.phi is not None:
-        phi = numeric(schema.phi)
+        phi = table.floats(schema.phi)
     elif np.any(D < 0):
         phi = None  # let the dataset's own check report the negative variance
     elif np.any(D == 0):
@@ -163,7 +158,7 @@ def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
         )
     else:
         phi = 1.0 / D
-    weights = None if schema.benchmark_weight is None else numeric(schema.benchmark_weight)
+    weights = None if schema.benchmark_weight is None else table.floats(schema.benchmark_weight)
     groups = None if schema.group is None else tuple(table[schema.group])
     return AreaDataset(
         labels=labels,

@@ -1,12 +1,17 @@
-"""Exception types shared across the package, and the value checks every
-config and public entry point runs its numbers through.
+"""Exception types shared across the package, the value checks every
+config and public entry point runs its numbers through, and
+:func:`_read_input`, the one reader of every input file (config, area CSV,
+edge list, benchmark matrix and targets, report files).
 
 The CLI maps ValidationError to exit code 2 and NumericalError to exit
 code 3; everything else is a bug and propagates.
 """
 
+import io
 import math
 import numbers
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -83,3 +88,29 @@ def _matrix(name: str, value, shape: tuple[int, int] | None = None) -> np.ndarra
     if not np.isfinite(a).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return a
+
+
+def _read_input(path: str | Path, what: str) -> str:
+    """The text of input file ``what`` (``"edge list"``, ...), line endings
+    untouched.  A file that is missing, cannot be read or is not UTF-8 is a
+    ValidationError naming ``what`` and ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: {what} is not valid UTF-8") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+def _input_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """(number, stripped text) of each line of :func:`_read_input`'s text
+    that is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(io.StringIO(_read_input(path, what), newline=None), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line

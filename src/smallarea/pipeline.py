@@ -6,23 +6,14 @@ estimate -> (optional) bootstrap -> write, and writes a report:
 and ``metadata.json`` in the output directory; ``stop_after`` ends the run
 after the sampler or the selection curve instead.  Everything is driven by
 a flat key/value config file (``key = value`` lines, ``#`` comments);
-unknown keys are rejected.  This module fixes the columns of each report
-and plot-data table; :mod:`smallarea.datasets` writes and reads them all in
-one format (17-significant-digit floats, so a fixed seed yields
-byte-identical outputs) and also holds area CSV ingestion.
+unknown and repeated keys are rejected.  Every input file is read by
+:func:`smallarea.exceptions._read_input`.  This module fixes the columns
+of each report and plot-data table; :mod:`smallarea.datasets` writes and
+reads them all in one format (17-significant-digit floats, so a fixed
+seed yields byte-identical outputs) and also holds area CSV ingestion.
 
-Config keys (see README for details):
-
-  area_csv, edge_list, output_dir, seed,
-  label_column, y_column, d_column, covariate_columns, phi_column,
-  group_column, benchmark_weight_column, add_intercept,
-  benchmark_target, benchmark_matrix_csv, benchmark_targets_csv,
-  benchmark_provenance,
-  gamma | gamma_grid (lo,hi,n),
-  gibbs_iterations, gibbs_burn, gibbs_thin,
-  bootstrap_replicates, bootstrap_gamma_policy,
-  bootstrap_gibbs_iterations, bootstrap_gibbs_burn, bootstrap_gibbs_thin
-
+The config keys and their defaults are ``_CONFIG_DEFAULTS`` (the README
+describes each); ``gamma`` and ``gamma_grid`` (``lo,hi,n``) are exclusive.
 The bootstrap replicates' Bayes step is the exact posterior mean
 (:func:`smallarea.fay_herriot.exact_means`) under the main fit's model, so
 the three ``bootstrap_gibbs_*`` keys are accepted for old configs and
@@ -32,6 +23,7 @@ checked, but store nothing.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -40,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_mse
-from .datasets import CsvSchema, _floats, _read_table, _write_table, load_area_csv
+from .datasets import CsvSchema, _read_table, _write_table, load_area_csv
 from .estimators import (
     ConstraintSet,
     _residual_bound,
@@ -50,7 +42,7 @@ from .estimators import (
 )
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
-from .exceptions import NumericalError, ValidationError, _integer, _real
+from .exceptions import NumericalError, ValidationError, _input_lines, _integer, _read_input, _real
 from .fay_herriot import GibbsConfig, exact_means, gibbs_fit
 from .selection import CvCurve, _grid, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
@@ -85,6 +77,7 @@ def _stage(name: str):
 # Run configuration
 
 
+# a key whose default is None is required
 _CONFIG_DEFAULTS: dict[str, str | None] = {
     "area_csv": None,
     "edge_list": None,
@@ -114,8 +107,6 @@ _CONFIG_DEFAULTS: dict[str, str | None] = {
     "bootstrap_gibbs_thin": "1",
 }
 
-_REQUIRED_KEYS = ("area_csv", "edge_list", "covariate_columns")
-
 
 def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
@@ -127,19 +118,17 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def _parse_grid_spec(raw: str) -> np.ndarray:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ValidationError(f"gamma_grid must be 'low,high,n', got {raw!r}")
     try:
-        low, high, num = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
+        low, high, num = raw.split(",")
+        low, high, num = float(low), float(high), int(num)
+    except ValueError:  # not three fields, or one that does not parse
         raise ValidationError(f"gamma_grid must be 'low,high,n', got {raw!r}") from None
     return default_gamma_grid(low, high, num)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs; see the module docstring for the
+    """Everything a pipeline run needs; ``_CONFIG_DEFAULTS`` lists the
     config-file key names.  ``seed`` seeds the main chain and the bootstrap
     streams; the ``seed`` field of ``gibbs`` is ignored.  ``gibbs`` is the
     run's one Bayes step: it sets the main chain, and its
@@ -203,48 +192,38 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """Parse a flat key/value config file.  Unknown keys are errors."""
+        """Parse a flat key/value config file.  Unknown and repeated keys
+        are errors."""
         path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
         values = dict(_CONFIG_DEFAULTS)
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_DEFAULTS:
-                    raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = value.strip()
-        missing = [k for k in _REQUIRED_KEYS if not values[k]]
+        first_line: dict[str, int] = {}
+        for lineno, line in _input_lines(path, "config file"):
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+            if key not in _CONFIG_DEFAULTS:
+                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValidationError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+            first_line[key] = lineno
+            values[key] = value
+        missing = [k for k, default in _CONFIG_DEFAULTS.items() if default is None and not values[k]]
         if missing:
             raise ValidationError(f"config {path} missing required keys: {', '.join(missing)}")
-
-        def maybe(key: str) -> str | None:
-            return values[key] or None
-
         schema = CsvSchema(
             label=values["label_column"],
             y=values["y_column"],
             d=values["d_column"],
             covariates=tuple(c.strip() for c in values["covariate_columns"].split(",") if c.strip()),
-            phi=maybe("phi_column"),
-            benchmark_weight=maybe("benchmark_weight_column"),
-            group=maybe("group_column"),
+            phi=values["phi_column"] or None,
+            benchmark_weight=values["benchmark_weight_column"] or None,
+            group=values["group_column"] or None,
             add_intercept=_parse_bool(values["add_intercept"], "add_intercept"),
         )
-        base = path.parent
 
         def resolve(key: str) -> Path | None:
-            raw = maybe(key)
-            if raw is None:
-                return None
-            p = Path(raw)
-            return p if p.is_absolute() else base / p
+            """A path key's value, relative to the config file unless absolute."""
+            return path.parent / values[key] if values[key] else None
 
         def number(key: str, kind: type = int):
             """Value of a numeric key; one that does not parse is a ValidationError."""
@@ -333,31 +312,27 @@ class EstimateReport:
         return len(self.labels)
 
 
-def _read_numeric_rows(path: Path, width: int | None = None) -> np.ndarray:
-    """Comma-separated numeric rows of a file, skipping blank and ``#`` lines.
-
-    Every row must have the same number of entries, ``width`` when given.
-    """
+def _read_numeric_rows(path: Path, what: str, width: int | None = None) -> np.ndarray:
+    """Comma-separated finite numeric rows of input file ``what``, skipping
+    blank and ``#`` lines; every row has ``width`` entries, or as many as the first."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric entry") from None
-            width = len(row) if width is None else width
-            if len(row) != width:
-                raise ValidationError(f"{path}:{lineno}: expected {width} entries, got {len(row)}")
-            rows.append(row)
+    for lineno, line in _input_lines(path, what):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric entry") from None
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"{path}:{lineno}: non-finite entry")
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise ValidationError(f"{path}:{lineno}: expected {width} entries, got {len(row)}")
+        rows.append(row)
     return np.asarray(rows, dtype=float)
 
 
 def _load_benchmark_matrix(config: RunConfig, m: int) -> ConstraintSet:
-    M = _read_numeric_rows(config.benchmark_matrix_csv)
-    t = _read_numeric_rows(config.benchmark_targets_csv, width=1).ravel()
+    M = _read_numeric_rows(config.benchmark_matrix_csv, "benchmark matrix")
+    t = _read_numeric_rows(config.benchmark_targets_csv, "benchmark targets", width=1).ravel()
     if M.ndim != 2 or M.shape[1] != m:
         raise ValidationError(
             f"benchmark matrix must have {m} columns, got shape {M.shape}"
@@ -429,6 +404,10 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     metadata = _base_metadata(config)
 
     with _stage("load"):
+        # an output_dir that cannot be a directory would fail only after the run
+        base = next(p for p in (out, *out.parents) if p.exists())
+        if not base.is_dir():
+            raise ValidationError(f"output_dir {out}: {base} exists and is not a directory")
         data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
         # every estimator call of the run, bootstrap included, solves with
         # this one (phi, omega, constraints) and reuses the last gamma's inverse
@@ -588,31 +567,29 @@ def read_report(out_dir: str | Path) -> EstimateReport:
     est_path = out / "estimates.csv"
     if not est_path.exists():
         raise ValidationError(f"no estimates.csv under {out}; run the pipeline first")
-    est = _read_table(est_path, ["label", *_REPORT_COLUMNS, "group"])
+    est = _read_table(est_path, "report file", ["label", *_REPORT_COLUMNS, "group"])
     if not est["label"]:
         raise ValidationError(f"{est_path} has no data rows")
     metadata = {}
     meta_path = out / "metadata.json"
     if meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            try:
-                metadata = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{meta_path} is not valid JSON: {exc}") from None
+        try:
+            metadata = json.loads(_read_input(meta_path, "report file"))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{meta_path} is not valid JSON: {exc}") from None
         if not isinstance(metadata, dict):
             raise ValidationError(f"{meta_path} must hold a JSON object")
-    mse = bias = None
+    mse = bias = curve = None
     boot_path = out / "bootstrap_mse.csv"
     if boot_path.exists():
-        boot = _read_table(boot_path, ["mse", "bias"])
-        mse, bias = _floats(boot, "mse", boot_path), _floats(boot, "bias", boot_path)
-    curve = None
+        boot = _read_table(boot_path, "report file", ["mse", "bias"])
+        mse, bias = boot.floats("mse"), boot.floats("bias")
     cv_path = out / "cv_curve.csv"
     if cv_path.exists():
-        cv = _read_table(cv_path, ["gamma", "score", "failed_areas"])
+        cv = _read_table(cv_path, "report file", ["gamma", "score", "failed_areas"])
         if not cv["gamma"]:
             raise ValidationError(f"{cv_path} has no data rows")
-        grid, scores = _floats(cv, "gamma", cv_path), _floats(cv, "score", cv_path)
+        grid, scores = cv.floats("gamma"), cv.floats("score")
         try:
             failed = tuple(tuple(int(i) for i in f.split(";") if i) for f in cv["failed_areas"])
         except ValueError:
@@ -622,7 +599,7 @@ def read_report(out_dir: str | Path) -> EstimateReport:
         curve = CvCurve(grid, scores, float(grid[int(np.argmin(scores))]), failed)
     return EstimateReport(
         labels=tuple(est["label"]),
-        **{name: _floats(est, name, est_path) for name in _REPORT_COLUMNS},
+        **{name: est.floats(name) for name in _REPORT_COLUMNS},
         groups=tuple(est["group"]) if any(est["group"]) else None,
         cv=curve,
         mse=mse,

@@ -5,6 +5,9 @@ estimates should agree.  The penalty on an estimate vector d is the
 weighted sum of squared differences sum_{i,j} (d_i - d_j)^2 q_ij, which
 equals d' W d for the matrix W built by :func:`build_omega`.  For a 0/1
 adjacency matrix, W is exactly twice the (unweighted) graph Laplacian.
+
+:func:`read_edge_list` reads its file through the package's one input
+reader, :func:`smallarea.exceptions._input_lines`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError, _integer, _matrix, _real
+from .exceptions import ValidationError, _input_lines, _integer, _matrix, _real
 
 __all__ = [
     "SimilaritySpec",
@@ -171,13 +174,9 @@ def load_adjacency(
     entries = []
     seen: dict[tuple[int, int], tuple[str, str]] = {}
     for edge in edge_list:
-        if len(edge) == 2:
-            a, b = edge
-            w = 1.0
-        elif len(edge) == 3:
-            a, b, w = edge
-        else:
+        if len(edge) not in (2, 3):
             raise ValidationError(f"edge must have 2 or 3 fields, got {edge!r}")
+        a, b, w = edge if len(edge) == 3 else (*edge, 1.0)
         for lab in (a, b):
             if lab not in index:
                 raise ValidationError(f"unknown label {lab!r} in edge list")
@@ -201,28 +200,24 @@ def read_edge_list(path: str | Path) -> list[tuple[str, str, float]]:
     blank lines and ``#`` comments are skipped.  Labels are case-sensitive.
     """
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) == 2:
-                a, b = fields
-                w = 1.0
-            elif len(fields) == 3:
-                a, b = fields[:2]
-                try:
-                    w = float(fields[2])
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: bad weight {fields[2]!r}"
-                    ) from None
-            else:
+    for lineno, line in _input_lines(path, "edge list"):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) == 2:
+            a, b = fields
+            w = 1.0
+        elif len(fields) == 3:
+            a, b = fields[:2]
+            try:
+                w = float(fields[2])
+            except ValueError:
                 raise ValidationError(
-                    f"{path}:{lineno}: expected 2 or 3 comma-separated fields"
-                )
-            if not a or not b:
-                raise ValidationError(f"{path}:{lineno}: empty label")
-            edges.append((a, b, w))
+                    f"{path}:{lineno}: bad weight {fields[2]!r}"
+                ) from None
+        else:
+            raise ValidationError(
+                f"{path}:{lineno}: expected 2 or 3 comma-separated fields"
+            )
+        if not a or not b:
+            raise ValidationError(f"{path}:{lineno}: empty label")
+        edges.append((a, b, w))
     return edges

@@ -48,6 +48,37 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize(
+        "key, what",
+        [
+            ("config", "config file"),
+            ("area_csv", "area CSV"),
+            ("edge_list", "edge list"),
+            ("benchmark_matrix_csv", "benchmark matrix"),
+            ("benchmark_targets_csv", "benchmark targets"),
+        ],
+    )
+    def test_unreadable_input_exits_2(self, workspace, capsys, key, what, fault):
+        tmp_path, data, area, edges = workspace
+        inputs = {"area_csv": area, "edge_list": edges}
+        inputs["benchmark_matrix_csv"] = tmp_path / "M.csv"
+        inputs["benchmark_targets_csv"] = tmp_path / "t.csv"
+        inputs["benchmark_matrix_csv"].write_text(",".join(["1.0"] * data.m) + "\n")
+        inputs["benchmark_targets_csv"].write_text("10.0\n")
+        cfg = write_config(tmp_path, area, edges, benchmark_matrix_csv="M.csv", benchmark_targets_csv="t.csv")
+        path = inputs.get(key, cfg)
+        if fault == "not-utf8":
+            path.write_bytes(path.read_bytes() + "# \u00e9t\u00e9\n".encode("latin-1"))
+        else:
+            path.unlink()
+            if fault == "directory":
+                path.mkdir()
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert what in err and str(path) in err
+
     @pytest.mark.parametrize(
         "config_values, flags, message",
         [

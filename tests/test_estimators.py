@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import block_diag, null_space
 
 from smallarea import (
@@ -17,8 +18,10 @@ from smallarea import (
     unit_level_benchmarked,
     unit_level_smoothed,
 )
+from smallarea.estimators import _residual_bound, _SigmaSolver
 
 from oracles import kkt_solve, quad_minimize, random_instance
+from test_selection import _floats, held_out_problems
 
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
 TOY_THETA = np.array([1.0, 3.0])
@@ -472,3 +475,56 @@ class TestMultivariateStack:
         b = random_instance(rng, 4)
         with pytest.raises(ValidationError, match="expected 3"):
             stack_multivariate([a, b])
+
+
+# The paper's invariants of the closed forms, checked through the solver the
+# pipeline shares between its calls.  held_out_problems builds omega with
+# build_omega, so omega annihilates constants.  Derandomized, so every run
+# of the suite checks the same examples.
+class TestInvariants:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(held_out_problems())
+    def test_zero_gamma_returns_theta_exactly(self, problem):
+        theta, phi, omega, gamma, _, constraints = problem
+        solver = _SigmaSolver(phi, omega, constraints)
+        solver.solve(theta, gamma)  # the solver has served another gamma first
+        np.testing.assert_array_equal(smoothed_estimate(theta, phi, solver, 0.0).values, theta)
+        np.testing.assert_array_equal(smoothed_estimate(theta, phi, omega, 0.0).values, theta)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        held_out_problems(weights=lambda m: _floats(m, -1.0, 2.0).map(lambda e: 10.0**e)),
+        st.floats(-100.0, 100.0),
+    )
+    def test_constants_pass_through(self, problem, c):
+        # Sigma 1 c = Phi 1 c, so the smoothed estimate of a constant is that
+        # constant, and so is the benchmarked one when the constant meets M d = t
+        theta, phi, omega, gamma, _, constraints = problem
+        const = np.full(len(theta), c)
+        if constraints is not None:
+            constraints = ConstraintSet(constraints.M, constraints.M @ const)
+        solver = _SigmaSolver(phi, omega, constraints)
+        tol = 1e-12 * (1.0 + abs(c))
+        got = [smoothed_estimate(const, phi, solver, gamma).values]
+        if constraints is not None:
+            got.append(benchmarked_estimate(const, phi, solver, gamma, constraints).values)
+        for values in got:
+            assert np.max(np.abs(values - c)) <= tol
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        held_out_problems(
+            weights=lambda m: _floats(m, -1.0, 2.0).map(lambda e: 10.0**e),
+            gammas=st.sampled_from([1e-4, 1e-2, 1.0, 1e2]),
+        )
+    )
+    def test_benchmarked_residual_within_bound(self, problem):
+        theta, phi, omega, gamma, _, constraints = problem
+        assume(constraints is not None)
+        solver = _SigmaSolver(phi, omega, constraints)
+        values = solver.solve(theta, gamma, constrained=True)
+        residual = np.max(np.abs(constraints.M @ values - constraints.t))
+        assert residual <= _residual_bound(constraints.t)
+        fit = benchmarked_estimate(theta, phi, solver, gamma, constraints)
+        np.testing.assert_array_equal(fit.values, values)
+        assert fit.constraint_residual == residual

@@ -1,5 +1,7 @@
 """The shared value checks, and the entry points that run their numbers
-through them: a bad value is a ValidationError naming the field."""
+through them: a bad value is a ValidationError naming the field.  The
+shared input reader: an unreadable file is a ValidationError naming the
+input and its path."""
 
 import re
 from pathlib import Path
@@ -23,10 +25,41 @@ from smallarea import (
     smoothed_estimate,
     unit_level_benchmarked,
 )
-from smallarea.exceptions import _integer, _matrix, _real, _vector
+from smallarea.exceptions import _input_lines, _integer, _matrix, _read_input, _real, _vector
 
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
 TOY_PHI = np.ones(2)
+
+
+class TestInputReader:
+    def test_numbered_lines_skip_blanks_and_comments(self, tmp_path):
+        path = tmp_path / "in.txt"
+        # \r\n and a lone \r end a line as \n does, so line numbers agree
+        path.write_bytes(b"  a = 1  \r\n\r\n# note\rb=2\n   \n  # indented note\nc\n")
+        assert list(_input_lines(path, "edge list")) == [(1, "a = 1"), (4, "b=2"), (7, "c")]
+
+    def test_text_keeps_line_endings(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"a,b\r\n\"x\ny\",2\r\n")
+        assert _read_input(path, "area CSV") == "a,b\r\n\"x\ny\",2\r\n"
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("missing", "edge list not found: {path}"),
+            ("directory", "cannot read edge list {path}: "),
+            ("not-utf8", "{path}:3: edge list is not valid UTF-8"),
+        ],
+    )
+    def test_unreadable_file_is_a_validation_error(self, tmp_path, fault, message):
+        path = tmp_path / "edges.txt"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "not-utf8":
+            path.write_bytes(b"a,b\nb,c\nc,d\xff\n")
+        with pytest.raises(ValidationError, match=re.escape(message.format(path=path))) as exc:
+            list(_input_lines(path, "edge list"))
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
 
 class TestCheckers:

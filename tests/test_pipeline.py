@@ -184,6 +184,16 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="unknown config key 'mystery_knob'"):
             RunConfig.from_file(cfg)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges)
+        lines = cfg.read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith("seed"))
+        cfg.write_text("\n".join(lines) + "\n# a comment\n\nseed = 9\n")
+        repeat = len(lines) + 3
+        with pytest.raises(ValidationError, match=rf"run.cfg:{repeat}: config key 'seed' repeats line {first}$"):
+            RunConfig.from_file(cfg)
+
     def test_missing_required_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("area_csv = a.csv\n")
@@ -342,6 +352,34 @@ class TestRunPipeline:
         )
         with pytest.raises(ValidationError, match=rf"M.csv:2: expected {m} entries, got {m - 1}"):
             run_pipeline(RunConfig.from_file(cfg))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("target", [False, True], ids=["matrix", "targets"])
+    def test_non_finite_benchmark_entry_names_the_line(self, tmp_path, target, bad):
+        data, area, edges = small_area_csv(tmp_path)
+        row = ["1.0"] * data.m
+        if not target:
+            row[2] = bad
+        (tmp_path / "M.csv").write_text("# weights\n" + ",".join(["1.0"] * data.m) + "\n" + ",".join(row) + "\n")
+        (tmp_path / "t.csv").write_text("10.0\n\n" + (bad if target else "12.0") + "\n")
+        cfg = write_config(tmp_path, area, edges, benchmark_matrix_csv="M.csv", benchmark_targets_csv="t.csv")
+        name = "t.csv" if target else "M.csv"
+        with pytest.raises(ValidationError, match=rf"\[stage load\] .*{name}:3: non-finite entry$"):
+            run_pipeline(RunConfig.from_file(cfg))
+
+    @pytest.mark.parametrize("output_dir", ["taken", "taken/sub"])
+    def test_output_dir_that_is_a_file_fails_before_the_chain(self, tmp_path, monkeypatch, output_dir):
+        _, area, edges = small_area_csv(tmp_path)
+        (tmp_path / "taken").write_text("a file\n")
+        cfg = write_config(tmp_path, area, edges, output_dir=output_dir)
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", no_chain)
+        with pytest.raises(ValidationError, match=r"\[stage load\] output_dir .*taken exists and is not a directory"):
+            run_pipeline(RunConfig.from_file(cfg))
+        assert (tmp_path / "taken").read_text() == "a file\n"
 
     def test_matrix_benchmark_route(self, tmp_path):
         data, area, edges = small_area_csv(tmp_path)
@@ -896,4 +934,16 @@ class TestReportIo:
         assert old in text
         path.write_text(text.replace(old, new), encoding="utf-8")
         with pytest.raises(ValidationError, match=message):
+            read_report(out)
+
+    @pytest.mark.parametrize("name", ["estimates.csv", "metadata.json", "cv_curve.csv"])
+    def test_unreadable_report_file_rejected(self, tmp_path, name):
+        out = write_report(self._hand_built_report(), tmp_path / "out")
+        path = out / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValidationError, match=rf"{name}:\d+: report file is not valid UTF-8"):
+            read_report(out)
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(ValidationError, match=rf"cannot read report file .*{name}"):
             read_report(out)
