@@ -7,13 +7,13 @@ smoothness penalty matrix omega, the smoothed estimator minimizes
 
 and the benchmarked estimator minimizes the same objective subject to
 linear constraints M d = t.  Both have closed forms from one private
-solver, built once for a (phi, omega, constraints): it inverts the
-symmetric positive-definite Sigma = Phi + gamma * omega once per gamma
-with numpy, rejects an indefinite or ill-conditioned Sigma as a
-NumericalError, and keeps the last gamma's inverse for every later solve
-at that gamma.  For the held-out fits of ``selection`` it also keeps, at
-that gamma, the full fit of one theta and the table of hat-matrix columns
-A e_i, so that each held-out fit reads one row of it.
+solver, built once for a (phi, omega, constraints): one eigendecomposition
+of Phi^{-1/2} omega Phi^{-1/2} gives the inverse of
+Sigma = Phi + gamma * omega at every gamma, and a Sigma whose scaled form
+Phi^{-1/2} Sigma Phi^{-1/2} is indefinite or ill-conditioned is a
+NumericalError.  For the held-out fits of ``selection`` it also keeps, at
+the last gamma, the full fit of one theta and the table of hat-matrix
+columns A e_i, so that each held-out fit reads one row of it.
 A caller that solves many times, such as the pipeline's estimates,
 cross-validation and bootstrap, passes the solver in place of omega; a
 call with a plain omega builds a one-off solver.
@@ -47,8 +47,8 @@ __all__ = [
     "unit_level_smoothed",
 ]
 
-# Sigma, constraint Gram matrices and held-out fits (through 1 - A_ii)
-# with condition numbers beyond this are treated as singular.
+# Phi^{-1/2} Sigma Phi^{-1/2}, Gram matrices and held-out fits (through
+# 1 - A_ii) with condition numbers beyond this are treated as singular.
 _CONDITION_LIMIT = 1e12
 
 # Benchmarked results must satisfy ||M d - t||_inf <= _RESIDUAL_TOL * (1 + ||t||_inf).
@@ -107,19 +107,18 @@ class _SigmaSolver:
     """Solves with Sigma(gamma) = Phi + gamma * omega for one validated
     (phi, omega, constraints).
 
-    Only theta and gamma vary between the solves of a run, so the solver
-    keeps what the last gamma it was asked about needed: S = Sigma^{-1},
-    kept when Sigma has a Cholesky factor (so an indefinite omega is
-    rejected) and the exact 1-norm condition number ||Sigma|| ||S|| is at
-    most _CONDITION_LIMIT, and, from the first constrained solve on, the
-    projector S M' (M S M')^{-1} formed once from the condition-checked
-    Gram matrix M S M', or the NumericalError message either step raised.
-    Every solve at that gamma is a product with S, plus one with the
-    projector when constrained.  The same slot holds the table of the
-    last :meth:`held_out` call, the full fit d and the m x m A', keyed by
-    ``constrained`` and a copy of theta; a new gamma drops it with S and
-    the projector.  A solver lives as long as the caller that built it
-    holds it.
+    Only theta and gamma vary between the solves of a run, so the first
+    solve takes one eigendecomposition K = Phi^{-1/2} omega Phi^{-1/2} =
+    V diag(lam) V' and keeps lam, U = Phi^{-1/2} V and W = U'M'; then
+    S = Sigma^{-1} = U diag(f) U' with f = 1/(1 + gamma lam) at any gamma.
+    Sigma is accepted when I + gamma K = Phi^{-1/2} Sigma Phi^{-1/2} is
+    positive definite (1 + gamma lam_min > 0) with condition number
+    (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT.  The
+    last accepted gamma's f is kept, with the projector S M' (M S M')^{-1}
+    from the condition-checked Gram matrix W' diag(f) W once a constrained
+    solve needs it, and the last :meth:`held_out` table, keyed by
+    ``constrained`` and a copy of theta.  A solver lives as long as the
+    caller that built it holds it.
     """
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
@@ -131,68 +130,65 @@ class _SigmaSolver:
                 f"constraints are over {constraints.n_parameters} parameters, expected {m}"
             )
         self.constraints = constraints
-        self._gamma = None
-        self._inv = self._proj = None  # S / S M' (M S M')^{-1}, or an error message
+        self._basis = None  # (lam, U, W) of the one eigendecomposition
+        self._last = None  # (gamma, f, projector or None) of the last accepted gamma
         self._table = None  # (constrained, theta, d, A') of the last held_out call
 
-    def _inverse(self, g: float):
-        if g != self._gamma:
-            # drop the old gamma's arrays before the new inverse is formed
-            self._gamma, self._inv, self._proj, self._table = g, None, None, None
-            self._inv = self._invert(g)
-        if isinstance(self._inv, str):
-            raise NumericalError(self._inv)
-        return self._inv
-
-    def _invert(self, g: float):
-        sigma = g * self.omega
-        sigma[np.diag_indices_from(sigma)] += self.phi
-        try:
-            np.linalg.cholesky(sigma)  # rejects a Sigma that is not positive definite
-            inv = np.linalg.inv(sigma)
-            cond = np.linalg.norm(sigma, 1) * np.linalg.norm(inv, 1)
-        except np.linalg.LinAlgError:  # not positive definite, or exactly singular
-            cond = np.inf
-        if not cond <= _CONDITION_LIMIT:
-            return f"smoothing system is singular or ill-conditioned at gamma={g:g}"
-        return inv
-
-    def _constrain(self, values, g: float, t):
-        """``values`` plus the S M' lambda that puts the sum on M d = t."""
-        if self._proj is None:
-            sinv_mt = self._inverse(g) @ self.constraints.M.T
-            gram = self.constraints.M @ sinv_mt
+    def _factors(self, g: float, constrained: bool):
+        """f = 1/(1 + g lam) and, when ``constrained``, the projector at
+        gamma ``g``; a rejected Sigma or Gram matrix is a NumericalError."""
+        if self._basis is None:
+            r = 1.0 / np.sqrt(self.phi)
+            lam, U = np.linalg.eigh(r[:, None] * self.omega * r)
+            U *= r[:, None]
+            W = None if self.constraints is None else U.T @ self.constraints.M.T
+            self._basis = lam, U, W
+        lam, U, W = self._basis
+        if self._last is None or self._last[0] != g:
+            self._last = self._table = None  # drop the old gamma's arrays
+            low, high = 1.0 + g * lam[0], 1.0 + g * lam[-1]
+            if not (low > 0 and high / low <= _CONDITION_LIMIT):
+                raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
+            self._last = g, 1.0 / (1.0 + g * lam), None
+        _, f, proj = self._last
+        if constrained and proj is None:
+            fw = f[:, None] * W
+            gram = W.T @ fw
             gram = 0.5 * (gram + gram.T)
-            if np.linalg.cond(gram) <= _CONDITION_LIMIT:
-                self._proj = np.linalg.solve(gram, sinv_mt.T).T
-            else:
-                self._proj = "degenerate or redundant constraints"
-        if isinstance(self._proj, str):
-            raise NumericalError(self._proj)
-        return values + self._proj @ (t - self.constraints.M @ values)
+            if not np.linalg.cond(gram) <= _CONDITION_LIMIT:
+                raise NumericalError("degenerate or redundant constraints")
+            proj = np.linalg.solve(gram, (U @ fw).T).T
+            self._last = g, f, proj
+        return f, proj
 
     def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
         M d = t when ``constrained``.  An ill-conditioned Sigma or Gram
         matrix is a NumericalError."""
-        d = self._inverse(g) @ (self.phi * theta)
-        return self._constrain(d, g, self.constraints.t) if constrained else d
+        f, proj = self._factors(g, constrained)
+        U = self._basis[1]
+        d = U @ (f * (U.T @ (self.phi * theta)))
+        if constrained:
+            d += proj @ (self.constraints.t - self.constraints.M @ d)
+        return d
 
     def held_out(self, theta, g: float, constrained: bool = False):
-        """The full fit d = A theta + c at gamma ``g`` and A', whose row i
-        is A e_i = phi_i S e_i, moved onto M a = 0 when ``constrained``.
-        Both are kept until gamma, ``constrained`` or the values of theta
-        change, so the held-out fits of one grid point share them."""
-        S = self._inverse(g)
+        """The full fit d = A theta + c at gamma ``g``, A', whose row i is
+        A e_i = phi_i S e_i, moved onto M a = 0 when ``constrained``, and the
+        condition number of I + g K, which bounds A's rounding error in units
+        of eps.  d and A' are kept until gamma, ``constrained`` or theta's
+        values change, so one grid point's held-out fits share them."""
+        f, proj = self._factors(g, constrained)
         table = self._table
         if table is None or table[0] != constrained or not np.array_equal(table[1], theta):
             self._table = None  # drop the old table before the new one is formed
             d = self.solve(theta, g, constrained)
-            At = S.T * self.phi[:, None]
-            if constrained:  # solve has formed the projector
-                At -= (At @ self.constraints.M.T) @ self._proj.T
+            U = self._basis[1]
+            At = (self.phi[:, None] * U * f) @ U.T
+            if constrained:
+                At -= (At @ self.constraints.M.T) @ proj.T
             self._table = table = (constrained, theta.copy(), d, At)
-        return table[2], table[3]
+        return table[2], table[3], f[0] / f[-1]
 
 
 @dataclass(frozen=True)

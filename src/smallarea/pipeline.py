@@ -410,7 +410,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
             raise ValidationError(f"output_dir {out}: {base} exists and is not a directory")
         data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
         # every estimator call of the run, bootstrap included, solves with
-        # this one (phi, omega, constraints) and reuses the last gamma's inverse
+        # this one (phi, omega, constraints) and its one eigendecomposition
         solver = _SigmaSolver(phi, omega, constraints)
 
     with _stage("gibbs"):
@@ -427,6 +427,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         _write_table(out / "fit.csv", fit)
         _write_json(metadata, out / "metadata.json")
         return None
+    del summary  # release the chain's draws before the estimates and the bootstrap
 
     curve = None
     if config.gamma_grid is not None:

@@ -6,9 +6,9 @@ held-out coordinate is predicted by smoothness and constraints alone.
 Held-out fits come from the full fit: the exact leave-one-out identity
 for linear smoothers (Craven & Wahba 1979) turns the full fit and one
 column of its hat matrix into the held-out fit.  The estimators' solver
-forms both once per grid point, from its one inverse of Sigma at that
-gamma: the full fit and the table whose row i is that column, so each
-held-out fit reads one row and costs O(m).
+forms both once per grid point from its one eigendecomposition, which
+serves every gamma: the full fit and the table whose row i is that
+column, so each held-out fit reads one row and costs O(m).
 The score of a grid point is the weighted mean squared gap between those
 predictions and the Bayes estimates; the selected gamma minimizes it,
 with ties broken toward the smallest value.
@@ -93,9 +93,10 @@ def loo_solution(
     Dropping the term is the same as replacing theta_i by the held-out
     prediction itself, so the full fit d = A theta + c gives the held-out
     fit d + (d_i - theta_i) / (1 - A_ii) * A e_i.  The area is unidentified
-    when 1 - A_ii <= 1/_CONDITION_LIMIT (A_ii = 1 when it is isolated in
-    the similarity graph and untouched by every constraint) or when the
-    shared solve is ill-conditioned.
+    when the shared solve is ill-conditioned or 1 - A_ii <= kappa/_CONDITION_LIMIT,
+    kappa being the solve's condition number, which bounds A_ii's rounding
+    error in units of eps (A_ii = 1 when the area is isolated in the
+    similarity graph and untouched by every constraint).
     """
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma, constraints)
     if g <= 0:
@@ -105,12 +106,12 @@ def loo_solution(
         raise ValidationError(f"area index {index} out of range [0, {theta.size})")
     constrained = constraints is not None
     try:
-        d, At = solver.held_out(theta, g, constrained)
+        d, At, kappa = solver.held_out(theta, g, constrained)
         a = At[index]
         gap = 1.0 - a[index]
     except NumericalError:
-        gap = 0.0
-    if gap > 1.0 / _CONDITION_LIMIT:
+        gap, kappa = 0.0, 1.0
+    if gap > kappa / _CONDITION_LIMIT:
         solution = d + ((d[index] - theta[index]) / gap) * a
         if np.isfinite(solution).all():
             return solution
@@ -127,10 +128,9 @@ def cross_validate(
     score +inf and record the failing areas; if every point is infeasible
     the search fails with a NumericalError that names the areas that
     failed at every point and holds their indices in its ``areas``
-    attribute.  ``omega`` may be the estimators' Sigma solver, so that the
-    grid's inverses serve the caller's later solves too; each grid point
-    inverts Sigma and builds the held-out table once for all of its
-    held-out fits.
+    attribute.  ``omega`` may be the estimators' Sigma solver, so that its
+    one eigendecomposition serves the caller's later solves too; each grid
+    point builds the held-out table once for all of its held-out fits.
     """
     theta, solver, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
     p, m = solver.phi, theta.shape[0]

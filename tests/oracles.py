@@ -12,7 +12,9 @@ integrates over the model variance with adaptive quadrature and an
 explicit projection matrix, and the reference bootstrap replicate takes
 that mean one replicate at a time.  The reference held-out solve
 refactors the zero-weight system for every held-out area and borders it
-with the constraints.
+with the constraints.  The condition numbers that bound the solver's
+rounding error come from the generalized eigenvalues of the pencil
+(Sigma, Phi) and an LU solve, not from the solver's decomposition.
 """
 
 import numpy as np
@@ -43,6 +45,22 @@ def kkt_solve(theta, phi, omega, gamma, M=None, t=None):
     kkt[m:, :m] = M
     rhs = np.concatenate((g, np.atleast_1d(t)))
     return np.linalg.solve(kkt, rhs)[:m]
+
+
+def condition_numbers(phi, omega, gamma, M=None):
+    """The condition numbers that bound the estimators' rounding error,
+    each from a route of its own: kappa of the scaled system
+    Phi^{-1/2} Sigma Phi^{-1/2} from LAPACK's generalized symmetric
+    eigensolver on the pencil (Sigma, Phi), infinite when Sigma is not
+    positive definite, and the 2-norm condition number of the Gram matrix
+    M Sigma^{-1} M' from an LU solve (1 without constraints)."""
+    from scipy.linalg import eigh
+
+    sigma = np.diag(phi) + gamma * np.asarray(omega)
+    ev = eigh(sigma, np.diag(phi), eigvals_only=True)
+    kappa = ev[-1] / ev[0] if ev[0] > 0 else np.inf
+    gram = 1.0 if M is None else np.linalg.cond(M @ np.linalg.solve(sigma, M.T))
+    return kappa, gram
 
 
 def quad_minimize(theta, phi, omega, gamma, x0=None):
@@ -302,19 +320,18 @@ def per_replicate(estimate):
     return batch
 
 
-def count_factorizations(monkeypatch):
-    """Record every inversion of Sigma the estimators make: returns the
-    list that each ``_SigmaSolver._invert`` call appends Sigma's shape to."""
-    from smallarea.estimators import _SigmaSolver
-
-    real = _SigmaSolver._invert
+def count_eigendecompositions(monkeypatch):
+    """Record every eigendecomposition made while the test runs: returns
+    the list that each ``np.linalg.eigh`` call appends its matrix's shape
+    to.  The estimators' solver makes one, on its first solve."""
+    real = np.linalg.eigh
     calls = []
 
-    def counted(self, g):
-        calls.append(self.omega.shape)
-        return real(self, g)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(_SigmaSolver, "_invert", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
 
 

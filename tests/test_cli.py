@@ -8,6 +8,7 @@ import pytest
 
 import smallarea
 from smallarea.cli import main
+from smallarea.datasets import synthetic_dataset_path, us_state_borders_path
 
 from test_pipeline import small_area_csv, write_config
 
@@ -176,3 +177,38 @@ def test_console_script_entry_point(workspace):
     )
     assert proc.returncode == 0, proc.stderr
     assert "estimates.csv" in proc.stdout
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the criterion-9 run on the bundled 51-area fixture, once in a process
+    # with one BLAS thread and once in a process with two
+    names = ("estimates.csv", "cv_curve.csv", "bootstrap_mse.csv", "metadata.json")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        cfg = tmp_path / f"threads{threads}.cfg"
+        settings = {
+            "area_csv": synthetic_dataset_path(),
+            "edge_list": us_state_borders_path(),
+            "covariate_columns": "tax_poverty_rate,nonfiler_rate,foodstamp_rate",
+            "group_column": "group",
+            "benchmark_weight_column": "benchmark_weight",
+            "benchmark_target": 15.0,
+            "gamma_grid": "0.0001,100,40",
+            "gibbs_iterations": 4000,
+            "gibbs_burn": 1000,
+            "bootstrap_replicates": 200,
+            "seed": 11,
+            "output_dir": out,
+        }
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallarea.cli", "run", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append({n: (out / n).read_bytes() for n in names})
+    assert reports[0] == reports[1]

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import block_diag, eigh, null_space
 
 from smallarea import (
     ConstraintSet,
@@ -18,10 +20,10 @@ from smallarea import (
     unit_level_benchmarked,
     unit_level_smoothed,
 )
-from smallarea.estimators import _residual_bound, _SigmaSolver
+from smallarea.estimators import _CONDITION_LIMIT, _residual_bound, _SigmaSolver
 
-from oracles import kkt_solve, quad_minimize, random_instance
-from test_selection import _floats, held_out_problems
+from oracles import condition_numbers, count_eigendecompositions, kkt_solve, quad_minimize, random_instance
+from test_selection import _close, _floats, _wide_weights, held_out_problems
 
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
 TOY_THETA = np.array([1.0, 3.0])
@@ -218,6 +220,11 @@ class TestOptimality:
     def test_bad_delta_rejected(self, delta, message):
         with pytest.raises(ValidationError, match=message):
             penalized_objective(delta, TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0)
+
+    def test_objective_makes_no_decomposition(self, monkeypatch):
+        factors = count_eigendecompositions(monkeypatch)
+        assert penalized_objective([2.0, 2.0], TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0) == 2.0
+        assert factors == []
 
     def test_benchmarked_is_a_minimum_on_the_feasible_set(self):
         rng = np.random.default_rng(18)
@@ -528,3 +535,52 @@ class TestInvariants:
         fit = benchmarked_estimate(theta, phi, solver, gamma, constraints)
         np.testing.assert_array_equal(fit.values, values)
         assert fit.constraint_residual == residual
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        held_out_problems(weights=_wide_weights, gammas=st.sampled_from([1e-4, 1e2])),
+        st.floats(-100.0, 100.0),
+    )
+    def test_invariants_over_twelve_decades_of_weights(self, problem, c):
+        # the same invariants with loss weights over twelve decades, to within
+        # machine epsilon times the oracle's condition numbers (see
+        # test_selection.test_wide_weights_at_the_grid_ends)
+        theta, phi, omega, gamma, _, constraints = problem
+        M = None if constraints is None else constraints.M
+        kappa, gram = condition_numbers(phi, omega, gamma, M)
+        solver = _SigmaSolver(phi, omega, constraints)
+        solver.solve(theta, gamma)
+        np.testing.assert_array_equal(smoothed_estimate(theta, phi, solver, 0.0).values, theta)
+        const = np.full(len(theta), c)
+        assert _close(smoothed_estimate(const, phi, solver, gamma).values, const, const, phi, 1e-13 * kappa)
+        if constraints is not None and kappa * gram <= 1e6:
+            values = solver.solve(theta, gamma, constrained=True)
+            assert np.max(np.abs(M @ values - constraints.t)) <= _residual_bound(constraints.t)
+            on_target = ConstraintSet(M, M @ const)
+            fit = benchmarked_estimate(const, phi, omega, gamma, on_target).values
+            assert _close(fit, const, const, phi, 1e-13 * kappa * gram)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(held_out_problems(weights=_wide_weights), st.floats(0.1, 10.0))
+    def test_one_negative_eigenvalue(self, problem, mu):
+        # omega - (mu/m) 11' has one negative eigenvalue, as has the pencil
+        # (omega, Phi): Sigma(gamma) is positive definite exactly for gamma
+        # below g = -1/lam_min.  At g/2 the estimates are the KKT solution;
+        # at 2g the solver refuses Sigma.
+        theta, phi, omega, _, _, constraints = problem
+        omega = omega - mu / len(theta)
+        g = -1.0 / eigh(omega, np.diag(phi), eigvals_only=True)[0]
+        M, t = (None, None) if constraints is None else (constraints.M, constraints.t)
+        kappa, gram = condition_numbers(phi, omega, g / 2, M)
+        assert kappa <= _CONDITION_LIMIT / 2
+        solver = _SigmaSolver(phi, omega, constraints)
+        smooth = smoothed_estimate(theta, phi, solver, g / 2).values
+        assert _close(smooth, kkt_solve(theta, phi, omega, g / 2), theta, phi, 1e-13 * kappa)
+        if constraints is not None and kappa * gram <= 1e6:
+            bench = benchmarked_estimate(theta, phi, solver, g / 2, constraints).values
+            assert _close(bench, kkt_solve(theta, phi, omega, g / 2, M, t), theta, phi, 1e-13 * kappa * gram)
+        with pytest.raises(NumericalError, match=re.escape(f"ill-conditioned at gamma={2 * g:g}") + "$"):
+            smoothed_estimate(theta, phi, solver, 2 * g)
+        if constraints is not None:
+            with pytest.raises(NumericalError, match=re.escape(f"ill-conditioned at gamma={2 * g:g}") + "$"):
+                benchmarked_estimate(theta, phi, solver, 2 * g, constraints)

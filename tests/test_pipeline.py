@@ -32,7 +32,7 @@ from smallarea.datasets import (
     us_state_borders_path,
 )
 
-from oracles import count_factorizations, exact_posterior_mean, per_replicate, reference_replicate
+from oracles import count_eigendecompositions, exact_posterior_mean, per_replicate, reference_replicate
 
 
 def small_area_csv(tmp_path, m=8, seed=0, zero_d=False):
@@ -652,11 +652,26 @@ class TestLockStepBootstrap:
         assert np.all(np.isfinite(report.mse))
 
     def test_fixed_gamma_run_factors_sigma_once(self, tmp_path, monkeypatch):
-        # both estimates and every replicate's estimate use gamma's one factor
-        factors = count_factorizations(monkeypatch)
+        # both estimates and every replicate's estimate use the run's one
+        # eigendecomposition
+        factors = count_eigendecompositions(monkeypatch)
         report = run_pipeline(self._config(tmp_path, gamma_grid=None, gamma=0.5, bootstrap_replicates=6))
         assert factors == [(51, 51)]
         assert report.metadata["bootstrap"]["failed"] == []
+
+    def test_re_cross_validated_run_decomposes_once(self, tmp_path, monkeypatch):
+        # the main grid, both estimates and every replicate's own grid and
+        # estimate share the run's one eigendecomposition
+        factors = count_eigendecompositions(monkeypatch)
+        config = self._config(tmp_path, bootstrap_gamma_policy="re-cross-validate", bootstrap_replicates=6)
+        report = run_pipeline(config)
+        assert factors == [(51, 51)]
+        assert report.metadata["bootstrap"]["failed"] == []
+
+    def test_fit_makes_no_decomposition(self, tmp_path, monkeypatch):
+        factors = count_eigendecompositions(monkeypatch)
+        run_pipeline(self._config(tmp_path), stop_after="gibbs")
+        assert factors == []
 
 
 class TestFitAndCvCommands:

@@ -19,11 +19,12 @@ from smallarea import (
     smoothed_estimate,
     benchmarked_estimate,
 )
-from smallarea.estimators import _SigmaSolver
+from smallarea.estimators import _CONDITION_LIMIT, _SigmaSolver
 
 from oracles import (
+    condition_numbers,
     constrained_quad_minimize,
-    count_factorizations,
+    count_eigendecompositions,
     dropped_term_minimize,
     kkt_solve,
     random_connected_instance,
@@ -188,6 +189,63 @@ def test_held_out_fits_match_reference_solve(problem):
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
+def _wide_weights(m):
+    """Loss weights over twelve decades."""
+    return _floats(m, -6.0, 6.0).map(lambda e: 10.0**e)
+
+
+def _close(got, want, theta, phi, tol):
+    """got is want to within ``tol`` in the loss weights' norm
+    ||Phi^{1/2} x||, relative to theta and want, the norm in which the
+    solver's rounding error is bounded."""
+    w = np.sqrt(phi)
+    return np.linalg.norm(w * (got - want)) <= tol * (np.linalg.norm(w * theta) + np.linalg.norm(w * want))
+
+
+# Loss weights over twelve decades and gamma at the default grid's ends.
+# Sigma is accepted on the condition number kappa of Phi^{-1/2} Sigma
+# Phi^{-1/2}, which such weights leave small, and every result is within
+# machine epsilon times the condition numbers the oracle computes
+# independently (kappa, the Gram matrix's, and 1/(1 - A_ii) for a held-out
+# fit) of the bordered KKT solve, with a margin of 10 or more.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(held_out_problems(weights=_wide_weights, gammas=st.sampled_from([1e-4, 1e2])))
+def test_wide_weights_at_the_grid_ends(problem):
+    theta, phi, omega, gamma, _, constraints = problem
+    m = len(theta)
+    M, t = (None, None) if constraints is None else (constraints.M, constraints.t)
+    kappa, gram = condition_numbers(phi, omega, gamma, M)
+    assert kappa <= _CONDITION_LIMIT / 2
+    smooth = smoothed_estimate(theta, phi, omega, gamma).values
+    assert _close(smooth, kkt_solve(theta, phi, omega, gamma), theta, phi, 1e-13 * kappa)
+    if constraints is not None:
+        try:
+            bench = benchmarked_estimate(theta, phi, omega, gamma, constraints).values
+        except NumericalError:
+            assert kappa * gram > 1e6  # the residual check refuses an imprecise fit
+        else:
+            assert _close(bench, kkt_solve(theta, phi, omega, gamma, M, t), theta, phi, 1e-13 * kappa * gram)
+    for i in range(m):
+        if omega[i, i] == 0.0 and (constraints is None or not np.any(M[:, i])):
+            with pytest.raises(NumericalError, match=f"held-out area {i} is unidentified"):
+                loo_solution(theta, phi, omega, gamma, i, constraints)
+            continue
+        unit = np.eye(m)[i]
+        gap = 1.0 - (kkt_solve(unit, phi, omega, gamma, M, t) - kkt_solve(np.zeros(m), phi, omega, gamma, M, t))[i]
+        try:
+            want = reference_loo_solution(theta, phi, omega, gamma, i, constraints)
+        except NumericalError:  # the reference's unscaled condition check refuses wide weights
+            phi0 = phi.copy()
+            phi0[i] = 0.0
+            want = kkt_solve(theta, phi0, omega, gamma, M, t)
+        try:
+            got = loo_solution(theta, phi, omega, gamma, i, constraints)
+        except NumericalError:
+            assert gap <= 1e-10 * kappa * gram
+        else:
+            assert _close(got, want, theta, phi, 1e-12 * kappa * gram / gap)
+
+
 def _outcomes(theta, phi, omega, gamma, constraints):
     """Both estimates and every held-out fit at one gamma, through ``omega``
     (a penalty matrix or a solver): each is an array, or the message of
@@ -288,12 +346,12 @@ class TestHeldOutTable:
 
     def test_constrained_and_unconstrained_interleaved(self, monkeypatch):
         theta, phi, omega, solver = self._setup()
-        factors = count_factorizations(monkeypatch)
+        factors = count_eigendecompositions(monkeypatch)
         for c in (None, self.CONSTRAINTS, None, self.CONSTRAINTS):
             for i in (2, 7):
                 self._check(theta, phi, solver.omega, solver, 1.5, i, c)
-        # the shared solver inverted Sigma once; every fresh one once too
-        assert len(factors) == 1 + 8
+        # the shared solver decomposed once; every fresh one once too
+        assert factors == [(8, 8)] * (1 + 8)
 
     def test_ill_conditioned_gamma_between_good_ones(self):
         theta, phi, omega, solver = self._setup()
@@ -315,19 +373,20 @@ class TestHeldOutTable:
     def test_cross_validate_inverts_once_per_grid_point(self, monkeypatch, constrained):
         theta, phi, omega, solver = self._setup()
         constraints = self.CONSTRAINTS if constrained else None
-        factors = count_factorizations(monkeypatch)
+        factors = count_eigendecompositions(monkeypatch)
         cross_validate(theta, phi, solver, np.geomspace(0.01, 100.0, 4), constraints)
-        assert factors == [(8, 8)] * 4
+        # one decomposition serves every grid point
+        assert factors == [(8, 8)]
 
 
 class TestCrossValidate:
     def test_factors_sigma_once_per_grid_point(self, monkeypatch):
         theta, phi, omega = random_connected_instance(np.random.default_rng(4), 9)
         constraints = ConstraintSet(np.ones((1, 9)) / 9, [0.0])
-        factors = count_factorizations(monkeypatch)
+        factors = count_eigendecompositions(monkeypatch)
         grid = np.append(np.geomspace(0.01, 100.0, 5), 1e15)  # the last point is ill-conditioned
         curve = cross_validate(theta, phi, omega, grid, constraints)
-        assert factors == [(9, 9)] * 6
+        assert factors == [(9, 9)]  # one decomposition serves every grid point
         assert np.all(np.isfinite(curve.scores[:-1]))
         assert curve.failed_areas[-1] == tuple(range(9))
 
