@@ -169,7 +169,10 @@ class _SigmaSolver:
         U = self._basis[1]
         d = U @ (f * (U.T @ (self.phi * theta)))
         if constrained:
-            d += proj @ (self.constraints.t - self.constraints.M @ d)
+            # one step leaves M d - t at about cond(Gram) * eps; a second
+            # (iterative refinement) squares that factor
+            for _ in range(2):
+                d += proj @ (self.constraints.t - self.constraints.M @ d)
         return d
 
     def held_out(self, theta, g: float, constrained: bool = False):

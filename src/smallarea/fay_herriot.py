@@ -17,7 +17,8 @@ exactly, by one-dimensional quadrature over s2, for any number of response
 vectors at once: the bootstrap replicates' Bayes step, and the Monte Carlo
 error check of the chain.  The vectors share one lattice of nodes in
 log s2, so everything that depends on s2 alone (V, X'V^{-1}X, its factor
-and inverse) is computed once per node for the whole batch.
+and inverse) is computed once per node for the whole batch, and each
+vector is evaluated only on the nodes near its own window.
 
 RNG stream contract: the chain is strictly sequential and reproducible
 from its seed, and draws from two counter-based streams.  ``Philox(seed)``
@@ -57,7 +58,7 @@ _BLOCK_DRAWS = 2**16  # normals buffered per block of the chain: 512 KiB
 _COARSE_NODES = 48  # coarse nodes across the shortest row range of a batch
 _FINE_NODES = 200  # fine nodes across the narrowest window of a batch
 _LOG_WEIGHT_CUT = 38.0  # nodes this far below the largest log weight (e^-38) are dropped
-_CHUNK_DOUBLES = 2**15  # largest temporary of exact_means's node and row chunks: 256 KiB
+_CHUNK_DOUBLES = 2**15  # largest temporary of exact_means's row chunks: 256 KiB
 
 
 @dataclass(frozen=True)
@@ -357,7 +358,7 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     )
 
 
-def _nodes(X, XX, D, T):
+def _nodes(X, D, T):
     """The terms of nodes ``T`` (n,) in t = log s2 that no response row
     changes: w = 1 / (e^t + D), (n, m); the constant of the log weight,
     t - (log|V| + log|X'WX|) / 2, (n,); and (X'WX)^{-1}, (n, p, p).  A node
@@ -370,7 +371,7 @@ def _nodes(X, XX, D, T):
     w = np.reciprocal(v, out=v)
     # X'WX rescaled to unit diagonal, S A S with S = diag(A)^{-1/2}, is
     # factored for the determinant and inverted
-    A = (w @ XX).reshape(n, p, p)
+    A = (w @ (X[:, :, None] * X[:, None, :]).reshape(m, p * p)).reshape(n, p, p)
     s = 1.0 / np.sqrt(np.diagonal(A, axis1=1, axis2=2))
     A *= s[:, :, None] * s[:, None, :]
     try:
@@ -409,57 +410,43 @@ def _row_terms(X, Y, w, inv, const):
     return const[:, None] - 0.5 * ypy, beta
 
 
-def _node_chunks(X, D, T):
-    """:func:`_nodes` of ``T`` in chunks, with the number of rows per chunk,
-    such that each (nodes x m) and (rows x (p + 1) x max(m, nodes))
-    temporary holds at most ``_CHUNK_DOUBLES`` doubles."""
-    m, p = X.shape
-    XX = (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
-    size = max(1, _CHUNK_DOUBLES // m)
-    rows = max(1, _CHUNK_DOUBLES // ((p + 1) * max(m, min(size, len(T)))))
-    for k in range(0, len(T), size):
-        yield slice(k, k + size), _nodes(X, XX, D, T[k : k + size]), rows
-
-
-def _log_weights(X, D, Y, T):
-    """Log posterior weight of every row of ``Y`` at every node ``T``, (B, n)."""
-    out = np.empty((len(Y), len(T)))
-    for nodes, (w, const, inv), rows in _node_chunks(X, D, T):
-        for k in range(0, len(Y), rows):
-            r = slice(k, k + rows)
-            out[r, nodes] = _row_terms(X, Y[r], w, inv, const)[0].T
-    return out
+def _window_terms(X, D, Y, T, lo, hi):
+    """Per chunk of rows of ``Y``, sorted by window [lo_r, hi_r] centre: the
+    row indices, the slice of nodes ``T`` from the lowest lo to the highest
+    hi, w there, and :func:`_row_terms` there, with log weight -inf outside
+    each row's window.  Every (rows x (p + 1) x max(m, nodes)) temporary
+    holds at most ``_CHUNK_DOUBLES`` doubles."""
+    (B, m), p = Y.shape, X.shape[1]
+    w, const, inv = _nodes(X, D, T)
+    rows = max(1, _CHUNK_DOUBLES // ((p + 1) * max(m, len(T))))
+    order = np.argsort(lo + hi, kind="stable")
+    for k in range(0, B, rows):
+        r = order[k : k + rows]
+        j = slice(np.searchsorted(T, lo[r].min()), np.searchsorted(T, hi[r].max(), side="right"))
+        log_w, beta = _row_terms(X, Y[r], w[j], inv[j], const[j])
+        t = T[j, None]
+        log_w[(t < lo[r]) | (t > hi[r])] = -np.inf
+        yield r, j, w[j], log_w, beta
 
 
 def _window_means(X, D, Y, T, lo, hi):
     """V^{-1}(y - X beta_hat) of each row of ``Y`` averaged over the nodes
     ``T`` inside its window [lo_r, hi_r] with the posterior weights, (B, m):
-    a running log-sum-exp over node chunks, and for each chunk one GEMM of
-    w with the normalised weights e_j and e_j * beta_hat_j, which gives
+    the weights normalised to e_j = exp(log w_j - max) / sum, then one GEMM
+    of w with e_j and e_j * beta_hat_j, which gives
     sum_j e_j w_j * y - sum_j e_j w_j * (X beta_hat_j)."""
     (B, m), p = Y.shape, X.shape[1]
-    top = np.full(B, -np.inf)
-    total = np.zeros(B)
-    acc = np.zeros((B, m))
-    for nodes, (w, const, inv), rows in _node_chunks(X, D, T):
-        t = T[nodes, None]
-        here = np.flatnonzero((lo <= t[-1]) & (hi >= t[0]))  # each has a node in this chunk
-        for k in range(0, len(here), rows):
-            r = here[k : k + rows]
-            log_w, beta = _row_terms(X, Y[r], w, inv, const)
-            log_w[(t < lo[r]) | (t > hi[r])] = -np.inf
-            new_top = np.maximum(top[r], log_w.max(axis=0))
-            scale = np.exp(top[r] - new_top)
-            e = np.exp(log_w - new_top)
-            sums = np.empty((len(t), p + 1, len(r)))
-            sums[:, 0] = e
-            np.multiply(e[:, None, :], beta, out=sums[:, 1:])
-            sums = (sums.reshape(len(t), -1).T @ w).reshape(p + 1, len(r), m)
-            total[r] = total[r] * scale + e.sum(axis=0)
-            fit = (sums[1:] * X.T[:, None, :]).sum(axis=0)
-            acc[r] = acc[r] * scale[:, None] + Y[r] * sums[0] - fit
-            top[r] = new_top
-    return acc / total[:, None]
+    out = np.empty((B, m))
+    for r, _, w, log_w, beta in _window_terms(X, D, Y, T, lo, hi):
+        e = np.exp(log_w - log_w.max(axis=0))
+        e /= e.sum(axis=0)
+        n = len(e)
+        sums = np.empty((n, p + 1, len(r)))
+        sums[:, 0] = e
+        np.multiply(e[:, None, :], beta, out=sums[:, 1:])
+        sums = (sums.reshape(n, -1).T @ w).reshape(p + 1, len(r), m)
+        out[r] = Y[r] * sums[0] - (sums[1:] * X.T[:, None, :]).sum(axis=0)
+    return out
 
 
 def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np.ndarray:
@@ -487,7 +474,7 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     node either side.  A row whose window reaches an end of its range is
     NaN, never truncated.  A fine lattice spaced (narrowest window) / 199
     covers every window, and each row's mean is the weighted average over
-    the fine nodes inside its window, normalised by log-sum-exp.  Every
+    the fine nodes inside its window, its weights normalised to sum 1.  Every
     row so gets at least 199 intervals across its window; a row's value
     depends on the rest of its batch only through the lattice spacing.
     The coarse lattice has 48 + 47 * Δ / (min_r high_r - low) nodes, Δ the
@@ -499,8 +486,12 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     quadrature each row is moved by a fitted value X c, which changes
     neither y'Py nor y - X beta_hat: c fits the D = 0 areas exactly and
     the others by least squares within what that leaves free, so that
-    y'Py = y'V^{-1}y - b' beta_hat does not cancel.  Temporaries are
-    chunked over nodes and rows, each at most ``_CHUNK_DOUBLES`` doubles.
+    y'Py = y'V^{-1}y - b' beta_hat does not cancel.  Each lattice's node
+    terms are computed once; the rows, sorted by window centre and written
+    back in input order, are taken in chunks, each evaluated only on the
+    nodes from its lowest window start to its highest window end.  Row
+    chunks keep every temporary within ``_CHUNK_DOUBLES`` doubles; the
+    (nodes x m) node terms are not chunked.
 
     Areas with D_i = 0 get theta_i = y_i exactly.  With ``fixed_sigma_u2``
     each row is the conditional mean at that variance.  Raises
@@ -545,10 +536,11 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     step = (high.min() - low) / (_COARSE_NODES - 1)
     ends = np.floor((high - low) / step + 1e-9).astype(int)  # each row's last coarse node
     T = low + step * np.arange(ends.max() + 1)
-    coarse = _log_weights(X, D, moved, T)
+    coarse = np.full((len(Y), len(T)), -np.inf)  # -inf outside each row's own range
+    for r, j, _, log_w, _ in _window_terms(X, D, moved, T, np.full(len(Y), low), T[ends]):
+        coarse[r, j] = log_w.T
     own = np.arange(len(T)) <= ends[:, None]
     finite = np.all(np.isfinite(coarse) | ~own, axis=1)
-    coarse[~own] = -np.inf
     kept = coarse >= coarse.max(axis=1, keepdims=True) - _LOG_WEIGHT_CUT
     first = np.argmax(kept, axis=1)
     last = len(T) - 1 - np.argmax(kept[:, ::-1], axis=1)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -211,4 +212,28 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         reports.append({n: (out / n).read_bytes() for n in names})
+    assert reports[0] == reports[1]
+
+
+def test_lattice_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    # the benchmark's 200-area lattice with cross-validation and two benchmark
+    # rows, run once in a process with one BLAS thread and once with two; the
+    # generator solves m x m systems, so its own bytes depend on the thread
+    # count, and the inputs are written once, here
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    synth = importlib.import_module("synth")
+    cfg = synth.write_workload(synth.WORKLOADS["lattice200-cv"], 1, tmp_path, root)
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallarea.cli", "run", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append({p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())})
+    assert "cv_curve.csv" in reports[0]
     assert reports[0] == reports[1]

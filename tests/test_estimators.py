@@ -560,6 +560,26 @@ class TestInvariants:
             fit = benchmarked_estimate(const, phi, omega, gamma, on_target).values
             assert _close(fit, const, const, phi, 1e-13 * kappa * gram)
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(held_out_problems(weights=_wide_weights, gammas=st.floats(-4.0, 2.0).map(lambda e: 10.0**e)))
+    def test_benchmarked_over_twelve_decades_of_weights(self, problem):
+        # wherever the bordered KKT system solves, the benchmarked estimate is
+        # within machine epsilon times the oracle's condition numbers of it,
+        # and a refusal comes from a condition number, never from the
+        # residual check: one projection step through the Gram matrix left a
+        # residual of about cond(Gram) * eps, which the check refused
+        theta, phi, omega, gamma, _, constraints = problem
+        assume(constraints is not None and len(theta) >= 3)
+        want = kkt_solve(theta, phi, omega, gamma, constraints.M, constraints.t)
+        kappa, gram = condition_numbers(phi, omega, gamma, constraints.M)
+        try:
+            got = benchmarked_estimate(theta, phi, omega, gamma, constraints).values
+        except NumericalError as err:
+            assert "residual" not in str(err)
+            assert max(kappa, gram) > _CONDITION_LIMIT / 10
+        else:
+            assert _close(got, want, theta, phi, 1e-13 * kappa * gram)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(held_out_problems(weights=_wide_weights), st.floats(0.1, 10.0))
     def test_one_negative_eigenvalue(self, problem, mu):

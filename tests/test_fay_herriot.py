@@ -502,8 +502,8 @@ class TestExactMeans:
             assert np.max(np.abs(got[b] - want)) <= 1e-9 * (1.0 + np.abs(y).max()), b
 
     def test_chunk_size_is_not_part_of_the_result(self, monkeypatch):
-        # with 3 nodes and 1 row per chunk, some node chunks hold none of a
-        # row's window and some row chunks none of a node chunk's rows
+        # 3m doubles hold less than one row's (p + 1) x max(m, nodes) terms,
+        # so every chunk is one row, evaluated on its own window's nodes only
         data, _ = make_dataset(9)
         rng = np.random.default_rng(42)
         Y = data.y + np.array([0.1, 1.0, 100.0])[:, None] * rng.normal(size=(3, data.m))
@@ -574,6 +574,58 @@ class TestExactMeans:
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         assert np.all(np.isfinite(exact_means(data, Y)))
         assert sum(factored) < 1_000
+
+    @staticmethod
+    def _mixed_widths(data, rows, seed):
+        """Rows y + s z, z ~ N(0, D + 1), with s in {1, 3, 10, 30} in a
+        shuffled order: their windows in log s2 differ much in width and
+        place, so the shared fine lattice is spaced for the narrowest."""
+        rng = np.random.default_rng(seed)
+        s = rng.permutation(np.repeat([1.0, 3.0, 10.0, 30.0], rows // 4))
+        return data.y + s[:, None] * np.sqrt(data.D + 1.0) * rng.normal(size=(len(s), data.m))
+
+    def test_row_order_is_not_part_of_the_result(self, monkeypatch):
+        """Permuting the rows permutes the means: rows are sorted by window
+        before they are chunked, and a row's nodes outside its window carry
+        zero weight, so only the rounding of a chunk's sums may differ.
+        Chunks of about 3 rows (a shrunk _CHUNK_DOUBLES) get different node
+        ranges; the bound was fixed before the first run."""
+        data = load_area_csv(synthetic_dataset_path(), FIXTURE_SCHEMA)
+        Y = self._mixed_widths(data, 60, 6)
+        monkeypatch.setattr(fay_herriot, "_CHUNK_DOUBLES", 2**14)
+        spans = set()
+        row_terms = fay_herriot._row_terms
+
+        def recording(X, Y, w, inv, const):
+            spans.add(len(const))
+            return row_terms(X, Y, w, inv, const)
+
+        monkeypatch.setattr(fay_herriot, "_row_terms", recording)
+        default = exact_means(data, Y)
+        order = np.random.default_rng(7).permutation(len(Y))
+        permuted = exact_means(data, Y[order])
+        assert len(spans) > 2
+        assert np.all(np.isfinite(default))
+        scale = 1.0 + np.abs(Y[order]).max(axis=1, keepdims=True)
+        assert np.all(np.abs(permuted - default[order]) <= 1e-14 * scale)
+
+    def test_rows_of_mixed_widths_read_the_nodes_near_their_windows(self, monkeypatch):
+        """200 shuffled rows of mixed window widths on the fixture: sorted by
+        window and chunked, each row is evaluated on fewer than 500 nodes of
+        the coarse and fine lattices together (379 now); evaluating every row
+        on every fine node of the union cost 955."""
+        data = load_area_csv(synthetic_dataset_path(), FIXTURE_SCHEMA)
+        Y = self._mixed_widths(data, 200, 5)
+        terms = []
+        row_terms = fay_herriot._row_terms
+
+        def counting(X, Y, w, inv, const):
+            terms.append(len(Y) * len(const))
+            return row_terms(X, Y, w, inv, const)
+
+        monkeypatch.setattr(fay_herriot, "_row_terms", counting)
+        assert np.all(np.isfinite(exact_means(data, Y)))
+        assert sum(terms) / len(Y) < 500
 
     def test_gibbs_fit_is_unbiased_against_the_exact_mean(self):
         """z = (chain mean - exact mean) / MCSE per area, pooled over five
