@@ -10,7 +10,8 @@ generating values give the per-area MSE.
 The pipeline is a batch callback: it receives the (B, m) synthetic
 responses of every replicate at once and returns the (B, m) replicate
 estimates, so that one call can compute every replicate's posterior mean
-(see :func:`smallarea.fay_herriot.exact_means`).  A row with any
+(see :func:`smallarea.fay_herriot.exact_means`) and the estimates of all
+replicates that share a gamma in one solve.  A row with any
 non-finite value is a failed replicate; a batch that raises
 ValidationError or NumericalError fails every replicate.
 
@@ -98,6 +99,15 @@ class BootstrapReport:
         return self.replicates.shape[0]
 
 
+def _check_sampling_variance(data: AreaDataset) -> None:
+    """The residual scale sqrt(D) must be positive at every area."""
+    if np.any(data.D <= 0):
+        i = int(np.argmin(data.D))
+        raise ValidationError(
+            f"bootstrap requires positive sampling variance; D=0 at area {data.labels[i]!r}"
+        )
+
+
 def standardized_residuals(y, theta_bm, sigma_u) -> np.ndarray:
     """(y_i - fit_i) / sd_i.  Every observation sd must be positive."""
     y = _vector("y", y)
@@ -138,11 +148,7 @@ def bootstrap_mse(
     """
     m = data.m
     theta_bm = _vector("theta_bm", theta_bm, m)
-    if np.any(data.D <= 0):
-        i = int(np.argmin(data.D))
-        raise ValidationError(
-            f"bootstrap requires positive sampling variance; D=0 at area {data.labels[i]!r}"
-        )
+    _check_sampling_variance(data)
     sigma_u = np.sqrt(data.D)
     residuals = standardized_residuals(data.y, theta_bm, sigma_u)
 

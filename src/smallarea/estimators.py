@@ -12,8 +12,10 @@ of Phi^{-1/2} omega Phi^{-1/2} gives the inverse of
 Sigma = Phi + gamma * omega at every gamma, and a Sigma whose scaled form
 Phi^{-1/2} Sigma Phi^{-1/2} is indefinite or ill-conditioned is a
 NumericalError.  For the held-out fits of ``selection`` it also keeps, at
-the last gamma, the full fit of one theta and the table of hat-matrix
-columns A e_i, so that each held-out fit reads one row of it.
+the last gamma, the m held-out fits of one theta, formed at once from the
+full fit and the hat-matrix columns A e_i, so that each held-out fit is a
+copy of one row; and :func:`_batch_estimates` solves a (B, m) batch of
+thetas at once, as the bootstrap does for its replicates.
 A caller that solves many times, such as the pipeline's estimates,
 cross-validation and bootstrap, passes the solver in place of omega; a
 call with a plain omega builds a one-off solver.
@@ -87,9 +89,12 @@ def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | N
     ``omega`` is a penalty matrix, validated into a one-off solver together
     with ``phi`` and ``constraints``, or a :class:`_SigmaSolver` built
     earlier, whose omega is not checked again; ``phi`` and any
-    ``constraints`` must then equal the ones it was built with.
+    ``constraints`` must then equal the ones it was built with, and a theta
+    bitwise equal to the one its held-out fits were formed from is not
+    scanned for finiteness again.
     """
-    theta = _vector("theta_bayes", theta_bayes, size)
+    checked = omega.held_out_key if isinstance(omega, _SigmaSolver) else None
+    theta = _vector("theta_bayes", theta_bayes, size, checked)
     m = theta.shape[0]
     if isinstance(omega, _SigmaSolver):
         solver = omega
@@ -116,8 +121,8 @@ class _SigmaSolver:
     (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT.  The
     last accepted gamma's f is kept, with the projector S M' (M S M')^{-1}
     from the condition-checked Gram matrix W' diag(f) W once a constrained
-    solve needs it, and the last :meth:`held_out` table, keyed by
-    ``constrained`` and a copy of theta.  A solver lives as long as the
+    solve needs it, and the last :meth:`held_out` fits, keyed by
+    ``constrained`` and the bytes of theta.  A solver lives as long as the
     caller that built it holds it.
     """
 
@@ -132,7 +137,7 @@ class _SigmaSolver:
         self.constraints = constraints
         self._basis = None  # (lam, U, W) of the one eigendecomposition
         self._last = None  # (gamma, f, projector or None) of the last accepted gamma
-        self._table = None  # (constrained, theta, d, A') of the last held_out call
+        self._table = None  # (constrained, theta bytes, fits, identified) of the last held_out call
 
     def _factors(self, g: float, constrained: bool):
         """f = 1/(1 + g lam) and, when ``constrained``, the projector at
@@ -161,37 +166,58 @@ class _SigmaSolver:
             self._last = g, f, proj
         return f, proj
 
+    @property
+    def held_out_key(self) -> bytes | None:
+        """The bytes of the theta whose held-out fits are kept (None if
+        none are); :func:`_problem` does not scan such a theta again."""
+        return None if self._table is None else self._table[1]
+
     def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
-        M d = t when ``constrained``.  An ill-conditioned Sigma or Gram
-        matrix is a NumericalError."""
+        M d = t when ``constrained``, for a theta of length m or for each
+        row of a (B, m) batch.  An ill-conditioned Sigma or Gram matrix is
+        a NumericalError."""
         f, proj = self._factors(g, constrained)
         U = self._basis[1]
-        d = U @ (f * (U.T @ (self.phi * theta)))
+        # thetas are rows: x @ U is U' x, so one theta costs two
+        # matrix-vector products and a batch two matrix products
+        d = ((self.phi * theta) @ U * f) @ U.T
         if constrained:
             # one step leaves M d - t at about cond(Gram) * eps; a second
             # (iterative refinement) squares that factor
             for _ in range(2):
-                d += proj @ (self.constraints.t - self.constraints.M @ d)
+                d += (self.constraints.t - d @ self.constraints.M.T) @ proj.T
         return d
 
     def held_out(self, theta, g: float, constrained: bool = False):
-        """The full fit d = A theta + c at gamma ``g``, A', whose row i is
-        A e_i = phi_i S e_i, moved onto M a = 0 when ``constrained``, and the
-        condition number of I + g K, which bounds A's rounding error in units
-        of eps.  d and A' are kept until gamma, ``constrained`` or theta's
-        values change, so one grid point's held-out fits share them."""
+        """The m held-out fits at gamma ``g`` and the mask of identified
+        areas.  With the full fit d = A theta + c and A e_i = phi_i S e_i,
+        moved onto M a = 0 when ``constrained``, row i of the fits is
+        d + ((d_i - theta_i)/(1 - A_ii)) A e_i, formed in place over A'.
+        Area i is identified when 1 - A_ii > kappa/_CONDITION_LIMIT, kappa
+        the condition number of I + g K, which bounds A's rounding error in
+        units of eps, and its row is finite.  The fits are kept until gamma,
+        ``constrained`` or theta's bytes change, so one grid point's
+        held-out fits are formed once.  ``theta`` must be finite, as
+        :func:`_problem` leaves it, since its bytes become
+        :attr:`held_out_key`."""
         f, proj = self._factors(g, constrained)
+        key = theta.tobytes()
         table = self._table
-        if table is None or table[0] != constrained or not np.array_equal(table[1], theta):
-            self._table = None  # drop the old table before the new one is formed
+        if table is None or table[0] != constrained or table[1] != key:
+            self._table = None  # drop the old fits before the new ones are formed
             d = self.solve(theta, g, constrained)
             U = self._basis[1]
-            At = (self.phi[:, None] * U * f) @ U.T
+            fits = (self.phi[:, None] * U * f) @ U.T  # row i is A e_i
             if constrained:
-                At -= (At @ self.constraints.M.T) @ proj.T
-            self._table = table = (constrained, theta.copy(), d, At)
-        return table[2], table[3], f[0] / f[-1]
+                fits -= (fits @ self.constraints.M.T) @ proj.T
+            gap = 1.0 - np.diagonal(fits)
+            with np.errstate(all="ignore"):  # rows of unidentified areas
+                fits *= ((d - theta) / gap)[:, None]
+                fits += d
+            identified = (gap > (f[0] / f[-1]) / _CONDITION_LIMIT) & np.isfinite(fits).all(axis=1)
+            self._table = table = (constrained, key, fits, identified)
+        return table[2], table[3]
 
 
 @dataclass(frozen=True)
@@ -368,6 +394,28 @@ def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: Constraint
             f"benchmark residual {residual:.3e} exceeds tolerance {bound:.3e}"
         )
     return BenchmarkedEstimate(values, _objective(values, theta, solver, g), residual)
+
+
+def _batch_estimates(thetas: np.ndarray, solver: _SigmaSolver, g: float, constrained: bool) -> np.ndarray:
+    """Row b is, up to roundoff, :func:`smoothed_estimate` of row b of the
+    (B, m) ``thetas`` at gamma ``g`` alone, or :func:`benchmarked_estimate`
+    under the solver's constraints when ``constrained``; an unconstrained
+    row at g = 0 is its theta exactly.  One solve serves every row.  A row
+    that is not finite, or whose estimate is not finite or exceeds the
+    residual bound, is a NaN row; an ill-conditioned Sigma or Gram matrix
+    is a NumericalError."""
+    out = np.full(thetas.shape, np.nan)
+    rows = np.flatnonzero(np.isfinite(thetas).all(axis=1))
+    if g == 0.0 and not constrained:
+        out[rows] = thetas[rows]
+        return out
+    d = solver.solve(thetas[rows], g, constrained)
+    good = np.isfinite(d).all(axis=1)
+    if constrained:
+        c = solver.constraints
+        good &= np.max(np.abs(d @ c.M.T - c.t), axis=1) <= _residual_bound(c.t)
+    out[rows[good]] = d[good]
+    return out
 
 
 def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> BenchmarkedEstimate:

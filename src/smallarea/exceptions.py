@@ -66,14 +66,15 @@ def _reals(name: str, value, ndim: int) -> np.ndarray:
     return v
 
 
-def _vector(name: str, value, size: int | None = None) -> np.ndarray:
+def _vector(name: str, value, size: int | None = None, checked: bytes | None = None) -> np.ndarray:
     """``value`` as a finite 1-d float64 array, of length ``size`` when
     given.  Bools, strings and other non-numbers are a ValidationError
-    naming ``name``."""
+    naming ``name``.  A value whose float64 bytes equal ``checked``, the
+    bytes of a vector that passed this check, is not scanned again."""
     v = _reals(name, value, 1)
     if size is not None and v.shape[0] != size:
         raise ValidationError(f"{name} has length {v.shape[0]}, expected {size}")
-    if not np.isfinite(v).all():
+    if (checked is None or v.tobytes() != checked) and not np.isfinite(v).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return v
 

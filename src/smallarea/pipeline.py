@@ -31,10 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, bootstrap_mse
+from .bootstrap import BootstrapConfig, _check_sampling_variance, bootstrap_mse
 from .datasets import CsvSchema, _read_table, _write_table, load_area_csv
 from .estimators import (
     ConstraintSet,
+    _batch_estimates,
     _residual_bound,
     _SigmaSolver,
     benchmarked_estimate,
@@ -409,6 +410,8 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         if not base.is_dir():
             raise ValidationError(f"output_dir {out}: {base} exists and is not a directory")
         data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
+        if config.bootstrap_replicates > 0:  # fail before the chain, not after it
+            _check_sampling_variance(data)
         # every estimator call of the run, bootstrap included, solves with
         # this one (phi, omega, constraints) and its one eigendecomposition
         solver = _SigmaSolver(phi, omega, constraints)
@@ -476,26 +479,27 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
 
             def replicate_pipeline(y_star: np.ndarray) -> np.ndarray:
                 # every replicate's exact posterior mean under the main fit's
-                # model, then each replicate's estimate; a NaN mean is rejected
-                # by the estimators, and a row whose estimate fails stays NaN
-                # and is recorded as failed
+                # model and its gamma, then one batched estimate of the rows
+                # that share a gamma; a row whose mean is NaN, or whose
+                # gamma or estimate fails, stays NaN and is recorded as failed
                 thetas = exact_means(data, y_star, config.gibbs.fixed_sigma_u2)
+                gammas = np.full(len(thetas), gamma)
+                if config.bootstrap_gamma_policy == "re-cross-validate":
+                    for b, star_theta in enumerate(thetas):
+                        try:
+                            curve = cross_validate(star_theta, phi, solver, config.gamma_grid, constraints)
+                            gammas[b] = curve.gamma_hat
+                        except (ValidationError, NumericalError):
+                            gammas[b] = np.nan
                 estimates = np.full_like(thetas, np.nan)
-                for b, star_theta in enumerate(thetas):
+                for star_gamma in np.unique(gammas[~np.isnan(gammas)]):
+                    rows = gammas == star_gamma
                     try:
-                        if config.bootstrap_gamma_policy == "re-cross-validate":
-                            star_gamma = cross_validate(
-                                star_theta, phi, solver, config.gamma_grid, constraints
-                            ).gamma_hat
-                        else:
-                            star_gamma = gamma
-                        if constraints is not None:
-                            estimate = benchmarked_estimate(star_theta, phi, solver, star_gamma, constraints)
-                        else:
-                            estimate = smoothed_estimate(star_theta, phi, solver, star_gamma)
-                    except (ValidationError, NumericalError):
-                        continue
-                    estimates[b] = estimate.values
+                        estimates[rows] = _batch_estimates(
+                            thetas[rows], solver, float(star_gamma), constraints is not None
+                        )
+                    except NumericalError:  # Sigma refused at this gamma: its rows stay NaN
+                        pass
                 return estimates
 
             report = bootstrap_mse(data, theta_bm, replicate_pipeline, boot_cfg)

@@ -6,9 +6,9 @@ held-out coordinate is predicted by smoothness and constraints alone.
 Held-out fits come from the full fit: the exact leave-one-out identity
 for linear smoothers (Craven & Wahba 1979) turns the full fit and one
 column of its hat matrix into the held-out fit.  The estimators' solver
-forms both once per grid point from its one eigendecomposition, which
-serves every gamma: the full fit and the table whose row i is that
-column, so each held-out fit reads one row and costs O(m).
+forms all m held-out fits of a grid point at once from its one
+eigendecomposition, which serves every gamma, so each held-out fit is a
+copy of one row and costs O(m).
 The score of a grid point is the weighted mean squared gap between those
 predictions and the Bayes estimates; the selected gamma minimizes it,
 with ties broken toward the smallest value.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _CONDITION_LIMIT, ConstraintSet, UnitLevelLayout, _problem
+from .estimators import ConstraintSet, UnitLevelLayout, _problem
 from .exceptions import NumericalError, ValidationError, _integer, _real, _reals, _vector
 
 __all__ = [
@@ -96,7 +96,9 @@ def loo_solution(
     when the shared solve is ill-conditioned or 1 - A_ii <= kappa/_CONDITION_LIMIT,
     kappa being the solve's condition number, which bounds A_ii's rounding
     error in units of eps (A_ii = 1 when the area is isolated in the
-    similarity graph and untouched by every constraint).
+    similarity graph and untouched by every constraint).  Through a shared
+    solver, the held-out fits of every area are formed on the first call at
+    a (gamma, theta), and each call returns a copy of one of them.
     """
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma, constraints)
     if g <= 0:
@@ -104,17 +106,13 @@ def loo_solution(
     index = _integer("area index", index)
     if not (0 <= index < theta.size):
         raise ValidationError(f"area index {index} out of range [0, {theta.size})")
-    constrained = constraints is not None
     try:
-        d, At, kappa = solver.held_out(theta, g, constrained)
-        a = At[index]
-        gap = 1.0 - a[index]
-    except NumericalError:
-        gap, kappa = 0.0, 1.0
-    if gap > kappa / _CONDITION_LIMIT:
-        solution = d + ((d[index] - theta[index]) / gap) * a
-        if np.isfinite(solution).all():
-            return solution
+        fits, identified = solver.held_out(theta, g, constraints is not None)
+    except NumericalError:  # Sigma or the Gram matrix refused at this gamma
+        pass
+    else:
+        if identified[index]:
+            return fits[index].copy()
     raise NumericalError(f"held-out area {index} is unidentified at gamma={g:g}")
 
 
@@ -130,7 +128,7 @@ def cross_validate(
     failed at every point and holds their indices in its ``areas``
     attribute.  ``omega`` may be the estimators' Sigma solver, so that its
     one eigendecomposition serves the caller's later solves too; each grid
-    point builds the held-out table once for all of its held-out fits.
+    point forms the held-out fits of all its areas once.
     """
     theta, solver, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
     p, m = solver.phi, theta.shape[0]

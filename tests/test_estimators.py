@@ -20,7 +20,7 @@ from smallarea import (
     unit_level_benchmarked,
     unit_level_smoothed,
 )
-from smallarea.estimators import _CONDITION_LIMIT, _residual_bound, _SigmaSolver
+from smallarea.estimators import _CONDITION_LIMIT, _batch_estimates, _residual_bound, _SigmaSolver
 
 from oracles import condition_numbers, count_eigendecompositions, kkt_solve, quad_minimize, random_instance
 from test_selection import _close, _floats, _wide_weights, held_out_problems
@@ -579,6 +579,29 @@ class TestInvariants:
             assert max(kappa, gram) > _CONDITION_LIMIT / 10
         else:
             assert _close(got, want, theta, phi, 1e-13 * kappa * gram)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(held_out_problems(gammas=st.sampled_from([0.0, 1e-2, 1.0, 1e2])), st.integers(0, 2**32 - 1))
+    def test_batch_rows_equal_their_estimates_alone(self, problem, seed):
+        # each row of one batched solve is the estimate of that row alone to
+        # within 1e-13 relative: the two differ only in the summation order
+        # of the matrix products.  A NaN row stays one NaN row, and at
+        # gamma = 0 an unconstrained row is its theta exactly.
+        theta, phi, omega, gamma, _, constraints = problem
+        thetas = theta + np.random.default_rng(seed).normal(size=(5, len(theta)))
+        thetas[2, -1] = np.nan
+        solver = _SigmaSolver(phi, omega, constraints)
+        for constrained in {False, constraints is not None}:
+            batch = _batch_estimates(thetas, solver, gamma, constrained)
+            assert np.isnan(batch[2]).all()
+            for row, got in zip(np.delete(thetas, 2, 0), np.delete(batch, 2, 0)):
+                if constrained:
+                    alone = benchmarked_estimate(row, phi, solver, gamma, constraints).values
+                else:
+                    alone = smoothed_estimate(row, phi, solver, gamma).values
+                assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
+                if gamma == 0.0 and not constrained:
+                    np.testing.assert_array_equal(got, row)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(held_out_problems(weights=_wide_weights), st.floats(0.1, 10.0))

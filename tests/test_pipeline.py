@@ -16,11 +16,14 @@ from smallarea import (
     NumericalError,
     RunConfig,
     ValidationError,
+    benchmarked_estimate,
     bootstrap_mse,
+    cross_validate,
     emit_plot_data,
     load_area_csv,
     read_report,
     run_pipeline,
+    smoothed_estimate,
     write_area_csv,
 )
 from smallarea.pipeline import _prepare_inputs, write_report
@@ -500,6 +503,32 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match=r"\[stage load\] unknown label"):
             run_pipeline(RunConfig.from_file(cfg))
 
+    def test_zero_d_fails_at_load_when_a_bootstrap_is_asked_for(self, tmp_path, monkeypatch):
+        # the bootstrap's residual scale is undefined at D = 0; the run says
+        # so before the chain rather than after it, and runs without one
+        import smallarea.pipeline
+
+        _, area, edges = small_area_csv(tmp_path)
+        with open(area, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[3]["D"] = "0.0"
+        for row in rows:
+            row["w"] = "1.0"
+        with open(area, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        chains = []
+        real = smallarea.pipeline.gibbs_fit
+        monkeypatch.setattr(smallarea.pipeline, "gibbs_fit", lambda *a, **k: chains.append(a) or real(*a, **k))
+        cfg = RunConfig.from_file(write_config(tmp_path, area, edges, phi_column="w", bootstrap_replicates=5))
+        message = "[stage load] bootstrap requires positive sampling variance; D=0 at area 'r3'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_pipeline(cfg)
+        assert chains == []
+        report = run_pipeline(replace(cfg, bootstrap_replicates=0))
+        assert len(chains) == 1 and report.mse is None
+
     def test_isolated_areas_break_cv_without_a_covering_benchmark(self, tmp_path):
         # the US border graph leaves AK and HI isolated: without a benchmark
         # touching them, every held-out problem for those areas is singular
@@ -634,22 +663,97 @@ class TestLockStepBootstrap:
         assert abs(gap - np.max(np.abs(report.theta_bayes - exact))) <= 1e-9 * (1.0 + np.abs(data.y).max())
 
     def test_failed_estimate_fails_only_its_replicate(self, tmp_path, monkeypatch):
+        # replicate 2's posterior mean is NaN, or so large that its
+        # benchmarked estimate misses the residual bound; inside the one
+        # batched estimate only that row fails
         import smallarea.pipeline
 
-        real = smallarea.pipeline.benchmarked_estimate
-        calls = []
+        real = smallarea.pipeline.exact_means
+        for scale in (np.nan, 1e20):
+            batches = []
 
-        def singular_on_fourth_call(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 4:  # the point estimate, then replicates 0, 1 and 2
-                raise NumericalError("singular system")
-            return real(*args, **kwargs)
+            def spoil_replicate_2(*args, **kwargs):
+                thetas = real(*args, **kwargs)
+                if len(thetas) > 1:  # the replicates, not the main chain's check
+                    thetas[2] *= scale
+                    batches.append(thetas)
+                return thetas
 
-        monkeypatch.setattr(smallarea.pipeline, "benchmarked_estimate", singular_on_fourth_call)
-        report = run_pipeline(self._config(tmp_path, gamma_grid=None, gamma=0.5))
-        assert len(calls) == 21
-        assert report.metadata["bootstrap"]["failed"] == [2]
-        assert np.all(np.isfinite(report.mse))
+            monkeypatch.setattr(smallarea.pipeline, "exact_means", spoil_replicate_2)
+            run_dir = tmp_path / str(scale)
+            run_dir.mkdir()
+            report = run_pipeline(self._config(run_dir, gamma_grid=None, gamma=0.5))
+            assert len(batches) == 1 and np.isfinite(batches[0][2]).all() == (scale == 1e20)
+            assert report.metadata["bootstrap"]["failed"] == [2]
+            assert np.all(np.isfinite(report.mse))
+
+    @pytest.mark.parametrize(
+        "policy, benchmarked, gamma",
+        [
+            ("fixed", True, None),
+            ("fixed", False, None),
+            ("re-cross-validate", True, None),
+            ("re-cross-validate", False, None),
+            ("fixed", False, 0.0),
+            ("fixed", True, 0.0),
+        ],
+    )
+    def test_replicate_in_a_batch_equals_its_estimate_alone(self, tmp_path, monkeypatch, policy, benchmarked, gamma):
+        """Each replicate's estimate from the batched solve is the estimate
+        of its posterior mean alone, at its own gamma, to within 1e-13
+        relative (bound fixed before the first run: the two differ only in
+        the summation order of the matrix products); a NaN mean stays one
+        NaN row, and at gamma = 0 an unconstrained estimate is exactly the
+        mean."""
+        import smallarea.pipeline
+
+        means, reports = [], []
+        real_means, real_bootstrap = smallarea.pipeline.exact_means, smallarea.pipeline.bootstrap_mse
+
+        def nan_replicate_5(*args, **kwargs):
+            thetas = real_means(*args, **kwargs)
+            if len(thetas) > 1:  # the replicates, not the main chain's check
+                thetas[5] = np.nan
+                means.append(thetas.copy())
+            return thetas
+
+        def keep_report(*args, **kwargs):
+            reports.append(real_bootstrap(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(smallarea.pipeline, "exact_means", nan_replicate_5)
+        monkeypatch.setattr(smallarea.pipeline, "bootstrap_mse", keep_report)
+        _, area, edges = small_area_csv(tmp_path, m=30)
+        overrides = {"bootstrap_replicates": 20, "bootstrap_gamma_policy": policy}
+        if gamma is None:
+            overrides.update(gamma="", gamma_grid="0.01,1000,6")
+        else:
+            overrides.update(gamma=gamma)
+        if benchmarked:
+            overrides.update(benchmark_weight_column="benchmark_weight", benchmark_target=11.0)
+        config = RunConfig.from_file(write_config(tmp_path, area, edges, **overrides))
+        run_gamma = run_pipeline(config).metadata["gamma"]
+        data, omega, phi, constraints, _ = _prepare_inputs(config)
+        (thetas,), (boot,) = means, reports
+        assert boot.failed == (5,) and np.isnan(boot.replicates[5]).all()
+        gammas = set()
+        for b in np.flatnonzero(np.isfinite(thetas).all(axis=1)):
+            g = run_gamma
+            if policy == "re-cross-validate":
+                g = cross_validate(thetas[b], phi, omega, config.gamma_grid, constraints).gamma_hat
+            gammas.add(g)
+            if constraints is None:
+                alone = smoothed_estimate(thetas[b], phi, omega, g).values
+            else:
+                alone = benchmarked_estimate(thetas[b], phi, omega, g, constraints).values
+            got = boot.replicates[b]
+            assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
+            if g == 0.0 and constraints is None:
+                np.testing.assert_array_equal(got, thetas[b])
+        if policy == "re-cross-validate":
+            assert len(gammas) > 1  # the replicates fall into more than one gamma batch
+        else:
+            assert gammas == {run_gamma}
 
     def test_fixed_gamma_run_factors_sigma_once(self, tmp_path, monkeypatch):
         # both estimates and every replicate's estimate use the run's one

@@ -379,6 +379,19 @@ class TestHeldOutTable:
         assert factors == [(8, 8)]
 
 
+def test_held_out_fit_is_the_callers_own_copy():
+    # the solver keeps every held-out fit of a grid point; writing into a
+    # returned fit must not change what the next call returns
+    theta, phi, omega = random_connected_instance(np.random.default_rng(11), 8)
+    constraints = ConstraintSet(np.ones((1, 8)), [2.0])
+    solver = _SigmaSolver(phi, omega, constraints)
+    for c in (None, constraints):
+        first = loo_solution(theta, phi, solver, 0.7, 3, c)
+        want = first.copy()
+        first[:] = 99.0
+        np.testing.assert_array_equal(loo_solution(theta, phi, solver, 0.7, 3, c), want)
+
+
 class TestCrossValidate:
     def test_factors_sigma_once_per_grid_point(self, monkeypatch):
         theta, phi, omega = random_connected_instance(np.random.default_rng(4), 9)
