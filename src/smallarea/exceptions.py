@@ -28,9 +28,10 @@ class NumericalError(RuntimeError):
 def _integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int, at least ``minimum`` when given.  A bool or any
     non-integer (2.0 included) is a ValidationError naming ``name``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    if type(value) is not int:  # a plain int (never a bool) skips the ABC checks
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if minimum is not None and value < minimum:
         kind = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
@@ -40,9 +41,12 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
 def _real(name: str, value, minimum: float | None = None) -> float:
     """``value`` as a finite float, at least ``minimum`` when given.  A bool,
     a string or any other non-number is a ValidationError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) is float:  # a plain float skips the numbers.Real check
+        x = value
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    else:
+        x = float(value)
     if not math.isfinite(x) or (minimum is not None and x < minimum):
         kind = {None: "a finite real", 0: "a finite nonnegative real"}.get(minimum, f"a finite real >= {minimum}")
         raise ValidationError(f"{name} must be {kind}, got {value!r}")

@@ -29,8 +29,10 @@ per iteration, drawn whether or not that iteration's residual sum of
 squares is positive; a fixed variance creates no gamma stream.  The loop
 fills each stream several iterations per call, but the block length is
 not part of the contract: numpy fills a buffer in order, so a block holds
-exactly the draws of the per-iteration calls.  The per-area effective
-sample size is computed when first read.
+exactly the draws of the per-iteration calls, and beta's noise term
+z_p R' is formed for the whole block as an elementwise sum over the p
+normals, so each row is what one iteration alone would compute.  The
+per-area effective sample size is computed when first read.
 """
 
 from __future__ import annotations
@@ -247,7 +249,9 @@ def _variance_draw(ssr: float, g: float) -> float:
     division by zero (ssr = 0, or a product that underflows to 0) takes
     the numpy-scalar route, where 1/0 is inf and 0 * inf is NaN.  A
     degenerate residual so gives 1/inf = 0, floored, and a NaN stays NaN:
-    ``max``/``min`` keep their first argument when the comparison fails."""
+    ``max``/``min`` keep their first argument when the comparison fails.
+    :func:`gibbs_fit` inlines the Python-float path and calls this only
+    when that path divides by zero."""
     try:
         s2 = 1.0 / ((2.0 / ssr) * g)
     except ZeroDivisionError:
@@ -265,13 +269,17 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     then the model variance; iterations past the burn-in are retained at
     the thinning stride.  Every K iterations the chain refills a (K, m + p)
     normal block and a K-long gamma block with one call per stream (see
-    the module docstring); K bounds the normal block at ``_BLOCK_DRAWS``
-    doubles and the last block is shorter.  The loop writes theta's
-    precision, its square root, the conditional mean, the noise term and
-    the residuals into buffers allocated once, and holds the model
-    variance as a Python float (:func:`_variance_draw`); the operations
-    and their order are those of a loop that allocates fresh arrays, so
-    the draws are bit for bit the same.
+    the module docstring), and forms the block's beta noise terms z_p R'
+    as an elementwise sum over p, whose rows do not depend on K; K bounds
+    the normal block at ``_BLOCK_DRAWS`` doubles and the last block is
+    shorter.  Each iteration makes one product X beta, the fit read by its
+    residual and by the next iteration's theta step, and takes the
+    residual sum of squares as one dot product.  A retained iteration
+    writes theta, beta and the model variance straight into their draws;
+    the other buffers are allocated once, and the model variance is a
+    Python float (:func:`_variance_draw`).  The operations and their order
+    are those of a plain loop that allocates fresh arrays and draws one
+    iteration at a time, so the draws are bit for bit the same.
 
     Raises ValidationError when m <= p + 2, where the flat prior does not
     yield a proper variance conditional.
@@ -280,6 +288,7 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     m, p = X.shape
     _check_propriety(m, p)
     sampled = config.fixed_sigma_u2 is None
+    n_iter, n_burn, thin = config.n_iter, config.n_burn, config.thin
     # two disjoint streams: the normals, and (2^128 draws ahead) the gammas
     normals = np.random.Generator(np.random.Philox(config.seed)).standard_normal
     gammas = np.random.Generator(np.random.Philox(config.seed).jumped()).standard_gamma
@@ -289,10 +298,12 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     xtx = X.T @ X
     Pt = np.linalg.solve(xtx, X.T).T
     Rt = np.linalg.inv(np.linalg.cholesky(xtx))
+    Xt = np.ascontiguousarray(X.T)
 
     beta = y @ Pt
+    fit = beta @ Xt  # the regression fit X beta, as a row: one product per iteration
     if sampled:
-        sigma2 = float(np.maximum(1e-6, np.mean((y - beta @ X.T) ** 2) - np.mean(D)))
+        sigma2 = float(np.maximum(1e-6, np.mean((y - fit) ** 2) - np.mean(D)))
     else:
         sigma2 = config.fixed_sigma_u2
 
@@ -300,52 +311,62 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     observed = D > 0
     every = bool(np.all(observed))
     cols = slice(0, m) if every else np.flatnonzero(observed)
-    theta = y.copy()
-    Xt = np.ascontiguousarray(X.T)
-    Xt_obs = X[cols].T
     inv_D = 1.0 / D[cols]
     y_over_D = y[cols] / D[cols]
-    # noise[k] is the block's k-th standard_normal(m + p) (normal(m), then
-    # normal(p)) and gam[k] its standard_gamma
-    K = max(1, min(config.n_iter, _BLOCK_DRAWS // (m + p)))
+    # each block holds K iterations' standard_normal(m + p) (normal(m), then
+    # normal(p)) and standard_gamma draws; z_p R' is summed over p elementwise
+    # and in order, so a row does not depend on the block's length
+    K = max(1, min(n_iter, _BLOCK_DRAWS // (m + p)))
     noise = np.empty((K, m + p))
     shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
     # buffers the loop writes in place of the arrays each step would allocate
     prec, mean, step = (np.empty(len(inv_D)) for _ in range(3))
-    new = theta[cols] if every else np.empty(len(inv_D))  # theta itself, when no area is pinned
-    resid = np.empty(m)
+    new = None if every else np.empty(len(inv_D))
+    resid, beta_xp = np.empty(m), np.empty(p)
 
-    n_keep = (config.n_iter - config.n_burn + config.thin - 1) // config.thin
+    n_keep = (n_iter - n_burn + thin - 1) // thin
     theta_draws = np.empty((n_keep, m))
     beta_draws = np.empty((n_keep, p))
     sigma2_draws = np.empty(n_keep)
-    for it in range(config.n_iter):
-        k = it % K
-        if k == 0:
-            n = min(K, config.n_iter - it)
-            normals(out=noise[:n])
-            if sampled:
-                gam = gammas(shape, n).tolist()  # Python floats for _variance_draw
-        z = noise[k]
-        np.add(inv_D, 1.0 / sigma2, out=prec)
-        np.divide(np.matmul(beta, Xt_obs, out=mean), sigma2, out=mean)
-        np.divide(np.add(y_over_D, mean, out=mean), prec, out=mean)
-        np.divide(z[cols], np.sqrt(prec, out=step), out=step)
-        np.add(mean, step, out=new)
-        if not every:
-            theta[cols] = new
-
-        beta = theta @ Pt
-        beta += math.sqrt(sigma2) * (z[m:] @ Rt)
-
+    if not every:
+        theta_draws[:, ~observed] = y[~observed]
+    # a retained iteration writes theta and beta into its draw rows, others here
+    theta_work, beta_work = y.copy(), np.empty(p)
+    for start in range(0, n_iter, K):
+        n = min(K, n_iter - start)
+        normals(out=noise[:n])
+        z_theta = noise[:n, cols]
+        z_beta = noise[:n, m, None] * Rt[0]
+        for i in range(1, p):
+            z_beta += noise[:n, m + i, None] * Rt[i]
         if sampled:
-            np.subtract(theta, np.matmul(beta, Xt, out=resid), out=resid)
-            ssr = float(np.add.reduce(np.multiply(resid, resid, out=resid)))
-            sigma2 = _variance_draw(ssr, gam[k])
+            gam = gammas(shape, n).tolist()  # Python floats
+        for k in range(n):
+            j, rem = divmod(start + k - n_burn, thin)
+            kept = j >= 0 and rem == 0
+            theta, beta = (theta_draws[j], beta_draws[j]) if kept else (theta_work, beta_work)
+            np.add(inv_D, 1.0 / sigma2, prec)
+            np.divide(fit if every else fit[cols], sigma2, mean)
+            np.divide(np.add(y_over_D, mean, mean), prec, mean)
+            np.divide(z_theta[k], np.sqrt(prec, step), step)
+            if every:
+                np.add(mean, step, theta)
+            else:
+                theta[cols] = np.add(mean, step, new)
 
-        if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
-            j = (it - config.n_burn) // config.thin
-            theta_draws[j], beta_draws[j], sigma2_draws[j] = theta, beta, sigma2
+            np.matmul(theta, Pt, beta_xp)
+            np.add(beta_xp, np.multiply(z_beta[k], math.sqrt(sigma2), beta), beta)
+            np.matmul(beta, Xt, fit)
+
+            if sampled:
+                np.subtract(theta, fit, resid)
+                ssr = float(np.dot(resid, resid))
+                try:
+                    sigma2 = min(max(1.0 / ((2.0 / ssr) * gam[k]), _SIGMA2_FLOOR), _SIGMA2_MAX)
+                except ZeroDivisionError:
+                    sigma2 = _variance_draw(ssr, gam[k])
+            if kept:
+                sigma2_draws[j] = sigma2
 
     return PosteriorSummary(
         theta_bayes=posterior_mean(theta_draws),

@@ -205,12 +205,71 @@ def reference_gibbs_draws(data, config):
 
 
 def reference_gibbs_loop(data, config):
-    """The loop of ``fay_herriot.gibbs_fit`` as it was before its buffers
-    were reused: fresh arrays every iteration, a numpy-scalar model
-    variance and one ``np.errstate`` per variance update.  It reads
-    ``fay_herriot._BLOCK_DRAWS`` when called, so a test that patches the
-    block size patches both loops.  Returns the retained theta, beta and
-    model-variance draws, which ``gibbs_fit`` must reproduce bit for bit."""
+    """The loop of ``fay_herriot.gibbs_fit`` written plainly: fresh arrays
+    every iteration, one ``standard_normal(m + p)`` and (when the variance
+    is sampled) one ``standard_gamma`` per iteration, a numpy-scalar model
+    variance and one ``np.errstate`` per variance update.  It makes the
+    same products as the chain: one fit ``beta @ Xt`` per iteration with a
+    C-contiguous ``Xt``, read by the residual and by the next theta step;
+    the residual sum of squares as one ``np.dot``; and beta's noise term
+    as the elementwise sum ``(z_p[:, None] * Rt).sum(axis=0)``.  Returns the
+    retained theta, beta and model-variance draws, which ``gibbs_fit``
+    must reproduce bit for bit."""
+    X, y, D = data.X, data.y, data.D
+    m, p = X.shape
+    sampled = config.fixed_sigma_u2 is None
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    gamma_rng = np.random.Generator(np.random.Philox(config.seed).jumped())
+
+    xtx = X.T @ X
+    Pt = np.linalg.solve(xtx, X.T).T
+    Rt = np.linalg.inv(np.linalg.cholesky(xtx))
+    Xt = np.ascontiguousarray(X.T)
+
+    beta = y @ Pt
+    fit = beta @ Xt
+    if sampled:
+        sigma2 = np.maximum(1e-6, np.mean((y - fit) ** 2) - np.mean(D))
+    else:
+        sigma2 = np.float64(config.fixed_sigma_u2)
+
+    observed = D > 0
+    theta = y.copy()
+    thetas, betas, sigma2s = [], [], []
+    for it in range(config.n_iter):
+        z = rng.standard_normal(m + p)
+        prec = 1.0 / D[observed] + 1.0 / sigma2
+        mean = (y[observed] / D[observed] + fit[observed] / sigma2) / prec
+        theta = theta.copy()
+        theta[observed] = mean + z[:m][observed] / np.sqrt(prec)
+
+        beta = theta @ Pt + np.sqrt(sigma2) * (z[m:, None] * Rt).sum(axis=0)
+        fit = beta @ Xt
+
+        if sampled:
+            resid = theta - fit
+            ssr = np.dot(resid, resid)
+            with np.errstate(divide="ignore", over="ignore"):
+                sigma2 = 1.0 / ((2.0 / ssr) * gamma_rng.standard_gamma(0.5 * m - 1.0))
+            sigma2 = np.minimum(np.maximum(sigma2, 1e-12), np.finfo(float).max)
+
+        if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:
+            thetas.append(theta)
+            betas.append(beta)
+            sigma2s.append(sigma2)
+    return np.array(thetas), np.array(betas), np.array(sigma2s)
+
+
+def previous_gibbs_loop(data, config):
+    """The loop of ``fay_herriot.gibbs_fit`` as it was before the fused
+    chain step, kept verbatim: fresh arrays every iteration, a numpy-scalar
+    model variance and one ``np.errstate`` per variance update, with two
+    products of beta per iteration (``beta @ Xt_obs`` for theta's mean,
+    ``beta @ Xt`` for the residual) and beta's noise term as ``z_p @ Rt``.
+    It reads ``fay_herriot._BLOCK_DRAWS`` when called, so a test that
+    patches the block size patches both loops.  Returns the retained theta,
+    beta and model-variance draws; ``gibbs_fit`` differs from them by
+    roundoff only."""
     from smallarea import fay_herriot
 
     X, y, D = data.X, data.y, data.D

@@ -76,13 +76,14 @@ class TestCheckers:
             ("3", None, "n must be an integer, got '3'"),
             (-1, 0, "n must be a nonnegative integer, got -1"),
             (0, 1, "n must be an integer >= 1, got 0"),
+            (True, None, "n must be an integer, got True"),
         ],
     )
     def test_integer_rejects(self, value, minimum, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             _integer("n", value, minimum)
 
-    @pytest.mark.parametrize("value", [2, 2.5, np.float32(2.5), np.int64(2)])
+    @pytest.mark.parametrize("value", [2, 2.5, np.float32(2.5), np.int64(2), np.float64(0.25)])
     def test_real_returns_plain_float(self, value):
         got = _real("x", value)
         assert got == float(value) and type(got) is float
@@ -96,6 +97,7 @@ class TestCheckers:
             (np.array(1.0), None, "x must be a real number"),
             (float("nan"), None, "x must be a finite real, got nan"),
             (-0.5, 0, "x must be a finite nonnegative real, got -0.5"),
+            (float("inf"), 0, "x must be a finite nonnegative real, got inf"),
         ],
     )
     def test_real_rejects(self, value, minimum, message):

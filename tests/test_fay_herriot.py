@@ -19,6 +19,7 @@ from smallarea.datasets import FIXTURE_SCHEMA, load_area_csv, synthetic_dataset_
 from oracles import (
     exact_posterior_mean,
     known_variance_posterior_mean,
+    previous_gibbs_loop,
     reference_ess,
     reference_gibbs_draws,
     reference_gibbs_loop,
@@ -289,22 +290,40 @@ class TestLockStep:
     # block sizes in normals (m + p = 32 for make_dataset): 512 iterations, and one
     BITWISE_BLOCKS = {"three-blocks": 512 * 32, "one-iteration-blocks": 32}
 
-    @pytest.mark.parametrize("case", [*CASES, "one-iteration-blocks"])
-    def test_draws_match_the_unbuffered_loop_bitwise(self, monkeypatch, case):
-        """The buffered loop makes the same operations in the same order as
-        the loop it replaced, so every retained draw is bit for bit equal."""
+    def _rows(self, monkeypatch, case, seeds):
+        """(row dataset, row config) of ``case`` for each seed, with the
+        case's block size patched in."""
         dataset, config = self.CASES.get(case) or (lambda: make_dataset(9)[0], GibbsConfig(n_iter=90, n_burn=10))
         if case in self.BITWISE_BLOCKS:
             monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", self.BITWISE_BLOCKS[case])
         data = dataset()
-        Y = data.y + np.random.default_rng(37).normal(0.0, 1.0, size=(3, data.m))
-        for b, seed in enumerate([5, 2**32 - 1, 40]):
-            row, row_config = replace(data, y=Y[b]), replace(config, seed=seed)
+        Y = data.y + np.random.default_rng(37).normal(0.0, 1.0, size=(len(seeds), data.m))
+        return [(replace(data, y=Y[b]), replace(config, seed=seed)) for b, seed in enumerate(seeds)]
+
+    @pytest.mark.parametrize("case", [*CASES, "one-iteration-blocks"])
+    def test_draws_match_the_unbuffered_loop_bitwise(self, monkeypatch, case):
+        """The blocked, buffered loop makes the same operations in the same
+        order as a plain loop that allocates fresh arrays and draws one
+        iteration at a time, so every retained draw is bit for bit equal."""
+        for row, row_config in self._rows(monkeypatch, case, [5, 2**32 - 1, 40]):
             fit = gibbs_fit(row, row_config)
             want = reference_gibbs_loop(row, row_config)
             got = (fit.theta_draws, fit.beta_draws, fit.sigma_u2_draws)
             for name, g, w in zip(("theta", "beta", "sigma2"), got, want, strict=True):
-                assert np.array_equal(g, w), (seed, name)
+                assert np.array_equal(g, w), (row_config.seed, name)
+
+    @pytest.mark.parametrize("case", [*CASES, "one-iteration-blocks"])
+    def test_draws_stay_within_roundoff_of_the_previous_loop(self, monkeypatch, case):
+        """The fused step (one fit per iteration, beta's noise summed
+        elementwise, the sum of squares as a dot product) moves the draws of
+        the loop it replaced by roundoff only, relative to each column's
+        largest draw."""
+        for row, row_config in self._rows(monkeypatch, case, [5, 2**32 - 1, 40]):
+            fit = gibbs_fit(row, row_config)
+            want = previous_gibbs_loop(row, row_config)
+            got = (fit.theta_draws, fit.beta_draws, fit.sigma_u2_draws)
+            for name, g, w in zip(("theta", "beta", "sigma2"), got, want, strict=True):
+                assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w).max(axis=0)), (row_config.seed, name)
 
     def test_one_iteration_blocks(self, monkeypatch):
         # m + p exceeds the block, so the chain draws one iteration per call
@@ -315,12 +334,24 @@ class TestLockStep:
         got = gibbs_fit(data, config).theta_draws
         assert np.all(np.abs(got - draws) <= 1e-10 * np.abs(draws).max(axis=0))
 
-    @pytest.mark.parametrize("fixed_sigma_u2", [None, 1.5], ids=["sampled", "fixed"])
-    def test_block_size_is_not_part_of_the_stream(self, monkeypatch, fixed_sigma_u2):
+    @pytest.mark.parametrize(
+        "fixed_sigma_u2, pinned",
+        [(None, False), (1.5, False), (None, True), (1.5, True)],
+        ids=["sampled", "fixed", "sampled-pinned", "fixed-pinned"],
+    )
+    def test_block_size_is_not_part_of_the_stream(self, monkeypatch, fixed_sigma_u2, pinned):
         data, _ = make_dataset(7)
+        if pinned:
+            # three areas at D = 0, so theta's mean reads the fit's observed
+            # columns; and p = 4, where the rows of a GEMM over a block are
+            # not all what one row's product gives
+            x = data.covariates[:, 0]
+            wide = np.column_stack([x, x**2, np.sin(x)])
+            data = _with_zero_variances(replace(data, covariates=wide, covariate_names=("x", "x2", "sin_x")))
         config = GibbsConfig(n_iter=300, n_burn=20, seed=2, fixed_sigma_u2=fixed_sigma_u2)
         default = gibbs_fit(data, config)
-        for block in (1, 7 * 32):  # K = 1, and K = 7, which does not divide 300 (m + p = 32)
+        width = data.m + data.X.shape[1]
+        for block in (1, 7 * width):  # K = 1, and K = 7, which does not divide 300
             monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", block)
             fit = gibbs_fit(data, config)
             for name in ("theta_draws", "beta_draws", "sigma_u2_draws"):
@@ -331,23 +362,23 @@ class TestLockStep:
         standard_normal(m + p) per iteration: the stream of a plain loop."""
         data, _ = make_dataset(8)
         config = GibbsConfig(n_iter=2500, n_burn=100, seed=12, fixed_sigma_u2=0.8)
-        X, D = data.X, data.D
+        X, y, D = data.X, data.y, data.D
         m, p = X.shape
         rng = np.random.Generator(np.random.Philox(config.seed))
         xtx = X.T @ X
         Pt = np.linalg.solve(xtx, X.T).T
         Rt = np.linalg.inv(np.linalg.cholesky(xtx))
-        sigma2 = np.full(1, config.fixed_sigma_u2)
-        y = data.y[np.newaxis, :]
+        Xt = np.ascontiguousarray(X.T)
+        sigma2 = config.fixed_sigma_u2
         beta = y @ Pt
         thetas = []
         for it in range(config.n_iter):
-            z = rng.standard_normal(m + p)[np.newaxis, :]
-            prec = 1.0 / D + (1.0 / sigma2)[:, None]
-            theta = (y / D + (beta @ X.T) / sigma2[:, None]) / prec + z[:, :m] / np.sqrt(prec)
-            beta = theta @ Pt + np.sqrt(sigma2)[:, None] * (z[:, m:] @ Rt)
+            z = rng.standard_normal(m + p)
+            prec = 1.0 / D + 1.0 / sigma2
+            theta = (y / D + (beta @ Xt) / sigma2) / prec + z[:m] / np.sqrt(prec)
+            beta = theta @ Pt + np.sqrt(sigma2) * (z[m:, None] * Rt).sum(axis=0)
             if it >= config.n_burn:
-                thetas.append(theta[0])
+                thetas.append(theta)
         assert np.array_equal(gibbs_fit(data, config).theta_draws, np.array(thetas))
 
     def test_zero_residuals_floor_the_variance_without_warning(self):
