@@ -5,7 +5,10 @@ Subcommands: fit (sampler only), cv (selection curve only), estimate
 plot-data (tidy CSVs from a finished run).  fit, cv, estimate, bootstrap
 and run are all the same :func:`~smallarea.pipeline.run_pipeline` call,
 stopped after a stage; each prints the path of the file it was asked for.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Each command accepts only the override flags its stages read (one table,
+``_FLAGS``, and each command's row of ``_COMMANDS``); any other flag, and
+any abbreviation of a flag, is a usage error.
+Exit codes: 0 success, 2 validation or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,52 +21,42 @@ from pathlib import Path
 from .exceptions import NumericalError, ValidationError
 from .pipeline import PLOT_KINDS, RunConfig, _parse_grid_spec, emit_plot_data, read_report, run_pipeline
 
-# command -> (help text, stage run_pipeline stops after, file whose path is
-# printed; None prints the output directory)
-_PIPELINE_COMMANDS = {
-    "fit": ("run the Gibbs sampler only", "gibbs", "fit.csv"),
-    "cv": ("compute the cross-validation curve only", "cross-validation", "cv_curve.csv"),
-    "estimate": ("full point estimates, no bootstrap", "report", "estimates.csv"),
-    "bootstrap": ("estimates plus bootstrap MSE", "report", "bootstrap_mse.csv"),
-    "run": ("everything the config asks for", "report", None),
+# flag -> (the RunConfig field it sets, its value type, metavar and help);
+# --gamma and --gamma-grid are mutually exclusive, and either one clears
+# the other field
+_FLAGS = {
+    "--seed": ("seed", int, "N", "override the master seed"),
+    "--out": ("output_dir", Path, "DIR", "override the output directory"),
+    "--gamma": ("gamma", float, "X", "fixed smoothing factor"),
+    "--gamma-grid": ("gamma_grid", str, "LO,HI,N", "log grid of candidate smoothing factors"),
+    "--benchmark-target": ("benchmark_target", float, "T", "override the benchmark target"),
+    "--bootstrap-reps": ("bootstrap_replicates", int, "B", "override the bootstrap replicate count"),
 }
+_ALL = tuple(_FLAGS)
+_ESTIMATE = _ALL[:-1]  # every flag but --bootstrap-reps
+_CV = ("--seed", "--out", "--gamma-grid", "--benchmark-target")
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, type=Path, help="flat key/value config file")
-    sub.add_argument("--seed", type=int, default=None, help="override the master seed")
-    sub.add_argument("--out", type=Path, default=None, help="override the output directory")
-    gamma = sub.add_mutually_exclusive_group()
-    gamma.add_argument("--gamma", type=float, default=None, help="fixed smoothing factor")
-    gamma.add_argument(
-        "--gamma-grid",
-        default=None,
-        metavar="LO,HI,N",
-        help="log grid of candidate smoothing factors",
-    )
-    sub.add_argument(
-        "--benchmark-target", type=float, default=None, help="override the benchmark target"
-    )
-    sub.add_argument(
-        "--bootstrap-reps", type=int, default=None, help="override the bootstrap replicate count"
-    )
+# command -> (help text, stage run_pipeline stops after, file whose path is
+# printed, or None for the output directory, the flags the command reads);
+# plot-data runs no stage
+_COMMANDS = {
+    "fit": ("run the Gibbs sampler only", "gibbs", "fit.csv", ("--seed", "--out")),
+    "cv": ("compute the cross-validation curve only", "cross-validation", "cv_curve.csv", _CV),
+    "estimate": ("full point estimates, no bootstrap", "report", "estimates.csv", _ESTIMATE),
+    "bootstrap": ("estimates plus bootstrap MSE", "report", "bootstrap_mse.csv", _ALL),
+    "run": ("everything the config asks for", "report", None, _ALL),
+    "plot-data": ("emit plot-ready CSVs from a finished run", None, None, ("--out",)),
+}
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config)
-    flags = {
-        "seed": args.seed,
-        "output_dir": args.out,
-        "benchmark_target": args.benchmark_target,
-        "bootstrap_replicates": args.bootstrap_reps,
-    }
-    updates = {key: value for key, value in flags.items() if value is not None}
-    if args.gamma is not None:
-        updates["gamma"] = args.gamma
+    given = vars(args)
+    updates = {f: given[f] for f, *_ in _FLAGS.values() if given.get(f) is not None}
+    if "gamma" in updates:
         updates["gamma_grid"] = None
-    elif args.gamma_grid is not None:
-        updates["gamma"] = None
-        updates["gamma_grid"] = _parse_grid_spec(args.gamma_grid)
+    elif "gamma_grid" in updates:
+        updates.update(gamma=None, gamma_grid=_parse_grid_spec(updates["gamma_grid"]))
     return replace(config, **updates) if updates else config
 
 
@@ -73,7 +66,7 @@ def _cmd_pipeline(args) -> int:
         config = replace(config, bootstrap_replicates=0)
     elif args.command == "bootstrap" and config.bootstrap_replicates < 1:
         raise ValidationError("bootstrap requires bootstrap_replicates >= 1 (or --bootstrap-reps)")
-    _, stop_after, printed = _PIPELINE_COMMANDS[args.command]
+    _, stop_after, printed, _ = _COMMANDS[args.command]
     run_pipeline(config, stop_after=stop_after)
     out = Path(config.output_dir)
     print(out if printed is None else out / printed)
@@ -83,8 +76,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_plot_data(args) -> int:
     config = _load_config(args)
     report = read_report(config.output_dir)
-    path = emit_plot_data(report, args.kind, config.output_dir)
-    print(path)
+    print(emit_plot_data(report, args.kind, config.output_dir))
     return 0
 
 
@@ -92,16 +84,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smallarea",
         description="Constrained Bayes small-area estimation pipeline",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _PIPELINE_COMMANDS.items():
-        sub = subs.add_parser(name, help=text)
-        _add_common(sub)
-        sub.set_defaults(func=_cmd_pipeline)
-    sub = subs.add_parser("plot-data", help="emit plot-ready CSVs from a finished run")
-    _add_common(sub)
-    sub.add_argument("--kind", required=True, choices=PLOT_KINDS)
-    sub.set_defaults(func=_cmd_plot_data)
+    for name, (text, stop_after, _, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text, allow_abbrev=False)
+        sub.add_argument("--config", required=True, type=Path, help="flat key/value config file")
+        gamma = sub.add_mutually_exclusive_group() if "--gamma" in flags else sub
+        for flag in flags:
+            field, kind, metavar, about = _FLAGS[flag]
+            group = gamma if flag.startswith("--gamma") else sub
+            group.add_argument(flag, dest=field, type=kind, metavar=metavar, help=about)
+        if stop_after is None:
+            sub.add_argument("--kind", required=True, choices=PLOT_KINDS)
+        sub.set_defaults(func=_cmd_pipeline if stop_after else _cmd_plot_data)
     return parser
 
 

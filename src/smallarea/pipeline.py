@@ -410,7 +410,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         if not base.is_dir():
             raise ValidationError(f"output_dir {out}: {base} exists and is not a directory")
         data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
-        if config.bootstrap_replicates > 0:  # fail before the chain, not after it
+        if stop_after == "report" and config.bootstrap_replicates > 0:  # fail before the chain
             _check_sampling_variance(data)
         # every estimator call of the run, bootstrap included, solves with
         # this one (phi, omega, constraints) and its one eigendecomposition

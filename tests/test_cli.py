@@ -1,5 +1,8 @@
+import argparse
 import importlib
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import smallarea
-from smallarea.cli import main
+from smallarea.cli import _load_config, build_parser, main
 from smallarea.datasets import synthetic_dataset_path, us_state_borders_path
 
 from test_pipeline import small_area_csv, write_config
@@ -82,18 +85,23 @@ class TestExitCodes:
         assert what in err and str(path) in err
 
     @pytest.mark.parametrize(
-        "config_values, flags, message",
+        "command, config_values, flags, message",
         [
-            ({}, ["--seed", "-3"], "seed must be a nonnegative integer, got -3"),
-            ({"gibbs_iterations": "4e2"}, [], "config key 'gibbs_iterations'"),
-            ({}, ["--benchmark-target", "99"], "benchmark_target requires benchmark_weight_column"),
+            ("fit", {}, ["--seed", "-3"], "seed must be a nonnegative integer, got -3"),
+            ("fit", {"gibbs_iterations": "4e2"}, [], "config key 'gibbs_iterations'"),
+            (
+                "estimate",
+                {},
+                ["--benchmark-target", "99"],
+                "benchmark_target requires benchmark_weight_column",
+            ),
         ],
         ids=["negative-seed-flag", "unparsable-config-value", "target-without-weight-column"],
     )
-    def test_bad_numeric_settings_exit_2(self, workspace, capsys, config_values, flags, message):
+    def test_bad_numeric_settings_exit_2(self, workspace, capsys, command, config_values, flags, message):
         tmp_path, _, area, edges = workspace
         cfg = write_config(tmp_path, area, edges, **config_values)
-        assert main(["fit", "--config", str(cfg), *flags]) == 2
+        assert main([command, "--config", str(cfg), *flags]) == 2
         assert message in capsys.readouterr().err
 
 
@@ -135,6 +143,88 @@ class TestOverrides:
             ["bootstrap", "--config", str(cfg), "--bootstrap-reps", "3"]
         ) == 0
         assert (tmp_path / "out" / "bootstrap_mse.csv").exists()
+
+
+# the override flags each command reads; every other flag is a usage error
+COMMAND_FLAGS = {
+    "fit": {"--seed", "--out"},
+    "cv": {"--seed", "--out", "--gamma-grid", "--benchmark-target"},
+    "estimate": {"--seed", "--out", "--gamma", "--gamma-grid", "--benchmark-target"},
+    "bootstrap": {"--seed", "--out", "--gamma", "--gamma-grid", "--benchmark-target", "--bootstrap-reps"},
+    "run": {"--seed", "--out", "--gamma", "--gamma-grid", "--benchmark-target", "--bootstrap-reps"},
+    "plot-data": {"--out"},
+}
+# flag -> (its value on the command line, the RunConfig field it sets, that field's value)
+FLAG_VALUES = {
+    "--seed": ("7", "seed", 7),
+    "--out": ("elsewhere", "output_dir", Path("elsewhere")),
+    "--gamma": ("0.25", "gamma", 0.25),
+    "--gamma-grid": ("0.1,1,3", "gamma_grid", [0.1, 10**-0.5, 1.0]),
+    "--benchmark-target": ("12.5", "benchmark_target", 12.5),
+    "--bootstrap-reps": ("4", "bootstrap_replicates", 4),
+}
+
+
+def _accepted_flags(parser) -> dict[str, set[str]]:
+    """Each subcommand's override flags, read from the parser itself."""
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help", "--config", "--kind"}
+        for name, sub in subs.choices.items()
+    }
+
+
+class TestCommandFlags:
+    def test_twenty_four_override_flags(self):
+        accepted = _accepted_flags(build_parser())
+        assert accepted == COMMAND_FLAGS
+        assert sum(len(flags) for flags in accepted.values()) == 24
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_a_command_takes_only_the_flags_it_reads(self, workspace, command, flag):
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges, benchmark_weight_column="w", benchmark_target="10")
+        argv = [command, "--config", str(cfg), flag, FLAG_VALUES[flag][0]]
+        if command == "plot-data":
+            argv += ["--kind", "mse_by_area"]
+        if flag not in COMMAND_FLAGS[command]:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            return
+        config = _load_config(build_parser().parse_args(argv))
+        _, field, value = FLAG_VALUES[flag]
+        if field == "gamma_grid":
+            np.testing.assert_allclose(config.gamma_grid, value, rtol=1e-15)
+        else:
+            assert getattr(config, field) == value
+        assert (config.gamma is None) == (flag == "--gamma-grid")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cv", "--gamma", "1"], ["fit", "--boot", "3"], ["run", "--gamma-g", "0.1,1,3"]],
+        ids=["cv-gamma", "fit-boot", "run-gamma-g"],
+    )
+    def test_abbreviations_exit_2(self, workspace, capsys, argv):
+        # each is a prefix of a flag; only run accepts the flag it abbreviates
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_table_lists_the_flags_the_parser_accepts(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = readme.splitlines()
+        start = lines.index("| command | override flags |") + 2
+        documented = {}
+        for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+            commands, flags = line.strip("|").split("|")
+            for command in re.findall(r"`([a-z-]+)`", commands):
+                documented[command] = set(re.findall(r"`(--[a-z-]+)", flags))
+        assert documented == _accepted_flags(build_parser())
 
 
 class TestPlotData:

@@ -505,7 +505,8 @@ class TestRunPipeline:
 
     def test_zero_d_fails_at_load_when_a_bootstrap_is_asked_for(self, tmp_path, monkeypatch):
         # the bootstrap's residual scale is undefined at D = 0; the run says
-        # so before the chain rather than after it, and runs without one
+        # so before the chain rather than after it, and runs without one;
+        # the stages before the bootstrap run as asked
         import smallarea.pipeline
 
         _, area, edges = small_area_csv(tmp_path)
@@ -526,6 +527,11 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             run_pipeline(cfg)
         assert chains == []
+        for stop_after, written in [("gibbs", "fit.csv"), ("cross-validation", "cv_curve.csv")]:
+            grid = replace(cfg, gamma=None, gamma_grid=np.geomspace(0.1, 1.0, 3))
+            assert run_pipeline(grid, stop_after=stop_after) is None
+            assert len(chains) == 1 and (tmp_path / "out" / written).exists()
+            chains.clear()
         report = run_pipeline(replace(cfg, bootstrap_replicates=0))
         assert len(chains) == 1 and report.mse is None
 
