@@ -7,6 +7,7 @@ The CLI maps ValidationError to exit code 2 and NumericalError to exit
 code 3; everything else is a bug and propagates.
 """
 
+import codecs
 import io
 import math
 import numbers
@@ -41,8 +42,8 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
 def _real(name: str, value, minimum: float | None = None) -> float:
     """``value`` as a finite float, at least ``minimum`` when given.  A bool,
     a string or any other non-number is a ValidationError naming ``name``."""
-    if type(value) is float:  # a plain float skips the numbers.Real check
-        x = value
+    if isinstance(value, float):  # a float or np.float64 skips the numbers.Real check
+        x = float(value)
     elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     else:
@@ -97,11 +98,12 @@ def _matrix(name: str, value, shape: tuple[int, int] | None = None) -> np.ndarra
 
 def _read_input(path: str | Path, what: str) -> str:
     """The text of input file ``what`` (``"edge list"``, ...), line endings
-    untouched.  A file that is missing, cannot be read or is not UTF-8 is a
-    ValidationError naming ``what`` and ``path``."""
+    untouched, without a leading UTF-8 byte-order mark.  A file that is
+    missing, cannot be read or is not UTF-8 is a ValidationError naming
+    ``what`` and ``path``."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
         return data.decode("utf-8")
     except FileNotFoundError:
         raise ValidationError(f"{what} not found: {path}") from None

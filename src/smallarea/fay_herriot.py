@@ -267,19 +267,20 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     the model variance from its method-of-moments estimate (floored at
     1e-6), and theta from y.  Each iteration updates theta, then beta,
     then the model variance; iterations past the burn-in are retained at
-    the thinning stride.  Every K iterations the chain refills a (K, m + p)
-    normal block and a K-long gamma block with one call per stream (see
-    the module docstring), and forms the block's beta noise terms z_p R'
-    as an elementwise sum over p, whose rows do not depend on K; K bounds
-    the normal block at ``_BLOCK_DRAWS`` doubles and the last block is
-    shorter.  Each iteration makes one product X beta, the fit read by its
-    residual and by the next iteration's theta step, and takes the
-    residual sum of squares as one dot product.  A retained iteration
-    writes theta, beta and the model variance straight into their draws;
-    the other buffers are allocated once, and the model variance is a
-    Python float (:func:`_variance_draw`).  The operations and their order
-    are those of a plain loop that allocates fresh arrays and draws one
-    iteration at a time, so the draws are bit for bit the same.
+    the thinning stride.  The theta step runs over all m areas, and an
+    area with D_i = 0 is then reset to y_i.  Every K iterations the chain
+    refills a (K, m + p) normal block and a K-long gamma block with one
+    call per stream (see the module docstring), and forms the block's beta
+    noise terms z_p R' as an elementwise sum over p, whose rows do not
+    depend on K; K bounds the normal block at ``_BLOCK_DRAWS`` doubles and
+    the last block is shorter.  Each iteration makes one product X beta,
+    the fit read by its residual and by the next iteration's theta step,
+    and takes the residual sum of squares as one dot product.  A retained
+    iteration writes theta, beta and the model variance straight into
+    their draws; the other buffers are allocated once, and the model
+    variance is a Python float (:func:`_variance_draw`).  The operations
+    and their order are those of a plain loop that allocates fresh arrays
+    and draws one iteration at a time, so the draws are bit for bit equal.
 
     Raises ValidationError when m <= p + 2, where the flat prior does not
     yield a proper variance conditional.
@@ -307,12 +308,11 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     else:
         sigma2 = config.fixed_sigma_u2
 
-    # only areas with D_i > 0 are ever rewritten, so D_i = 0 pins theta_i = y_i
+    # 0 where D_i = 0: the theta step computes theta_i with the rest, then resets it to y_i
     observed = D > 0
-    every = bool(np.all(observed))
-    cols = slice(0, m) if every else np.flatnonzero(observed)
-    inv_D = 1.0 / D[cols]
-    y_over_D = y[cols] / D[cols]
+    pinned = None if observed.all() else ~observed
+    inv_D = np.divide(1.0, D, out=np.zeros(m), where=observed)
+    y_over_D = np.divide(y, D, out=np.zeros(m), where=observed)
     # each block holds K iterations' standard_normal(m + p) (normal(m), then
     # normal(p)) and standard_gamma draws; z_p R' is summed over p elementwise
     # and in order, so a row does not depend on the block's length
@@ -320,22 +320,19 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     noise = np.empty((K, m + p))
     shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
     # buffers the loop writes in place of the arrays each step would allocate
-    prec, mean, step = (np.empty(len(inv_D)) for _ in range(3))
-    new = None if every else np.empty(len(inv_D))
+    prec, mean, step = (np.empty(m) for _ in range(3))
     resid, beta_xp = np.empty(m), np.empty(p)
 
     n_keep = (n_iter - n_burn + thin - 1) // thin
     theta_draws = np.empty((n_keep, m))
     beta_draws = np.empty((n_keep, p))
     sigma2_draws = np.empty(n_keep)
-    if not every:
-        theta_draws[:, ~observed] = y[~observed]
     # a retained iteration writes theta and beta into its draw rows, others here
     theta_work, beta_work = y.copy(), np.empty(p)
     for start in range(0, n_iter, K):
         n = min(K, n_iter - start)
         normals(out=noise[:n])
-        z_theta = noise[:n, cols]
+        z_theta = noise[:n, :m]
         z_beta = noise[:n, m, None] * Rt[0]
         for i in range(1, p):
             z_beta += noise[:n, m + i, None] * Rt[i]
@@ -346,13 +343,12 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
             kept = j >= 0 and rem == 0
             theta, beta = (theta_draws[j], beta_draws[j]) if kept else (theta_work, beta_work)
             np.add(inv_D, 1.0 / sigma2, prec)
-            np.divide(fit if every else fit[cols], sigma2, mean)
+            np.divide(fit, sigma2, mean)
             np.divide(np.add(y_over_D, mean, mean), prec, mean)
             np.divide(z_theta[k], np.sqrt(prec, step), step)
-            if every:
-                np.add(mean, step, theta)
-            else:
-                theta[cols] = np.add(mean, step, new)
+            np.add(mean, step, theta)
+            if pinned is not None:
+                np.copyto(theta, y, where=pinned)
 
             np.matmul(theta, Pt, beta_xp)
             np.add(beta_xp, np.multiply(z_beta[k], math.sqrt(sigma2), beta), beta)

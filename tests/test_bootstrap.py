@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from smallarea import (
     AreaDataset,
@@ -135,34 +134,6 @@ class TestBootstrapMse:
         )
         variance = np.mean((report.replicates - report.replicates.mean(axis=0)) ** 2, axis=0)
         np.testing.assert_allclose(report.mse, report.bias**2 + variance, rtol=0, atol=1e-10)
-
-    def test_resampling_frequencies_are_uniform(self):
-        # identity pipeline exposes the resampled values directly; the
-        # empirical draw frequencies must pass a chi-square uniformity test
-        m, B = 5, 10_000
-        y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        theta_bm = np.zeros(m)  # residuals are exactly y
-        data = AreaDataset(
-            labels=tuple("abcde"),
-            y=y,
-            D=np.ones(m),
-            covariates=np.arange(m, dtype=float)[:, None],
-            covariate_names=("x",),
-        )
-        passed = 0
-        for seed in range(20):
-            report = bootstrap_mse(
-                data,
-                theta_bm,
-                per_replicate(lambda ys: ys),
-                BootstrapConfig(n_replicates=B, seed=seed),
-            )
-            drawn = report.replicates.ravel()
-            counts = np.array([(drawn == v).sum() for v in y])
-            assert counts.sum() == B * m
-            if chisquare(counts).pvalue > 0.001:
-                passed += 1
-        assert passed >= 19
 
     def test_failed_replicates_recorded_within_budget(self):
         rng = np.random.default_rng(13)

@@ -3,6 +3,7 @@ through them: a bad value is a ValidationError naming the field.  The
 shared input reader: an unreadable file is a ValidationError naming the
 input and its path."""
 
+import codecs
 import re
 from pathlib import Path
 
@@ -22,13 +23,22 @@ from smallarea import (
     UnitLevelLayout,
     ValidationError,
     default_gamma_grid,
+    load_area_csv,
+    read_edge_list,
     smoothed_estimate,
     unit_level_benchmarked,
 )
 from smallarea.exceptions import _input_lines, _integer, _matrix, _read_input, _real, _vector
+from smallarea.pipeline import _read_numeric_rows
 
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
 TOY_PHI = np.ones(2)
+
+
+def _area_fields(path):
+    """The columns of area CSV ``path`` (label, y, D, x), as lists."""
+    data = load_area_csv(path, CsvSchema(covariates=("x",)))
+    return data.labels, data.y.tolist(), data.D.tolist(), data.X.tolist()
 
 
 class TestInputReader:
@@ -49,17 +59,47 @@ class TestInputReader:
             ("missing", "edge list not found: {path}"),
             ("directory", "cannot read edge list {path}: "),
             ("not-utf8", "{path}:3: edge list is not valid UTF-8"),
+            ("marked-not-utf8", "{path}:3: edge list is not valid UTF-8"),
         ],
     )
     def test_unreadable_file_is_a_validation_error(self, tmp_path, fault, message):
         path = tmp_path / "edges.txt"
         if fault == "directory":
             path.mkdir()
-        elif fault == "not-utf8":
-            path.write_bytes(b"a,b\nb,c\nc,d\xff\n")
+        elif fault.endswith("not-utf8"):
+            # the bad byte opens line 3, so a count that is off by the
+            # mark's 3 bytes lands on line 2
+            mark = codecs.BOM_UTF8 if fault.startswith("marked") else b""
+            path.write_bytes(mark + b"a,b\nb,c\n\xffc,d\n")
         with pytest.raises(ValidationError, match=re.escape(message.format(path=path))) as exc:
             list(_input_lines(path, "edge list"))
         assert exc.value.__cause__ is None and exc.value.__suppress_context__
+
+    # input kind: (its text, a reader that returns a comparable value)
+    MARKED_INPUTS = {
+        "config file": (
+            b"area_csv = areas.csv\nedge_list = edges.txt\ncovariate_columns = x\ngamma = 1\n",
+            RunConfig.from_file,
+        ),
+        "area CSV": (
+            b"label,y,D,x\na,1.0,0.5,2\nb,2.0,0.25,3\nc,1.5,1.0,5\nd,3.0,0.5,4\n",
+            _area_fields,
+        ),
+        "edge list": (b"# first line a comment\na,b\nb,c,0.5\n", read_edge_list),
+        "benchmark matrix": (b"1,2,3\n4,5,6\n", lambda path: _read_numeric_rows(path, "benchmark matrix").tolist()),
+        "benchmark targets": (b"1.5\n2\n", lambda path: _read_numeric_rows(path, "benchmark targets", 1).tolist()),
+    }
+
+    @pytest.mark.parametrize("kind", list(MARKED_INPUTS))
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, kind):
+        """A UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+        write, is not part of the first line."""
+        text, read = self.MARKED_INPUTS[kind]
+        path = tmp_path / "input"
+        path.write_bytes(text)
+        plain = read(path)
+        path.write_bytes(codecs.BOM_UTF8 + text)
+        assert read(path) == plain
 
 
 class TestCheckers:

@@ -260,6 +260,10 @@ class TestLockStep:
             lambda: _with_zero_variances(make_dataset(1)[0]),
             GibbsConfig(n_iter=400, n_burn=50),
         ),
+        "every-area-pinned": (
+            lambda: replace(make_dataset(5)[0], D=np.zeros(30)),
+            GibbsConfig(n_iter=400, n_burn=50),
+        ),
         "fixed-variance": (lambda: make_dataset(2)[0], GibbsConfig(n_iter=400, n_burn=50, fixed_sigma_u2=1.5)),
         "thin-3": (lambda: make_dataset(3)[0], GibbsConfig(n_iter=400, n_burn=50, thin=3)),
         "no-intercept": (
@@ -342,9 +346,9 @@ class TestLockStep:
     def test_block_size_is_not_part_of_the_stream(self, monkeypatch, fixed_sigma_u2, pinned):
         data, _ = make_dataset(7)
         if pinned:
-            # three areas at D = 0, so theta's mean reads the fit's observed
-            # columns; and p = 4, where the rows of a GEMM over a block are
-            # not all what one row's product gives
+            # three areas at D = 0, whose theta values are computed with the
+            # rest and then reset to y; and p = 4, where the rows of a GEMM
+            # over a block are not all what one row's product gives
             x = data.covariates[:, 0]
             wide = np.column_stack([x, x**2, np.sin(x)])
             data = _with_zero_variances(replace(data, covariates=wide, covariate_names=("x", "x2", "sin_x")))

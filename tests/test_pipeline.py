@@ -1,7 +1,9 @@
 import csv
+import itertools
 import json
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from smallarea import (
     smoothed_estimate,
     write_area_csv,
 )
-from smallarea.pipeline import _prepare_inputs, write_report
+from smallarea.pipeline import _CONFIG_DEFAULTS, _prepare_inputs, write_report
 from smallarea.datasets import (
     FIXTURE_SCHEMA,
     US_STATE_LABELS,
@@ -196,6 +198,20 @@ class TestRunConfig:
         repeat = len(lines) + 3
         with pytest.raises(ValidationError, match=rf"run.cfg:{repeat}: config key 'seed' repeats line {first}$"):
             RunConfig.from_file(cfg)
+
+    def test_readme_table_lists_every_key_and_its_default(self):
+        """README's "All keys" table names exactly the config keys, and each
+        row's defaults are the non-empty ones of ``_CONFIG_DEFAULTS``, in
+        the order of the row's keys."""
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | meaning | default |") + 2
+        documented = {}
+        for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+            keys, _, defaults = line.strip("|").split("|")
+            keys = re.findall(r"`([a-z_]+)`", keys)
+            defaults = [d.strip().strip("`") for d in defaults.split(",")] if defaults.strip() else [""] * len(keys)
+            documented.update(zip(keys, defaults, strict=True))
+        assert documented == {key: default or "" for key, default in _CONFIG_DEFAULTS.items()}
 
     def test_missing_required_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
