@@ -25,14 +25,15 @@ from its seed, and draws from two counter-based streams.  ``Philox(seed)``
 gives one ``standard_normal(m + p)`` per iteration: theta's m normals, then
 beta's p.  When the variance is sampled, ``Philox(seed).jumped()``, a
 disjoint stream 2^128 draws ahead, gives one ``standard_gamma(m/2 - 1)``
-per iteration, drawn whether or not that iteration's residual sum of
-squares is positive; a fixed variance creates no gamma stream.  The loop
-fills each stream several iterations per call, but the block length is
-not part of the contract: numpy fills a buffer in order, so a block holds
-exactly the draws of the per-iteration calls, and beta's noise term
-z_p R' is formed for the whole block as an elementwise sum over the p
-normals, so each row is what one iteration alone would compute.  The
-per-area effective sample size is computed when first read.
+draw g per iteration, drawn whether or not that iteration's residual sum
+of squares ssr is positive, and the variance is ssr / (2 g); a fixed
+variance creates no gamma stream.  The loop fills each stream several
+iterations per call, but the block length is not part of the contract:
+numpy fills a buffer in order, so a block holds exactly the draws of the
+per-iteration calls, and beta's noise term z_p R' is formed for the whole
+block as an elementwise sum over the p normals, so each row is what one
+iteration alone would compute.  The per-area effective sample size is
+computed when first read.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ValidationError, _integer, _matrix, _real, _vector
+from .exceptions import NumericalError, ValidationError, _integer, _matrix, _real, _vector
 
 __all__ = [
     "AreaDataset",
@@ -242,24 +243,6 @@ def _check_propriety(m: int, p: int) -> None:
         )
 
 
-def _variance_draw(ssr: float, g: float) -> float:
-    """The model-variance draw 1 / gamma(shape, scale 2/ssr) from the
-    standard gamma draw ``g``, scaled as numpy's gamma scales, and clamped
-    to [_SIGMA2_FLOOR, _SIGMA2_MAX].  Python floats do the arithmetic; a
-    division by zero (ssr = 0, or a product that underflows to 0) takes
-    the numpy-scalar route, where 1/0 is inf and 0 * inf is NaN.  A
-    degenerate residual so gives 1/inf = 0, floored, and a NaN stays NaN:
-    ``max``/``min`` keep their first argument when the comparison fails.
-    :func:`gibbs_fit` inlines the Python-float path and calls this only
-    when that path divides by zero."""
-    try:
-        s2 = 1.0 / ((2.0 / ssr) * g)
-    except ZeroDivisionError:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s2 = float(1.0 / ((2.0 / np.float64(ssr)) * np.float64(g)))
-    return min(max(s2, _SIGMA2_FLOOR), _SIGMA2_MAX)
-
-
 def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     """Run the systematic-scan Gibbs sampler and summarize the chain.
 
@@ -277,13 +260,18 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     the fit read by its residual and by the next iteration's theta step,
     and takes the residual sum of squares as one dot product.  A retained
     iteration writes theta, beta and the model variance straight into
-    their draws; the other buffers are allocated once, and the model
-    variance is a Python float (:func:`_variance_draw`).  The operations
-    and their order are those of a plain loop that allocates fresh arrays
-    and draws one iteration at a time, so the draws are bit for bit equal.
+    their draws; the other buffers are allocated once.  The model
+    variance is the Python float ssr / (2 g), g the iteration's standard
+    gamma draw, clamped to [1e-12, the largest float]: ssr = 0 gives the
+    floor, an infinite ssr or quotient the ceiling, and a NaN stays NaN.
+    The operations and their order are those of a plain loop that
+    allocates fresh arrays and draws one iteration at a time, so the draws
+    are bit for bit equal.
 
     Raises ValidationError when m <= p + 2, where the flat prior does not
-    yield a proper variance conditional.
+    yield a proper variance conditional, and NumericalError when the mean
+    of the theta or model-variance draws is not finite: the chain's draws
+    overflowed.
     """
     X, y, D = data.X, data.y, data.D
     m, p = X.shape
@@ -357,18 +345,21 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
             if sampled:
                 np.subtract(theta, fit, resid)
                 ssr = float(np.dot(resid, resid))
-                try:
-                    sigma2 = min(max(1.0 / ((2.0 / ssr) * gam[k]), _SIGMA2_FLOOR), _SIGMA2_MAX)
-                except ZeroDivisionError:
-                    sigma2 = _variance_draw(ssr, gam[k])
+                sigma2 = min(max(ssr / (2.0 * gam[k]), _SIGMA2_FLOOR), _SIGMA2_MAX)
             if kept:
                 sigma2_draws[j] = sigma2
 
+    theta_bayes = theta_draws.mean(axis=0)
+    sigma_u2_mean = float(sigma2_draws.mean())
+    if not (np.all(np.isfinite(theta_bayes)) and math.isfinite(sigma_u2_mean)):
+        raise NumericalError(
+            "the chain's draws overflowed: the mean of its theta or model-variance draws is not finite"
+        )
     return PosteriorSummary(
-        theta_bayes=posterior_mean(theta_draws),
+        theta_bayes=theta_bayes,
         theta_draws=theta_draws,
         beta_mean=beta_draws.mean(axis=0),
-        sigma_u2_mean=float(sigma2_draws.mean()),
+        sigma_u2_mean=sigma_u2_mean,
         beta_draws=beta_draws,
         sigma_u2_draws=sigma2_draws,
         seed=config.seed,

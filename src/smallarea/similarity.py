@@ -164,7 +164,8 @@ def load_adjacency(
 
     ``labels`` fixes the index assignment: area i is labels[i].  Each edge
     is (label_i, label_j) or (label_i, label_j, weight); the default weight
-    is 1.  Listing the same pair twice, in either orientation, is an error.
+    is 1.  Listing the same pair twice, in either orientation, or an edge
+    from an area to itself is an error.
     """
     index = {}
     for pos, lab in enumerate(labels):
@@ -184,6 +185,8 @@ def load_adjacency(
         if w < 0:
             raise ValidationError(f"negative weight on edge {a}-{b}")
         i, j = index[a], index[b]
+        if i == j:
+            raise ValidationError(f"self-edge {a}-{b} in edge list")
         key = (min(i, j), max(i, j))
         if key in seen:
             first_a, first_b = seen[key]

@@ -207,14 +207,14 @@ def reference_gibbs_draws(data, config):
 def reference_gibbs_loop(data, config):
     """The loop of ``fay_herriot.gibbs_fit`` written plainly: fresh arrays
     every iteration, one ``standard_normal(m + p)`` and (when the variance
-    is sampled) one ``standard_gamma`` per iteration, a numpy-scalar model
-    variance and one ``np.errstate`` per variance update.  It makes the
-    same products as the chain: one fit ``beta @ Xt`` per iteration with a
-    C-contiguous ``Xt``, read by the residual and by the next theta step;
-    the residual sum of squares as one ``np.dot``; and beta's noise term
-    as the elementwise sum ``(z_p[:, None] * Rt).sum(axis=0)``.  Returns the
-    retained theta, beta and model-variance draws, which ``gibbs_fit``
-    must reproduce bit for bit."""
+    is sampled) one ``standard_gamma`` g per iteration, a numpy-scalar
+    model variance ssr / (2 g) and one ``np.errstate`` per variance update.
+    It makes the same products as the chain: one fit ``beta @ Xt`` per
+    iteration with a C-contiguous ``Xt``, read by the residual and by the
+    next theta step; the residual sum of squares as one ``np.dot``; and
+    beta's noise term as the elementwise sum ``(z_p[:, None] * Rt).sum(axis=0)``.
+    Returns the retained theta, beta and model-variance draws, which
+    ``gibbs_fit`` must reproduce bit for bit."""
     X, y, D = data.X, data.y, data.D
     m, p = X.shape
     sampled = config.fixed_sigma_u2 is None
@@ -249,8 +249,8 @@ def reference_gibbs_loop(data, config):
         if sampled:
             resid = theta - fit
             ssr = np.dot(resid, resid)
-            with np.errstate(divide="ignore", over="ignore"):
-                sigma2 = 1.0 / ((2.0 / ssr) * gamma_rng.standard_gamma(0.5 * m - 1.0))
+            with np.errstate(over="ignore"):
+                sigma2 = ssr / (2.0 * gamma_rng.standard_gamma(0.5 * m - 1.0))
             sigma2 = np.minimum(np.maximum(sigma2, 1e-12), np.finfo(float).max)
 
         if it >= config.n_burn and (it - config.n_burn) % config.thin == 0:

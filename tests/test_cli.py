@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import smallarea
 from smallarea.cli import _load_config, build_parser, main
-from smallarea.datasets import synthetic_dataset_path, us_state_borders_path
+from smallarea.datasets import synthetic_dataset_path, us_state_borders_path, write_area_csv
 
 from test_pipeline import small_area_csv, write_config
 
@@ -52,6 +53,22 @@ class TestExitCodes:
         )
         assert main(["run", "--config", str(cfg)]) == 3
         assert "degenerate" in capsys.readouterr().err
+
+    def test_overflowing_chain_exits_3(self, workspace, capsys):
+        # responses near 1e160 square past the largest float in the chain
+        tmp_path, data, area, edges = workspace
+        write_area_csv(replace(data, y=data.y * 1e160), area)
+        cfg = write_config(tmp_path, area, edges)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["fit", "--config", str(cfg)]) == 3
+        assert "[stage gibbs] the chain's draws overflowed" in capsys.readouterr().err
+
+    def test_self_edge_exits_2(self, workspace, capsys):
+        tmp_path, _, area, edges = workspace
+        edges.write_text(edges.read_text() + "r3,r3\n")
+        cfg = write_config(tmp_path, area, edges)
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert "[stage load] self-edge r3-r3 in edge list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
     @pytest.mark.parametrize(

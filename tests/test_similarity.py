@@ -115,6 +115,12 @@ class TestLoadAdjacency:
         with pytest.raises(ValidationError, match="duplicate edge A-B"):
             load_adjacency([("A", "B"), ("B", "A")], ("A", "B"))
 
+    def test_self_edge_rejected(self):
+        # the matrix and entries APIs ignore a diagonal entry; an edge list
+        # line naming one area twice is a mistake, and says so
+        with pytest.raises(ValidationError, match="self-edge a-a in edge list"):
+            load_adjacency([("a", "a")], ("a", "b"))
+
     def test_unknown_label(self):
         with pytest.raises(ValidationError, match="unknown label 'Z'"):
             load_adjacency([("A", "Z")], ("A", "B"))
