@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: fit (sampler only), cv (selection curve only), estimate
-(point estimates), bootstrap (estimates plus MSE), run (everything),
-plot-data (tidy CSVs from a finished run).  fit, cv, estimate, bootstrap
-and run are all the same :func:`~smallarea.pipeline.run_pipeline` call,
-stopped after a stage; each prints the path of the file it was asked for.
-Each command accepts only the override flags its stages read (one table,
-``_FLAGS``, and each command's row of ``_COMMANDS``); any other flag, and
-any abbreviation of a flag, is a usage error.
+(point estimates; the config's bootstrap settings are ignored),
+bootstrap (estimates plus MSE), run (everything), plot-data (tidy CSVs
+from a finished run).  fit, cv, estimate, bootstrap and run are all the
+same :func:`~smallarea.pipeline.run_pipeline` call, stopped after a
+stage; each prints the path of the file it was asked for.  Each command
+accepts only the override flags its stages read (``_FLAGS``, and each
+command's row of ``_COMMANDS``); any other flag, and any abbreviation of
+a flag, is a usage error.  A flag's value is the text of a config key,
+parsed and checked with the file's by :meth:`RunConfig.from_file`.
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure.
 """
 
@@ -15,22 +17,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .exceptions import NumericalError, ValidationError
-from .pipeline import PLOT_KINDS, RunConfig, _parse_grid_spec, emit_plot_data, read_report, run_pipeline
+from .pipeline import PLOT_KINDS, RunConfig, emit_plot_data, read_report, run_pipeline
 
-# flag -> (the RunConfig field it sets, its value type, metavar and help);
-# --gamma and --gamma-grid are mutually exclusive, and either one clears
-# the other field
+# flag -> (the config key whose value it gives, metavar and help)
 _FLAGS = {
-    "--seed": ("seed", int, "N", "override the master seed"),
-    "--out": ("output_dir", Path, "DIR", "override the output directory"),
-    "--gamma": ("gamma", float, "X", "fixed smoothing factor"),
-    "--gamma-grid": ("gamma_grid", str, "LO,HI,N", "log grid of candidate smoothing factors"),
-    "--benchmark-target": ("benchmark_target", float, "T", "override the benchmark target"),
-    "--bootstrap-reps": ("bootstrap_replicates", int, "B", "override the bootstrap replicate count"),
+    "--seed": ("seed", "N", "override the master seed"),
+    "--out": ("output_dir", "DIR", "override the output directory"),
+    "--gamma": ("gamma", "X", "fixed smoothing factor"),
+    "--gamma-grid": ("gamma_grid", "LO,HI,N", "log grid of candidate smoothing factors"),
+    "--benchmark-target": ("benchmark_target", "T", "override the benchmark target"),
+    "--bootstrap-reps": ("bootstrap_replicates", "B", "override the bootstrap replicate count"),
 }
 _ALL = tuple(_FLAGS)
 _ESTIMATE = _ALL[:-1]  # every flag but --bootstrap-reps
@@ -50,21 +49,18 @@ _COMMANDS = {
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_file(args.config)
     given = vars(args)
-    updates = {f: given[f] for f, *_ in _FLAGS.values() if given.get(f) is not None}
-    if "gamma" in updates:
-        updates["gamma_grid"] = None
-    elif "gamma_grid" in updates:
-        updates.update(gamma=None, gamma_grid=_parse_grid_spec(updates["gamma_grid"]))
-    return replace(config, **updates) if updates else config
+    entries = {key: given[key] for key, *_ in _FLAGS.values() if given.get(key) is not None}
+    if "gamma" in entries or "gamma_grid" in entries:  # exclusive flags; either clears the file's choice
+        entries = {"gamma": "", "gamma_grid": "", **entries}
+    if args.command == "estimate":  # no bootstrap, whatever the file asks
+        entries["bootstrap_replicates"] = "0"
+    return RunConfig.from_file(args.config, entries)
 
 
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
-    if args.command == "estimate":
-        config = replace(config, bootstrap_replicates=0)
-    elif args.command == "bootstrap" and config.bootstrap_replicates < 1:
+    if args.command == "bootstrap" and config.bootstrap_replicates < 1:
         raise ValidationError("bootstrap requires bootstrap_replicates >= 1 (or --bootstrap-reps)")
     _, stop_after, printed, _ = _COMMANDS[args.command]
     run_pipeline(config, stop_after=stop_after)
@@ -92,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, type=Path, help="flat key/value config file")
         gamma = sub.add_mutually_exclusive_group() if "--gamma" in flags else sub
         for flag in flags:
-            field, kind, metavar, about = _FLAGS[flag]
+            key, metavar, about = _FLAGS[flag]
             group = gamma if flag.startswith("--gamma") else sub
-            group.add_argument(flag, dest=field, type=kind, metavar=metavar, help=about)
+            group.add_argument(flag, dest=key, metavar=metavar, help=about)
         if stop_after is None:
             sub.add_argument("--kind", required=True, choices=PLOT_KINDS)
         sub.set_defaults(func=_cmd_pipeline if stop_after else _cmd_plot_data)

@@ -5,7 +5,8 @@ and ``_read_table``: UTF-8, a header row, ``\\n`` line endings and floats
 with 17 significant digits (``inf`` included), so a table loads back
 exactly.  ``_read_table`` gets its text from the package's one input
 reader, :func:`smallarea.exceptions._read_input`, so a missing, unreadable
-or non-UTF-8 area CSV or report file is a ValidationError naming it.
+or non-UTF-8 area CSV or report file is a ValidationError naming it, as
+are a repeated header name and a file ``_write_table`` cannot write.
 :func:`load_area_csv` and :func:`write_area_csv` read and write the
 per-area format described by a :class:`CsvSchema`.
 
@@ -51,14 +52,18 @@ def _fmt(x: float) -> str:
 
 
 def _write_table(path: Path, columns: dict) -> None:
-    """Write equal-length named columns: strings as they are, all else via :func:`_fmt`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(
-            [v if isinstance(v, str) else _fmt(v) for v in row]
-            for row in zip(*columns.values(), strict=True)
-        )
+    """Write equal-length named columns: strings as they are, all else via
+    :func:`_fmt`.  A file that cannot be written is a ValidationError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(
+                [v if isinstance(v, str) else _fmt(v) for v in row]
+                for row in zip(*columns.values(), strict=True)
+            )
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 class _Table(dict):
@@ -84,10 +89,14 @@ class _Table(dict):
 
 def _read_table(path: str | Path, what: str, required: Iterable[str] = ()) -> _Table:
     """Columns of CSV input file ``what`` with a header row, skipping blank
-    lines.  A ``required`` column that is absent, or a row whose cell count
-    differs from the header's, is a ValidationError naming it."""
+    lines.  A header name that repeats, a ``required`` column that is
+    absent, or a row whose cell count differs from the header's, is a
+    ValidationError naming it."""
     reader = csv.reader(io.StringIO(_read_input(path, what), newline=""))
     header = next(reader, [])
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ValidationError(f"repeated column {name!r} in {path}")
     for name in required:
         if name not in header:
             raise ValidationError(f"missing column {name!r} in {path}")

@@ -243,6 +243,8 @@ def _check_propriety(m: int, p: int) -> None:
         )
 
 
+# overflowing draws warn nothing: the final finiteness check judges them
+@np.errstate(over="ignore", invalid="ignore")
 def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     """Run the systematic-scan Gibbs sampler and summarize the chain.
 

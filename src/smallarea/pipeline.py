@@ -118,15 +118,6 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ValidationError(f"config key {key!r}: expected true/false, got {raw!r}")
 
 
-def _parse_grid_spec(raw: str) -> np.ndarray:
-    try:
-        low, high, num = raw.split(",")
-        low, high, num = float(low), float(high), int(num)
-    except ValueError:  # not three fields, or one that does not parse
-        raise ValidationError(f"gamma_grid must be 'low,high,n', got {raw!r}") from None
-    return default_gamma_grid(low, high, num)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs; ``_CONFIG_DEFAULTS`` lists the
@@ -192,10 +183,12 @@ class RunConfig:
             )
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        """Parse a flat key/value config file.  Unknown and repeated keys
-        are errors."""
-        path = Path(path)
+    def from_file(cls, path: str | Path, entries: dict[str, str] | None = None) -> "RunConfig":
+        """Parse a flat key/value config file; unknown and repeated keys are
+        errors.  ``entries`` (key -> value text, as the CLI's flags give
+        them) replace the file's values before any is parsed or checked; a
+        relative ``output_dir`` entry is relative to the working directory."""
+        path, entries = Path(path), entries or {}
         values = dict(_CONFIG_DEFAULTS)
         first_line: dict[str, int] = {}
         for lineno, line in _input_lines(path, "config file"):
@@ -208,9 +201,14 @@ class RunConfig:
                 raise ValidationError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
             first_line[key] = lineno
             values[key] = value
+        values.update(entries)
+        if len(values) > len(_CONFIG_DEFAULTS):
+            raise ValidationError(f"unknown config keys: {sorted(values.keys() - _CONFIG_DEFAULTS.keys())}")
         missing = [k for k, default in _CONFIG_DEFAULTS.items() if default is None and not values[k]]
         if missing:
             raise ValidationError(f"config {path} missing required keys: {', '.join(missing)}")
+        if not values["output_dir"]:
+            raise ValidationError("config key 'output_dir' must not be empty")
         schema = CsvSchema(
             label=values["label_column"],
             y=values["y_column"],
@@ -223,8 +221,8 @@ class RunConfig:
         )
 
         def resolve(key: str) -> Path | None:
-            """A path key's value, relative to the config file unless absolute."""
-            return path.parent / values[key] if values[key] else None
+            """A path key's value, relative to the config file (an entry's: the cwd) unless absolute."""
+            return (Path() if key in entries else path.parent) / values[key] if values[key] else None
 
         def number(key: str, kind: type = int):
             """Value of a numeric key; one that does not parse is a ValidationError."""
@@ -236,7 +234,14 @@ class RunConfig:
                     f"config key {key!r}: expected {expected}, got {values[key]!r}"
                 ) from None
 
-        grid = _parse_grid_spec(values["gamma_grid"]) if values["gamma_grid"] else None
+        grid, raw = None, values["gamma_grid"]
+        if raw:
+            try:
+                low, high, num = raw.split(",")
+                low, high, num = float(low), float(high), int(num)
+            except ValueError:  # not three fields, or one that does not parse
+                raise ValidationError(f"gamma_grid must be 'low,high,n', got {raw!r}") from None
+            grid = default_gamma_grid(low, high, num)
         # the bootstrap_gibbs_* keys of old configs are checked as chain
         # settings and dropped: the replicates' Bayes step is ``gibbs``'s
         GibbsConfig(
@@ -534,9 +539,13 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``obj``; a file that cannot be written is a ValidationError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cv_columns(curve: CvCurve) -> dict:

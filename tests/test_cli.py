@@ -3,6 +3,7 @@ import importlib
 import itertools
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -59,8 +60,7 @@ class TestExitCodes:
         tmp_path, data, area, edges = workspace
         write_area_csv(replace(data, y=data.y * 1e160), area)
         cfg = write_config(tmp_path, area, edges)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["fit", "--config", str(cfg)]) == 3
+        assert main(["fit", "--config", str(cfg)]) == 3
         assert "[stage gibbs] the chain's draws overflowed" in capsys.readouterr().err
 
     def test_self_edge_exits_2(self, workspace, capsys):
@@ -69,6 +69,21 @@ class TestExitCodes:
         cfg = write_config(tmp_path, area, edges)
         assert main(["fit", "--config", str(cfg)]) == 2
         assert "[stage load] self-edge r3-r3 in edge list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("fit", "fit.csv"), ("cv", "cv_curve.csv"), ("estimate", "estimates.csv"), ("run", "metadata.json")],
+    )
+    def test_unwritable_output_file_exits_2(self, workspace, capsys, command, name):
+        # a directory in the file's place: as root, permission bits would not stop the write
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges, gamma="", gamma_grid="0.1,10,3")
+        target = tmp_path / "out" / name
+        target.mkdir(parents=True)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cannot write {target}: Is a directory" in err
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
     @pytest.mark.parametrize(
@@ -160,6 +175,85 @@ class TestOverrides:
             ["bootstrap", "--config", str(cfg), "--bootstrap-reps", "3"]
         ) == 0
         assert (tmp_path / "out" / "bootstrap_mse.csv").exists()
+
+
+@pytest.fixture()
+def bundled(tmp_path):
+    """Writes ``run.cfg`` over copies of the bundled fixtures: a benchmark
+    weight column, a short chain, neither a gamma choice nor a target, and
+    the extra ``key = value`` lines it is given."""
+    shutil.copy(synthetic_dataset_path(), tmp_path)
+    shutil.copy(us_state_borders_path(), tmp_path)
+    lines = [
+        "area_csv = synthetic_states.csv",
+        "edge_list = us_state_borders.txt",
+        "covariate_columns = tax_poverty_rate,nonfiler_rate,foodstamp_rate",
+        "benchmark_weight_column = benchmark_weight",
+        "gibbs_iterations = 400",
+        "gibbs_burn = 100",
+    ]
+
+    def write(*extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join([*lines, *extra]) + "\n")
+        return cfg
+
+    return write
+
+
+# replicates re-cross-validated: they need a gamma grid
+RECROSS = ("benchmark_target = 15", "bootstrap_replicates = 5", "bootstrap_gamma_policy = re-cross-validate")
+
+
+class TestFlagsAreConfigEntries:
+    @pytest.mark.parametrize(
+        "extra, argv, written",
+        [
+            ((), ["estimate", "--gamma", "0.5", "--benchmark-target", "15"], "estimates.csv"),
+            ((), ["cv", "--gamma-grid", "0.1,10,3", "--benchmark-target", "15"], "cv_curve.csv"),
+            (("gamma = 0.5",), ["estimate", "--benchmark-target", "15"], "estimates.csv"),
+            (("gamma = 0.5", *RECROSS), ["estimate"], "estimates.csv"),
+        ],
+        ids=["estimate-gamma-and-target", "cv-grid-and-target", "estimate-target", "estimate-ignores-bootstrap"],
+    )
+    def test_a_flag_supplies_what_the_file_leaves_out(self, bundled, capsys, extra, argv, written):
+        cfg = bundled(*extra)
+        assert main([*argv, "--config", str(cfg)]) == 0
+        out = cfg.parent / "out"
+        assert capsys.readouterr().out == f"{out / written}\n"
+        assert (out / written).exists() and not (out / "bootstrap_mse.csv").exists()
+
+    def test_a_config_still_invalid_after_its_flags_exits_2(self, bundled, capsys):
+        cfg = bundled("gamma_grid = 0.1,10,3", *RECROSS)
+        assert main(["bootstrap", "--config", str(cfg), "--gamma", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bootstrap_gamma_policy = re-cross-validate requires a gamma_grid\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "x"], "config key 'seed': expected an integer, got 'x'"),
+            (["--gamma", "nan"], "gamma must be a finite nonnegative real, got nan"),
+            (["--gamma-grid", "0.1,10"], "gamma_grid must be 'low,high,n', got '0.1,10'"),
+            (["--benchmark-target", "ten"], "config key 'benchmark_target': expected a real number, got 'ten'"),
+            (["--bootstrap-reps", "2.5"], "config key 'bootstrap_replicates': expected an integer, got '2.5'"),
+            (["--out", ""], "config key 'output_dir' must not be empty"),
+        ],
+        ids=["seed", "gamma", "gamma-grid", "benchmark-target", "bootstrap-reps", "out"],
+    )
+    def test_a_bad_flag_value_exits_2_naming_its_key(self, bundled, capsys, flags, message):
+        cfg = bundled("gamma = 0.5", "benchmark_target = 15")
+        assert main(["run", "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_out_is_relative_to_the_working_directory(self, workspace, monkeypatch):
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["fit", "--config", str(cfg), "--out", "rel"]) == 0
+        assert (tmp_path / "cwd" / "rel" / "fit.csv").exists()
+        assert not (tmp_path / "rel").exists()
 
 
 # the override flags each command reads; every other flag is a usage error

@@ -136,6 +136,13 @@ class TestLoadAreaCsv:
         with pytest.raises(ValidationError, match=rf"a\.csv:3: expected 4 cells, got {cells}"):
             load_area_csv(path, CsvSchema(covariates=("x",)))
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # the second y column would otherwise be read as the responses
+        path = tmp_path / "a.csv"
+        path.write_text("label,y,D,x,y\na,1.0,0.5,0.1,7.0\nb,2.0,0.5,0.2,8.0\nc,3.0,0.5,0.3,9.0\n")
+        with pytest.raises(ValidationError, match=rf"^repeated column 'y' in {re.escape(str(path))}$"):
+            load_area_csv(path, CsvSchema(covariates=("x",)))
+
     def test_explicit_phi_column(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("label,y,D,x,w\na,1.0,0.0,0.1,2.0\nb,1.0,0.5,0.2,3.0\n")
@@ -309,6 +316,52 @@ class TestRunConfig:
         )
         for f in fields(RunConfig):
             assert getattr(from_file, f.name) == getattr(in_code, f.name), f.name
+
+
+    def test_each_config_default_is_its_field_default(self, tmp_path, monkeypatch):
+        # each key with a non-empty default -> the dataclass field it fills
+        filled = {
+            "output_dir": (RunConfig, "output_dir"),
+            "seed": (RunConfig, "seed"),
+            "bootstrap_replicates": (RunConfig, "bootstrap_replicates"),
+            "bootstrap_gamma_policy": (RunConfig, "bootstrap_gamma_policy"),
+            "label_column": (CsvSchema, "label"),
+            "y_column": (CsvSchema, "y"),
+            "d_column": (CsvSchema, "d"),
+            "add_intercept": (CsvSchema, "add_intercept"),
+            "gibbs_iterations": (GibbsConfig, "n_iter"),
+            "gibbs_burn": (GibbsConfig, "n_burn"),
+            "gibbs_thin": (GibbsConfig, "thin"),
+        }
+        # checked as chain settings, then dropped: they fill no field
+        dropped = {"bootstrap_gibbs_iterations", "bootstrap_gibbs_burn", "bootstrap_gibbs_thin"}
+        assert filled.keys() | dropped == {key for key, default in _CONFIG_DEFAULTS.items() if default}
+        monkeypatch.chdir(tmp_path)  # so that output_dir resolves to the bare default
+        Path("run.cfg").write_text("area_csv = a.csv\nedge_list = e.txt\ncovariate_columns = x\ngamma = 0.5\n")
+        config = RunConfig.from_file("run.cfg")
+        parsed = {RunConfig: config, CsvSchema: config.schema, GibbsConfig: config.gibbs}
+        for key, (cls, name) in filled.items():
+            (default,) = (f.default for f in fields(cls) if f.name == name)
+            assert getattr(parsed[cls], name) == default, key
+
+    def test_entries_are_applied_before_the_checks(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges, gamma="")
+        with pytest.raises(ValidationError, match="exactly one of a fixed gamma or a gamma grid"):
+            RunConfig.from_file(cfg)
+        config = RunConfig.from_file(cfg, {"gamma_grid": "0.1,10,3", "output_dir": "rel"})
+        np.testing.assert_allclose(config.gamma_grid, [0.1, 1.0, 10.0], rtol=1e-15)
+        assert config.output_dir == Path("rel")  # an entry's path is not joined to the config's directory
+        with pytest.raises(ValidationError, match=re.escape("config key 'seed': expected an integer, got 'x'")):
+            RunConfig.from_file(cfg, {"gamma": "0.5", "seed": "x"})
+        with pytest.raises(ValidationError, match=re.escape("unknown config keys: ['mystery']")):
+            RunConfig.from_file(cfg, {"gamma": "0.5", "mystery": "1"})
+
+    def test_empty_output_dir_rejected(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges, output_dir="")
+        with pytest.raises(ValidationError, match="config key 'output_dir' must not be empty"):
+            RunConfig.from_file(cfg)
 
 
 class TestRunPipeline:

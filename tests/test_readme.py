@@ -1,13 +1,18 @@
 """README.md's examples run as written."""
 
 import re
+import shlex
 import shutil
 from pathlib import Path
 
+import pytest
+
 from smallarea import RunConfig
+from smallarea.cli import main
 from smallarea.datasets import synthetic_dataset_path, us_state_borders_path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text(encoding="utf-8")
 
 
 def _blocks(text, language):
@@ -18,18 +23,38 @@ def _blocks(text, language):
     ]
 
 
-def test_readme_examples_run(tmp_path):
-    text = README.read_text(encoding="utf-8")
-    python = _blocks(text, "python")
-    assert len(python) >= 2
-    for line, code in python:
-        exec(compile(code, f"{README}:{line}", "exec"), {})
-    # the example config, beside copies of the bundled fixtures it names
-    [(_, ini)] = _blocks(text, "ini")
+@pytest.fixture()
+def example_config(tmp_path):
+    """README's example config as ``run.cfg``, beside copies of the bundled fixtures it names."""
+    [(_, ini)] = _blocks(TEXT, "ini")
     shutil.copy(synthetic_dataset_path(), tmp_path)
     shutil.copy(us_state_borders_path(), tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ini, encoding="utf-8")
-    config = RunConfig.from_file(cfg)
-    assert config.area_csv == tmp_path / "synthetic_states.csv"
+    return cfg
+
+
+def test_readme_examples_run(example_config):
+    python = _blocks(TEXT, "python")
+    assert len(python) >= 2
+    for line, code in python:
+        exec(compile(code, f"{README}:{line}", "exec"), {})
+    config = RunConfig.from_file(example_config)
+    assert config.area_csv == example_config.parent / "synthetic_states.csv"
     assert config.gamma_grid is not None and config.gamma is None
+
+
+def test_readme_commands_run(example_config, monkeypatch, capsys):
+    # every documented command, in order, on the example config
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for _, block in _blocks(TEXT, "sh")
+        for line in block.splitlines()
+        if line.startswith("smallarea ")
+    ]
+    assert len(commands) >= 7
+    monkeypatch.chdir(example_config.parent)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        printed = capsys.readouterr().out.strip()
+        assert Path(printed).exists(), (argv, printed)
