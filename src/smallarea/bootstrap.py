@@ -24,6 +24,7 @@ SeedSequence(entropy=seed, spawn_key=(b, 0)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -56,47 +57,48 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    """Per-area MSE and bias plus the full replicate matrix.
+    """The replicate matrix around its generating values, and the per-area
+    MSE and bias it gives.
 
     Failed replicates appear as NaN rows in ``replicates`` and their
-    indices in ``failed``; summaries average over the successes.  The
-    decomposition mse = bias^2 + variance holds per area by construction
-    and is re-verified here.
+    indices in ``failed``; ``mse`` and ``bias`` average over the other
+    rows, so mse = bias^2 + variance holds per area by construction.
     """
 
-    mse: np.ndarray
-    bias: np.ndarray
+    theta_bm: np.ndarray
     replicates: np.ndarray
     failed: tuple[int, ...] = ()
 
     def __post_init__(self):
         reps = _reals("replicates", self.replicates, 2)  # failed replicates are NaN rows
-        mse = _vector("mse", self.mse, reps.shape[1])
-        bias = _vector("bias", self.bias, reps.shape[1])
-        if np.any(mse < 0):
-            raise ValidationError("MSE entries must be nonnegative")
+        theta_bm = _vector("theta_bm", self.theta_bm, reps.shape[1])
         B = reps.shape[0]
         failed = tuple(_integer(f"failed[{k}]", b, 0) for k, b in enumerate(self.failed))
         for k, b in enumerate(failed):
             if b >= B:
                 raise ValidationError(f"failed[{k}] must be less than the {B} replicates, got {b}")
-        ok = np.ones(B, dtype=bool)
-        ok[list(failed)] = False
-        if np.any(ok):
-            good = reps[ok]
-            center = good.mean(axis=0)
-            variance = np.mean((good - center) ** 2, axis=0)
-            gap = np.abs(mse - (bias**2 + variance))
-            if np.any(gap > 1e-10 * (1.0 + mse)):
-                raise ValidationError("mse does not decompose into bias^2 + variance")
-        object.__setattr__(self, "mse", mse)
-        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "theta_bm", theta_bm)
         object.__setattr__(self, "replicates", reps)
         object.__setattr__(self, "failed", failed)
 
     @property
     def n_replicates(self) -> int:
         return self.replicates.shape[0]
+
+    @property
+    def _good(self) -> np.ndarray:
+        """The replicates not listed in ``failed``."""
+        return np.delete(self.replicates, self.failed, axis=0)
+
+    @cached_property
+    def mse(self) -> np.ndarray:
+        """Mean of (estimate_i - theta_bm_i)^2 over the successful replicates."""
+        return np.mean((self._good - self.theta_bm) ** 2, axis=0)
+
+    @cached_property
+    def bias(self) -> np.ndarray:
+        """Mean deviation estimate_i - theta_bm_i over the successful replicates."""
+        return self._good.mean(axis=0) - self.theta_bm
 
 
 def _check_sampling_variance(data: AreaDataset) -> None:
@@ -172,7 +174,4 @@ def bootstrap_mse(
         raise NumericalError(
             f"{len(failed)} of {B} bootstrap replicates failed (> {_MAX_FAILURE_FRACTION:.0%})"
         )
-    good = replicates[ok]
-    mse = np.mean((good - theta_bm) ** 2, axis=0)
-    bias = good.mean(axis=0) - theta_bm
-    return BootstrapReport(mse=mse, bias=bias, replicates=replicates, failed=tuple(failed))
+    return BootstrapReport(theta_bm, replicates, tuple(failed))

@@ -3,8 +3,9 @@
 Subcommands: fit (sampler only), cv (selection curve only), estimate
 (point estimates; the config's bootstrap settings are ignored),
 bootstrap (estimates plus MSE), run (everything), plot-data (tidy CSVs
-from a finished run).  fit, cv, estimate, bootstrap and run are all the
-same :func:`~smallarea.pipeline.run_pipeline` call, stopped after a
+from a finished run; of the config it reads only ``output_dir``).  fit,
+cv, estimate, bootstrap and run are all the same
+:func:`~smallarea.pipeline.run_pipeline` call, stopped after a
 stage; each prints the path of the file it was asked for.  Each command
 accepts only the override flags its stages read (``_FLAGS``, and each
 command's row of ``_COMMANDS``); any other flag, and any abbreviation of
@@ -48,14 +49,19 @@ _COMMANDS = {
 }
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _entries(args: argparse.Namespace) -> dict[str, str]:
+    """The config entries the command's flags give."""
     given = vars(args)
     entries = {key: given[key] for key, *_ in _FLAGS.values() if given.get(key) is not None}
     if "gamma" in entries or "gamma_grid" in entries:  # exclusive flags; either clears the file's choice
         entries = {"gamma": "", "gamma_grid": "", **entries}
     if args.command == "estimate":  # no bootstrap, whatever the file asks
         entries["bootstrap_replicates"] = "0"
-    return RunConfig.from_file(args.config, entries)
+    return entries
+
+
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig.from_file(args.config, _entries(args))
 
 
 def _cmd_pipeline(args) -> int:
@@ -70,9 +76,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    config = _load_config(args)
-    report = read_report(config.output_dir)
-    print(emit_plot_data(report, args.kind, config.output_dir))
+    out = RunConfig.output_dir_from_file(args.config, _entries(args))
+    print(emit_plot_data(read_report(out), args.kind, out))
     return 0
 
 

@@ -172,25 +172,20 @@ class GibbsConfig:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Retained draws and summaries from one chain.
+    """Retained draws from one chain, and their summaries, each computed
+    on first read.
 
     ``theta_bayes`` is the componentwise mean of the retained draws; this
     is the vector handed to the smoothing and benchmarking estimators.
     """
 
-    theta_bayes: np.ndarray
     theta_draws: np.ndarray
-    beta_mean: np.ndarray
-    sigma_u2_mean: float
     beta_draws: np.ndarray
     sigma_u2_draws: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if self.theta_draws.ndim != 2 or self.theta_draws.shape[0] < 1:
             raise ValidationError("theta_draws must be a nonempty (S, m) array")
-        if not np.allclose(self.theta_bayes, self.theta_draws.mean(axis=0), atol=1e-10):
-            raise ValidationError("theta_bayes must equal the mean of the retained draws")
         if np.any(self.sigma_u2_draws <= 0):
             raise ValidationError("all model-variance draws must be strictly positive")
 
@@ -199,8 +194,20 @@ class PosteriorSummary:
         return self.theta_draws.shape[0]
 
     @cached_property
+    def theta_bayes(self) -> np.ndarray:
+        return self.theta_draws.mean(axis=0)
+
+    @cached_property
+    def beta_mean(self) -> np.ndarray:
+        return self.beta_draws.mean(axis=0)
+
+    @cached_property
+    def sigma_u2_mean(self) -> float:
+        return float(self.sigma_u2_draws.mean())
+
+    @cached_property
     def ess(self) -> np.ndarray:
-        """Per-area effective sample size of the theta draws, computed on first read."""
+        """Per-area effective sample size of the theta draws."""
         return _effective_sample_size(self.theta_draws)
 
 
@@ -265,7 +272,8 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     their draws; the other buffers are allocated once.  The model
     variance is the Python float ssr / (2 g), g the iteration's standard
     gamma draw, clamped to [1e-12, the largest float]: ssr = 0 gives the
-    floor, an infinite ssr or quotient the ceiling, and a NaN stays NaN.
+    floor, an infinite ssr or quotient, or g = 0, the ceiling, and a NaN
+    stays NaN.
     The operations and their order are those of a plain loop that
     allocates fresh arrays and draws one iteration at a time, so the draws
     are bit for bit equal.
@@ -347,25 +355,17 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
             if sampled:
                 np.subtract(theta, fit, resid)
                 ssr = float(np.dot(resid, resid))
-                sigma2 = min(max(ssr / (2.0 * gam[k]), _SIGMA2_FLOOR), _SIGMA2_MAX)
+                g = gam[k]  # at m = 4 about one draw in 2^53 is exactly 0: the quotient's limit, the ceiling
+                sigma2 = min(max(ssr / (2.0 * g), _SIGMA2_FLOOR), _SIGMA2_MAX) if g else _SIGMA2_MAX
             if kept:
                 sigma2_draws[j] = sigma2
 
-    theta_bayes = theta_draws.mean(axis=0)
-    sigma_u2_mean = float(sigma2_draws.mean())
-    if not (np.all(np.isfinite(theta_bayes)) and math.isfinite(sigma_u2_mean)):
+    summary = PosteriorSummary(theta_draws, beta_draws, sigma2_draws)
+    if not (np.all(np.isfinite(summary.theta_bayes)) and math.isfinite(summary.sigma_u2_mean)):
         raise NumericalError(
             "the chain's draws overflowed: the mean of its theta or model-variance draws is not finite"
         )
-    return PosteriorSummary(
-        theta_bayes=theta_bayes,
-        theta_draws=theta_draws,
-        beta_mean=beta_draws.mean(axis=0),
-        sigma_u2_mean=sigma_u2_mean,
-        beta_draws=beta_draws,
-        sigma_u2_draws=sigma2_draws,
-        seed=config.seed,
-    )
+    return summary
 
 
 def _nodes(X, D, T):

@@ -26,6 +26,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,9 @@ class RunConfig:
     streams; the ``seed`` field of ``gibbs`` is ignored.  ``gibbs`` is the
     run's one Bayes step: it sets the main chain, and its
     ``fixed_sigma_u2``, when set, pins the model variance of the chain, of
-    the chain's exact-mean check and of every bootstrap replicate."""
+    the chain's exact-mean check and of every bootstrap replicate.  Only
+    contradicting settings are rejected here; :func:`run_pipeline` checks
+    that a run has the settings its stops read."""
 
     area_csv: Path
     edge_list: Path
@@ -146,11 +149,11 @@ class RunConfig:
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         replicates = _integer("bootstrap_replicates", self.bootstrap_replicates, 0)
         object.__setattr__(self, "bootstrap_replicates", replicates)
-        if (self.gamma is None) == (self.gamma_grid is None):
+        if self.gamma is not None and self.gamma_grid is not None:
             raise ValidationError("exactly one of a fixed gamma or a gamma grid must be chosen")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0))
-        else:
+        elif self.gamma_grid is not None:
             object.__setattr__(self, "gamma_grid", _grid("gamma_grid", self.gamma_grid))
         if self.benchmark_target is not None:
             object.__setattr__(self, "benchmark_target", _real("benchmark_target", self.benchmark_target))
@@ -160,10 +163,7 @@ class RunConfig:
             raise ValidationError(
                 "choose one benchmark form: a weight column or a constraint matrix file"
             )
-        if uses_weight:
-            if self.benchmark_target is None:
-                raise ValidationError("a benchmark_target is required with a weight column")
-        elif self.benchmark_target is not None:
+        if self.benchmark_target is not None and not uses_weight:
             raise ValidationError("benchmark_target requires benchmark_weight_column")
         if uses_matrix and self.benchmark_targets_csv is None:
             raise ValidationError("benchmark_matrix_csv requires benchmark_targets_csv")
@@ -176,7 +176,7 @@ class RunConfig:
         if (
             self.bootstrap_replicates > 0
             and self.bootstrap_gamma_policy == "re-cross-validate"
-            and self.gamma_grid is None
+            and self.gamma is not None
         ):
             raise ValidationError(
                 "bootstrap_gamma_policy = re-cross-validate requires a gamma_grid"
@@ -189,26 +189,10 @@ class RunConfig:
         them) replace the file's values before any is parsed or checked; a
         relative ``output_dir`` entry is relative to the working directory."""
         path, entries = Path(path), entries or {}
-        values = dict(_CONFIG_DEFAULTS)
-        first_line: dict[str, int] = {}
-        for lineno, line in _input_lines(path, "config file"):
-            key, eq, value = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _CONFIG_DEFAULTS:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in first_line:
-                raise ValidationError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
-            first_line[key] = lineno
-            values[key] = value
-        values.update(entries)
-        if len(values) > len(_CONFIG_DEFAULTS):
-            raise ValidationError(f"unknown config keys: {sorted(values.keys() - _CONFIG_DEFAULTS.keys())}")
+        values = _config_values(path, entries)
         missing = [k for k, default in _CONFIG_DEFAULTS.items() if default is None and not values[k]]
         if missing:
             raise ValidationError(f"config {path} missing required keys: {', '.join(missing)}")
-        if not values["output_dir"]:
-            raise ValidationError("config key 'output_dir' must not be empty")
         schema = CsvSchema(
             label=values["label_column"],
             y=values["y_column"],
@@ -219,10 +203,7 @@ class RunConfig:
             group=values["group_column"] or None,
             add_intercept=_parse_bool(values["add_intercept"], "add_intercept"),
         )
-
-        def resolve(key: str) -> Path | None:
-            """A path key's value, relative to the config file (an entry's: the cwd) unless absolute."""
-            return (Path() if key in entries else path.parent) / values[key] if values[key] else None
+        resolve = partial(_config_path, path, entries, values)
 
         def number(key: str, kind: type = int):
             """Value of a numeric key; one that does not parse is a ValidationError."""
@@ -269,6 +250,41 @@ class RunConfig:
             bootstrap_replicates=number("bootstrap_replicates"),
             bootstrap_gamma_policy=values["bootstrap_gamma_policy"],
         )
+
+    @staticmethod
+    def output_dir_from_file(path: str | Path, entries: dict[str, str] | None = None) -> Path:
+        """:meth:`from_file`'s ``output_dir``, without parsing or checking the other settings."""
+        path, entries = Path(path), entries or {}
+        return _config_path(path, entries, _config_values(path, entries), "output_dir")
+
+
+def _config_values(path: Path, entries: dict[str, str]) -> dict[str, str]:
+    """Each config key's value text: ``entries`` over the file's lines over
+    ``_CONFIG_DEFAULTS``.  A line that is not ``key = value``, an unknown or
+    repeated key and an empty ``output_dir`` are ValidationErrors."""
+    values = dict(_CONFIG_DEFAULTS)
+    first_line: dict[str, int] = {}
+    for lineno, line in _input_lines(path, "config file"):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in _CONFIG_DEFAULTS:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValidationError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value
+    values.update(entries)
+    if len(values) > len(_CONFIG_DEFAULTS):
+        raise ValidationError(f"unknown config keys: {sorted(values.keys() - _CONFIG_DEFAULTS.keys())}")
+    if not values["output_dir"]:
+        raise ValidationError("config key 'output_dir' must not be empty")
+    return values
+
+
+def _config_path(path: Path, entries: dict[str, str], values: dict[str, str], key: str) -> Path | None:
+    """A path key's value, relative to the config file (an entry's: the cwd) unless absolute."""
+    return (Path() if key in entries else path.parent) / values[key] if values[key] else None
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +376,7 @@ def _prepare_inputs(config: RunConfig):
 
     constraints = None
     bench_meta = None
-    if config.schema.benchmark_weight is not None:
+    if config.benchmark_target is not None:  # the weight column's target; a gibbs stop may have none
         raw = data.benchmark_weights
         if np.any(raw < 0) or raw.sum() <= 0:
             raise ValidationError("benchmark weight column must be nonnegative with a positive sum")
@@ -398,14 +414,21 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     ``"report"`` writes the report files and returns the report.
     ``"gibbs"`` writes ``fit.csv``, and ``"cross-validation"`` (which needs
     a gamma grid) writes ``cv_curve.csv``; both also write
-    ``metadata.json`` and return None.  Deterministic for a fixed config
-    and seed: every stream derives from the master seed.
+    ``metadata.json`` and return None.  The stops after ``"gibbs"`` need a
+    gamma choice and a weight column's target, checked before the chain.
+    Deterministic for a fixed config and seed: every stream derives from
+    the master seed.
     """
     stops = ("gibbs", "cross-validation", "report")
     if stop_after not in stops:
         raise ValidationError(f"stop_after must be one of {stops}, got {stop_after!r}")
     if stop_after == "cross-validation" and config.gamma_grid is None:
         raise ValidationError("the cv command requires a gamma_grid (not a fixed gamma)")
+    if stop_after != "gibbs":  # the stops that select gamma and benchmark
+        if config.gamma is None and config.gamma_grid is None:
+            raise ValidationError("exactly one of a fixed gamma or a gamma grid must be chosen")
+        if config.schema.benchmark_weight is not None and config.benchmark_target is None:
+            raise ValidationError("a benchmark_target is required with a weight column")
     out = Path(config.output_dir)
     metadata = _base_metadata(config)
 
@@ -610,7 +633,7 @@ def read_report(out_dir: str | Path) -> EstimateReport:
             raise ValidationError(
                 f"non-integer area index in column 'failed_areas' of {cv_path}"
             ) from None
-        curve = CvCurve(grid, scores, float(grid[int(np.argmin(scores))]), failed)
+        curve = CvCurve(grid, scores, failed)
     return EstimateReport(
         labels=tuple(est["label"]),
         **{name: est.floats(name) for name in _REPORT_COLUMNS},

@@ -50,7 +50,6 @@ class CvCurve:
 
     grid: np.ndarray
     scores: np.ndarray
-    gamma_hat: float
     failed_areas: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
@@ -62,18 +61,19 @@ class CvCurve:
             raise ValidationError("scores must align with the grid")
         if np.any(np.isnan(scores)):
             raise ValidationError("scores may not be NaN")
-        finite = np.isfinite(scores)
-        if not np.any(finite):
+        if not np.any(np.isfinite(scores)):
             raise ValidationError("at least one grid point must have a finite score")
-        best = int(np.argmin(scores))
-        if self.gamma_hat != grid[best]:
-            raise ValidationError("gamma_hat must attain the minimum score (smallest-gamma tie-break)")
         failed = self.failed_areas or tuple(() for _ in range(grid.size))
         if len(failed) != grid.size:
             raise ValidationError("failed_areas must align with the grid")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "failed_areas", tuple(tuple(f) for f in failed))
+
+    @property
+    def gamma_hat(self) -> float:
+        """The grid point of the minimum score, the smallest gamma on a tie."""
+        return float(self.grid[np.argmin(self.scores)])
 
 
 def default_gamma_grid(low: float = 1e-4, high: float = 1e2, num: int = 40) -> np.ndarray:
@@ -153,8 +153,7 @@ def cross_validate(
         error = NumericalError(f"all grid points infeasible; areas {always} fail at every grid point")
         error.areas = tuple(always)
         raise error
-    gamma_hat = float(grid[int(np.argmin(scores))])
-    return CvCurve(grid, scores, gamma_hat, tuple(failures))
+    return CvCurve(grid, scores, tuple(failures))
 
 
 def cross_validate_unit(

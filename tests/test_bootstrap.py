@@ -249,16 +249,6 @@ class TestStreamContract:
 
 
 class TestReportValidation:
-    def test_bad_decomposition_rejected(self):
-        reps = np.array([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValidationError, match="decompose"):
-            BootstrapReport(mse=np.array([9.0, 9.0]), bias=np.zeros(2), replicates=reps)
-
-    def test_negative_mse_rejected(self):
-        reps = np.zeros((2, 2))
-        with pytest.raises(ValidationError, match="nonnegative"):
-            BootstrapReport(mse=np.array([-1.0, 0.0]), bias=np.zeros(2), replicates=reps)
-
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n_replicates"):
             BootstrapConfig(n_replicates=0)
@@ -266,16 +256,15 @@ class TestReportValidation:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            pytest.param({"mse": ["a", "b"]}, "mse must be a vector of real numbers", id="mse-text"),
-            pytest.param({"bias": [0.0, "b"]}, "bias must be a vector of real numbers", id="bias-text"),
-            pytest.param({"bias": [0.0, np.nan]}, "bias contains non-finite", id="bias-nan"),
-            pytest.param({"mse": np.zeros(3)}, "mse has length 3, expected 2", id="mse-length"),
+            pytest.param({"theta_bm": [0.0, "b"]}, "theta_bm must be a vector of real numbers", id="theta_bm-text"),
+            pytest.param({"theta_bm": [0.0, np.nan]}, "theta_bm contains non-finite", id="theta_bm-nan"),
+            pytest.param({"theta_bm": np.zeros(3)}, "theta_bm has length 3, expected 2", id="theta_bm-length"),
             pytest.param({"replicates": [["a", "b"]]}, "replicates must be a matrix of real numbers", id="replicates-text"),
             pytest.param({"replicates": np.zeros(2)}, "replicates must be two-dimensional", id="replicates-1d"),
         ],
     )
     def test_bad_fields_are_validation_errors_naming_the_field(self, fields, message):
-        values = {"mse": np.zeros(2), "bias": np.zeros(2), "replicates": np.zeros((2, 2)), **fields}
+        values = {"theta_bm": np.zeros(2), "replicates": np.zeros((2, 2)), **fields}
         with pytest.raises(ValidationError, match=message):
             BootstrapReport(**values)
 
@@ -290,9 +279,10 @@ class TestReportValidation:
     def test_bad_failed_index_rejected(self, failed, message):
         reps = np.full((2, 2), np.nan)
         with pytest.raises(ValidationError, match=message):
-            BootstrapReport(mse=np.zeros(2), bias=np.zeros(2), replicates=reps, failed=failed)
+            BootstrapReport(theta_bm=np.zeros(2), replicates=reps, failed=failed)
 
     def test_failed_replicates_stay_nan_rows(self):
         reps = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]])
-        report = BootstrapReport(mse=np.ones(2), bias=np.zeros(2), replicates=reps, failed=(1,))
+        report = BootstrapReport(theta_bm=np.array([2.0, 3.0]), replicates=reps, failed=(1,))
         assert np.all(np.isnan(report.replicates[1]))
+        assert np.array_equal(report.mse, [1.0, 1.0]) and np.array_equal(report.bias, [0.0, 0.0])

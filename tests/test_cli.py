@@ -16,7 +16,7 @@ import smallarea
 from smallarea.cli import _load_config, build_parser, main
 from smallarea.datasets import synthetic_dataset_path, us_state_borders_path, write_area_csv
 
-from test_pipeline import small_area_csv, write_config
+from test_pipeline import _no_chain, small_area_csv, write_config
 
 
 @pytest.fixture()
@@ -222,6 +222,40 @@ class TestFlagsAreConfigEntries:
         out = cfg.parent / "out"
         assert capsys.readouterr().out == f"{out / written}\n"
         assert (out / written).exists() and not (out / "bootstrap_mse.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [(RECROSS, ["--gamma", "0.5"]), (("gamma = 0.5",), ["--benchmark-target", "15"])],
+        ids=["no-gamma-in-the-file", "no-target-in-the-file"],
+    )
+    @pytest.mark.parametrize("out", [False, True], ids=["config-out", "flag-out"])
+    def test_fit_and_plot_data_need_no_setting_they_do_not_read(self, bundled, capsys, extra, flags, out):
+        cfg = bundled("group_column = group", *extra)
+        where = ["--out", str(cfg.parent / "elsewhere")] if out else []
+        assert main(["fit", "--config", str(cfg), *where]) == 0
+        assert main(["estimate", "--config", str(cfg), *flags, *where]) == 0
+        assert main(["plot-data", "--config", str(cfg), "--kind", "scatter_by_group", *where]) == 0
+        written = cfg.parent / ("elsewhere" if out else "out")
+        assert capsys.readouterr().out.splitlines() == [
+            str(written / name) for name in ("fit.csv", "estimates.csv", "plot_scatter_by_group.csv")
+        ]
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap", "run"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("benchmark_target = 15",), "exactly one of a fixed gamma or a gamma grid must be chosen"),
+            (("gamma = 0.5",), "a benchmark_target is required with a weight column"),
+        ],
+        ids=["no-gamma", "no-target"],
+    )
+    def test_a_run_missing_a_setting_it_reads_exits_2_before_the_chain(
+        self, bundled, capsys, monkeypatch, command, extra, message
+    ):
+        cfg = bundled("bootstrap_replicates = 2", *extra)
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", _no_chain)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_a_config_still_invalid_after_its_flags_exits_2(self, bundled, capsys):
         cfg = bundled("gamma_grid = 0.1,10,3", *RECROSS)

@@ -227,7 +227,7 @@ def _layout(**overrides) -> UnitLevelLayout:
         pytest.param(lambda: smoothed_estimate(["a", "b"], TOY_PHI, TOY_OMEGA, 1.0), "theta_bayes", id="theta-text"),
         pytest.param(lambda: smoothed_estimate([1.0, 3.0], TOY_PHI, TOY_OMEGA, None), "gamma", id="gamma-none"),
         pytest.param(lambda: smoothed_estimate([1.0, 3.0], TOY_PHI, TOY_OMEGA, "x"), "gamma", id="gamma-text"),
-        pytest.param(lambda: CvCurve(["a", "b"], [1.0, 2.0], 1.0), "grid", id="curve-grid-text"),
+        pytest.param(lambda: CvCurve(["a", "b"], [1.0, 2.0]), "grid", id="curve-grid-text"),
         pytest.param(lambda: default_gamma_grid(num=2.5), "num", id="grid-num-fractional"),
     ],
 )
@@ -267,8 +267,8 @@ TEXT = [["a", "b"], ["c", "d"]]
         ),
         pytest.param(lambda: _unit_weights([["a", "b", "c"], ["d", "e", "f"]]), "unit_weights", id="unit-weights-text"),
         pytest.param(lambda: _unit_weights(np.ones((2, 2))), "unit_weights", id="unit-weights-shape"),
-        pytest.param(lambda: CvCurve([0.5, 1.0], ["a", "b"], 0.5), "scores", id="curve-scores-text"),
-        pytest.param(lambda: CvCurve([0.5, 1.0], [[1.0, 2.0]], 0.5), "scores", id="curve-scores-2d"),
+        pytest.param(lambda: CvCurve([0.5, 1.0], ["a", "b"]), "scores", id="curve-scores-text"),
+        pytest.param(lambda: CvCurve([0.5, 1.0], [[1.0, 2.0]]), "scores", id="curve-scores-2d"),
     ],
 )
 def test_bad_matrix_is_a_validation_error_naming_the_field(build, field):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,6 +153,31 @@ class TestGibbsFit:
         data = AreaDataset(tuple("abcdefgh"), y, np.ones(m), np.empty((m, 0)), ())
         with pytest.raises(NumericalError, match="draws overflowed"):
             gibbs_fit(data, GibbsConfig(n_iter=50, n_burn=10, seed=1))
+
+    def test_zero_gamma_draw_is_the_variance_ceiling(self, monkeypatch):
+        # at m = 4 the gamma shape is 1, and standard_gamma(1.0) returns an
+        # exact 0.0 about once in 2^53 draws; no seed search reaches one, so
+        # the chain's gamma stream (its second generator) is made to end in one
+        m = 4
+        y = np.random.default_rng(5).normal(size=m)
+        data = AreaDataset(tuple("abcd"), y, np.ones(m), np.empty((m, 0)), ())
+        config = GibbsConfig(n_iter=50, n_burn=10, seed=1)
+        plain = gibbs_fit(data, config)
+        made, real = [], np.random.Generator
+
+        def zero_last(shape, n):  # the stream's first n - 1 draws, then 0.0
+            return np.append(made[1].standard_gamma(shape, n - 1), 0.0)
+
+        def generator(bits):
+            made.append(real(bits))
+            return SimpleNamespace(standard_gamma=zero_last) if len(made) == 2 else made[-1]
+
+        monkeypatch.setattr(np.random, "Generator", generator)
+        fit = gibbs_fit(data, config)
+        assert len(made) == 2
+        assert fit.sigma_u2_draws[-1] == np.finfo(float).max
+        assert np.array_equal(fit.sigma_u2_draws[:-1], plain.sigma_u2_draws[:-1])
+        assert np.array_equal(fit.theta_draws, plain.theta_draws)
 
     def test_known_variance_matches_conjugate_closed_form(self):
         # with the model variance fixed, the posterior mean has a closed
@@ -683,15 +709,7 @@ class TestEffectiveSampleSize:
     @staticmethod
     def _summary(draws):
         n = draws.shape[0]
-        return PosteriorSummary(
-            theta_bayes=draws.mean(axis=0),
-            theta_draws=draws,
-            beta_mean=np.zeros(1),
-            sigma_u2_mean=1.0,
-            beta_draws=np.zeros((n, 1)),
-            sigma_u2_draws=np.ones(n),
-            seed=0,
-        )
+        return PosteriorSummary(theta_draws=draws, beta_draws=np.zeros((n, 1)), sigma_u2_draws=np.ones(n))
 
     @staticmethod
     def _ar1(rng, n, phi):

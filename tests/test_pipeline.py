@@ -79,6 +79,10 @@ def write_config(tmp_path, area_csv, edge_list, **overrides):
     return path
 
 
+def _no_chain(*args, **kwargs):
+    raise AssertionError("the chain ran")
+
+
 def read_column(path, name):
     with open(path, newline="") as fh:
         return [row[name] for row in csv.DictReader(fh)]
@@ -141,6 +145,12 @@ class TestLoadAreaCsv:
         path = tmp_path / "a.csv"
         path.write_text("label,y,D,x,y\na,1.0,0.5,0.1,7.0\nb,2.0,0.5,0.2,8.0\nc,3.0,0.5,0.3,9.0\n")
         with pytest.raises(ValidationError, match=rf"^repeated column 'y' in {re.escape(str(path))}$"):
+            load_area_csv(path, CsvSchema(covariates=("x",)))
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("label,y,D,x\n")
+        with pytest.raises(ValidationError, match=rf"^area CSV {re.escape(str(path))} has no data rows$"):
             load_area_csv(path, CsvSchema(covariates=("x",)))
 
     def test_explicit_phi_column(self, tmp_path):
@@ -206,6 +216,22 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match=rf"run.cfg:{repeat}: config key 'seed' repeats line {first}$"):
             RunConfig.from_file(cfg)
 
+    def test_line_without_equals_names_the_line(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges)
+        lines = cfg.read_text().splitlines()
+        cfg.write_text("\n".join([*lines, "gamma_grid 0.1,10,3"]) + "\n")
+        with pytest.raises(ValidationError, match=rf"run.cfg:{len(lines) + 1}: expected 'key = value'$"):
+            RunConfig.from_file(cfg)
+
+    def test_add_intercept_is_true_or_false(self, tmp_path):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges, add_intercept="false")
+        assert RunConfig.from_file(cfg).schema.add_intercept is False
+        cfg = write_config(tmp_path, area, edges, add_intercept="maybe")
+        with pytest.raises(ValidationError, match="^config key 'add_intercept': expected true/false, got 'maybe'$"):
+            RunConfig.from_file(cfg)
+
     def test_readme_table_lists_every_key_and_its_default(self):
         """README's "All keys" table names exactly the config keys, and each
         row's defaults are the non-empty ones of ``_CONFIG_DEFAULTS``, in
@@ -232,11 +258,15 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="exactly one"):
             RunConfig.from_file(cfg)
 
-    def test_neither_gamma_nor_grid_rejected(self, tmp_path):
+    def test_neither_gamma_nor_grid_rejected(self, tmp_path, monkeypatch):
+        # the chain reads no gamma: a config without one runs to the gibbs
+        # stop, and a run to the report fails before the chain
         _, area, edges = small_area_csv(tmp_path)
-        cfg = write_config(tmp_path, area, edges, gamma="")
-        with pytest.raises(ValidationError, match="exactly one"):
-            RunConfig.from_file(cfg)
+        config = RunConfig.from_file(write_config(tmp_path, area, edges, gamma=""))
+        assert run_pipeline(config, stop_after="gibbs") is None
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", _no_chain)
+        with pytest.raises(ValidationError, match="^exactly one of a fixed gamma or a gamma grid must be chosen$"):
+            run_pipeline(config)
 
     def test_grid_spec_parsing(self, tmp_path):
         _, area, edges = small_area_csv(tmp_path)
@@ -247,11 +277,19 @@ class TestRunConfig:
         assert config.gamma_grid[0] == pytest.approx(0.01)
         assert config.gamma_grid[-1] == pytest.approx(10.0)
 
-    def test_weight_benchmark_requires_target(self, tmp_path):
+    def test_weight_benchmark_requires_target(self, tmp_path, monkeypatch):
+        # the chain reads no target: a config without one runs to the gibbs
+        # stop, and the stops that benchmark fail before the chain
         _, area, edges = small_area_csv(tmp_path)
-        cfg = write_config(tmp_path, area, edges, benchmark_weight_column="benchmark_weight")
-        with pytest.raises(ValidationError, match="benchmark_target"):
-            RunConfig.from_file(cfg)
+        cfg = write_config(
+            tmp_path, area, edges, benchmark_weight_column="benchmark_weight", gamma="", gamma_grid="0.1,10,3"
+        )
+        config = RunConfig.from_file(cfg)
+        assert run_pipeline(config, stop_after="gibbs") is None
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", _no_chain)
+        for stop_after in ("cross-validation", "report"):
+            with pytest.raises(ValidationError, match="^a benchmark_target is required with a weight column$"):
+                run_pipeline(config, stop_after=stop_after)
 
     def test_recv_policy_requires_grid(self, tmp_path):
         _, area, edges = small_area_csv(tmp_path)
@@ -282,6 +320,23 @@ class TestRunConfig:
         (tmp_path / "t.csv").write_text("10.0\n")
         cfg = write_config(tmp_path, area, edges, benchmark_targets_csv="t.csv")
         with pytest.raises(ValidationError, match="benchmark_targets_csv requires benchmark_matrix_csv"):
+            RunConfig.from_file(cfg)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (
+                {"benchmark_weight_column": "w", "benchmark_target": "10", "benchmark_matrix_csv": "M.csv"},
+                "choose one benchmark form: a weight column or a constraint matrix file",
+            ),
+            ({"benchmark_matrix_csv": "M.csv"}, "benchmark_matrix_csv requires benchmark_targets_csv"),
+        ],
+        ids=["weight-column-and-matrix", "matrix-without-targets"],
+    )
+    def test_contradicting_benchmark_settings_rejected(self, tmp_path, settings, message):
+        _, area, edges = small_area_csv(tmp_path)
+        cfg = write_config(tmp_path, area, edges, **settings)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             RunConfig.from_file(cfg)
 
     @pytest.mark.parametrize(
@@ -346,16 +401,18 @@ class TestRunConfig:
 
     def test_entries_are_applied_before_the_checks(self, tmp_path):
         _, area, edges = small_area_csv(tmp_path)
-        cfg = write_config(tmp_path, area, edges, gamma="")
+        cfg = write_config(tmp_path, area, edges, gamma_grid="0.1,10,3")
         with pytest.raises(ValidationError, match="exactly one of a fixed gamma or a gamma grid"):
             RunConfig.from_file(cfg)
-        config = RunConfig.from_file(cfg, {"gamma_grid": "0.1,10,3", "output_dir": "rel"})
+        config = RunConfig.from_file(cfg, {"gamma": "", "output_dir": "rel"})
         np.testing.assert_allclose(config.gamma_grid, [0.1, 1.0, 10.0], rtol=1e-15)
         assert config.output_dir == Path("rel")  # an entry's path is not joined to the config's directory
+        assert RunConfig.output_dir_from_file(cfg, {"output_dir": "rel"}) == Path("rel")
+        assert RunConfig.output_dir_from_file(cfg) == tmp_path / "out"
         with pytest.raises(ValidationError, match=re.escape("config key 'seed': expected an integer, got 'x'")):
-            RunConfig.from_file(cfg, {"gamma": "0.5", "seed": "x"})
+            RunConfig.from_file(cfg, {"gamma": "", "seed": "x"})
         with pytest.raises(ValidationError, match=re.escape("unknown config keys: ['mystery']")):
-            RunConfig.from_file(cfg, {"gamma": "0.5", "mystery": "1"})
+            RunConfig.from_file(cfg, {"gamma": "", "mystery": "1"})
 
     def test_empty_output_dir_rejected(self, tmp_path):
         _, area, edges = small_area_csv(tmp_path)
@@ -425,6 +482,32 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match=rf"M.csv:2: expected {m} entries, got {m - 1}"):
             run_pipeline(RunConfig.from_file(cfg))
 
+    @pytest.mark.parametrize(
+        "rows, targets, message",
+        [
+            (["1.0,x"], "10.0\n", r"M\.csv:1: non-numeric entry$"),
+            (["1.0,1.0"], "10.0\n", r"benchmark matrix must have 8 columns, got shape \(1, 2\)$"),
+            (["1.0," * 7 + "1.0"] * 2, "10.0\n", r"benchmark matrix has 2 rows but 1 targets$"),
+        ],
+        ids=["non-numeric", "column-count", "more-rows-than-targets"],
+    )
+    def test_bad_benchmark_matrix_rejected(self, tmp_path, rows, targets, message):
+        _, area, edges = small_area_csv(tmp_path)
+        (tmp_path / "M.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "t.csv").write_text(targets)
+        cfg = write_config(tmp_path, area, edges, benchmark_matrix_csv="M.csv", benchmark_targets_csv="t.csv")
+        with pytest.raises(ValidationError, match=r"^\[stage load\] .*" + message):
+            run_pipeline(RunConfig.from_file(cfg))
+
+    @pytest.mark.parametrize("weights", [[-1.0, *[1.0] * 7], [0.0] * 8], ids=["negative", "zero-sum"])
+    def test_bad_weight_column_rejected(self, tmp_path, weights):
+        data, area, edges = small_area_csv(tmp_path)
+        write_area_csv(replace(data, benchmark_weights=np.array(weights)), area)
+        cfg = write_config(tmp_path, area, edges, benchmark_weight_column="benchmark_weight", benchmark_target="10")
+        message = "[stage load] benchmark weight column must be nonnegative with a positive sum"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_pipeline(RunConfig.from_file(cfg))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("target", [False, True], ids=["matrix", "targets"])
     def test_non_finite_benchmark_entry_names_the_line(self, tmp_path, target, bad):
@@ -444,11 +527,7 @@ class TestRunPipeline:
         _, area, edges = small_area_csv(tmp_path)
         (tmp_path / "taken").write_text("a file\n")
         cfg = write_config(tmp_path, area, edges, output_dir=output_dir)
-
-        def no_chain(*args, **kwargs):
-            raise AssertionError("the chain ran")
-
-        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", no_chain)
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", _no_chain)
         with pytest.raises(ValidationError, match=r"\[stage load\] output_dir .*taken exists and is not a directory"):
             run_pipeline(RunConfig.from_file(cfg))
         assert (tmp_path / "taken").read_text() == "a file\n"
@@ -1004,7 +1083,7 @@ class TestReportIo:
             theta_smoothed=np.array([0.5, 1e-20, 123456789.0]),
             theta_benchmarked=np.array([0.2, 2.5, -1.0 / 7.0]),
             groups=None,
-            cv=CvCurve(np.array([0.1, 1.0]), np.array([np.inf, 0.75]), 1.0, ((0, 2), ())),
+            cv=CvCurve(np.array([0.1, 1.0]), np.array([np.inf, 0.75]), ((0, 2), ())),
             mse=np.array([0.01, 2.0, 0.5]),
             bias=np.array([-0.1, 0.0, 1.0 / 3.0]),
             metadata={"seed": 0},
@@ -1086,6 +1165,15 @@ class TestReportIo:
                 "cv_curve.csv", "0.10000000000000001,inf,0;2\n1,0.75,\n", "",
                 r"cv_curve\.csv has no data rows",
                 id="empty-cv-curve",
+            ),
+            pytest.param(
+                "estimates.csv",
+                "a,0.10000000000000001,1,0.33333333333333331,0.5,0.20000000000000001,\n"
+                "b,2,0.25,2,9.9999999999999995e-21,2.5,\n"
+                "c,-3.5,2,-3,123456789,-0.14285714285714285,\n",
+                "",
+                r"estimates\.csv has no data rows",
+                id="empty-estimates",
             ),
             pytest.param(
                 "bootstrap_mse.csv", "c,0.5,0.33333333333333331\n", "", "report column mse must have 3 rows",

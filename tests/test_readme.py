@@ -1,5 +1,6 @@
-"""README.md's examples run as written."""
+"""README.md's examples run as written, and the tests it names exist."""
 
+import ast
 import re
 import shlex
 import shutil
@@ -58,3 +59,26 @@ def test_readme_commands_run(example_config, monkeypatch, capsys):
         assert main(argv) == 0, argv
         printed = capsys.readouterr().out.strip()
         assert Path(printed).exists(), (argv, printed)
+
+
+def _defined_tests(path):
+    """The ids, after ``path::``, of the tests a module defines: its ``test*``
+    functions and the ``test*`` methods of its ``Test*`` classes."""
+    tests = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+            tests.add(node.name)
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+            tests.update(
+                f"{node.name}::{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name.startswith("test")
+            )
+    return tests
+
+
+def test_readme_names_only_tests_that_exist():
+    named = re.findall(r"`(tests/\w+\.py)::([\w:]+)`", TEXT)
+    assert len(named) >= 27
+    missing = [f"{path}::{test}" for path, test in named if test not in _defined_tests(README.parent / path)]
+    assert missing == []

@@ -86,6 +86,11 @@ class TestLooSolution:
         with pytest.raises(ValidationError, match="area index must be an integer"):
             loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, index)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_must_name_an_area(self, index):
+        with pytest.raises(ValidationError, match=rf"^area index {index} out of range \[0, 2\)$"):
+            loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, index)
+
     def test_numpy_integer_index(self):
         got = loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, np.int64(1))
         np.testing.assert_array_equal(got, loo_solution(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, 1))
@@ -513,17 +518,17 @@ class TestDefaultGrid:
 
 
 class TestCvCurve:
-    def test_gamma_hat_must_attain_minimum(self):
-        with pytest.raises(ValidationError, match="gamma_hat"):
-            CvCurve(np.array([0.5, 1.0]), np.array([1.0, 2.0]), 1.0)
+    def test_gamma_hat_is_the_smallest_minimizer(self):
+        curve = CvCurve(np.array([0.5, 1.0, 2.0, 4.0]), np.array([np.inf, 1.0, 3.0, 1.0]))
+        assert curve.gamma_hat == 1.0 and type(curve.gamma_hat) is float
 
     def test_grid_must_increase(self):
         with pytest.raises(ValidationError, match="increasing"):
-            CvCurve(np.array([1.0, 0.5]), np.array([1.0, 2.0]), 1.0)
+            CvCurve(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
 
     def test_nan_scores_rejected(self):
         with pytest.raises(ValidationError, match="NaN"):
-            CvCurve(np.array([0.5, 1.0]), np.array([np.nan, 2.0]), 1.0)
+            CvCurve(np.array([0.5, 1.0]), np.array([np.nan, 2.0]))
 
 
 class TestCrossValidateUnit:
