@@ -15,10 +15,12 @@ NumericalError.  For the held-out fits of ``selection`` it also keeps, at
 the last gamma, the m held-out fits of one theta, formed at once from the
 full fit and the hat-matrix columns A e_i, so that each held-out fit is a
 copy of one row; and :func:`_batch_estimates` solves a (B, m) batch of
-thetas at once, as the bootstrap does for its replicates.
-A caller that solves many times, such as the pipeline's estimates,
-cross-validation and bootstrap, passes the solver in place of omega; a
-call with a plain omega builds a one-off solver.
+thetas at once, as the bootstrap does for its replicates.  A run at one
+fixed gamma, which shares no decomposition between gammas, uses its
+subclass that solves each time by LU where Gershgorin's discs certify
+the system.  A caller that solves many times, such as the pipeline's
+estimates, cross-validation and bootstrap, passes the solver in place of
+omega; a call with a plain omega builds a one-off eigen solver.
 :func:`benchmarked_estimate` is the one constrained estimate: the single
 weighted-mean benchmark and the unit-level (two-tier) benchmark are calls
 to it, and multivariate problems reduce to it through block stacking.
@@ -108,6 +110,16 @@ def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | N
     return theta, solver, _real("gamma", gamma, 0)
 
 
+def _projector(gram, sm):
+    """The projector S M' (M S M')^{-1} from S M' and the Gram matrix
+    M S M'; a Gram matrix whose condition number exceeds _CONDITION_LIMIT
+    is a NumericalError."""
+    gram = 0.5 * (gram + gram.T)
+    if not np.linalg.cond(gram) <= _CONDITION_LIMIT:
+        raise NumericalError("degenerate or redundant constraints")
+    return np.linalg.solve(gram, sm.T).T
+
+
 class _SigmaSolver:
     """Solves with Sigma(gamma) = Phi + gamma * omega for one validated
     (phi, omega, constraints).
@@ -123,7 +135,8 @@ class _SigmaSolver:
     from the condition-checked Gram matrix W' diag(f) W once a constrained
     solve needs it, and the last :meth:`held_out` fits, keyed by
     ``constrained`` and the bytes of theta.  A solver lives as long as the
-    caller that built it holds it.
+    caller that built it holds it.  The decomposition pays for itself over
+    a grid of gammas; :class:`_OneGammaSolver` serves a run at one gamma.
     """
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
@@ -158,13 +171,17 @@ class _SigmaSolver:
         _, f, proj = self._last
         if constrained and proj is None:
             fw = f[:, None] * W
-            gram = W.T @ fw
-            gram = 0.5 * (gram + gram.T)
-            if not np.linalg.cond(gram) <= _CONDITION_LIMIT:
-                raise NumericalError("degenerate or redundant constraints")
-            proj = np.linalg.solve(gram, (U @ fw).T).T
+            proj = _projector(W.T @ fw, U @ fw)
             self._last = g, f, proj
         return f, proj
+
+    def _onto_constraints(self, d, proj):
+        """``d`` moved onto M d = t through the projector, in place."""
+        # one step leaves M d - t at about cond(Gram) * eps; a second
+        # (iterative refinement) squares that factor
+        for _ in range(2):
+            d += (self.constraints.t - d @ self.constraints.M.T) @ proj.T
+        return d
 
     @property
     def held_out_key(self) -> bytes | None:
@@ -182,12 +199,7 @@ class _SigmaSolver:
         # thetas are rows: x @ U is U' x, so one theta costs two
         # matrix-vector products and a batch two matrix products
         d = ((self.phi * theta) @ U * f) @ U.T
-        if constrained:
-            # one step leaves M d - t at about cond(Gram) * eps; a second
-            # (iterative refinement) squares that factor
-            for _ in range(2):
-                d += (self.constraints.t - d @ self.constraints.M.T) @ proj.T
-        return d
+        return self._onto_constraints(d, proj) if constrained else d
 
     def held_out(self, theta, g: float, constrained: bool = False):
         """The m held-out fits at gamma ``g`` and the mask of identified
@@ -218,6 +230,57 @@ class _SigmaSolver:
             identified = (gap > (f[0] / f[-1]) / _CONDITION_LIMIT) & np.isfinite(fits).all(axis=1)
             self._table = table = (constrained, key, fits, identified)
         return table[2], table[3]
+
+
+class _OneGammaSolver(_SigmaSolver):
+    """A :class:`_SigmaSolver` for a run at one fixed gamma, where no grid
+    shares an eigendecomposition: each :meth:`solve` is one LU solve of
+    I + gamma K against [Phi^{1/2} theta rows, Phi^{-1/2} M'], scaled by
+    Phi^{-1/2}, and the Gram matrix M S M' comes from the same solve.
+
+    It takes that route only when Gershgorin's discs certify I + gamma K:
+    with every eigenvalue of K in [lo, hi], 1 + gamma lo > 0 and
+    (1 + gamma hi)/(1 + gamma lo) <= _CONDITION_LIMIT make a system the
+    eigen route accepts too.  hi is the top of K's discs; lo is the bottom
+    of K's discs or, if higher, the bound that omega's discs give through
+    x'Kx = (r x)' omega (r x), r = Phi^{-1/2}: scaling by r breaks the
+    diagonal dominance of a graph Laplacian omega, whose own discs show
+    K >= 0.  At any other gamma :meth:`solve` is :class:`_SigmaSolver`'s,
+    refusals and messages included; :meth:`held_out`, which a fixed-gamma
+    run never calls, is inherited and takes the eigendecomposition."""
+
+    def __init__(self, phi, omega, constraints=None, size: int | None = None):
+        super().__init__(phi, omega, constraints, size)
+        # the discs of omega and of K = r omega r, both from |omega|
+        r = 1.0 / np.sqrt(self.phi)
+        centre, mag = np.diagonal(self.omega), np.abs(self.omega)
+        w_lo = np.min(centre - (mag.sum(axis=1) - np.abs(centre)))
+        k_radius = r * (mag @ r) - r * r * np.abs(centre)
+        lo = np.min(r * r * centre - k_radius)
+        hi = np.max(r * r * centre + k_radius)
+        lo = max(lo, w_lo * np.max(r * r) if w_lo < 0 else w_lo * np.min(r * r))
+        self._bounds = float(lo), float(hi)  # every eigenvalue of K lies in [lo, hi]
+
+    def solve(self, theta, g: float, constrained: bool = False):
+        lo, hi = self._bounds
+        low, high = 1.0 + g * lo, 1.0 + g * hi
+        if not (low > 0 and high / low <= _CONDITION_LIMIT):
+            return super().solve(theta, g, constrained)
+        root = np.sqrt(self.phi)
+        a = self.omega / root[:, None]
+        a *= g / root
+        a[np.diag_indices_from(a)] += 1.0
+        rows = np.atleast_2d(theta)
+        rhs = (root * rows).T
+        if constrained:
+            M = self.constraints.M
+            rhs = np.hstack((rhs, M.T / root[:, None]))
+        x = np.linalg.solve(a, rhs) / root[:, None]
+        d = x[:, : len(rows)].T.reshape(np.shape(theta))
+        if not constrained:
+            return d
+        sm = x[:, len(rows) :]  # S M'
+        return self._onto_constraints(d, _projector(M @ sm, sm))
 
 
 @dataclass(frozen=True)
@@ -400,7 +463,9 @@ def _batch_estimates(thetas: np.ndarray, solver: _SigmaSolver, g: float, constra
     """Row b is, up to roundoff, :func:`smoothed_estimate` of row b of the
     (B, m) ``thetas`` at gamma ``g`` alone, or :func:`benchmarked_estimate`
     under the solver's constraints when ``constrained``; an unconstrained
-    row at g = 0 is its theta exactly.  One solve serves every row.  A row
+    row at g = 0 is its theta exactly.  One solve serves every row: two
+    matrix products with the eigen basis, or one LU solve with B
+    right-hand sides for a :class:`_OneGammaSolver`.  A row
     that is not finite, or whose estimate is not finite or exceeds the
     residual bound, is a NaN row; an ill-conditioned Sigma or Gram matrix
     is a NumericalError."""

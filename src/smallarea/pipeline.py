@@ -37,6 +37,7 @@ from .datasets import CsvSchema, _read_table, _write_table, load_area_csv
 from .estimators import (
     ConstraintSet,
     _batch_estimates,
+    _OneGammaSolver,
     _residual_bound,
     _SigmaSolver,
     benchmarked_estimate,
@@ -366,36 +367,39 @@ def _load_benchmark_matrix(config: RunConfig, m: int) -> ConstraintSet:
     return ConstraintSet(M, t)
 
 
-def _prepare_inputs(config: RunConfig):
-    """Load stage: dataset, penalty matrix, loss weights, and constraints."""
+def _prepare_inputs(config: RunConfig, benchmark: bool = True):
+    """Load stage: dataset, penalty matrix, loss weights, and, when
+    ``benchmark``, the constraints and their metadata (else None)."""
     data = load_area_csv(config.area_csv, config.schema)
     edges = read_edge_list(config.edge_list)
     spec = load_adjacency(edges, data.labels)
     omega = build_omega(spec)
-    phi = data.phi
+    constraints, bench_meta = _load_constraints(config, data) if benchmark else (None, None)
+    return data, omega, data.phi, constraints, bench_meta
 
-    constraints = None
-    bench_meta = None
-    if config.benchmark_target is not None:  # the weight column's target; a gibbs stop may have none
+
+def _load_constraints(config: RunConfig, data):
+    """The run's benchmark constraints and their metadata; (None, None) without a benchmark."""
+    if config.benchmark_target is not None:
         raw = data.benchmark_weights
         if np.any(raw < 0) or raw.sum() <= 0:
             raise ValidationError("benchmark weight column must be nonnegative with a positive sum")
         weights = raw / raw.sum()
         constraints = ConstraintSet(weights[np.newaxis, :], np.array([config.benchmark_target]))
-        bench_meta = {
+        return constraints, {
             "kind": "weighted-mean",
             "target": config.benchmark_target,
             "weight_column_sum": float(raw.sum()),
             "provenance": config.benchmark_provenance,
         }
-    elif config.benchmark_matrix_csv is not None:
+    if config.benchmark_matrix_csv is not None:
         constraints = _load_benchmark_matrix(config, data.m)
-        bench_meta = {
+        return constraints, {
             "kind": "matrix",
             "target": [float(v) for v in constraints.t],
             "provenance": config.benchmark_provenance,
         }
-    return data, omega, phi, constraints, bench_meta
+    return None, None
 
 
 def _base_metadata(config: RunConfig) -> dict:
@@ -437,12 +441,16 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         base = next(p for p in (out, *out.parents) if p.exists())
         if not base.is_dir():
             raise ValidationError(f"output_dir {out}: {base} exists and is not a directory")
-        data, omega, phi, constraints, bench_meta = _prepare_inputs(config)
+        smooths = stop_after != "gibbs"  # the stops that benchmark and solve with Sigma
+        data, omega, phi, constraints, bench_meta = _prepare_inputs(config, smooths)
         if stop_after == "report" and config.bootstrap_replicates > 0:  # fail before the chain
             _check_sampling_variance(data)
-        # every estimator call of the run, bootstrap included, solves with
-        # this one (phi, omega, constraints) and its one eigendecomposition
-        solver = _SigmaSolver(phi, omega, constraints)
+        if smooths:
+            # every estimator call of the run, bootstrap included, solves
+            # with this one (phi, omega, constraints): a grid's solver takes
+            # one eigendecomposition for all its gammas, a fixed gamma's
+            # solves without one
+            solver = (_SigmaSolver if config.gamma is None else _OneGammaSolver)(phi, omega, constraints)
 
     with _stage("gibbs"):
         summary = gibbs_fit(data, replace(config.gibbs, seed=config.seed))

@@ -39,21 +39,32 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
-    def test_numerical_error_exits_3(self, workspace, capsys):
+    @pytest.mark.parametrize("case", ["degenerate-constraints", "ill-conditioned-sigma"])
+    def test_numerical_error_exits_3(self, workspace, capsys, case):
         tmp_path, data, area, edges = workspace
-        m = data.m
-        w = np.full(m, 1.0 / m)
-        M = np.vstack([w, w])
-        M[1, 0] += 1e-8
-        (tmp_path / "M.csv").write_text(
-            "\n".join(",".join(repr(float(v)) for v in row) for row in M) + "\n"
-        )
-        (tmp_path / "t.csv").write_text("10.0\n10.0\n")
-        cfg = write_config(
-            tmp_path, area, edges, benchmark_matrix_csv="M.csv", benchmark_targets_csv="t.csv"
-        )
-        assert main(["run", "--config", str(cfg)]) == 3
-        assert "degenerate" in capsys.readouterr().err
+        if case == "degenerate-constraints":
+            m = data.m
+            w = np.full(m, 1.0 / m)
+            M = np.vstack([w, w])
+            M[1, 0] += 1e-8
+            (tmp_path / "M.csv").write_text(
+                "\n".join(",".join(repr(float(v)) for v in row) for row in M) + "\n"
+            )
+            (tmp_path / "t.csv").write_text("10.0\n10.0\n")
+            cfg = write_config(
+                tmp_path, area, edges, benchmark_matrix_csv="M.csv", benchmark_targets_csv="t.csv"
+            )
+            args, message = ["run"], "degenerate"
+        else:
+            # the bundled fixture at a gamma whose scaled Sigma has a
+            # condition number beyond the limit
+            area = Path(shutil.copy(synthetic_dataset_path(), tmp_path))
+            edges = Path(shutil.copy(us_state_borders_path(), tmp_path))
+            cfg = write_config(tmp_path, area, edges, covariate_columns="tax_poverty_rate,nonfiler_rate,foodstamp_rate")
+            args = ["estimate", "--gamma", "1e13"]
+            message = "[stage estimate] smoothing system is singular or ill-conditioned at gamma=1e+13\n"
+        assert main([*args, "--config", str(cfg)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_overflowing_chain_exits_3(self, workspace, capsys):
         # responses near 1e160 square past the largest float in the chain
@@ -111,10 +122,21 @@ class TestExitCodes:
             path.unlink()
             if fault == "directory":
                 path.mkdir()
-        assert main(["fit", "--config", str(cfg)]) == 2
+        command = "estimate" if key.startswith("benchmark_") else "fit"  # fit reads no benchmark file
+        assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert what in err and str(path) in err
+
+    def test_fit_reads_no_benchmark_file(self, workspace, capsys):
+        tmp_path, _, area, edges = workspace
+        (tmp_path / "M.csv").write_text("1.0,1.0\n")  # 2 columns for 8 areas
+        (tmp_path / "t.csv").write_text("10.0\n")
+        cfg = write_config(tmp_path, area, edges, benchmark_matrix_csv="M.csv", benchmark_targets_csv="t.csv")
+        assert main(["fit", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "fit.csv").exists()
+        assert main(["estimate", "--config", str(cfg)]) == 2
+        assert "[stage load] benchmark matrix must have 8 columns, got shape (1, 2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, config_values, flags, message",

@@ -20,9 +20,22 @@ from smallarea import (
     unit_level_benchmarked,
     unit_level_smoothed,
 )
-from smallarea.estimators import _CONDITION_LIMIT, _batch_estimates, _residual_bound, _SigmaSolver
+from smallarea.estimators import (
+    _CONDITION_LIMIT,
+    _batch_estimates,
+    _OneGammaSolver,
+    _residual_bound,
+    _SigmaSolver,
+)
 
-from oracles import condition_numbers, count_eigendecompositions, kkt_solve, quad_minimize, random_instance
+from oracles import (
+    condition_numbers,
+    count_eigendecompositions,
+    count_solves,
+    kkt_solve,
+    quad_minimize,
+    random_instance,
+)
 from test_selection import _close, _floats, _wide_weights, held_out_problems
 
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
@@ -488,12 +501,16 @@ class TestMultivariateStack:
 # pipeline shares between its calls.  held_out_problems builds omega with
 # build_omega, so omega annihilates constants.  Derandomized, so every run
 # of the suite checks the same examples.
+@pytest.mark.parametrize("solver_class", [_SigmaSolver, _OneGammaSolver], ids=["eigen", "one-gamma"])
 class TestInvariants:
+    """Each invariant holds for both solvers: the eigen route serves a grid,
+    the one-gamma route a fixed-gamma run."""
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(held_out_problems())
-    def test_zero_gamma_returns_theta_exactly(self, problem):
+    def test_zero_gamma_returns_theta_exactly(self, solver_class, problem):
         theta, phi, omega, gamma, _, constraints = problem
-        solver = _SigmaSolver(phi, omega, constraints)
+        solver = solver_class(phi, omega, constraints)
         solver.solve(theta, gamma)  # the solver has served another gamma first
         np.testing.assert_array_equal(smoothed_estimate(theta, phi, solver, 0.0).values, theta)
         np.testing.assert_array_equal(smoothed_estimate(theta, phi, omega, 0.0).values, theta)
@@ -503,14 +520,14 @@ class TestInvariants:
         held_out_problems(weights=lambda m: _floats(m, -1.0, 2.0).map(lambda e: 10.0**e)),
         st.floats(-100.0, 100.0),
     )
-    def test_constants_pass_through(self, problem, c):
+    def test_constants_pass_through(self, solver_class, problem, c):
         # Sigma 1 c = Phi 1 c, so the smoothed estimate of a constant is that
         # constant, and so is the benchmarked one when the constant meets M d = t
         theta, phi, omega, gamma, _, constraints = problem
         const = np.full(len(theta), c)
         if constraints is not None:
             constraints = ConstraintSet(constraints.M, constraints.M @ const)
-        solver = _SigmaSolver(phi, omega, constraints)
+        solver = solver_class(phi, omega, constraints)
         tol = 1e-12 * (1.0 + abs(c))
         got = [smoothed_estimate(const, phi, solver, gamma).values]
         if constraints is not None:
@@ -525,10 +542,10 @@ class TestInvariants:
             gammas=st.sampled_from([1e-4, 1e-2, 1.0, 1e2]),
         )
     )
-    def test_benchmarked_residual_within_bound(self, problem):
+    def test_benchmarked_residual_within_bound(self, solver_class, problem):
         theta, phi, omega, gamma, _, constraints = problem
         assume(constraints is not None)
-        solver = _SigmaSolver(phi, omega, constraints)
+        solver = solver_class(phi, omega, constraints)
         values = solver.solve(theta, gamma, constrained=True)
         residual = np.max(np.abs(constraints.M @ values - constraints.t))
         assert residual <= _residual_bound(constraints.t)
@@ -541,14 +558,14 @@ class TestInvariants:
         held_out_problems(weights=_wide_weights, gammas=st.sampled_from([1e-4, 1e2])),
         st.floats(-100.0, 100.0),
     )
-    def test_invariants_over_twelve_decades_of_weights(self, problem, c):
+    def test_invariants_over_twelve_decades_of_weights(self, solver_class, problem, c):
         # the same invariants with loss weights over twelve decades, to within
         # machine epsilon times the oracle's condition numbers (see
         # test_selection.test_wide_weights_at_the_grid_ends)
         theta, phi, omega, gamma, _, constraints = problem
         M = None if constraints is None else constraints.M
         kappa, gram = condition_numbers(phi, omega, gamma, M)
-        solver = _SigmaSolver(phi, omega, constraints)
+        solver = solver_class(phi, omega, constraints)
         solver.solve(theta, gamma)
         np.testing.assert_array_equal(smoothed_estimate(theta, phi, solver, 0.0).values, theta)
         const = np.full(len(theta), c)
@@ -557,12 +574,12 @@ class TestInvariants:
             values = solver.solve(theta, gamma, constrained=True)
             assert np.max(np.abs(M @ values - constraints.t)) <= _residual_bound(constraints.t)
             on_target = ConstraintSet(M, M @ const)
-            fit = benchmarked_estimate(const, phi, omega, gamma, on_target).values
+            fit = benchmarked_estimate(const, phi, solver_class(phi, omega, on_target), gamma, on_target).values
             assert _close(fit, const, const, phi, 1e-13 * kappa * gram)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(held_out_problems(weights=_wide_weights, gammas=st.floats(-4.0, 2.0).map(lambda e: 10.0**e)))
-    def test_benchmarked_over_twelve_decades_of_weights(self, problem):
+    def test_benchmarked_over_twelve_decades_of_weights(self, solver_class, problem):
         # wherever the bordered KKT system solves, the benchmarked estimate is
         # within machine epsilon times the oracle's condition numbers of it,
         # and a refusal comes from a condition number, never from the
@@ -573,7 +590,7 @@ class TestInvariants:
         want = kkt_solve(theta, phi, omega, gamma, constraints.M, constraints.t)
         kappa, gram = condition_numbers(phi, omega, gamma, constraints.M)
         try:
-            got = benchmarked_estimate(theta, phi, omega, gamma, constraints).values
+            got = benchmarked_estimate(theta, phi, solver_class(phi, omega, constraints), gamma, constraints).values
         except NumericalError as err:
             assert "residual" not in str(err)
             assert max(kappa, gram) > _CONDITION_LIMIT / 10
@@ -582,7 +599,7 @@ class TestInvariants:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(held_out_problems(gammas=st.sampled_from([0.0, 1e-2, 1.0, 1e2])), st.integers(0, 2**32 - 1))
-    def test_batch_rows_equal_their_estimates_alone(self, problem, seed):
+    def test_batch_rows_equal_their_estimates_alone(self, solver_class, problem, seed):
         # each row of one batched solve is the estimate of that row alone to
         # within 1e-13 relative: the two differ only in the summation order
         # of the matrix products.  A NaN row stays one NaN row, and at
@@ -590,7 +607,7 @@ class TestInvariants:
         theta, phi, omega, gamma, _, constraints = problem
         thetas = theta + np.random.default_rng(seed).normal(size=(5, len(theta)))
         thetas[2, -1] = np.nan
-        solver = _SigmaSolver(phi, omega, constraints)
+        solver = solver_class(phi, omega, constraints)
         for constrained in {False, constraints is not None}:
             batch = _batch_estimates(thetas, solver, gamma, constrained)
             assert np.isnan(batch[2]).all()
@@ -605,7 +622,7 @@ class TestInvariants:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(held_out_problems(weights=_wide_weights), st.floats(0.1, 10.0))
-    def test_one_negative_eigenvalue(self, problem, mu):
+    def test_one_negative_eigenvalue(self, solver_class, problem, mu):
         # omega - (mu/m) 11' has one negative eigenvalue, as has the pencil
         # (omega, Phi): Sigma(gamma) is positive definite exactly for gamma
         # below g = -1/lam_min.  At g/2 the estimates are the KKT solution;
@@ -616,7 +633,7 @@ class TestInvariants:
         M, t = (None, None) if constraints is None else (constraints.M, constraints.t)
         kappa, gram = condition_numbers(phi, omega, g / 2, M)
         assert kappa <= _CONDITION_LIMIT / 2
-        solver = _SigmaSolver(phi, omega, constraints)
+        solver = solver_class(phi, omega, constraints)
         smooth = smoothed_estimate(theta, phi, solver, g / 2).values
         assert _close(smooth, kkt_solve(theta, phi, omega, g / 2), theta, phi, 1e-13 * kappa)
         if constraints is not None and kappa * gram <= 1e6:
@@ -627,3 +644,29 @@ class TestInvariants:
         if constraints is not None:
             with pytest.raises(NumericalError, match=re.escape(f"ill-conditioned at gamma={2 * g:g}") + "$"):
                 benchmarked_estimate(theta, phi, solver, 2 * g, constraints)
+
+
+def test_one_gamma_solver_falls_back_where_the_discs_cannot_certify(monkeypatch):
+    # a path graph's Laplacian at a gamma whose I + gamma K the eigenvalues
+    # accept but Gershgorin's discs cannot certify: the one-gamma solver
+    # takes one eigendecomposition, no m x m LU solve, and returns the
+    # eigen route's bits
+    rng = np.random.default_rng(7)
+    m = 12
+    theta, phi = rng.normal(size=m), 10.0 ** rng.uniform(-1.0, 1.0, m)
+    adjacency = np.diag(np.ones(m - 1), 1)
+    omega = np.diag((adjacency + adjacency.T).sum(axis=1)) - adjacency - adjacency.T
+    constraints = ConstraintSet(np.full((1, m), 1.0 / m), [0.5])
+    r = 1.0 / np.sqrt(phi)
+    lam = np.linalg.eigvalsh(r[:, None] * omega * r)
+    solver = _OneGammaSolver(phi, omega, constraints)
+    hi = solver._bounds[1]
+    g = _CONDITION_LIMIT / np.sqrt(hi * lam[-1])
+    assert (1.0 + g * lam[-1]) / (1.0 + g * lam[0]) < _CONDITION_LIMIT < 1.0 + g * hi
+    eigen = _SigmaSolver(phi, omega, constraints)
+    want = [eigen.solve(theta, g, constrained) for constrained in (False, True)]
+    factors = count_eigendecompositions(monkeypatch)
+    solves = count_solves(monkeypatch, m)
+    for constrained, values in zip((False, True), want):
+        np.testing.assert_array_equal(solver.solve(theta, g, constrained), values)
+    assert factors == [(m, m)] and solves == []

@@ -37,7 +37,7 @@ from smallarea.datasets import (
     us_state_borders_path,
 )
 
-from oracles import count_eigendecompositions, exact_posterior_mean, per_replicate, reference_replicate
+from oracles import count_eigendecompositions, count_solves, exact_posterior_mean, per_replicate, reference_replicate
 
 
 def small_area_csv(tmp_path, m=8, seed=0, zero_d=False):
@@ -910,11 +910,13 @@ class TestLockStepBootstrap:
             assert gammas == {run_gamma}
 
     def test_fixed_gamma_run_factors_sigma_once(self, tmp_path, monkeypatch):
-        # both estimates and every replicate's estimate use the run's one
-        # eigendecomposition
+        # at one gamma there is no eigendecomposition: each estimate, and
+        # the replicates' one batch, is one LU solve of the m x m system
         factors = count_eigendecompositions(monkeypatch)
+        solves = count_solves(monkeypatch, 51)
         report = run_pipeline(self._config(tmp_path, gamma_grid=None, gamma=0.5, bootstrap_replicates=6))
-        assert factors == [(51, 51)]
+        assert factors == []
+        assert solves == [(51, 51)] * 3  # smoothed, benchmarked, the batch
         assert report.metadata["bootstrap"]["failed"] == []
 
     def test_re_cross_validated_run_decomposes_once(self, tmp_path, monkeypatch):
