@@ -11,8 +11,8 @@ solver, built once for a (phi, omega, constraints): one eigendecomposition
 of Phi^{-1/2} omega Phi^{-1/2} gives the inverse of
 Sigma = Phi + gamma * omega at every gamma, and a Sigma whose scaled form
 Phi^{-1/2} Sigma Phi^{-1/2} is indefinite or ill-conditioned is a
-NumericalError.  For the held-out fits of ``selection`` it also keeps, at
-the last gamma, the m held-out fits of one theta, formed at once from the
+NumericalError.  For the held-out fits of ``selection`` it also keeps the
+m held-out fits of its last (gamma, theta), formed at once from the
 full fit and the hat-matrix columns A e_i, so that each held-out fit is a
 copy of one row; and :func:`_batch_estimates` solves a (B, m) batch of
 thetas at once, as the bootstrap does for its replicates.  A run at one
@@ -130,13 +130,13 @@ class _SigmaSolver:
     S = Sigma^{-1} = U diag(f) U' with f = 1/(1 + gamma lam) at any gamma.
     Sigma is accepted when I + gamma K = Phi^{-1/2} Sigma Phi^{-1/2} is
     positive definite (1 + gamma lam_min > 0) with condition number
-    (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT.  The
-    last accepted gamma's f is kept, with the projector S M' (M S M')^{-1}
-    from the condition-checked Gram matrix W' diag(f) W once a constrained
-    solve needs it, and the last :meth:`held_out` fits, keyed by
-    ``constrained`` and the bytes of theta.  A solver lives as long as the
-    caller that built it holds it.  The decomposition pays for itself over
-    a grid of gammas; :class:`_OneGammaSolver` serves a run at one gamma.
+    (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT.  A
+    constrained solve adds the projector S M' (M S M')^{-1} from the
+    condition-checked Gram matrix W' diag(f) W.  Beside the basis only the
+    last :meth:`held_out` fits are kept, keyed by gamma, ``constrained`` and
+    the bytes of theta.  A solver lives as long as the caller that built it
+    holds it.  The decomposition pays for itself over a grid of gammas;
+    :class:`_OneGammaSolver` serves a run at one gamma.
     """
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
@@ -149,12 +149,11 @@ class _SigmaSolver:
             )
         self.constraints = constraints
         self._basis = None  # (lam, U, W) of the one eigendecomposition
-        self._last = None  # (gamma, f, projector or None) of the last accepted gamma
-        self._table = None  # (constrained, theta bytes, fits, identified) of the last held_out call
+        self._table = None  # ((gamma, constrained, theta bytes), fits, identified) of the last held_out call
 
     def _factors(self, g: float, constrained: bool):
-        """f = 1/(1 + g lam) and, when ``constrained``, the projector at
-        gamma ``g``; a rejected Sigma or Gram matrix is a NumericalError."""
+        """f = 1/(1 + g lam) and the projector at gamma ``g``, None unless
+        ``constrained``; a rejected Sigma or Gram matrix is a NumericalError."""
         if self._basis is None:
             r = 1.0 / np.sqrt(self.phi)
             lam, U = np.linalg.eigh(r[:, None] * self.omega * r)
@@ -162,18 +161,22 @@ class _SigmaSolver:
             W = None if self.constraints is None else U.T @ self.constraints.M.T
             self._basis = lam, U, W
         lam, U, W = self._basis
-        if self._last is None or self._last[0] != g:
-            self._last = self._table = None  # drop the old gamma's arrays
-            low, high = 1.0 + g * lam[0], 1.0 + g * lam[-1]
-            if not (low > 0 and high / low <= _CONDITION_LIMIT):
-                raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
-            self._last = g, 1.0 / (1.0 + g * lam), None
-        _, f, proj = self._last
-        if constrained and proj is None:
-            fw = f[:, None] * W
-            proj = _projector(W.T @ fw, U @ fw)
-            self._last = g, f, proj
-        return f, proj
+        low, high = 1.0 + g * lam[0], 1.0 + g * lam[-1]
+        if not (low > 0 and high / low <= _CONDITION_LIMIT):
+            raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
+        f = 1.0 / (1.0 + g * lam)
+        if not constrained:
+            return f, None
+        fw = f[:, None] * W
+        return f, _projector(W.T @ fw, U @ fw)
+
+    def _eigen_solve(self, theta, f, proj):
+        """:meth:`solve` through the eigen basis from :meth:`_factors`' output."""
+        U = self._basis[1]
+        # thetas are rows: x @ U is U' x, so one theta costs two
+        # matrix-vector products and a batch two matrix products
+        d = ((self.phi * theta) @ U * f) @ U.T
+        return d if proj is None else self._onto_constraints(d, proj)
 
     def _onto_constraints(self, d, proj):
         """``d`` moved onto M d = t through the projector, in place."""
@@ -187,19 +190,14 @@ class _SigmaSolver:
     def held_out_key(self) -> bytes | None:
         """The bytes of the theta whose held-out fits are kept (None if
         none are); :func:`_problem` does not scan such a theta again."""
-        return None if self._table is None else self._table[1]
+        return None if self._table is None else self._table[0][2]
 
     def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
         M d = t when ``constrained``, for a theta of length m or for each
         row of a (B, m) batch.  An ill-conditioned Sigma or Gram matrix is
         a NumericalError."""
-        f, proj = self._factors(g, constrained)
-        U = self._basis[1]
-        # thetas are rows: x @ U is U' x, so one theta costs two
-        # matrix-vector products and a batch two matrix products
-        d = ((self.phi * theta) @ U * f) @ U.T
-        return self._onto_constraints(d, proj) if constrained else d
+        return self._eigen_solve(theta, *self._factors(g, constrained))
 
     def held_out(self, theta, g: float, constrained: bool = False):
         """The m held-out fits at gamma ``g`` and the mask of identified
@@ -208,17 +206,16 @@ class _SigmaSolver:
         d + ((d_i - theta_i)/(1 - A_ii)) A e_i, formed in place over A'.
         Area i is identified when 1 - A_ii > kappa/_CONDITION_LIMIT, kappa
         the condition number of I + g K, which bounds A's rounding error in
-        units of eps, and its row is finite.  The fits are kept until gamma,
-        ``constrained`` or theta's bytes change, so one grid point's
-        held-out fits are formed once.  ``theta`` must be finite, as
-        :func:`_problem` leaves it, since its bytes become
-        :attr:`held_out_key`."""
-        f, proj = self._factors(g, constrained)
-        key = theta.tobytes()
-        table = self._table
-        if table is None or table[0] != constrained or table[1] != key:
+        units of eps, and its row is finite.  The fits are looked up by
+        gamma, ``constrained`` and theta's bytes before anything is formed,
+        so a grid point's fits come from one :meth:`_factors` call, always
+        through the eigen basis.  ``theta`` must be finite, as :func:`_problem`
+        leaves it, since its bytes become :attr:`held_out_key`."""
+        key = g, constrained, theta.tobytes()
+        if self._table is None or self._table[0] != key:
             self._table = None  # drop the old fits before the new ones are formed
-            d = self.solve(theta, g, constrained)
+            f, proj = self._factors(g, constrained)
+            d = self._eigen_solve(theta, f, proj)
             U = self._basis[1]
             fits = (self.phi[:, None] * U * f) @ U.T  # row i is A e_i
             if constrained:
@@ -228,8 +225,8 @@ class _SigmaSolver:
                 fits *= ((d - theta) / gap)[:, None]
                 fits += d
             identified = (gap > (f[0] / f[-1]) / _CONDITION_LIMIT) & np.isfinite(fits).all(axis=1)
-            self._table = table = (constrained, key, fits, identified)
-        return table[2], table[3]
+            self._table = key, fits, identified
+        return self._table[1], self._table[2]
 
 
 class _OneGammaSolver(_SigmaSolver):
@@ -375,14 +372,22 @@ class UnitLevelLayout:
         return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
+def _check_finite(values, objective_value) -> None:
+    """A non-finite estimate, or the overflowed objective of a finite one,
+    is a NumericalError that says which."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("estimate contains non-finite values")
+    if not np.isfinite(objective_value):
+        raise NumericalError("the penalized objective overflowed; the estimate's values are finite")
+
+
 @dataclass(frozen=True)
 class SmoothedEstimate:
     values: np.ndarray
     objective_value: float
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.objective_value)):
-            raise NumericalError("estimate contains non-finite values")
+        _check_finite(self.values, self.objective_value)
 
 
 @dataclass(frozen=True)
@@ -392,8 +397,7 @@ class BenchmarkedEstimate:
     constraint_residual: float
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.objective_value)):
-            raise NumericalError("estimate contains non-finite values")
+        _check_finite(self.values, self.objective_value)
 
 
 @dataclass(frozen=True)
@@ -416,7 +420,8 @@ def _block_diag(*blocks) -> np.ndarray:
 
 def _objective(d, theta, solver: _SigmaSolver, g) -> float:
     r = d - theta
-    return float(r @ (solver.phi * r) + g * (d @ solver.omega @ d))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, refused by the caller
+        return float(r @ (solver.phi * r) + g * (d @ solver.omega @ d))
 
 
 def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:

@@ -115,7 +115,8 @@ class AreaDataset:
             raise ValidationError(f"{len(groups)} group labels for {m} areas")
         phi = None if self.phi is None else _vector("phi", self.phi, m)
         if phi is not None and np.any(phi <= 0):
-            raise ValidationError("phi must be strictly positive")
+            i = int(np.argmin(phi))
+            raise ValidationError(f"phi must be strictly positive; phi={phi[i]:g} at area {labels[i]!r}")
         bw = self.benchmark_weights
         bw = None if bw is None else _vector("benchmark_weights", bw, m)
         object.__setattr__(self, "labels", labels)

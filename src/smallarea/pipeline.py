@@ -194,11 +194,16 @@ class RunConfig:
         missing = [k for k, default in _CONFIG_DEFAULTS.items() if default is None and not values[k]]
         if missing:
             raise ValidationError(f"config {path} missing required keys: {', '.join(missing)}")
+        covariates = tuple(c.strip() for c in values["covariate_columns"].split(",") if c.strip())
+        if not covariates:
+            raise ValidationError(
+                f"config key 'covariate_columns' must name a column, got {values['covariate_columns']!r}"
+            )
         schema = CsvSchema(
             label=values["label_column"],
             y=values["y_column"],
             d=values["d_column"],
-            covariates=tuple(c.strip() for c in values["covariate_columns"].split(",") if c.strip()),
+            covariates=covariates,
             phi=values["phi_column"] or None,
             benchmark_weight=values["benchmark_weight_column"] or None,
             group=values["group_column"] or None,
@@ -216,6 +221,17 @@ class RunConfig:
                     f"config key {key!r}: expected {expected}, got {values[key]!r}"
                 ) from None
 
+        def chain(prefix: str) -> GibbsConfig:
+            """The chain settings of the keys ``<prefix>iterations``,
+            ``burn`` and ``thin``; a refused value names its keys."""
+            keys = {"n_iter": f"{prefix}iterations", "n_burn": f"{prefix}burn", "thin": f"{prefix}thin"}
+            settings = {name: number(key) for name, key in keys.items()}
+            try:
+                return GibbsConfig(**settings)
+            except ValidationError as exc:
+                named = [repr(key) for name, key in keys.items() if name in str(exc)]
+                raise ValidationError(f"config key{'s' * (len(named) > 1)} {', '.join(named)}: {exc}") from None
+
         grid, raw = None, values["gamma_grid"]
         if raw:
             try:
@@ -223,14 +239,13 @@ class RunConfig:
                 low, high, num = float(low), float(high), int(num)
             except ValueError:  # not three fields, or one that does not parse
                 raise ValidationError(f"gamma_grid must be 'low,high,n', got {raw!r}") from None
-            grid = default_gamma_grid(low, high, num)
+            try:
+                grid = default_gamma_grid(low, high, num)
+            except ValidationError as exc:
+                raise ValidationError(f"config key 'gamma_grid': {exc}") from None
         # the bootstrap_gibbs_* keys of old configs are checked as chain
         # settings and dropped: the replicates' Bayes step is ``gibbs``'s
-        GibbsConfig(
-            n_iter=number("bootstrap_gibbs_iterations"),
-            n_burn=number("bootstrap_gibbs_burn"),
-            thin=number("bootstrap_gibbs_thin"),
-        )
+        chain("bootstrap_gibbs_")
         return cls(
             area_csv=resolve("area_csv"),
             edge_list=resolve("edge_list"),
@@ -243,11 +258,7 @@ class RunConfig:
             benchmark_matrix_csv=resolve("benchmark_matrix_csv"),
             benchmark_targets_csv=resolve("benchmark_targets_csv"),
             benchmark_provenance=values["benchmark_provenance"],
-            gibbs=GibbsConfig(
-                n_iter=number("gibbs_iterations"),
-                n_burn=number("gibbs_burn"),
-                thin=number("gibbs_thin"),
-            ),
+            gibbs=chain("gibbs_"),
             bootstrap_replicates=number("bootstrap_replicates"),
             bootstrap_gamma_policy=values["bootstrap_gamma_policy"],
         )
@@ -474,6 +485,8 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
             try:
                 curve = cross_validate(theta, phi, solver, config.gamma_grid, constraints)
             except NumericalError as exc:  # every grid point failed
+                if not exc.areas:  # no area failed at every point: no label to name
+                    raise
                 labels = ", ".join(data.labels[i] for i in exc.areas)
                 raise NumericalError(f"{exc} ({labels})") from exc
         gamma = curve.gamma_hat

@@ -123,12 +123,14 @@ def cross_validate(
 
     V(gamma) = (1/m) sum_i phi_i (d_i^{(-i)} - theta_i)^2 over the m
     held-out solves.  Grid points where some held-out solve is singular
-    score +inf and record the failing areas; if every point is infeasible
-    the search fails with a NumericalError that names the areas that
-    failed at every point and holds their indices in its ``areas``
-    attribute.  ``omega`` may be the estimators' Sigma solver, so that its
-    one eigendecomposition serves the caller's later solves too; each grid
-    point forms the held-out fits of all its areas once.
+    score +inf and record the failing areas, and a score that overflows is
+    +inf too; if every point is infeasible the search fails with a
+    NumericalError that names the areas that failed at every point, or
+    says at how many points the score overflowed when no area did, and
+    holds those areas' indices in its ``areas`` attribute.  ``omega`` may
+    be the estimators' Sigma solver, so that its one eigendecomposition
+    serves the caller's later solves too; each grid point forms the
+    held-out fits of all its areas once.
     """
     theta, solver, _ = _problem(theta_bayes, phi, omega, constraints=constraints)
     p, m = solver.phi, theta.shape[0]
@@ -136,21 +138,27 @@ def cross_validate(
 
     scores = np.empty(grid.size)
     failures: list[tuple[int, ...]] = []
-    for k, g in enumerate(grid):
-        total = 0.0
-        failed: list[int] = []
-        for i in range(m):
-            try:
-                held = loo_solution(theta, p, solver, g, i, constraints)
-            except NumericalError:
-                failed.append(i)
-                continue
-            total += p[i] * (held[i] - theta[i]) ** 2
-        scores[k] = np.inf if failed else total / m
-        failures.append(tuple(failed))
+    with np.errstate(over="ignore"):  # an overflowing score is +inf
+        for k, g in enumerate(grid):
+            total = 0.0
+            failed: list[int] = []
+            for i in range(m):
+                try:
+                    held = loo_solution(theta, p, solver, g, i, constraints)
+                except NumericalError:
+                    failed.append(i)
+                    continue
+                total += p[i] * (held[i] - theta[i]) ** 2
+            scores[k] = np.inf if failed else total / m
+            failures.append(tuple(failed))
     if not np.any(np.isfinite(scores)):
         always = sorted(set.intersection(*map(set, failures)))
-        error = NumericalError(f"all grid points infeasible; areas {always} fail at every grid point")
+        if always:
+            reason = f"areas {always} fail at every grid point"
+        else:
+            overflowed = sum(not failed for failed in failures)
+            reason = f"no area fails at every grid point, and the score overflowed at {overflowed} of {grid.size}"
+        error = NumericalError(f"all grid points infeasible; {reason}")
         error.areas = tuple(always)
         raise error
     return CvCurve(grid, scores, tuple(failures))

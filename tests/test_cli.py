@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import itertools
+import json
 import os
 import re
 import shutil
@@ -15,7 +16,9 @@ import pytest
 import smallarea
 from smallarea.cli import _load_config, build_parser, main
 from smallarea.datasets import synthetic_dataset_path, us_state_borders_path, write_area_csv
+from smallarea.pipeline import write_report
 
+import test_pipeline
 from test_pipeline import _no_chain, small_area_csv, write_config
 
 
@@ -73,6 +76,71 @@ class TestExitCodes:
         cfg = write_config(tmp_path, area, edges)
         assert main(["fit", "--config", str(cfg)]) == 3
         assert "[stage gibbs] the chain's draws overflowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--gamma", "1"],
+                "[stage estimate] the penalized objective overflowed; the estimate's values are finite",
+            ),
+            (
+                ["--gamma-grid", "0.01,10,4"],
+                "[stage cross-validation] all grid points infeasible; "
+                "no area fails at every grid point, and the score overflowed at 4 of 4",
+            ),
+        ],
+        ids=["objective", "cv-scores"],
+    )
+    def test_overflow_past_finite_estimates_exits_3_saying_what_overflowed(self, bundled, capsys, flags, message):
+        # a target of 1e200 moves every estimate near 1e200: the values are
+        # finite, but the objective's and the held-out scores' squares are
+        # not; neither run prints a numpy warning
+        cfg = bundled()
+        assert main(["estimate", "--config", str(cfg), *flags, "--benchmark-target", "1e200"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("gibbs_thin", "0", "config key 'gibbs_thin': thin must be an integer >= 1, got 0"),
+            (
+                "gibbs_burn",
+                "400",
+                "config keys 'gibbs_iterations', 'gibbs_burn': need n_iter > n_burn >= 0, got n_iter=400, n_burn=400",
+            ),
+            ("bootstrap_gibbs_thin", "0", "config key 'bootstrap_gibbs_thin': thin must be an integer >= 1, got 0"),
+            (
+                "bootstrap_gibbs_burn",
+                "3000",
+                "config keys 'bootstrap_gibbs_iterations', 'bootstrap_gibbs_burn': "
+                "need n_iter > n_burn >= 0, got n_iter=2000, n_burn=3000",
+            ),
+            ("gamma_grid", "0.1,10,0", "config key 'gamma_grid': num must be an integer >= 1, got 0"),
+            ("gamma_grid", "10,0.1,3", "config key 'gamma_grid': need 0 < low < high, got low=10, high=0.1"),
+            ("covariate_columns", ",", "config key 'covariate_columns' must name a column, got ','"),
+            ("phi_column", "benchmark_weight", "[stage load] phi must be strictly positive; phi=0 at area 'r3'"),
+        ],
+        ids=[
+            "gibbs-thin",
+            "gibbs-burn",
+            "bootstrap-gibbs-thin",
+            "bootstrap-gibbs-burn",
+            "gamma-grid-count",
+            "gamma-grid-order",
+            "covariate-columns",
+            "phi-column",
+        ],
+    )
+    def test_a_bad_config_value_exits_2_naming_its_key(self, workspace, capsys, monkeypatch, key, value, message):
+        tmp_path, data, area, edges = workspace
+        weights = data.benchmark_weights.copy()
+        weights[3] = 0.0  # read as phi by the phi-column case
+        write_area_csv(replace(data, benchmark_weights=weights), area)
+        cfg = write_config(tmp_path, area, edges, gamma="", **{key: value})
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", _no_chain)
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_self_edge_exits_2(self, workspace, capsys):
         tmp_path, _, area, edges = workspace
@@ -401,6 +469,26 @@ class TestPlotData:
         assert main(["run", "--config", str(cfg)]) == 0
         assert main(["plot-data", "--config", str(cfg), "--kind", "scatter_by_group"]) == 0
         assert (tmp_path / "out" / "plot_scatter_by_group.csv").exists()
+
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [
+            ({"benchmark": {"target": 1.0}}, "benchmarked reports must record the constraint residual"),
+            (
+                {"benchmark": {"target": 1.0}, "constraint_residual": 1.0},
+                "recorded constraint residual 1.0 exceeds tolerance",
+            ),
+        ],
+        ids=["no-residual", "residual-above-tolerance"],
+    )
+    def test_plot_data_on_a_report_without_a_valid_residual_exits_2(self, workspace, capsys, metadata, message):
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges)
+        out = write_report(test_pipeline.TestReportIo._hand_built_report(), tmp_path / "out")
+        (out / "metadata.json").write_text(json.dumps(metadata))
+        assert main(["plot-data", "--config", str(cfg), "--kind", "scatter_constrained_vs_bayes"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "plot_scatter_constrained_vs_bayes.csv").exists()
 
     def test_plot_data_without_run_fails(self, workspace, capsys):
         tmp_path, _, area, edges = workspace

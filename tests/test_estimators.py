@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import block_diag, eigh, null_space
 
 from smallarea import (
+    BenchmarkedEstimate,
     ConstraintSet,
     LossWeights,
     NumericalError,
+    SmoothedEstimate,
     UnitLevelLayout,
     ValidationError,
     benchmarked_estimate,
@@ -166,6 +168,39 @@ class TestBenchmarked:
     def test_more_constraints_than_parameters_rejected(self):
         with pytest.raises(ValidationError, match="full row rank"):
             ConstraintSet(np.ones((3, 2)), np.ones(3))
+
+
+    def test_constraints_over_the_wrong_number_of_parameters_rejected(self):
+        constraints = ConstraintSet(np.full((1, 3), 1.0 / 3.0), [2.0])
+        with pytest.raises(ValidationError, match=r"^constraints are over 3 parameters, expected 2$"):
+            benchmarked_estimate(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, constraints)
+
+
+class TestNonFiniteResults:
+    """A non-finite estimate, and the overflowed objective of a finite one,
+    are NumericalErrors that say which; neither prints a numpy warning."""
+
+    @pytest.mark.parametrize(
+        "result_class, extra",
+        [(SmoothedEstimate, ()), (BenchmarkedEstimate, (0.0,))],
+        ids=["smoothed", "benchmarked"],
+    )
+    def test_each_failure_has_its_message(self, result_class, extra):
+        with pytest.raises(NumericalError, match="^estimate contains non-finite values$"):
+            result_class(np.array([1.0, np.nan]), 0.0, *extra)
+        overflowed = "^the penalized objective overflowed; the estimate's values are finite$"
+        with pytest.raises(NumericalError, match=overflowed):
+            result_class(np.array([1.0, 2.0]), np.inf, *extra)
+
+    def test_objective_of_finite_estimates_near_1e200_overflows(self):
+        # the estimates are finite, near 1e200; the objective's squares are not
+        theta = np.array([1e200, -1e200])
+        constraints = ConstraintSet(np.array([[0.5, 0.5]]), [1e200])
+        assert np.isinf(penalized_objective(theta / 5.0, theta, TOY_PHI, TOY_OMEGA, 1.0))
+        with pytest.raises(NumericalError, match="objective overflowed"):
+            smoothed_estimate(theta, TOY_PHI, TOY_OMEGA, 1.0)
+        with pytest.raises(NumericalError, match="objective overflowed"):
+            benchmarked_estimate(theta, TOY_PHI, TOY_OMEGA, 1.0, constraints)
 
 
 class TestSingleConstraint:

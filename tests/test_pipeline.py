@@ -1074,6 +1074,11 @@ class TestReportIo:
         assert len(rows) == 9
         assert all(float(r.split(",")[1]) >= 0 for r in rows[1:])
 
+    def test_plot_data_unknown_kind_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^unknown plot kind 'histogram'; choose from \("):
+            emit_plot_data(self._hand_built_report(), "histogram", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _hand_built_report():
         """A 3-area report with every report file, built without the sampler."""

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from smallarea import (
     ConstraintSet,
+    CsvSchema,
     CvCurve,
     NumericalError,
     SimilaritySpec,
@@ -15,11 +16,16 @@ from smallarea import (
     cross_validate,
     cross_validate_unit,
     default_gamma_grid,
+    load_adjacency,
+    load_area_csv,
     loo_solution,
+    read_edge_list,
     smoothed_estimate,
     benchmarked_estimate,
 )
-from smallarea.estimators import _CONDITION_LIMIT, _SigmaSolver
+from smallarea import estimators
+from smallarea.datasets import synthetic_dataset_path, us_state_borders_path
+from smallarea.estimators import _CONDITION_LIMIT, _OneGammaSolver, _SigmaSolver
 
 from oracles import (
     condition_numbers,
@@ -384,6 +390,50 @@ class TestHeldOutTable:
         assert factors == [(8, 8)]
 
 
+    def test_cross_validate_forms_one_projector_per_grid_point(self, monkeypatch):
+        # held_out looks its fits up before computing anything, and a miss
+        # forms them from one f and projector: one projector per grid point
+        theta, phi, omega, solver = self._setup()
+        real, projectors = estimators._projector, []
+
+        def counted(gram, sm):
+            projectors.append(np.shape(gram))
+            return real(gram, sm)
+
+        monkeypatch.setattr(estimators, "_projector", counted)
+        factors = count_eigendecompositions(monkeypatch)
+        cross_validate(theta, phi, solver, np.geomspace(0.01, 100.0, 5), self.CONSTRAINTS)
+        assert factors == [(8, 8)]
+        assert projectors == [(2, 2)] * 5
+
+
+def test_one_gamma_solver_held_out_fits_are_the_eigen_solvers_bits():
+    # a _OneGammaSolver forms its held-out fits through the eigen basis, the
+    # full fit included, so they are _SigmaSolver's to the bit; on the
+    # bundled fixture AK and HI are isolated, so a benchmark identifies them
+    data = load_area_csv(
+        synthetic_dataset_path(),
+        CsvSchema(
+            covariates=("tax_poverty_rate", "nonfiler_rate", "foodstamp_rate"), benchmark_weight="benchmark_weight"
+        ),
+    )
+    omega = build_omega(load_adjacency(read_edge_list(us_state_borders_path()), data.labels))
+    w = data.benchmark_weights / data.benchmark_weights.sum()
+    constraints = ConstraintSet(w[np.newaxis, :], [15.0])
+    for c, identified in ((None, 49), (constraints, 51)):
+        eigen, one = _SigmaSolver(data.phi, omega, constraints), _OneGammaSolver(data.phi, omega, constraints)
+        equal = 0
+        for i in range(data.m):
+            try:
+                want = loo_solution(data.y, data.phi, eigen, 0.5, i, c)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError, match=f"^{re.escape(str(exc))}$"):
+                    loo_solution(data.y, data.phi, one, 0.5, i, c)
+                continue
+            equal += np.array_equal(loo_solution(data.y, data.phi, one, 0.5, i, c), want)
+        assert equal == identified
+
+
 def test_held_out_fit_is_the_callers_own_copy():
     # the solver keeps every held-out fit of a grid point; writing into a
     # returned fit must not change what the next call returns
@@ -494,6 +544,21 @@ class TestCrossValidate:
         with pytest.raises(NumericalError, match="all grid points infeasible") as exc:
             cross_validate(TOY_THETA, TOY_PHI, omega, [0.5, 1.0])
         assert exc.value.areas == (0, 1)
+
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [
+            ([0.5, 1.0], "no area fails at every grid point, and the score overflowed at 2 of 2"),
+            ([0.5, 1e15], "no area fails at every grid point, and the score overflowed at 1 of 2"),
+        ],
+        ids=["every-point", "with-a-failed-point"],
+    )
+    def test_overflowing_scores_fail_without_naming_areas(self, grid, reason):
+        # held-out fits near 1e200 are finite, their squared gaps are not;
+        # at 1e15 Sigma is refused and both areas fail
+        with pytest.raises(NumericalError, match=f"^all grid points infeasible; {reason}$") as exc:
+            cross_validate(np.array([1e200, -1e200]), TOY_PHI, TOY_OMEGA, grid)
+        assert exc.value.areas == ()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError, match="nonempty"):

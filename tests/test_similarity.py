@@ -212,6 +212,13 @@ class TestReadEdgeList:
         with pytest.raises(ValidationError, match="1: bad weight"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("line", ["AK,", ",AK", "AK, ,2"])
+    def test_empty_label_reports_line(self, tmp_path, line):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"A,B\n{line}\n")
+        with pytest.raises(ValidationError, match=r"edges\.txt:2: empty label$"):
+            read_edge_list(path)
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("A\n")
