@@ -11,11 +11,14 @@ full conditionals are conjugate:
   * s2   | rest  is inverse-gamma with shape m/2 - 1 and scale half the
     residual sum of squares, which is proper only when m > p + 2.
 
-The chain (:func:`gibbs_fit`) gives the pipeline's theta_bayes, its draws
-and their ESS.  :func:`exact_means` computes the same posterior mean
-exactly, by one-dimensional quadrature over s2, for any number of response
-vectors at once: the bootstrap replicates' Bayes step, and the Monte Carlo
-error check of the chain.  The vectors share one lattice of nodes in
+The chain (:func:`gibbs_fit`) gives the pipeline's theta_bayes, and the
+retained theta draws and their ESS when asked to keep them; otherwise it
+keeps only the running sum of those draws, which gives the same mean bit
+for bit.  Its beta and model-variance draws are always kept.
+:func:`exact_means` computes the same posterior mean exactly, by
+one-dimensional quadrature over s2, for any number of response vectors at
+once: the bootstrap replicates' Bayes step, and the Monte Carlo error
+check of the chain.  The vectors share one lattice of nodes in
 log s2, so everything that depends on s2 alone (V, X'V^{-1}X, its factor
 and inverse) is computed once per node for the whole batch, and each
 vector is evaluated only on the nodes near its own window.
@@ -174,28 +177,37 @@ class GibbsConfig:
 @dataclass(frozen=True)
 class PosteriorSummary:
     """Retained draws from one chain, and their summaries, each computed
-    on first read.
+    on first read.  A chain that keeps no theta draws gives their sum,
+    ``theta_sum``, in place of ``theta_draws``; exactly one of the two is
+    set.
 
-    ``theta_bayes`` is the componentwise mean of the retained draws; this
-    is the vector handed to the smoothing and benchmarking estimators.
+    ``theta_bayes`` is the componentwise mean of the retained theta draws,
+    ``theta_draws.mean(axis=0)`` or ``theta_sum / n_draws``; this is the
+    vector handed to the smoothing and benchmarking estimators.  ``ess``
+    needs the draws, and is None without them.
     """
 
-    theta_draws: np.ndarray
+    theta_draws: np.ndarray | None
     beta_draws: np.ndarray
     sigma_u2_draws: np.ndarray
+    theta_sum: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.theta_draws.ndim != 2 or self.theta_draws.shape[0] < 1:
+        if (self.theta_draws is None) == (self.theta_sum is None):
+            raise ValidationError("give exactly one of theta_draws and theta_sum")
+        if self.theta_draws is not None and (self.theta_draws.ndim != 2 or self.theta_draws.shape[0] < 1):
             raise ValidationError("theta_draws must be a nonempty (S, m) array")
-        if np.any(self.sigma_u2_draws <= 0):
-            raise ValidationError("all model-variance draws must be strictly positive")
+        if len(self.sigma_u2_draws) < 1 or np.any(self.sigma_u2_draws <= 0):
+            raise ValidationError("the model-variance draws must be nonempty and strictly positive")
 
     @property
     def n_draws(self) -> int:
-        return self.theta_draws.shape[0]
+        return len(self.sigma_u2_draws)
 
     @cached_property
     def theta_bayes(self) -> np.ndarray:
+        if self.theta_draws is None:
+            return self.theta_sum / self.n_draws
         return self.theta_draws.mean(axis=0)
 
     @cached_property
@@ -207,9 +219,10 @@ class PosteriorSummary:
         return float(self.sigma_u2_draws.mean())
 
     @cached_property
-    def ess(self) -> np.ndarray:
-        """Per-area effective sample size of the theta draws."""
-        return _effective_sample_size(self.theta_draws)
+    def ess(self) -> np.ndarray | None:
+        """Per-area effective sample size of the theta draws, or None
+        without them."""
+        return None if self.theta_draws is None else _effective_sample_size(self.theta_draws)
 
 
 def posterior_mean(theta_draws: np.ndarray) -> np.ndarray:
@@ -253,7 +266,7 @@ def _check_propriety(m: int, p: int) -> None:
 
 # overflowing draws warn nothing: the final finiteness check judges them
 @np.errstate(over="ignore", invalid="ignore")
-def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
+def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool = True) -> PosteriorSummary:
     """Run the systematic-scan Gibbs sampler and summarize the chain.
 
     Initialization is deterministic: beta from ordinary least squares,
@@ -270,11 +283,19 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     the fit read by its residual and by the next iteration's theta step,
     and takes the residual sum of squares as one dot product.  A retained
     iteration writes theta, beta and the model variance straight into
-    their draws; the other buffers are allocated once.  The model
-    variance is the Python float ssr / (2 g), g the iteration's standard
-    gamma draw, clamped to [1e-12, the largest float]: ssr = 0 gives the
-    floor, an infinite ssr or quotient, or g = 0, the ceiling, and a NaN
-    stays NaN.
+    their draws; the other buffers are allocated once.  With
+    ``keep_theta_draws`` false there is no (n_keep, m) theta array: a
+    retained theta goes to a (K + 1, m) block whose row 0 is the sum of the
+    thetas retained so far, and at each block end one ``np.add.reduce``
+    over its rows (that sum, then the block's thetas in order) is the new
+    sum.  numpy reduces a C-contiguous array over axis 0 row by row when
+    m >= 2, and the propriety guard keeps m >= 4, so the thetas are added
+    in the order ``theta_draws.mean(axis=0)`` adds them and ``theta_bayes``
+    is bit for bit the same; the result's ``theta_draws`` and ``ess`` are
+    None.  The model variance is the Python float ssr / (2 g), g the
+    iteration's standard gamma draw, clamped to [1e-12, the largest
+    float]: ssr = 0 gives the floor, an infinite ssr or quotient, or
+    g = 0, the ceiling, and a NaN stays NaN.
     The operations and their order are those of a plain loop that
     allocates fresh arrays and draws one iteration at a time, so the draws
     are bit for bit equal.
@@ -323,13 +344,20 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
     resid, beta_xp = np.empty(m), np.empty(p)
 
     n_keep = (n_iter - n_burn + thin - 1) // thin
-    theta_draws = np.empty((n_keep, m))
+    theta_draws = np.empty((n_keep, m)) if keep_theta_draws else None
     beta_draws = np.empty((n_keep, p))
     sigma2_draws = np.empty(n_keep)
+    # a chain that keeps no theta draws sums them here: row 0 is the sum so
+    # far, first -0.0, which adds nothing (-0.0 + -0.0 is -0.0), and a
+    # block's retained thetas follow it
+    sums = None if keep_theta_draws else np.full((K + 1, m), -0.0)
     # a retained iteration writes theta and beta into its draw rows, others here
     theta_work, beta_work = y.copy(), np.empty(p)
     for start in range(0, n_iter, K):
         n = min(K, n_iter - start)
+        # the block retains draws first to stop - 1, written to rows[j - first]
+        first, stop = (max(0, -((n_burn - it) // thin)) for it in (start, start + n))
+        rows = theta_draws[first:stop] if keep_theta_draws else sums[1 : 1 + stop - first]
         normals(out=noise[:n])
         z_theta = noise[:n, :m]
         z_beta = noise[:n, m, None] * Rt[0]
@@ -340,7 +368,7 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
         for k in range(n):
             j, rem = divmod(start + k - n_burn, thin)
             kept = j >= 0 and rem == 0
-            theta, beta = (theta_draws[j], beta_draws[j]) if kept else (theta_work, beta_work)
+            theta, beta = (rows[j - first], beta_draws[j]) if kept else (theta_work, beta_work)
             np.add(inv_D, 1.0 / sigma2, prec)
             np.divide(fit, sigma2, mean)
             np.divide(np.add(y_over_D, mean, mean), prec, mean)
@@ -360,8 +388,12 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig) -> PosteriorSummary:
                 sigma2 = min(max(ssr / (2.0 * g), _SIGMA2_FLOOR), _SIGMA2_MAX) if g else _SIGMA2_MAX
             if kept:
                 sigma2_draws[j] = sigma2
+        if sums is not None:
+            # one reduction adds the rows in order, as theta_draws.mean(axis=0) does
+            sums[0] = np.add.reduce(sums[: 1 + stop - first], axis=0)
 
-    summary = PosteriorSummary(theta_draws, beta_draws, sigma2_draws)
+    theta_sum = None if sums is None else sums[0].copy()  # not a view that holds the block
+    summary = PosteriorSummary(theta_draws, beta_draws, sigma2_draws, theta_sum)
     if not (np.all(np.isfinite(summary.theta_bayes)) and math.isfinite(summary.sigma_u2_mean)):
         raise NumericalError(
             "the chain's draws overflowed: the mean of its theta or model-variance draws is not finite"

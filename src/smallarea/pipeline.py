@@ -464,7 +464,10 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
             solver = (_SigmaSolver if config.gamma is None else _OneGammaSolver)(phi, omega, constraints)
 
     with _stage("gibbs"):
-        summary = gibbs_fit(data, replace(config.gibbs, seed=config.seed))
+        # only fit.csv reads the theta draws, for their ESS; the other stops
+        # take the same mean from a chain that keeps only the draws' sum
+        chain = replace(config.gibbs, seed=config.seed)
+        summary = gibbs_fit(data, chain, keep_theta_draws=stop_after == "gibbs")
         exact = exact_means(data, data.y[np.newaxis, :], config.gibbs.fixed_sigma_u2)[0]
     theta = summary.theta_bayes
     gap = float(np.max(np.abs(theta - exact)))
@@ -477,7 +480,6 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         _write_table(out / "fit.csv", fit)
         _write_json(metadata, out / "metadata.json")
         return None
-    del summary  # release the chain's draws before the estimates and the bootstrap
 
     curve = None
     if config.gamma_grid is not None:

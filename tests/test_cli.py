@@ -69,12 +69,18 @@ class TestExitCodes:
         assert main([*args, "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
 
-    def test_overflowing_chain_exits_3(self, workspace, capsys):
-        # responses near 1e160 square past the largest float in the chain
+    @pytest.mark.parametrize(
+        "args",
+        [["fit"], ["cv", "--gamma-grid", "0.01,10,3"], ["estimate"]],
+        ids=["fit", "cv", "estimate"],
+    )
+    def test_overflowing_chain_exits_3(self, workspace, capsys, args):
+        # responses near 1e160 square past the largest float in the chain;
+        # fit keeps the theta draws, cv and estimate only their sum
         tmp_path, data, area, edges = workspace
         write_area_csv(replace(data, y=data.y * 1e160), area)
         cfg = write_config(tmp_path, area, edges)
-        assert main(["fit", "--config", str(cfg)]) == 3
+        assert main([*args, "--config", str(cfg)]) == 3
         assert "[stage gibbs] the chain's draws overflowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -523,6 +529,20 @@ def test_console_script_entry_point(workspace):
     )
     assert proc.returncode == 0, proc.stderr
     assert "estimates.csv" in proc.stdout
+
+
+def test_fit_and_estimate_write_the_same_theta_bayes(workspace):
+    # fit averages the chain's kept theta draws, estimate keeps only their
+    # running sum; 17 significant digits round-trip, so equal text is equal
+    # values.  At m + p = 10 a block is 6553 iterations: the chain spans three.
+    tmp_path, _, area, edges = workspace
+    cfg = write_config(tmp_path, area, edges, gibbs_iterations=14_000, gibbs_burn=301, gibbs_thin=2, seed=7)
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "estimate")]) == 0
+    fit = test_pipeline.read_column(tmp_path / "fit" / "fit.csv", "theta_bayes")
+    estimate = test_pipeline.read_column(tmp_path / "estimate" / "estimates.csv", "theta_bayes")
+    assert len(fit) == 8
+    assert fit == estimate
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

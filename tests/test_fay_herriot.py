@@ -397,6 +397,36 @@ class TestLockStep:
             for name in ("theta_draws", "beta_draws", "sigma_u2_draws"):
                 assert np.array_equal(getattr(fit, name), getattr(default, name)), (block, name)
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["observed", "pinned"])
+    @pytest.mark.parametrize("fixed_sigma_u2", [None, 1.5], ids=["sampled", "fixed"])
+    @pytest.mark.parametrize("thin", [1, 3], ids=["thin-1", "thin-3"])
+    @pytest.mark.parametrize("length", ["within-a-block", "several-blocks"])
+    @pytest.mark.parametrize("block", ["one-iteration", "seven-iterations", "default"])
+    def test_theta_sum_gives_the_draws_mean_bitwise(self, monkeypatch, block, length, thin, fixed_sigma_u2, pinned):
+        """Without its theta draws the chain adds each block's retained
+        thetas to a running sum in one reduction per block, which adds them
+        in the order the draws' mean does: theta_bayes is bit for bit the
+        same, and so are the beta and model-variance draws."""
+        data, _ = make_dataset(7)
+        if pinned:
+            data = _with_zero_variances(data)
+        width = data.m + data.X.shape[1]
+        size = {"one-iteration": 1, "seven-iterations": 7 * width, "default": fay_herriot._BLOCK_DRAWS}[block]
+        monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", size)
+        K = max(1, size // width)
+        # a chain of 6 iterations fits in one block (K = 1 aside) and keeps
+        # fewer draws than it holds; a chain of 3K + 5 spans four blocks,
+        # and its burn-in ends inside the first
+        n_iter, n_burn = (6, 2) if length == "within-a-block" else (3 * K + 5, K // 2 + 1)
+        config = GibbsConfig(n_iter=n_iter, n_burn=n_burn, thin=thin, seed=2, fixed_sigma_u2=fixed_sigma_u2)
+        kept = gibbs_fit(data, config)
+        summed = gibbs_fit(data, config, keep_theta_draws=False)
+        assert summed.theta_draws is None and summed.ess is None
+        assert summed.n_draws == kept.n_draws == len(range(n_burn, n_iter, thin))
+        assert np.array_equal(summed.theta_bayes, kept.theta_bayes)
+        assert np.array_equal(summed.beta_draws, kept.beta_draws)
+        assert np.array_equal(summed.sigma_u2_draws, kept.sigma_u2_draws)
+
     def test_fixed_variance_stream_is_per_iteration_normals(self):
         """With the variance fixed the chain draws only normals, one
         standard_normal(m + p) per iteration: the stream of a plain loop."""
@@ -750,6 +780,14 @@ class TestEffectiveSampleSize:
         x = np.column_stack([np.full(1000, 0.1), np.arange(1000.0) % 7])
         assert x[:, 0].mean() != 0.1
         assert self._summary(x).ess[0] == 1000.0
+
+    def test_none_without_the_draws(self):
+        summary = PosteriorSummary(None, np.zeros((4, 1)), np.ones(4), theta_sum=np.array([2.0, -0.0]))
+        assert summary.ess is None
+        assert np.array_equal(summary.theta_bayes, [0.5, -0.0])
+        for theta in ({"theta_draws": None}, {"theta_draws": np.ones((4, 2)), "theta_sum": np.ones(2)}):
+            with pytest.raises(ValidationError, match="exactly one of theta_draws and theta_sum"):
+                PosteriorSummary(**theta, beta_draws=np.zeros((4, 1)), sigma_u2_draws=np.ones(4))
 
     def test_computed_when_first_read(self):
         data, _ = make_dataset(0)

@@ -683,6 +683,38 @@ class TestRunPipeline:
         report = run_pipeline(replace(cfg, bootstrap_replicates=0))
         assert len(chains) == 1 and report.mse is None
 
+    def test_report_run_keeps_no_theta_draws(self, tmp_path, monkeypatch):
+        # 2600 retained draws of 200 areas take 2600 x 200 x 8 bytes = 4.16 MB;
+        # a run that stops at the report keeps only their running sum, and
+        # its gibbs stage (the chain and the exact mean) allocates far less
+        import tracemalloc
+        from contextlib import contextmanager
+
+        import smallarea.pipeline
+
+        _, area, edges = small_area_csv(tmp_path, m=200)
+        cfg = RunConfig.from_file(write_config(tmp_path, area, edges, gibbs_iterations=2700, gibbs_burn=100))
+        draw_bytes = 2600 * 200 * 8
+        peaks = {}
+        stage = smallarea.pipeline._stage
+
+        @contextmanager
+        def measured(name):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with stage(name):
+                yield
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+
+        monkeypatch.setattr(smallarea.pipeline, "_stage", measured)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(cfg)
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(report.theta_bayes))
+        assert peaks["gibbs"] < draw_bytes / 2
+
     def test_isolated_areas_break_cv_without_a_covering_benchmark(self, tmp_path):
         # the US border graph leaves AK and HI isolated: without a benchmark
         # touching them, every held-out problem for those areas is singular
