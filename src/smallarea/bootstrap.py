@@ -152,7 +152,7 @@ def bootstrap_mse(
     theta_bm = _vector("theta_bm", theta_bm, m)
     _check_sampling_variance(data)
     sigma_u = np.sqrt(data.D)
-    residuals = standardized_residuals(data.y, theta_bm, sigma_u)
+    residuals = (data.y - theta_bm) / sigma_u
 
     B = config.n_replicates
     y_star = np.empty((B, m))

@@ -79,9 +79,7 @@ def _residual_bound(t) -> float:
 
 
 def _same_constraints(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a is b or (np.array_equal(a.M, b.M) and np.array_equal(a.t, b.t))
+    return a is b or (b is not None and np.array_equal(a.M, b.M) and np.array_equal(a.t, b.t))
 
 
 def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | None = None):
@@ -195,8 +193,14 @@ class _SigmaSolver:
     def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
         M d = t when ``constrained``, for a theta of length m or for each
-        row of a (B, m) batch.  An ill-conditioned Sigma or Gram matrix is
-        a NumericalError."""
+        row of a (B, m) batch.  Unconstrained at g = 0 it is a copy of
+        theta, exactly, and nothing is solved.  An ill-conditioned Sigma or
+        Gram matrix is a NumericalError."""
+        if g == 0.0 and not constrained:
+            return theta.copy()
+        return self._solve(theta, g, constrained)
+
+    def _solve(self, theta, g: float, constrained: bool):
         return self._eigen_solve(theta, *self._factors(g, constrained))
 
     def held_out(self, theta, g: float, constrained: bool = False):
@@ -258,11 +262,11 @@ class _OneGammaSolver(_SigmaSolver):
         lo = max(lo, w_lo * np.max(r * r) if w_lo < 0 else w_lo * np.min(r * r))
         self._bounds = float(lo), float(hi)  # every eigenvalue of K lies in [lo, hi]
 
-    def solve(self, theta, g: float, constrained: bool = False):
+    def _solve(self, theta, g: float, constrained: bool):
         lo, hi = self._bounds
         low, high = 1.0 + g * lo, 1.0 + g * hi
         if not (low > 0 and high / low <= _CONDITION_LIMIT):
-            return super().solve(theta, g, constrained)
+            return super()._solve(theta, g, constrained)
         root = np.sqrt(self.phi)
         a = self.omega / root[:, None]
         a *= g / root
@@ -434,12 +438,12 @@ def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
 def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:
     """Smoothed estimator: the solution of (Phi + gamma*omega) d = Phi theta.
 
-    gamma = 0 returns theta_bayes unchanged (exactly; the solve is skipped).
-    Constant vectors pass through untouched for any gamma because the
-    all-ones vector lies in the penalty's kernel.
+    gamma = 0 returns theta_bayes unchanged (exactly: the solver skips
+    the solve).  Constant vectors pass through untouched for any gamma
+    because the all-ones vector lies in the penalty's kernel.
     """
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma)
-    values = theta.copy() if g == 0.0 else solver.solve(theta, g)
+    values = solver.solve(theta, g)
     return SmoothedEstimate(values, _objective(values, theta, solver, g))
 
 
@@ -467,18 +471,15 @@ def benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints: Constraint
 def _batch_estimates(thetas: np.ndarray, solver: _SigmaSolver, g: float, constrained: bool) -> np.ndarray:
     """Row b is, up to roundoff, :func:`smoothed_estimate` of row b of the
     (B, m) ``thetas`` at gamma ``g`` alone, or :func:`benchmarked_estimate`
-    under the solver's constraints when ``constrained``; an unconstrained
-    row at g = 0 is its theta exactly.  One solve serves every row: two
-    matrix products with the eigen basis, or one LU solve with B
-    right-hand sides for a :class:`_OneGammaSolver`.  A row
-    that is not finite, or whose estimate is not finite or exceeds the
-    residual bound, is a NaN row; an ill-conditioned Sigma or Gram matrix
-    is a NumericalError."""
+    under the solver's constraints when ``constrained``; the solver returns
+    an unconstrained row at g = 0 as its theta, exactly.  One solve serves
+    every row: two matrix products with the eigen basis, or one LU solve
+    with B right-hand sides for a :class:`_OneGammaSolver`.  A row that is
+    not finite, or whose estimate is not finite or exceeds the residual
+    bound, is a NaN row; an ill-conditioned Sigma or Gram matrix is a
+    NumericalError."""
     out = np.full(thetas.shape, np.nan)
     rows = np.flatnonzero(np.isfinite(thetas).all(axis=1))
-    if g == 0.0 and not constrained:
-        out[rows] = thetas[rows]
-        return out
     d = solver.solve(thetas[rows], g, constrained)
     good = np.isfinite(d).all(axis=1)
     if constrained:
@@ -491,15 +492,13 @@ def _batch_estimates(thetas: np.ndarray, solver: _SigmaSolver, g: float, constra
 def benchmarked_estimate_single(theta_bayes, phi, omega, gamma, w, t) -> BenchmarkedEstimate:
     """Single weighted-mean benchmark sum_i w_i d_i = t: the k = 1 case of
     :func:`benchmarked_estimate`, for nonnegative, not all zero weights."""
-    theta, solver, g = _problem(theta_bayes, phi, omega, gamma)
-    wv = _vector("w", w, theta.shape[0])
+    wv = _vector("w", w)
     if np.any(wv < 0):
         raise ValidationError("benchmark weights must be nonnegative")
     if not np.any(wv != 0):
         raise ValidationError("benchmark weight vector must be nonzero")
-    return benchmarked_estimate(
-        theta, solver.phi, solver.omega, g, ConstraintSet(wv[np.newaxis, :], [_real("t", t)])
-    )
+    constraints = ConstraintSet(wv[np.newaxis, :], [_real("t", t)])
+    return benchmarked_estimate(theta_bayes, phi, omega, gamma, constraints)
 
 
 def unit_level_smoothed(
@@ -514,8 +513,8 @@ def unit_level_smoothed(
     m, n = layout.n_areas, layout.n_units
     theta_a = _vector("theta_area_bayes", theta_area_bayes, m)
     theta_u = _vector("theta_unit_bayes", theta_unit_bayes, n)
-    area = smoothed_estimate(theta_a, layout.phi, _omega_matrix(omega_area, m), layout.gamma_area)
-    unit = smoothed_estimate(theta_u, layout.xi, _omega_matrix(omega_unit, n), layout.gamma_unit)
+    area = smoothed_estimate(theta_a, layout.phi, omega_area, layout.gamma_area)
+    unit = smoothed_estimate(theta_u, layout.xi, omega_unit, layout.gamma_unit)
     return area, unit
 
 

@@ -529,12 +529,15 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     quadrature each row is moved by a fitted value X c, which changes
     neither y'Py nor y - X beta_hat: c fits the D = 0 areas exactly and
     the others by least squares within what that leaves free, so that
-    y'Py = y'V^{-1}y - b' beta_hat does not cancel.  Each lattice's node
-    terms are computed once; the rows, sorted by window centre and written
-    back in input order, are taken in chunks, each evaluated only on the
-    nodes from its lowest window start to its highest window end.  Row
-    chunks keep every temporary within ``_CHUNK_DOUBLES`` doubles; the
-    (nodes x m) node terms are not chunked.
+    y'Py = y'V^{-1}y - b' beta_hat does not cancel.  SSR is the moved
+    row's sum of squares: the least-squares SSR when every D > 0, and
+    with D = 0 areas that of the fit that pins them, never smaller, so a
+    range can only be wider.  Each lattice's node terms are computed
+    once; the rows, sorted by window centre and written back in input
+    order, are taken in chunks, each evaluated only on the nodes from its
+    lowest window start to its highest window end.  Row chunks keep every
+    temporary within ``_CHUNK_DOUBLES`` doubles; the (nodes x m) node
+    terms are not chunked.
 
     Areas with D_i = 0 get theta_i = y_i exactly.  With ``fixed_sigma_u2``
     each row is the conditional mean at that variance.  Raises
@@ -550,29 +553,24 @@ def exact_means(data: AreaDataset, Y, fixed_sigma_u2: float | None = None) -> np
     D = data.D
     if not np.any(D > 0):
         return Y.copy()
-    # each row moved by a fitted value X c, which changes neither y'Py nor
-    # y - X beta_hat: the least-squares fit, or with D = 0 areas a c that
-    # fits them exactly first (see the docstring)
-    fitted = Y @ np.linalg.pinv(X).T @ X.T
-    moved = Y - fitted
+    # each row moved by X c (see the docstring), X rotated so the directions
+    # the D = 0 areas pin as s2 -> 0 are its first r coordinates, which the
+    # diagonal rescaling balances; a rotation (I with no D = 0 area) changes
+    # no fitted value and no determinant
     zero = D == 0
-    if np.any(zero):
-        # rotate the design so the directions the D = 0 areas pin as s2 -> 0
-        # are its first r coordinates, which the diagonal rescaling then
-        # balances; a rotation changes no fitted value and no determinant
-        X = X @ np.linalg.svd(X[zero])[2].T
-        r = np.linalg.matrix_rank(X[zero])
-        c = np.linalg.lstsq(X[zero, :r], Y[:, zero].T, rcond=None)[0]
-        rest = Y[:, ~zero].T - X[~zero, :r] @ c
-        c = np.vstack([c, np.linalg.lstsq(X[~zero, r:], rest, rcond=None)[0]])
-        moved = Y - (X @ c).T
+    X = X @ np.linalg.svd(X[zero])[2].T
+    r = np.linalg.matrix_rank(X[zero])
+    c = np.linalg.lstsq(X[zero, :r], Y[:, zero].T, rcond=None)[0]
+    rest = Y[:, ~zero].T - X[~zero, :r] @ c
+    c = np.vstack([c, np.linalg.lstsq(X[~zero, r:], rest, rcond=None)[0]])
+    moved = Y - (X @ c).T
     if s2 is not None:  # one node, which every row reads
         t = np.full(len(Y), np.log(s2))
         return Y - D * _window_means(X, D, moved, t[:1], t, t)
 
     # coarse lattice from the two tails (see the docstring)
     decay = m - p - 2
-    ssr = np.sum((Y - fitted) ** 2, axis=1)
+    ssr = np.sum(moved**2, axis=1)
     low = np.log(1.0 / np.sum(1.0 / D[D > 0])) - 45.0
     high = np.log(np.maximum(ssr / decay, D.max())) + 45.0 + 76.0 / decay
     high = np.minimum(high, np.log(_SIGMA2_MAX))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -431,6 +432,8 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     a gamma grid) writes ``cv_curve.csv``; both also write
     ``metadata.json`` and return None.  The stops after ``"gibbs"`` need a
     gamma choice and a weight column's target, checked before the chain.
+    The output directory is made before the chain too, so a run that
+    fails later leaves it behind, empty if nothing was written.
     Deterministic for a fixed config and seed: every stream derives from
     the master seed.
     """
@@ -448,8 +451,9 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     metadata = _base_metadata(config)
 
     with _stage("load"):
-        # an output_dir that cannot be a directory would fail only after the run
-        base = next(p for p in (out, *out.parents) if p.exists())
+        # a file in output_dir's way is named before the inputs are read;
+        # os.path.exists is False, not an OSError, for a name too long
+        base = next(p for p in (out, *out.parents) if os.path.exists(p))
         if not base.is_dir():
             raise ValidationError(f"output_dir {out}: {base} exists and is not a directory")
         smooths = stop_after != "gibbs"  # the stops that benchmark and solve with Sigma
@@ -462,6 +466,7 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
             # one eigendecomposition for all its gammas, a fixed gamma's
             # solves without one
             solver = (_SigmaSolver if config.gamma is None else _OneGammaSolver)(phi, omega, constraints)
+        _make_dir(out)
 
     with _stage("gibbs"):
         # only fit.csv reads the theta draws, for their ESS; the other stops
@@ -475,10 +480,10 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
     metadata["theta_bayes_max_mc_gap"] = gap if np.isfinite(gap) else None
     if stop_after == "gibbs":
         metadata["sigma_u2_mean"] = summary.sigma_u2_mean
-        out.mkdir(parents=True, exist_ok=True)
         fit = {"label": data.labels, "y": data.y, "D": data.D, "theta_bayes": theta, "ess": summary.ess}
-        _write_table(out / "fit.csv", fit)
-        _write_json(metadata, out / "metadata.json")
+        with _stage("write"):
+            _write_table(out / "fit.csv", fit)
+            _write_json(metadata, out / "metadata.json")
         return None
 
     curve = None
@@ -498,9 +503,9 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
         metadata["gamma_source"] = "fixed"
     metadata["gamma"] = gamma
     if stop_after == "cross-validation":
-        out.mkdir(parents=True, exist_ok=True)
-        _write_table(out / "cv_curve.csv", _cv_columns(curve))
-        _write_json(metadata, out / "metadata.json")
+        with _stage("write"):
+            _write_table(out / "cv_curve.csv", _cv_columns(curve))
+            _write_json(metadata, out / "metadata.json")
         return None
 
     with _stage("estimate"):
@@ -584,6 +589,15 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
 # Report I/O
 
 
+def _make_dir(out: Path) -> None:
+    """Create ``out`` and its parents; one that cannot be made is a
+    ValidationError naming it."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory {out}: {exc.strerror or exc}") from None
+
+
 def _write_json(obj: dict, path: Path) -> None:
     """Write ``obj``; a file that cannot be written is a ValidationError naming it."""
     try:
@@ -609,7 +623,7 @@ def _mse_columns(report: EstimateReport) -> dict:
 def write_report(report: EstimateReport, out_dir: str | Path) -> Path:
     """Write estimates.csv, cv_curve.csv, bootstrap_mse.csv, metadata.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     numeric = {name: getattr(report, name) for name in _REPORT_COLUMNS}
     group = [""] * report.m if report.groups is None else report.groups
     _write_table(out / "estimates.csv", {"label": report.labels, **numeric, "group": group})
@@ -700,7 +714,7 @@ def emit_plot_data(report: EstimateReport, kind: str, out_dir: str | Path) -> Pa
             raise ValidationError("mse_by_area requires bootstrap results in the report")
         columns = _mse_columns(report)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     target = out / f"plot_{kind}.csv"
     _write_table(target, columns)
     return target

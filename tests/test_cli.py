@@ -170,6 +170,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"cannot write {target}: Is a directory" in err
 
+    @pytest.mark.parametrize("command", ["fit", "cv", "run"])
+    def test_output_dir_that_cannot_be_made_exits_2_before_the_chain(self, workspace, capsys, monkeypatch, command):
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges, gamma="", gamma_grid="0.1,10,3", output_dir="o" * 300)
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", _no_chain)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage load] cannot create directory ") and err.count("\n") == 1
+        assert err.endswith(f"{'o' * 300}: File name too long\n")
+
+    @pytest.mark.parametrize("command, name", [("fit", "fit.csv"), ("cv", "cv_curve.csv"), ("run", "metadata.json")])
+    def test_write_errors_name_the_write_stage(self, workspace, capsys, command, name):
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges, gamma="", gamma_grid="0.1,10,3")
+        target = tmp_path / "out" / name
+        target.mkdir(parents=True)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: [stage write] cannot write {target}: Is a directory\n"
+
     @pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
     @pytest.mark.parametrize(
         "key, what",

@@ -22,6 +22,7 @@ from smallarea import (
     unit_level_benchmarked,
     unit_level_smoothed,
 )
+from smallarea import estimators
 from smallarea.estimators import (
     _CONDITION_LIMIT,
     _batch_estimates,
@@ -43,6 +44,26 @@ from test_selection import _close, _floats, _wide_weights, held_out_problems
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
 TOY_THETA = np.array([1.0, 3.0])
 TOY_PHI = np.ones(2)
+
+
+def count_solvers_and_omega_checks(monkeypatch):
+    """Record every Sigma solver built and every penalty matrix validated
+    while the test runs: returns two lists, the class of each solver and
+    the shape of each omega checked."""
+    built, checked = [], []
+    init, check = estimators._SigmaSolver.__init__, estimators._omega_matrix
+
+    def counted_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    def counted_check(omega, size):
+        checked.append((size, size))
+        return check(omega, size)
+
+    monkeypatch.setattr(estimators._SigmaSolver, "__init__", counted_init)
+    monkeypatch.setattr(estimators, "_omega_matrix", counted_check)
+    return built, checked
 
 
 class TestSmoothed:
@@ -243,6 +264,26 @@ class TestSingleConstraint:
                 TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, np.array([1.0, -0.5]), 1.0
             )
 
+    def test_builds_one_solver_and_validates_omega_once(self, monkeypatch):
+        built, checked = count_solvers_and_omega_checks(monkeypatch)
+        benchmarked_estimate_single(TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0, np.array([0.5, 0.5]), 3.0)
+        assert built == [_SigmaSolver] and checked == [(2, 2)]
+
+    def test_residual_bound_is_absolute_in_the_targets_units(self):
+        # the bound 1e-8 (1 + |t|_inf) does not grow with theta: summing
+        # the constrained estimates rounds at theta's scale, so a target
+        # of 0 refuses thetas of 1e18, and one of their own scale does not
+        m = 8
+        adjacency = np.diag(np.ones(m - 1), 1)
+        omega = np.diag((adjacency + adjacency.T).sum(axis=1)) - adjacency - adjacency.T
+        theta, ones = np.random.default_rng(0).normal(size=m), np.ones(m)
+        assert benchmarked_estimate_single(theta, ones, omega, 1.0, ones, 0.0).constraint_residual <= 1e-8
+        message = r"^benchmark residual \d\.\d{3}e\+\d\d exceeds tolerance 1\.000e-08$"
+        with pytest.raises(NumericalError, match=message):
+            benchmarked_estimate_single(theta * 1e18, ones, omega, 1.0, ones, 0.0)
+        fit = benchmarked_estimate_single(theta * 1e18, ones, omega, 1.0, ones, 1e18)
+        assert fit.constraint_residual <= _residual_bound([1e18])
+
 
 class TestOptimality:
     def test_smoothed_is_a_minimum_under_perturbations(self):
@@ -350,6 +391,12 @@ class TestOptimality:
 
 
 class TestUnitLevel:
+    def test_smoothed_validates_each_omega_once(self, monkeypatch):
+        layout = UnitLevelLayout((1, 2), TOY_PHI, np.ones(3), 1.0, 0.5)
+        built, checked = count_solvers_and_omega_checks(monkeypatch)
+        unit_level_smoothed(layout, TOY_THETA, np.zeros(3), TOY_OMEGA, np.eye(3))
+        assert built == [_SigmaSolver] * 2 and checked == [(2, 2), (3, 3)]
+
     def _layout(self, gamma_area=0.7, gamma_unit=1.3):
         return UnitLevelLayout(
             units_per_area=(1, 2),
@@ -679,6 +726,27 @@ class TestInvariants:
         if constraints is not None:
             with pytest.raises(NumericalError, match=re.escape(f"ill-conditioned at gamma={2 * g:g}") + "$"):
                 benchmarked_estimate(theta, phi, solver, 2 * g, constraints)
+
+
+def test_zero_gamma_one_gamma_solves_take_no_eigendecomposition(monkeypatch):
+    # at gamma = 0 the unconstrained solves return theta and the
+    # constrained ones take the LU route, for one estimate and for a batch
+    rng = np.random.default_rng(3)
+    m = 6
+    theta, phi, omega = random_instance(rng, m)
+    thetas = theta + rng.normal(size=(4, m))
+    constraints = ConstraintSet(np.full((1, m), 1.0 / m), [0.5])
+    solver = _OneGammaSolver(phi, omega, constraints)
+    factors = count_eigendecompositions(monkeypatch)
+    smooth = smoothed_estimate(theta, phi, solver, 0.0).values
+    bench = benchmarked_estimate(theta, phi, solver, 0.0, constraints).values
+    smooth_rows, bench_rows = (_batch_estimates(thetas, solver, 0.0, c) for c in (False, True))
+    assert factors == []
+    np.testing.assert_array_equal(smooth, theta)
+    np.testing.assert_array_equal(smooth_rows, thetas)
+    np.testing.assert_allclose(bench, kkt_solve(theta, phi, omega, 0.0, constraints.M, constraints.t), atol=1e-12)
+    for row, got in zip(thetas, bench_rows):
+        np.testing.assert_allclose(got, kkt_solve(row, phi, omega, 0.0, constraints.M, constraints.t), atol=1e-12)
 
 
 def test_one_gamma_solver_falls_back_where_the_discs_cannot_certify(monkeypatch):

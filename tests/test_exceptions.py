@@ -17,15 +17,20 @@ from smallarea import (
     CsvSchema,
     CvCurve,
     GibbsConfig,
+    LossWeights,
+    PosteriorSummary,
     RunConfig,
     SimilaritySpec,
     SmoothnessMatrix,
     UnitLevelLayout,
     ValidationError,
+    benchmarked_estimate,
     default_gamma_grid,
+    load_adjacency,
     load_area_csv,
     read_edge_list,
     smoothed_estimate,
+    stack_multivariate,
     unit_level_benchmarked,
 )
 from smallarea.exceptions import _input_lines, _integer, _matrix, _read_input, _real, _vector
@@ -273,6 +278,102 @@ TEXT = [["a", "b"], ["c", "d"]]
 )
 def test_bad_matrix_is_a_validation_error_naming_the_field(build, field):
     with pytest.raises(ValidationError, match=re.escape(field)):
+        build()
+
+
+def _dataset(**overrides) -> AreaDataset:
+    fields = {
+        "labels": ("a", "b"),
+        "y": [1.0, 2.0],
+        "D": [1.0, 1.0],
+        "covariates": [[1.0], [2.0]],
+        "covariate_names": ("x",),
+    }
+    return AreaDataset(**{**fields, **overrides})
+
+
+def _summary(**overrides) -> PosteriorSummary:
+    fields = {"theta_draws": np.zeros((2, 2)), "beta_draws": np.zeros((2, 1)), "sigma_u2_draws": np.ones(2)}
+    return PosteriorSummary(**{**fields, **overrides})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: LossWeights([1.0, 0.0]), "loss weights must be strictly positive", id="loss-weights"),
+        pytest.param(
+            lambda: smoothed_estimate([1.0, 3.0], TOY_PHI, np.zeros((3, 3)), 1.0),
+            "penalty matrix has shape (3, 3), expected (2, 2)",
+            id="penalty-shape",
+        ),
+        pytest.param(
+            lambda: ConstraintSet(np.zeros((0, 2)), []), "at least one constraint row is required", id="no-constraint-rows"
+        ),
+        pytest.param(
+            lambda: _layout(units_per_area=()), "every area must contain at least one unit", id="layout-no-areas"
+        ),
+        pytest.param(
+            lambda: _layout(xi=[1.0, 0.0, 1.0]), "unit loss weights must be strictly positive", id="unit-loss-weights"
+        ),
+        pytest.param(
+            lambda: benchmarked_estimate([1.0, 3.0], TOY_PHI, TOY_OMEGA, 1.0, None),
+            "constraints must be a ConstraintSet",
+            id="constraints-type",
+        ),
+        pytest.param(lambda: stack_multivariate([]), "at least one component is required", id="no-components"),
+        pytest.param(
+            lambda: _dataset(labels=(), y=[], D=[], covariates=np.zeros((0, 1))),
+            "dataset must contain at least one area",
+            id="dataset-no-areas",
+        ),
+        pytest.param(
+            lambda: _dataset(covariates=[[1.0]]), "covariates have shape (1, 1), expected (2, q)", id="covariate-rows"
+        ),
+        pytest.param(
+            lambda: _dataset(covariate_names=("x", "z")), "2 covariate names for 1 covariate columns", id="covariate-names"
+        ),
+        pytest.param(
+            lambda: _dataset(covariates=np.zeros((2, 0)), covariate_names=(), intercept=False),
+            "design matrix has no columns",
+            id="design-no-columns",
+        ),
+        pytest.param(
+            lambda: _summary(theta_draws=np.zeros((0, 2))), "theta_draws must be a nonempty (S, m) array", id="no-draws"
+        ),
+        pytest.param(
+            lambda: _summary(sigma_u2_draws=np.array([1.0, 0.0])),
+            "the model-variance draws must be nonempty and strictly positive",
+            id="variance-draw-zero",
+        ),
+        pytest.param(lambda: CvCurve([0.5, 1.0], [1.0]), "scores must align with the grid", id="curve-scores-short"),
+        pytest.param(
+            lambda: CvCurve([0.5, 1.0], [np.inf, np.inf]),
+            "at least one grid point must have a finite score",
+            id="curve-no-finite-score",
+        ),
+        pytest.param(
+            lambda: CvCurve([0.5, 1.0], [1.0, 2.0], ((),)),
+            "failed_areas must align with the grid",
+            id="curve-failed-areas-short",
+        ),
+        pytest.param(
+            lambda: SimilaritySpec.from_matrix(np.ones((2, 3))),
+            "similarity matrix must be square, got shape (2, 3)",
+            id="similarity-not-square",
+        ),
+        pytest.param(
+            lambda: load_adjacency([], ["a", "a"]), "duplicate label 'a' in label set", id="adjacency-duplicate-label"
+        ),
+        pytest.param(
+            lambda: load_adjacency([("a",)], ["a", "b"]),
+            "edge must have 2 or 3 fields, got ('a',)",
+            id="adjacency-one-field-edge",
+        ),
+        pytest.param(lambda: CsvSchema(), "schema must name at least one covariate column", id="schema-no-covariates"),
+    ],
+)
+def test_check_refuses_with_its_message(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -63,6 +63,33 @@ def test_one_reader_and_two_writers_open_files():
     }
 
 
+def _calls_named(source: str, name: str) -> list[str]:
+    """Name of the function enclosing each call of a method ``name``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name:
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_function_makes_directories():
+    # the one that turns a directory that cannot be made into a ValidationError
+    package = Path(smallarea.__file__).parent
+    found = [
+        (path.name, where)
+        for path in sorted(package.glob("*.py"))
+        for where in _calls_named(path.read_text(encoding="utf-8"), "mkdir")
+    ]
+    assert found == [("pipeline.py", "_make_dir")]
+
+
 def test_file_access_finds_every_form():
     source = "def f(p):\n    with open(p) as fh:\n        pass\n    return p.read_text()\nx = io.open('y')\n"
     assert _file_access(source) == ["f", "f", "<module>"]

@@ -1246,6 +1246,10 @@ class TestReportIo:
                 "metadata key 'constraint_residual' must be a nonnegative number",
                 id="nan-constraint-residual",
             ),
+            pytest.param(
+                "cv_curve.csv", "1,0.75,", "1,inf,", "^at least one grid point must have a finite score$",
+                id="no-finite-cv-score",
+            ),
         ],
     )
     def test_malformed_report_file_rejected(self, tmp_path, name, old, new, message):
@@ -1256,6 +1260,22 @@ class TestReportIo:
         path.write_text(text.replace(old, new), encoding="utf-8")
         with pytest.raises(ValidationError, match=message):
             read_report(out)
+
+    @pytest.mark.parametrize("fault", ["name-too-long", "file-in-the-way"])
+    @pytest.mark.parametrize(
+        "write",
+        [write_report, lambda report, out: emit_plot_data(report, "mse_by_area", out)],
+        ids=["write_report", "emit_plot_data"],
+    )
+    def test_a_directory_that_cannot_be_made_is_a_validation_error(self, tmp_path, write, fault):
+        if fault == "name-too-long":
+            out, reason = tmp_path / ("o" * 300), "File name too long"
+        else:
+            (tmp_path / "taken").write_text("a file\n")
+            out, reason = tmp_path / "taken" / "out", "Not a directory"
+        message = f"cannot create directory {out}: {reason}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write(self._hand_built_report(), out)
 
     @pytest.mark.parametrize("name", ["estimates.csv", "metadata.json", "cv_curve.csv"])
     def test_unreadable_report_file_rejected(self, tmp_path, name):
