@@ -17,10 +17,13 @@ full fit and the hat-matrix columns A e_i, so that each held-out fit is a
 copy of one row; and :func:`_batch_estimates` solves a (B, m) batch of
 thetas at once, as the bootstrap does for its replicates.  A run at one
 fixed gamma, which shares no decomposition between gammas, uses its
-subclass that solves each time by LU where Gershgorin's discs certify
-the system.  A caller that solves many times, such as the pipeline's
-estimates, cross-validation and bootstrap, passes the solver in place of
-omega; a call with a plain omega builds a one-off eigen solver.
+subclass that solves each time, where Gershgorin's discs certify the
+system, by conjugate gradients over omega's nonzeros when that costs less
+than an LU solve and by the LU solve otherwise, and through the eigen
+basis where the discs do not certify it.  A caller that solves many
+times, such as the pipeline's estimates, cross-validation and bootstrap,
+passes the solver in place of omega; a call with a plain omega builds a
+one-off eigen solver.
 :func:`benchmarked_estimate` is the one constrained estimate: the single
 weighted-mean benchmark and the unit-level (two-tier) benchmark are calls
 to it, and multivariate problems reduce to it through block stacking.
@@ -28,7 +31,9 @@ to it, and multivariate problems reduce to it through block stacking.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +59,21 @@ __all__ = [
 # Phi^{-1/2} Sigma Phi^{-1/2}, Gram matrices and held-out fits (through
 # 1 - A_ii) with condition numbers beyond this are treated as singular.
 _CONDITION_LIMIT = 1e12
+
+# A fixed-gamma solve by conjugate gradients stops each right-hand side b
+# once its residual is at most _CG_TOL ||b||, within _CG_SLACK iterations
+# beyond the convergence bound of its certified condition number (or 2m),
+# and is accepted when its true residual is within _CG_ROUNDING times the
+# rounding of computing it.  _CG_CALLS and _LU_SPEEDUP price CG against an
+# LU solve (see _OneGammaSolver._cg_pays): on a 2-vCPU x86-64 host a CG
+# iteration's numpy calls cost about 30000 element operations' worth, and
+# OpenBLAS's LU of a 1000 x 1000 matrix did 7.5 (one thread) to 9.3 (two)
+# multiply-adds in the time numpy's loops took for one element operation.
+_CG_TOL = 1e-15
+_CG_SLACK = 10
+_CG_ROUNDING = 4
+_CG_CALLS = 30000
+_LU_SPEEDUP = 8
 
 # Benchmarked results must satisfy ||M d - t||_inf <= _RESIDUAL_TOL * (1 + ||t||_inf).
 _RESIDUAL_TOL = 1e-8
@@ -235,53 +255,173 @@ class _SigmaSolver:
 
 class _OneGammaSolver(_SigmaSolver):
     """A :class:`_SigmaSolver` for a run at one fixed gamma, where no grid
-    shares an eigendecomposition: each :meth:`solve` is one LU solve of
-    I + gamma K against [Phi^{1/2} theta rows, Phi^{-1/2} M'], scaled by
-    Phi^{-1/2}, and the Gram matrix M S M' comes from the same solve.
+    shares an eigendecomposition: each :meth:`solve` solves
+    Sigma X = [Phi theta rows, M] for all its right-hand sides at once,
+    and the Gram matrix M S M' comes from the same solve.  It solves by
+    Jacobi-preconditioned conjugate gradients (CG) over omega's nonzeros,
+    which forms no m x m matrix, where even CG's iteration cap costs less
+    than the LU solve of I + gamma K against [Phi^{1/2} theta rows,
+    Phi^{-1/2} M'], and by that LU solve otherwise: CG pays on a large,
+    sparse omega at a moderate gamma, LU on a small or dense omega, a large
+    gamma, or a wide batch (see :meth:`_cg_pays`).
 
-    It takes that route only when Gershgorin's discs certify I + gamma K:
-    with every eigenvalue of K in [lo, hi], 1 + gamma lo > 0 and
-    (1 + gamma hi)/(1 + gamma lo) <= _CONDITION_LIMIT make a system the
-    eigen route accepts too.  hi is the top of K's discs; lo is the bottom
-    of K's discs or, if higher, the bound that omega's discs give through
-    x'Kx = (r x)' omega (r x), r = Phi^{-1/2}: scaling by r breaks the
-    diagonal dominance of a graph Laplacian omega, whose own discs show
-    K >= 0.  At any other gamma :meth:`solve` is :class:`_SigmaSolver`'s,
+    It takes either route only when Gershgorin's discs certify
+    I + gamma K: with every eigenvalue of K in [lo, hi], 1 + gamma lo > 0
+    and kappa = (1 + gamma hi)/(1 + gamma lo) <= _CONDITION_LIMIT make a
+    system the eigen route accepts too.  hi is the top of K's discs; lo is
+    the bottom of K's discs or, if higher, the bound that omega's discs
+    give through x'Kx = (r x)' omega (r x), r = Phi^{-1/2}: scaling by r
+    breaks the diagonal dominance of a graph Laplacian omega, whose own
+    discs show K >= 0.  A right-hand side b is done when its CG residual is
+    at most _CG_TOL ||b||.  A CG solve is accepted when every one is done
+    within the cap, (sqrt(kappa)/2) ln(2/_CG_TOL), CG's bound for kappa,
+    or 2m if fewer, plus _CG_SLACK iterations, and the true residual
+    b - Sigma x of each then is within _CG_ROUNDING times the rounding of
+    computing it; a solve not accepted is the LU solve's.  At a gamma the
+    discs do not certify :meth:`solve` is :class:`_SigmaSolver`'s,
     refusals and messages included; :meth:`held_out`, which a fixed-gamma
     run never calls, is inherited and takes the eigendecomposition."""
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
         super().__init__(phi, omega, constraints, size)
-        # the discs of omega and of K = r omega r, both from |omega|
+        # the discs of omega and of K = r omega r, both from |omega|, and p,
+        # the most off-diagonal nonzeros in a row of omega, taken 64 rows at
+        # a time so that no m x m temporary is formed
+        m = len(self.phi)
         r = 1.0 / np.sqrt(self.phi)
-        centre, mag = np.diagonal(self.omega), np.abs(self.omega)
-        w_lo = np.min(centre - (mag.sum(axis=1) - np.abs(centre)))
-        k_radius = r * (mag @ r) - r * r * np.abs(centre)
+        centre = np.diagonal(self.omega)
+        row_sum, k_sum, count = np.empty(m), np.empty(m), np.empty(m, dtype=int)
+        for at in range(0, m, 64):
+            mag = np.abs(self.omega[at : at + 64])
+            row_sum[at : at + 64], k_sum[at : at + 64] = mag.sum(axis=1), mag @ r
+            count[at : at + 64] = np.count_nonzero(mag, axis=1)
+        w_lo = np.min(centre - (row_sum - np.abs(centre)))
+        k_radius = r * k_sum - r * r * np.abs(centre)
         lo = np.min(r * r * centre - k_radius)
         hi = np.max(r * r * centre + k_radius)
         lo = max(lo, w_lo * np.max(r * r) if w_lo < 0 else w_lo * np.min(r * r))
         self._bounds = float(lo), float(hi)  # every eigenvalue of K lies in [lo, hi]
+        self._degree = int(np.max(count - (centre != 0), initial=0))
+
+    @cached_property
+    def _padded(self):
+        """omega's off-diagonal nonzeros as (p, m) neighbours and weights:
+        column i holds row i's, padded with i itself and weight 0.  Built on
+        the first CG solve."""
+        m = len(self.phi)
+        rows, cols = np.nonzero(self.omega)
+        rows, cols = rows[rows != cols], cols[rows != cols]
+        count = np.bincount(rows, minlength=m)
+        at = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        neighbours = np.tile(np.arange(m), (self._degree, 1))
+        neighbours[at, rows] = cols
+        weights = np.zeros(neighbours.shape)
+        weights[at, rows] = self.omega[rows, cols]
+        return neighbours, weights
 
     def _solve(self, theta, g: float, constrained: bool):
         lo, hi = self._bounds
         low, high = 1.0 + g * lo, 1.0 + g * hi
         if not (low > 0 and high / low <= _CONDITION_LIMIT):
             return super()._solve(theta, g, constrained)
+        m = len(self.phi)
+        rows = np.atleast_2d(theta)
+        M = self.constraints.M if constrained else np.empty((0, m))
+        cap = min(int(0.5 * np.sqrt(high / low) * np.log(2.0 / _CG_TOL)), 2 * m) + _CG_SLACK
+        x = None
+        if self._cg_pays(cap, len(rows) + len(M)):
+            # each CG starts from the solution at gamma = 0: theta itself for
+            # a theta row, so an omega that annihilates it leaves it exactly
+            x = self._cg(np.vstack((rows, M / self.phi)), np.vstack((self.phi * rows, M)), g, cap)
+        if x is None:
+            x = self._lu(rows, g, M if constrained else None)
+        d = x[: len(rows)].reshape(np.shape(theta))
+        if not constrained:
+            return d
+        sm = x[len(rows) :].T  # S M'
+        return self._onto_constraints(d, _projector(M @ sm, sm))
+
+    def _cg_pays(self, cap: int, n: int) -> bool:
+        """Whether ``cap`` CG iterations on ``n`` right-hand sides cost no
+        more than the LU solve, both counted in numpy's element operations.
+        A CG iteration costs _CG_CALLS for its numpy calls and, for each
+        right-hand side, (3 p + 15) m for its passes over the padded
+        neighbours and the areas.  The LU solve costs m^3/3 multiply-adds
+        for the factor and m^2 for each right-hand side, _LU_SPEEDUP of them
+        per element operation, and 3 m^2 to form I + gamma K."""
+        m = len(self.phi)
+        cg = cap * (_CG_CALLS + n * (3 * self._degree + 15) * m)
+        return cg <= (m**3 / 3 + m * m * n) / _LU_SPEEDUP + 3 * m * m
+
+    def _lu(self, rows, g: float, M):
+        """The rows of Sigma x = [Phi ``rows``; ``M``] (``M`` None for
+        none), by one LU solve of I + g K against [Phi^{1/2} rows,
+        Phi^{-1/2} M'], scaled by Phi^{-1/2}."""
         root = np.sqrt(self.phi)
         a = self.omega / root[:, None]
         a *= g / root
         a[np.diag_indices_from(a)] += 1.0
-        rows = np.atleast_2d(theta)
         rhs = (root * rows).T
-        if constrained:
-            M = self.constraints.M
+        if M is not None:
             rhs = np.hstack((rhs, M.T / root[:, None]))
-        x = np.linalg.solve(a, rhs) / root[:, None]
-        d = x[:, : len(rows)].T.reshape(np.shape(theta))
-        if not constrained:
-            return d
-        sm = x[:, len(rows) :]  # S M'
-        return self._onto_constraints(d, _projector(M @ sm, sm))
+        return (np.linalg.solve(a, rhs) / root[:, None]).T
+
+    def _cg(self, x, b, g: float, cap: int):
+        """``x`` moved in place, row by row, to the solution of Sigma x = b
+        by Jacobi-preconditioned CG from its given rows; None when a row is
+        not done within ``cap`` iterations, its true residual is too large
+        or anything is not finite.  A row that is done stops iterating, so
+        it does not depend on the other rows, and no step calls BLAS, so it
+        does not depend on the thread count either."""
+        diag = self.phi + g * np.diagonal(self.omega)  # > 0: Sigma is certified positive definite
+        neighbours, weights = self._padded
+        weights = g * weights
+
+        def sigma(v):  # Sigma v, for each row v, gathering 8 neighbours at a time
+            out = diag * v
+            for at in range(0, self._degree, 8):
+                near = np.take(v, neighbours[at : at + 8], axis=1)  # (rows, 8, m)
+                near *= weights[at : at + 8]
+                for term in near.transpose(1, 0, 2):
+                    out += term
+            return out
+
+        b_norm = np.sqrt((b * b).sum(axis=1))
+        goal = _CG_TOL * b_norm
+        live = np.arange(len(x))  # the rows of x still iterating
+        xs, r = x, b - sigma(x)
+        z = r / diag
+        p, rz = z, (r * z).sum(axis=1)
+        for k in itertools.count():
+            res = np.sqrt((r * r).sum(axis=1))
+            if not np.isfinite(res).all():
+                return None
+            done = res <= goal
+            if done.any():
+                x[live[done]] = xs[done]
+                keep = ~done
+                live, xs, r, p, rz, goal = live[keep], xs[keep], r[keep], p[keep], rz[keep], goal[keep]
+            if not len(live):
+                break
+            if k >= cap:
+                return None
+            q = sigma(p)
+            alpha = rz / (p * q).sum(axis=1)
+            xs += alpha[:, None] * p
+            r -= alpha[:, None] * q
+            z = r / diag
+            rz, old = (r * z).sum(axis=1), rz
+            p = z + (rz / old)[:, None] * p
+        # CG's residual drifts from b - Sigma x by rounding.  Computing
+        # b - Sigma x itself rounds each entry by up to (p + 3) eps times
+        # |b| + |Sigma| |x|, p + 1 the most entries in a row of Sigma, so
+        # accept the rows only within _CG_ROUNDING times that, with ||Sigma||
+        # no more than its largest absolute row sum
+        norm = np.max(diag + np.abs(weights).sum(axis=0))
+        true = b - sigma(x)
+        rounding = _CG_ROUNDING * (self._degree + 3) * np.finfo(float).eps
+        bound = rounding * (norm * np.sqrt((x * x).sum(axis=1)) + b_norm)
+        return x if np.all(np.sqrt((true * true).sum(axis=1)) <= bound) else None
 
 
 @dataclass(frozen=True)
@@ -473,11 +613,11 @@ def _batch_estimates(thetas: np.ndarray, solver: _SigmaSolver, g: float, constra
     (B, m) ``thetas`` at gamma ``g`` alone, or :func:`benchmarked_estimate`
     under the solver's constraints when ``constrained``; the solver returns
     an unconstrained row at g = 0 as its theta, exactly.  One solve serves
-    every row: two matrix products with the eigen basis, or one LU solve
-    with B right-hand sides for a :class:`_OneGammaSolver`.  A row that is
-    not finite, or whose estimate is not finite or exceeds the residual
-    bound, is a NaN row; an ill-conditioned Sigma or Gram matrix is a
-    NumericalError."""
+    every row: two matrix products with the eigen basis, or one CG or LU
+    solve with B right-hand sides for a :class:`_OneGammaSolver`.  A row
+    that is not finite, or whose estimate is not finite or exceeds the
+    residual bound, is a NaN row; an ill-conditioned Sigma or Gram matrix
+    is a NumericalError."""
     out = np.full(thetas.shape, np.nan)
     rows = np.flatnonzero(np.isfinite(thetas).all(axis=1))
     d = solver.solve(thetas[rows], g, constrained)

@@ -99,8 +99,8 @@ def _matrix(name: str, value, shape: tuple[int, int] | None = None) -> np.ndarra
 def _read_input(path: str | Path, what: str) -> str:
     """The text of input file ``what`` (``"edge list"``, ...), line endings
     untouched, without a leading UTF-8 byte-order mark.  A file that is
-    missing, cannot be read or is not UTF-8 is a ValidationError naming
-    ``what`` and ``path``."""
+    missing, cannot be read or is not UTF-8, or a path with a NUL byte, is
+    a ValidationError naming ``what`` and ``path``."""
     try:
         with open(path, "rb") as fh:
             data = fh.read().removeprefix(codecs.BOM_UTF8)
@@ -112,6 +112,8 @@ def _read_input(path: str | Path, what: str) -> str:
         raise ValidationError(f"{path}:{line}: {what} is not valid UTF-8") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError:  # open() refuses a NUL byte in the path
+        raise ValidationError(f"cannot read {what} {str(path)!r}: the path holds a NUL byte") from None
 
 
 def _input_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:

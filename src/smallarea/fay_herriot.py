@@ -401,6 +401,8 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
     return summary
 
 
+# terms that overflow, or a X'WX whose weights all vanish, warn nothing: their node is refused below
+@np.errstate(all="ignore")
 def _nodes(X, D, T):
     """The terms of nodes ``T`` (n,) in t = log s2 that no response row
     changes: w = 1 / (e^t + D), (n, m); the constant of the log weight,

@@ -590,12 +590,14 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
 
 
 def _make_dir(out: Path) -> None:
-    """Create ``out`` and its parents; one that cannot be made is a
-    ValidationError naming it."""
+    """Create ``out`` and its parents; one that cannot be made, or a path
+    with a NUL byte, is a ValidationError naming it."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create directory {out}: {exc.strerror or exc}") from None
+    except ValueError:  # mkdir refuses a NUL byte in the path
+        raise ValidationError(f"cannot create directory {str(out)!r}: the path holds a NUL byte") from None
 
 
 def _write_json(obj: dict, path: Path) -> None:

@@ -126,10 +126,9 @@ def build_omega(spec: SimilaritySpec) -> SmoothnessMatrix:
     """
     q = spec.matrix()
     totals = q.sum(axis=1) + q.sum(axis=0)
-    omega = -2.0 * q
-    idx = np.diag_indices(spec.size)
-    omega[idx] += totals
-    return SmoothnessMatrix(omega)
+    q *= -2.0  # in place: the load stage holds one m x m array, not two
+    q[np.diag_indices(spec.size)] += totals
+    return SmoothnessMatrix(q)
 
 
 def connected_components(spec: SimilaritySpec) -> list[list[int]]:

@@ -83,6 +83,16 @@ class TestExitCodes:
         assert main([*args, "--config", str(cfg)]) == 3
         assert "[stage gibbs] the chain's draws overflowed" in capsys.readouterr().err
 
+    def test_fit_with_a_huge_sampling_variance_warns_nothing(self, workspace, capsys):
+        # at D = 1e308 the exact posterior mean's top nodes overflow e^t + D;
+        # those nodes are refused, and under the suite's filterwarnings =
+        # error a numpy warning would fail the run
+        tmp_path, data, area, edges = workspace
+        write_area_csv(replace(data, D=np.where(np.arange(data.m) == 3, 1e308, data.D)), area)
+        cfg = write_config(tmp_path, area, edges)
+        assert main(["fit", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -179,6 +189,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: [stage load] cannot create directory ") and err.count("\n") == 1
         assert err.endswith(f"{'o' * 300}: File name too long\n")
+
+    @pytest.mark.parametrize("key", ["edge_list", "output_dir"])
+    def test_a_nul_byte_in_a_path_exits_2_naming_it(self, workspace, capsys, monkeypatch, key):
+        # open() and mkdir() refuse such a path with a ValueError, not an OSError
+        tmp_path, _, area, edges = workspace
+        if key == "edge_list":
+            cfg = write_config(tmp_path, area, edges.with_name(edges.name + "\x00"))
+            message = f"cannot read edge list {str(edges) + chr(0)!r}: the path holds a NUL byte"
+        else:
+            cfg = write_config(tmp_path, area, edges, output_dir="o\x00ut")
+            message = f"cannot create directory {str(tmp_path / 'o') + chr(0) + 'ut'!r}: the path holds a NUL byte"
+        monkeypatch.setattr("smallarea.pipeline.gibbs_fit", _no_chain)
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: [stage load] {message}\n"
 
     @pytest.mark.parametrize("command, name", [("fit", "fit.csv"), ("cv", "cv_curve.csv"), ("run", "metadata.json")])
     def test_write_errors_name_the_write_stage(self, workspace, capsys, command, name):
@@ -621,3 +645,27 @@ def test_lattice_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, m
         reports.append({p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())})
     assert "cv_curve.csv" in reports[0]
     assert reports[0] == reports[1]
+
+
+def test_fixed_gamma_lattice_estimates_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    # the benchmark's 1000-area lattice at a fixed gamma, run once in a
+    # process with one BLAS thread and once with two: its estimates are
+    # solved by conjugate gradients, which call no BLAS routine.  The
+    # bootstrap's exact posterior means still round with the thread count,
+    # so bootstrap_mse.csv is not compared.  The inputs are written once.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    synth = importlib.import_module("synth")
+    cfg = synth.write_workload(synth.WORKLOADS["lattice1000-fixed"], 1, tmp_path, root)
+    estimates = []
+    for threads in ("1", "2"):
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallarea.cli", "run", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        estimates.append((tmp_path / "out" / "estimates.csv").read_bytes())
+    assert estimates[0] == estimates[1]

@@ -41,6 +41,15 @@ from oracles import (
 )
 from test_selection import _close, _floats, _wide_weights, held_out_problems
 
+
+class _CGSolver(_OneGammaSolver):
+    """The one-gamma solver taking conjugate gradients at every size, as it
+    does on a large sparse omega, so that small problems test that route."""
+
+    def _cg_pays(self, cap, n):
+        return True
+
+
 TOY_OMEGA = np.array([[2.0, -2.0], [-2.0, 2.0]])
 TOY_THETA = np.array([1.0, 3.0])
 TOY_PHI = np.ones(2)
@@ -583,10 +592,12 @@ class TestMultivariateStack:
 # pipeline shares between its calls.  held_out_problems builds omega with
 # build_omega, so omega annihilates constants.  Derandomized, so every run
 # of the suite checks the same examples.
-@pytest.mark.parametrize("solver_class", [_SigmaSolver, _OneGammaSolver], ids=["eigen", "one-gamma"])
+@pytest.mark.parametrize(
+    "solver_class", [_SigmaSolver, _OneGammaSolver, _CGSolver], ids=["eigen", "one-gamma", "one-gamma-cg"]
+)
 class TestInvariants:
-    """Each invariant holds for both solvers: the eigen route serves a grid,
-    the one-gamma route a fixed-gamma run."""
+    """Each invariant holds for every route: the eigen route serves a grid,
+    the one-gamma routes, LU and conjugate gradients, a fixed-gamma run."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(held_out_problems())
@@ -773,3 +784,153 @@ def test_one_gamma_solver_falls_back_where_the_discs_cannot_certify(monkeypatch)
     for constrained, values in zip((False, True), want):
         np.testing.assert_array_equal(solver.solve(theta, g, constrained), values)
     assert factors == [(m, m)] and solves == []
+
+
+def _lattice_omega(rows, cols, isolated=0):
+    """The penalty of a rows x cols lattice of unit similarities, areas
+    numbered row by row, plus ``isolated`` areas with no neighbour."""
+    from smallarea import SimilaritySpec, build_omega
+
+    edges = [(i, i + 1, 1.0) for i in range(rows * cols) if (i + 1) % cols]
+    edges += [(i, i + cols, 1.0) for i in range(rows * cols - cols)]
+    return build_omega(SimilaritySpec(rows * cols + isolated, edges)).omega
+
+
+def _lattice_problem(rows=6, cols=5, isolated=3, seed=11):
+    """A rows x cols lattice of unit similarities plus ``isolated`` areas
+    with no neighbour, loss weights over two decades and two positive
+    benchmark rows."""
+    rng = np.random.default_rng(seed)
+    m = rows * cols + isolated
+    omega = _lattice_omega(rows, cols, isolated)
+    phi = 10.0 ** rng.uniform(-1.0, 1.0, m)
+    theta = 10.0 + rng.normal(size=m)
+    constraints = ConstraintSet(rng.uniform(0.5, 1.5, (2, m)), [9.0, 11.0])
+    return theta, phi, omega, constraints
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 5.0, 50.0])
+def test_one_gamma_cg_matches_the_kkt_reference_on_a_lattice(monkeypatch, gamma):
+    # the conjugate-gradient route, taken without an eigendecomposition or
+    # an LU solve, is the bordered KKT solution on a lattice with isolated
+    # areas; a batch row is that row solved alone, and an empty batch is an
+    # empty result
+    theta, phi, omega, constraints = _lattice_problem()
+    M, t = constraints.M, constraints.t
+    kappa, gram = condition_numbers(phi, omega, gamma, M)
+    thetas = theta + np.random.default_rng(1).normal(size=(4, len(theta)))
+    want = kkt_solve(theta, phi, omega, gamma), kkt_solve(theta, phi, omega, gamma, M, t)
+    solver = _CGSolver(phi, omega, constraints)
+    factors, solves = count_eigendecompositions(monkeypatch), count_solves(monkeypatch, len(theta))
+    smooth = solver.solve(theta, gamma)
+    bench = solver.solve(theta, gamma, constrained=True)
+    assert _close(smooth, want[0], theta, phi, 1e-13 * kappa)
+    assert _close(bench, want[1], theta, phi, 1e-13 * kappa * gram)
+    for constrained in (False, True):
+        batch = _batch_estimates(thetas, solver, gamma, constrained)
+        for row, got in zip(thetas, batch):
+            alone = solver.solve(row, gamma, constrained)
+            assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
+        assert _batch_estimates(thetas[:0], solver, gamma, constrained).shape == (0, len(theta))
+    assert factors == [] and solves == []
+
+
+@pytest.mark.parametrize("graph", ["star", "complete"])
+def test_one_gamma_cg_on_a_hub_or_dense_omega_matches_the_kkt_reference(monkeypatch, graph):
+    # one area similar to every other, or every pair similar: p = m - 1
+    # neighbours, gathered 8 at a time for a batch at a fixed gamma
+    theta, phi, _, constraints = _lattice_problem()
+    m = len(theta)
+    adjacency = np.ones((m, m)) - np.eye(m)
+    if graph == "star":
+        adjacency[1:, 1:] = 0.0
+    omega = np.diag(adjacency.sum(axis=1)) - adjacency
+    thetas = theta + np.random.default_rng(2).normal(size=(5, m))
+    bordered = (), (constraints.M, constraints.t)
+    want = [[kkt_solve(row, phi, omega, 0.5, *extra) for row in thetas] for extra in bordered]
+    solver = _CGSolver(phi, omega, constraints)
+    assert solver._degree == m - 1
+    solves = count_solves(monkeypatch, m)
+    for constrained, references in zip((False, True), want):
+        got = _batch_estimates(thetas, solver, 0.5, constrained)
+        for row, values, reference in zip(thetas, got, references):
+            assert _close(values, reference, row, phi, 1e-11)
+    assert solves == []
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1e6])
+def test_one_gamma_cg_on_an_edgeless_omega_returns_theta(monkeypatch, gamma):
+    # with no similarity omega is zero: CG starts at theta with a zero
+    # residual, so the smoothed estimate is theta exactly at any gamma
+    theta, phi, _, constraints = _lattice_problem()
+    omega = np.zeros((len(theta),) * 2)
+    want = kkt_solve(theta, phi, omega, gamma, constraints.M, constraints.t)
+    solver = _CGSolver(phi, omega, constraints)
+    factors, solves = count_eigendecompositions(monkeypatch), count_solves(monkeypatch, len(theta))
+    np.testing.assert_array_equal(smoothed_estimate(theta, phi, solver, gamma).values, theta)
+    bench = benchmarked_estimate(theta, phi, solver, gamma, constraints).values
+    assert _close(bench, want, theta, phi, 1e-13)
+    assert factors == [] and solves == []
+
+
+@pytest.mark.parametrize(
+    "constant, value",
+    [("_CG_SLACK", -(10**9)), ("_CG_ROUNDING", 0.0)],
+    ids=["iteration-cap", "true-residual"],
+)
+def test_one_gamma_cg_not_accepted_returns_the_lu_route(monkeypatch, constant, value):
+    # a cap below zero stops CG before its first iteration; with no
+    # rounding allowed no x passes the true-residual check.  Either way the
+    # solve takes one m x m LU solve, no eigendecomposition, and returns
+    # the LU route's bits, which the one-gamma solver takes on its own at
+    # this size
+    theta, phi, omega, constraints = _lattice_problem()
+    gamma, m = 0.5, len(theta)
+    lu = _OneGammaSolver(phi, omega, constraints)
+    solves = count_solves(monkeypatch, m)
+    want = [lu.solve(theta, gamma, constrained) for constrained in (False, True)]
+    assert solves == [(m, m)] * 2
+    monkeypatch.setattr(estimators, constant, value)
+    solver = _CGSolver(phi, omega, constraints)
+    factors = count_eigendecompositions(monkeypatch)
+    for constrained, values in zip((False, True), want):
+        np.testing.assert_array_equal(solver.solve(theta, gamma, constrained), values)
+    assert factors == [] and solves == [(m, m)] * 4
+
+
+@pytest.mark.parametrize(
+    "graph, gamma, rows, route",
+    [
+        ("lattice", 0.5, 1, "cg"),
+        ("lattice", 0.5, 8, "cg"),
+        ("lattice", 5.0, 1, "cg"),
+        ("lattice", 5.0, 8, "lu"),
+        ("lattice", 500.0, 1, "lu"),
+        ("lattice", 0.5, 200, "lu"),
+        ("star", 0.5, 1, "lu"),
+        ("complete", 0.5, 1, "lu"),
+    ],
+)
+def test_one_gamma_solver_takes_cg_only_where_its_cap_costs_less_than_lu(monkeypatch, graph, gamma, rows, route):
+    # a 40 x 25 lattice, the benchmark's shape, with loss weights over the
+    # benchmark's range: CG for one row or a small batch at a moderate
+    # gamma; LU at a large gamma, for a wide batch, and on a hub or dense
+    # omega, whose padded neighbours are then never built.  Either route
+    # is the eigen route's solution.
+    m = 1000
+    rng = np.random.default_rng(5)
+    phi = rng.uniform(0.125, 5.0, m)
+    omega = _lattice_omega(40, 25)
+    if graph != "lattice":
+        adjacency = np.ones((m, m)) - np.eye(m)
+        if graph == "star":
+            adjacency[1:, 1:] = 0.0
+        omega = np.diag(adjacency.sum(axis=1)) - adjacency
+    thetas = 10.0 + rng.normal(size=(rows, m))
+    solver = _OneGammaSolver(phi, omega)
+    solves = count_solves(monkeypatch, m)
+    got = solver.solve(thetas, gamma)
+    assert solves == ([(m, m)] if route == "lu" else [])
+    assert ("_padded" in vars(solver)) == (route == "cg")
+    want = _SigmaSolver(phi, omega).solve(thetas, gamma)
+    assert np.max(np.abs(got - want)) <= 1e-11 * (1.0 + np.max(np.abs(want)))
