@@ -144,8 +144,9 @@ def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
 
     Row order defines area indexing and must match the label universe of
     any edge list used alongside.  Missing columns, non-numeric cells
-    (reported with row and column), negative D, and duplicate labels are
-    all rejected.
+    (reported with row and column), negative D, a D whose reciprocal is
+    not finite when no phi column gives the loss weights, and duplicate
+    labels are all rejected.
     """
     needed = [schema.label, schema.y, schema.d, *schema.covariates]
     needed += [c for c in (schema.phi, schema.benchmark_weight, schema.group) if c is not None]
@@ -158,15 +159,17 @@ def load_area_csv(path: str | Path, schema: CsvSchema) -> AreaDataset:
     cov = np.column_stack([table.floats(c) for c in schema.covariates])
     if schema.phi is not None:
         phi = table.floats(schema.phi)
-    elif np.any(D < 0):
-        phi = None  # let the dataset's own check report the negative variance
-    elif np.any(D == 0):
-        raise ValidationError(
-            "cannot default loss weights to 1/D with a zero sampling variance; "
-            f"supply a phi column (column {schema.d!r} has zero entries)"
-        )
+    elif not np.all(np.isfinite(D) & (D >= 0)):
+        phi = None  # let the dataset's own checks report the non-finite or negative variance
     else:
-        phi = 1.0 / D
+        with np.errstate(divide="ignore", over="ignore"):  # D = 0 or subnormal: refused below
+            phi = 1.0 / D
+        if not np.isfinite(phi).all():
+            i = int(np.argmin(np.isfinite(phi)))
+            raise ValidationError(
+                f"cannot default loss weights to 1/D at area {labels[i]!r}, where "
+                f"{schema.d} = {float(D[i])!r} has no finite reciprocal; supply a phi column"
+            )
     weights = None if schema.benchmark_weight is None else table.floats(schema.benchmark_weight)
     groups = None if schema.group is None else tuple(table[schema.group])
     return AreaDataset(

@@ -61,10 +61,10 @@ __all__ = [
 _CONDITION_LIMIT = 1e12
 
 # A fixed-gamma solve by conjugate gradients stops each right-hand side b
-# once its residual is at most _CG_TOL ||b||, within _CG_SLACK iterations
-# beyond the convergence bound of its certified condition number (or 2m),
-# and is accepted when its true residual is within _CG_ROUNDING times the
-# rounding of computing it.  _CG_CALLS and _LU_SPEEDUP price CG against an
+# once its residual is at most _CG_TOL ||b||, both scaled by Sigma's
+# diagonal, within _CG_SLACK iterations beyond the convergence bound of its
+# certified condition number (or 2m), and is accepted when its true
+# residual is within _CG_ROUNDING times the rounding of computing it.  _CG_CALLS and _LU_SPEEDUP price CG against an
 # LU solve (see _OneGammaSolver._cg_pays): on a 2-vCPU x86-64 host a CG
 # iteration's numpy calls cost about 30000 element operations' worth, and
 # OpenBLAS's LU of a 1000 x 1000 matrix did 7.5 (one thread) to 9.3 (two)
@@ -102,19 +102,17 @@ def _same_constraints(a, b) -> bool:
     return a is b or (b is not None and np.array_equal(a.M, b.M) and np.array_equal(a.t, b.t))
 
 
-def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None, size: int | None = None):
-    """Validated theta, the Sigma solver and gamma of one smoothing problem.
-
-    ``size`` fixes the number of areas; otherwise theta's length does.
-    ``omega`` is a penalty matrix, validated into a one-off solver together
-    with ``phi`` and ``constraints``, or a :class:`_SigmaSolver` built
-    earlier, whose omega is not checked again; ``phi`` and any
-    ``constraints`` must then equal the ones it was built with, and a theta
-    bitwise equal to the one its held-out fits were formed from is not
-    scanned for finiteness again.
+def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None):
+    """Validated theta, the Sigma solver and gamma of one smoothing problem
+    over theta's areas.  ``omega`` is a penalty matrix, validated into a
+    one-off solver together with ``phi`` and ``constraints``, or a
+    :class:`_SigmaSolver` built earlier, whose omega is not checked again;
+    ``phi`` and any ``constraints`` must then equal the ones it was built
+    with, and a theta bitwise equal to the one its held-out fits were
+    formed from is not scanned for finiteness again.
     """
     checked = omega.held_out_key if isinstance(omega, _SigmaSolver) else None
-    theta = _vector("theta_bayes", theta_bayes, size, checked)
+    theta = _vector("theta_bayes", theta_bayes, checked=checked)
     m = theta.shape[0]
     if isinstance(omega, _SigmaSolver):
         solver = omega
@@ -174,12 +172,13 @@ class _SigmaSolver:
         ``constrained``; a rejected Sigma or Gram matrix is a NumericalError."""
         if self._basis is None:
             r = 1.0 / np.sqrt(self.phi)
-            lam, U = np.linalg.eigh(r[:, None] * self.omega * r)
-            U *= r[:, None]
+            with np.errstate(all="ignore"):  # K overflows at a huge D, and lam is then refused
+                lam, U = np.linalg.eigh(r[:, None] * self.omega * r)
+                U *= r[:, None]
             W = None if self.constraints is None else U.T @ self.constraints.M.T
             self._basis = lam, U, W
         lam, U, W = self._basis
-        low, high = 1.0 + g * lam[0], 1.0 + g * lam[-1]
+        low, high = 1.0 + g * float(lam[0]), 1.0 + g * float(lam[-1])  # a huge g: inf, no warning
         if not (low > 0 and high / low <= _CONDITION_LIMIT):
             raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
         f = 1.0 / (1.0 + g * lam)
@@ -269,24 +268,27 @@ class _OneGammaSolver(_SigmaSolver):
     I + gamma K: with every eigenvalue of K in [lo, hi], 1 + gamma lo > 0
     and kappa = (1 + gamma hi)/(1 + gamma lo) <= _CONDITION_LIMIT make a
     system the eigen route accepts too.  hi is the top of K's discs; lo is
-    the bottom of K's discs or, if higher, the bound that omega's discs
-    give through x'Kx = (r x)' omega (r x), r = Phi^{-1/2}: scaling by r
-    breaks the diagonal dominance of a graph Laplacian omega, whose own
-    discs show K >= 0.  A right-hand side b is done when its CG residual is
-    at most _CG_TOL ||b||.  A CG solve is accepted when every one is done
-    within the cap, (sqrt(kappa)/2) ln(2/_CG_TOL), CG's bound for kappa,
-    or 2m if fewer, plus _CG_SLACK iterations, and the true residual
-    b - Sigma x of each then is within _CG_ROUNDING times the rounding of
-    computing it; a solve not accepted is the LU solve's.  At a gamma the
-    discs do not certify :meth:`solve` is :class:`_SigmaSolver`'s,
+    the bound that omega's discs give through x'Kx = (r x)' omega (r x),
+    r = Phi^{-1/2}.  For a graph Laplacian omega, whose own discs show
+    K >= 0, that bound is 0 and binds: scaling by r breaks the diagonal
+    dominance, so K's own lower disc reaches below 0.  Residuals are
+    measured in the Jacobi-scaled system, divided by Sigma's diagonal, so
+    that one area whose phi dwarfs the others' does not hide theirs.  A
+    right-hand side b is done when its CG residual is at most _CG_TOL ||b||.
+    A CG solve is accepted when every one is done within the cap,
+    (sqrt(kappa)/2) ln(2/_CG_TOL), CG's bound for kappa, or 2m if fewer,
+    plus _CG_SLACK iterations, and the true residual b - Sigma x of each
+    then is within _CG_ROUNDING times the rounding of computing it; a
+    solve not accepted, or whose numbers overflow, is the LU solve's.  At
+    a gamma the discs do not certify :meth:`solve` is :class:`_SigmaSolver`'s,
     refusals and messages included; :meth:`held_out`, which a fixed-gamma
     run never calls, is inherited and takes the eigendecomposition."""
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
         super().__init__(phi, omega, constraints, size)
-        # the discs of omega and of K = r omega r, both from |omega|, and p,
-        # the most off-diagonal nonzeros in a row of omega, taken 64 rows at
-        # a time so that no m x m temporary is formed
+        # the discs of omega and the top of those of K = r omega r, from
+        # |omega|, and p, the most off-diagonal nonzeros in a row of omega,
+        # taken 64 rows at a time so that no m x m temporary is formed
         m = len(self.phi)
         r = 1.0 / np.sqrt(self.phi)
         centre = np.diagonal(self.omega)
@@ -296,10 +298,9 @@ class _OneGammaSolver(_SigmaSolver):
             row_sum[at : at + 64], k_sum[at : at + 64] = mag.sum(axis=1), mag @ r
             count[at : at + 64] = np.count_nonzero(mag, axis=1)
         w_lo = np.min(centre - (row_sum - np.abs(centre)))
-        k_radius = r * k_sum - r * r * np.abs(centre)
-        lo = np.min(r * r * centre - k_radius)
-        hi = np.max(r * r * centre + k_radius)
-        lo = max(lo, w_lo * np.max(r * r) if w_lo < 0 else w_lo * np.min(r * r))
+        with np.errstate(all="ignore"):  # r r overflows at a huge D: then the discs certify nothing
+            lo = w_lo * np.max(r * r) if w_lo < 0 else w_lo * np.min(r * r)
+            hi = np.max(r * r * centre + r * k_sum - r * r * np.abs(centre))
         self._bounds = float(lo), float(hi)  # every eigenvalue of K lies in [lo, hi]
         self._degree = int(np.max(count - (centre != 0), initial=0))
 
@@ -334,7 +335,7 @@ class _OneGammaSolver(_SigmaSolver):
             # a theta row, so an omega that annihilates it leaves it exactly
             x = self._cg(np.vstack((rows, M / self.phi)), np.vstack((self.phi * rows, M)), g, cap)
         if x is None:
-            x = self._lu(rows, g, M if constrained else None)
+            x = self._lu(rows, g, M)
         d = x[: len(rows)].reshape(np.shape(theta))
         if not constrained:
             return d
@@ -354,25 +355,25 @@ class _OneGammaSolver(_SigmaSolver):
         return cg <= (m**3 / 3 + m * m * n) / _LU_SPEEDUP + 3 * m * m
 
     def _lu(self, rows, g: float, M):
-        """The rows of Sigma x = [Phi ``rows``; ``M``] (``M`` None for
-        none), by one LU solve of I + g K against [Phi^{1/2} rows,
+        """The rows of Sigma x = [Phi ``rows``; ``M``], ``M`` empty for no
+        constraint, by one LU solve of I + g K against [Phi^{1/2} rows,
         Phi^{-1/2} M'], scaled by Phi^{-1/2}."""
         root = np.sqrt(self.phi)
         a = self.omega / root[:, None]
         a *= g / root
         a[np.diag_indices_from(a)] += 1.0
-        rhs = (root * rows).T
-        if M is not None:
-            rhs = np.hstack((rhs, M.T / root[:, None]))
+        rhs = np.hstack(((root * rows).T, M.T / root[:, None]))
         return (np.linalg.solve(a, rhs) / root[:, None]).T
 
+    @np.errstate(all="ignore")  # an overflow makes a residual or bound non-finite: None
     def _cg(self, x, b, g: float, cap: int):
         """``x`` moved in place, row by row, to the solution of Sigma x = b
         by Jacobi-preconditioned CG from its given rows; None when a row is
         not done within ``cap`` iterations, its true residual is too large
-        or anything is not finite.  A row that is done stops iterating, so
-        it does not depend on the other rows, and no step calls BLAS, so it
-        does not depend on the thread count either."""
+        or anything is not finite.  Residuals and their bounds are over
+        Sigma's diagonal.  A row that is done stops iterating, so it does
+        not depend on the other rows, and no step calls BLAS, so it does
+        not depend on the thread count either."""
         diag = self.phi + g * np.diagonal(self.omega)  # > 0: Sigma is certified positive definite
         neighbours, weights = self._padded
         weights = g * weights
@@ -386,14 +387,17 @@ class _OneGammaSolver(_SigmaSolver):
                     out += term
             return out
 
-        b_norm = np.sqrt((b * b).sum(axis=1))
+        def norms(v):
+            return np.sqrt((v * v).sum(axis=1))
+
+        b_norm = norms(b / diag)
         goal = _CG_TOL * b_norm
         live = np.arange(len(x))  # the rows of x still iterating
         xs, r = x, b - sigma(x)
         z = r / diag
         p, rz = z, (r * z).sum(axis=1)
         for k in itertools.count():
-            res = np.sqrt((r * r).sum(axis=1))
+            res = norms(z)
             if not np.isfinite(res).all():
                 return None
             done = res <= goal
@@ -415,13 +419,14 @@ class _OneGammaSolver(_SigmaSolver):
         # CG's residual drifts from b - Sigma x by rounding.  Computing
         # b - Sigma x itself rounds each entry by up to (p + 3) eps times
         # |b| + |Sigma| |x|, p + 1 the most entries in a row of Sigma, so
-        # accept the rows only within _CG_ROUNDING times that, with ||Sigma||
-        # no more than its largest absolute row sum
-        norm = np.max(diag + np.abs(weights).sum(axis=0))
-        true = b - sigma(x)
+        # accept the rows only within _CG_ROUNDING times that, over Sigma's
+        # diagonal, with the scaled ||Sigma|| no more than its largest
+        # absolute row sum over the diagonal
+        norm = np.max((diag + np.abs(weights).sum(axis=0)) / diag)
         rounding = _CG_ROUNDING * (self._degree + 3) * np.finfo(float).eps
-        bound = rounding * (norm * np.sqrt((x * x).sum(axis=1)) + b_norm)
-        return x if np.all(np.sqrt((true * true).sum(axis=1)) <= bound) else None
+        bound = rounding * (norm * norms(x) + b_norm)
+        true = norms((b - sigma(x)) / diag)
+        return x if np.all(true <= bound) and np.isfinite(bound).all() else None
 
 
 @dataclass(frozen=True)
@@ -571,7 +576,9 @@ def _objective(d, theta, solver: _SigmaSolver, g) -> float:
 def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
     """Value of (d - theta)' Phi (d - theta) + gamma d' omega d."""
     d = _vector("delta", delta)
-    theta, solver, g = _problem(theta_bayes, phi, omega, gamma, size=d.shape[0])
+    theta, solver, g = _problem(theta_bayes, phi, omega, gamma)
+    if theta.shape != d.shape:
+        raise ValidationError(f"theta_bayes has length {theta.shape[0]}, expected {d.shape[0]}")
     return _objective(d, theta, solver, g)
 
 

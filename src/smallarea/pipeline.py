@@ -536,8 +536,9 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
             def replicate_pipeline(y_star: np.ndarray) -> np.ndarray:
                 # every replicate's exact posterior mean under the main fit's
                 # model and its gamma, then one batched estimate of the rows
-                # that share a gamma; a row whose mean is NaN, or whose
-                # gamma or estimate fails, stays NaN and is recorded as failed
+                # that share a gamma, where the main estimate or CV accepted
+                # Sigma; a row whose mean is NaN, or whose gamma or estimate
+                # fails, stays NaN and is recorded as failed
                 thetas = exact_means(data, y_star, config.gibbs.fixed_sigma_u2)
                 gammas = np.full(len(thetas), gamma)
                 if config.bootstrap_gamma_policy == "re-cross-validate":
@@ -550,12 +551,9 @@ def run_pipeline(config: RunConfig, stop_after: str = "report") -> EstimateRepor
                 estimates = np.full_like(thetas, np.nan)
                 for star_gamma in np.unique(gammas[~np.isnan(gammas)]):
                     rows = gammas == star_gamma
-                    try:
-                        estimates[rows] = _batch_estimates(
-                            thetas[rows], solver, float(star_gamma), constraints is not None
-                        )
-                    except NumericalError:  # Sigma refused at this gamma: its rows stay NaN
-                        pass
+                    estimates[rows] = _batch_estimates(
+                        thetas[rows], solver, float(star_gamma), constraints is not None
+                    )
                 return estimates
 
             report = bootstrap_mse(data, theta_bm, replicate_pipeline, boot_cfg)

@@ -286,3 +286,8 @@ class TestReportValidation:
         report = BootstrapReport(theta_bm=np.array([2.0, 3.0]), replicates=reps, failed=(1,))
         assert np.all(np.isnan(report.replicates[1]))
         assert np.array_equal(report.mse, [1.0, 1.0]) and np.array_equal(report.bias, [0.0, 0.0])
+
+    def test_n_replicates_counts_the_failed_ones_too(self):
+        reps = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]])
+        report = BootstrapReport(theta_bm=np.array([2.0, 3.0]), replicates=reps, failed=(1,))
+        assert report.n_replicates == 3

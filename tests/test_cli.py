@@ -93,6 +93,39 @@ class TestExitCodes:
         assert main(["fit", "--config", str(cfg)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["estimate", "run"])
+    @pytest.mark.parametrize("huge, gamma", [("D", "0.5"), ("gamma", "1e308")])
+    def test_a_huge_sampling_variance_or_fixed_gamma_exits_3_warning_nothing(
+        self, workspace, capsys, huge, gamma, command
+    ):
+        # at D = 1e308, r = Phi^{-1/2} is about 1e154 and r r overflows in the
+        # one-gamma solver's discs and in the eigen route's scaled K; at
+        # gamma = 1e308, gamma lam_max overflows in the eigen route's
+        # condition check.  Sigma is refused, and under the suite's
+        # filterwarnings = error a numpy warning would escape as an exception
+        tmp_path, data, area, edges = workspace
+        if huge == "D":
+            write_area_csv(replace(data, D=np.where(np.arange(data.m) == 3, 1e308, data.D)), area)
+        cfg = write_config(tmp_path, area, edges, gamma=gamma)
+        assert main([command, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: [stage estimate] smoothing system is singular or ill-conditioned "
+            f"at gamma={float(gamma):g}\n"
+        )
+
+    @pytest.mark.parametrize("d", [0.0, 1e-320, 5e-324])
+    def test_a_sampling_variance_without_a_finite_reciprocal_exits_2_naming_its_area(self, workspace, capsys, d):
+        # with no phi column the loss weights default to 1/D, which is not
+        # finite at D = 0 or at a subnormal D; either is refused at load
+        tmp_path, data, area, edges = workspace
+        write_area_csv(replace(data, D=np.where(np.arange(data.m) == 3, d, data.D)), area)
+        cfg = write_config(tmp_path, area, edges)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [stage load] cannot default loss weights to 1/D at area 'r3', where D = {d!r} "
+            "has no finite reciprocal; supply a phi column\n"
+        )
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -545,6 +578,17 @@ class TestPlotData:
         assert main(["plot-data", "--config", str(cfg), "--kind", "mse_by_area"]) == 2
 
 
+def test_seeded_input_mutations_keep_the_error_contract(tmp_path):
+    # the first 300 cases of tests/fuzz_cli.py: the bundled fixture's area
+    # CSV, edge list or config mutated once or twice, then fit, cv,
+    # estimate or run; each exits 0, 2 or 3, raises nothing and warns nothing
+    import fuzz_cli
+
+    cases = [(seed, *fuzz_cli.run_case(seed, tmp_path / str(seed))) for seed in range(300)]
+    assert [case for case in cases if fuzz_cli.broken(case[-1])] == []
+    assert {0, 2} <= {outcome for *_, outcome in cases}  # some cases run, some are refused
+
+
 def _child_env():
     # the child process imports the same package as this test
     src = str(Path(smallarea.__file__).parents[1])
@@ -669,3 +713,51 @@ def test_fixed_gamma_lattice_estimates_do_not_depend_on_the_blas_thread_count(tm
         assert proc.returncode == 0, proc.stderr
         estimates.append((tmp_path / "out" / "estimates.csv").read_bytes())
     assert estimates[0] == estimates[1]
+
+
+@pytest.fixture(scope="module")
+def fixed_gamma_lattice(tmp_path_factory):
+    """The benchmark's 1000-area lattice at a fixed gamma, written once,
+    with a 400/100-iteration chain and no bootstrap: the config's path."""
+    root = Path(__file__).resolve().parents[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(root / "bench"))
+        synth = importlib.import_module("synth")
+    work = tmp_path_factory.mktemp("lattice1000")
+    cfg = synth.write_workload(synth.WORKLOADS["lattice1000-fixed"], 1, work, root)
+    kept = [line for line in cfg.read_text().splitlines() if not line.startswith(("gibbs_", "bootstrap_"))]
+    cfg.write_text("\n".join([*kept, "gibbs_iterations = 400", "gibbs_burn = 100", "bootstrap_replicates = 0"]) + "\n")
+    return cfg
+
+
+@pytest.mark.parametrize("d", [1e-4, 1e-8, 1e-12, 1e-20, 1e-200])
+def test_fixed_gamma_lattice_estimate_with_one_tiny_sampling_variance_matches_the_kkt_reference(
+    fixed_gamma_lattice, tmp_path, capsys, d
+):
+    # one area's phi = 1/D dwarfs every other's; the conjugate-gradient
+    # route still smooths the rest, to the bordered KKT solution of the
+    # theta_bayes the run wrote, and warns nothing
+    from oracles import kkt_solve
+    from smallarea.similarity import build_omega, load_adjacency, read_edge_list
+
+    work = fixed_gamma_lattice.parent
+    rows = (work / "areas.csv").read_text().splitlines()
+    cells = rows[10].split(",")
+    assert cells[0] == "A0009"
+    cells[2] = repr(d)
+    rows[10] = ",".join(cells)
+    (tmp_path / "areas.csv").write_text("\n".join(rows) + "\n")
+    shutil.copy(work / "edges.txt", tmp_path)
+    cfg = Path(shutil.copy(fixed_gamma_lattice, tmp_path))
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    estimates = tmp_path / "out" / "estimates.csv"
+    theta, smoothed = (
+        np.array(test_pipeline.read_column(estimates, column), dtype=float)
+        for column in ("theta_bayes", "theta_smoothed")
+    )
+    labels = tuple(test_pipeline.read_column(estimates, "label"))
+    D = np.array([float(row.split(",")[2]) for row in rows[1:]])
+    omega = build_omega(load_adjacency(read_edge_list(tmp_path / "edges.txt"), labels)).omega
+    reference = kkt_solve(theta, 1.0 / D, omega, 0.5)
+    assert np.max(np.abs(smoothed - reference) / (1.0 + np.abs(reference))) <= 1e-12

@@ -110,6 +110,9 @@ class TestSmoothed:
         result = smoothed_estimate(TOY_THETA, LossWeights(TOY_PHI), TOY_OMEGA, 1.0)
         np.testing.assert_allclose(result.values, [1.8, 2.2])
 
+    def test_loss_weights_length_is_the_number_of_areas(self):
+        assert len(LossWeights(TOY_PHI)) == 2
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="non-finite"):
             smoothed_estimate(np.array([1.0, np.nan]), TOY_PHI, TOY_OMEGA, 1.0)
@@ -318,6 +321,10 @@ class TestOptimality:
     def test_bad_delta_rejected(self, delta, message):
         with pytest.raises(ValidationError, match=message):
             penalized_objective(delta, TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0)
+
+    def test_delta_of_another_length_than_theta_rejected(self):
+        with pytest.raises(ValidationError, match="^theta_bayes has length 2, expected 3$"):
+            penalized_objective([1.0, 2.0, 3.0], TOY_THETA, TOY_PHI, TOY_OMEGA, 1.0)
 
     def test_objective_makes_no_decomposition(self, monkeypatch):
         factors = count_eigendecompositions(monkeypatch)
@@ -896,6 +903,46 @@ def test_one_gamma_cg_not_accepted_returns_the_lu_route(monkeypatch, constant, v
     for constrained, values in zip((False, True), want):
         np.testing.assert_array_equal(solver.solve(theta, gamma, constrained), values)
     assert factors == [] and solves == [(m, m)] * 4
+
+
+@pytest.mark.parametrize("d", [1e-4, 1e-8, 1e-12, 1e-20, 1e-200])
+def test_one_gamma_cg_with_one_dominant_loss_weight_matches_the_kkt_reference(monkeypatch, d):
+    # one area's phi = 1/D dwarfs the others' and dominates ||Phi theta||;
+    # with residuals scaled by Sigma's diagonal CG still smooths every other
+    # area, with no LU solve and no warning
+    theta, phi, omega, constraints = _lattice_problem()
+    phi[9] = 1.0 / d
+    M, t = constraints.M, constraints.t
+    want = kkt_solve(theta, phi, omega, 0.5), kkt_solve(theta, phi, omega, 0.5, M, t)
+    solver = _CGSolver(phi, omega, constraints)
+    solves = count_solves(monkeypatch, len(theta))
+    for constrained, reference in zip((False, True), want):
+        got = solver.solve(theta, 0.5, constrained)
+        assert np.max(np.abs(got - reference) / (1.0 + np.abs(reference))) <= 1e-12
+    assert solves == []
+
+
+def test_one_gamma_cg_that_overflows_returns_the_lu_route(monkeypatch):
+    # thetas near 1e160 square past the largest float in CG's residual
+    # norms: CG gives the solve up, without a warning, to one LU solve,
+    # which is the bordered KKT solution
+    theta, phi, omega, constraints = _lattice_problem()
+    theta = 1e160 * (theta - 10.0)
+    M, t = constraints.M, 1e160 * constraints.t
+    want = kkt_solve(theta, phi, omega, 0.5), kkt_solve(theta, phi, omega, 0.5, M, t)
+    solver = _CGSolver(phi, omega, ConstraintSet(M, t))
+    returned, cg = [], _OneGammaSolver._cg
+
+    def recorded(*args):
+        returned.append(cg(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(_OneGammaSolver, "_cg", recorded)
+    solves = count_solves(monkeypatch, len(theta))
+    for constrained, reference in zip((False, True), want):
+        got = solver.solve(theta, 0.5, constrained)
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert returned == [None, None] and solves == [(len(theta), len(theta))] * 2
 
 
 @pytest.mark.parametrize(

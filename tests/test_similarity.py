@@ -103,6 +103,10 @@ class TestSmoothnessInvariants:
         with pytest.raises(ValidationError, match="square"):
             SmoothnessMatrix(np.zeros((2, 3)))
 
+    def test_smoothness_matrix_size_is_the_number_of_areas(self):
+        spec = load_adjacency([("A", "B")], ("A", "B", "C"))
+        assert build_omega(spec).size == spec.size == 3
+
 
 class TestLoadAdjacency:
     def test_single_edge(self):
