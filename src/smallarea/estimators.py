@@ -15,15 +15,16 @@ NumericalError.  For the held-out fits of ``selection`` it also keeps the
 m held-out fits of its last (gamma, theta), formed at once from the
 full fit and the hat-matrix columns A e_i, so that each held-out fit is a
 copy of one row; and :func:`_batch_estimates` solves a (B, m) batch of
-thetas at once, as the bootstrap does for its replicates.  A run at one
-fixed gamma, which shares no decomposition between gammas, uses its
+thetas at once, as the bootstrap does for its replicates.  A problem at
+one gamma, which shares no decomposition between gammas, takes its
 subclass that solves each time, where Gershgorin's discs certify the
 system, by conjugate gradients over omega's nonzeros when that costs less
 than an LU solve and by the LU solve otherwise, and through the eigen
 basis where the discs do not certify it.  A caller that solves many
 times, such as the pipeline's estimates, cross-validation and bootstrap,
 passes the solver in place of omega; a call with a plain omega builds a
-one-off eigen solver.
+one-off one-gamma solver, so it solves as a fixed-gamma run does, and its
+held-out fits come from the eigen basis as a grid's do.
 :func:`benchmarked_estimate` is the one constrained estimate: the single
 weighted-mean benchmark and the unit-level (two-tier) benchmark are calls
 to it, and multivariate problems reduce to it through block stacking.
@@ -105,8 +106,9 @@ def _same_constraints(a, b) -> bool:
 def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None):
     """Validated theta, the Sigma solver and gamma of one smoothing problem
     over theta's areas.  ``omega`` is a penalty matrix, validated into a
-    one-off solver together with ``phi`` and ``constraints``, or a
-    :class:`_SigmaSolver` built earlier, whose omega is not checked again;
+    one-off :class:`_OneGammaSolver` together with ``phi`` and
+    ``constraints``, or a :class:`_SigmaSolver` built earlier, whose omega
+    is not checked again;
     ``phi`` and any ``constraints`` must then equal the ones it was built
     with, and a theta bitwise equal to the one its held-out fits were
     formed from is not scanned for finiteness again.
@@ -122,16 +124,16 @@ def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None):
         if constraints is not None and not _same_constraints(constraints, solver.constraints):
             raise ValidationError("constraints differ from those the solver was built with")
     else:
-        solver = _SigmaSolver(phi, omega, constraints, m)
+        solver = _OneGammaSolver(phi, omega, constraints, m)
     return theta, solver, _real("gamma", gamma, 0)
 
 
 def _projector(gram, sm):
     """The projector S M' (M S M')^{-1} from S M' and the Gram matrix
-    M S M'; a Gram matrix whose condition number exceeds _CONDITION_LIMIT
-    is a NumericalError."""
+    M S M'; a Gram matrix that is not finite or whose condition number
+    exceeds _CONDITION_LIMIT is a NumericalError."""
     gram = 0.5 * (gram + gram.T)
-    if not np.linalg.cond(gram) <= _CONDITION_LIMIT:
+    if not (np.isfinite(gram).all() and np.linalg.cond(gram) <= _CONDITION_LIMIT):
         raise NumericalError("degenerate or redundant constraints")
     return np.linalg.solve(gram, sm.T).T
 
@@ -164,19 +166,24 @@ class _SigmaSolver:
                 f"constraints are over {constraints.n_parameters} parameters, expected {m}"
             )
         self.constraints = constraints
-        self._basis = None  # (lam, U, W) of the one eigendecomposition
         self._table = None  # ((gamma, constrained, theta bytes), fits, identified) of the last held_out call
+
+    @cached_property
+    def _basis(self):
+        """(lam, U, W) of the one eigendecomposition, taken on the first
+        solve.  Where eigh does not converge, as for entries of K near the
+        largest float, lam and U are NaN, so that every gamma is refused."""
+        r = 1.0 / np.sqrt(self.phi)
+        try:  # K overflows at a huge D, and lam is then refused
+            lam, U = np.linalg.eigh(r[:, None] * self.omega * r)
+        except np.linalg.LinAlgError:
+            lam, U = np.full(len(r), np.nan), np.full((len(r), len(r)), np.nan)
+        U *= r[:, None]
+        return lam, U, None if self.constraints is None else U.T @ self.constraints.M.T
 
     def _factors(self, g: float, constrained: bool):
         """f = 1/(1 + g lam) and the projector at gamma ``g``, None unless
         ``constrained``; a rejected Sigma or Gram matrix is a NumericalError."""
-        if self._basis is None:
-            r = 1.0 / np.sqrt(self.phi)
-            with np.errstate(all="ignore"):  # K overflows at a huge D, and lam is then refused
-                lam, U = np.linalg.eigh(r[:, None] * self.omega * r)
-                U *= r[:, None]
-            W = None if self.constraints is None else U.T @ self.constraints.M.T
-            self._basis = lam, U, W
         lam, U, W = self._basis
         low, high = 1.0 + g * float(lam[0]), 1.0 + g * float(lam[-1])  # a huge g: inf, no warning
         if not (low > 0 and high / low <= _CONDITION_LIMIT):
@@ -209,12 +216,15 @@ class _SigmaSolver:
         none are); :func:`_problem` does not scan such a theta again."""
         return None if self._table is None else self._table[0][2]
 
+    @np.errstate(all="ignore")
     def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
         M d = t when ``constrained``, for a theta of length m or for each
         row of a (B, m) batch.  Unconstrained at g = 0 it is a copy of
         theta, exactly, and nothing is solved.  An ill-conditioned Sigma or
-        Gram matrix is a NumericalError."""
+        Gram matrix is a NumericalError.  Nothing warns: an overflow makes
+        lam, a bound, the Gram matrix or d not finite, and each is refused,
+        d by the caller."""
         if g == 0.0 and not constrained:
             return theta.copy()
         return self._solve(theta, g, constrained)
@@ -237,14 +247,14 @@ class _SigmaSolver:
         key = g, constrained, theta.tobytes()
         if self._table is None or self._table[0] != key:
             self._table = None  # drop the old fits before the new ones are formed
-            f, proj = self._factors(g, constrained)
-            d = self._eigen_solve(theta, f, proj)
-            U = self._basis[1]
-            fits = (self.phi[:, None] * U * f) @ U.T  # row i is A e_i
-            if constrained:
-                fits -= (fits @ self.constraints.M.T) @ proj.T
-            gap = 1.0 - np.diagonal(fits)
-            with np.errstate(all="ignore"):  # rows of unidentified areas
+            with np.errstate(all="ignore"):  # as in solve; a row that is not finite is unidentified
+                f, proj = self._factors(g, constrained)
+                d = self._eigen_solve(theta, f, proj)
+                U = self._basis[1]
+                fits = (self.phi[:, None] * U * f) @ U.T  # row i is A e_i
+                if constrained:
+                    fits -= (fits @ self.constraints.M.T) @ proj.T
+                gap = 1.0 - np.diagonal(fits)
                 fits *= ((d - theta) / gap)[:, None]
                 fits += d
             identified = (gap > (f[0] / f[-1]) / _CONDITION_LIMIT) & np.isfinite(fits).all(axis=1)
@@ -253,16 +263,16 @@ class _SigmaSolver:
 
 
 class _OneGammaSolver(_SigmaSolver):
-    """A :class:`_SigmaSolver` for a run at one fixed gamma, where no grid
-    shares an eigendecomposition: each :meth:`solve` solves
-    Sigma X = [Phi theta rows, M] for all its right-hand sides at once,
-    and the Gram matrix M S M' comes from the same solve.  It solves by
-    Jacobi-preconditioned conjugate gradients (CG) over omega's nonzeros,
-    which forms no m x m matrix, where even CG's iteration cap costs less
-    than the LU solve of I + gamma K against [Phi^{1/2} theta rows,
-    Phi^{-1/2} M'], and by that LU solve otherwise: CG pays on a large,
-    sparse omega at a moderate gamma, LU on a small or dense omega, a large
-    gamma, or a wide batch (see :meth:`_cg_pays`).
+    """A :class:`_SigmaSolver` for a run at one fixed gamma, or a library
+    call with a plain omega, where no grid shares an eigendecomposition:
+    each :meth:`solve` solves Sigma X = [Phi theta rows, M] for all its
+    right-hand sides at once, and the Gram matrix M S M' comes from the
+    same solve.  It solves by Jacobi-preconditioned conjugate gradients
+    (CG) over omega's nonzeros, which forms no m x m matrix, where even
+    CG's iteration cap costs less than the LU solve of I + gamma K against
+    [Phi^{1/2} theta rows, Phi^{-1/2} M'], and by that LU solve otherwise:
+    CG pays on a large, sparse omega at a moderate gamma, LU on a small or
+    dense omega, a large gamma, or a wide batch (see :meth:`_cg_pays`).
 
     It takes either route only when Gershgorin's discs certify
     I + gamma K: with every eigenvalue of K in [lo, hi], 1 + gamma lo > 0
@@ -281,14 +291,17 @@ class _OneGammaSolver(_SigmaSolver):
     then is within _CG_ROUNDING times the rounding of computing it; a
     solve not accepted, or whose numbers overflow, is the LU solve's.  At
     a gamma the discs do not certify :meth:`solve` is :class:`_SigmaSolver`'s,
-    refusals and messages included; :meth:`held_out`, which a fixed-gamma
-    run never calls, is inherited and takes the eigendecomposition."""
+    refusals and messages included.  The discs are built on the first
+    solve, so a solver that never solves, as in :func:`penalized_objective`,
+    pays nothing for them.  :meth:`held_out`, which a fixed-gamma run never
+    calls, is inherited and takes the eigendecomposition."""
 
-    def __init__(self, phi, omega, constraints=None, size: int | None = None):
-        super().__init__(phi, omega, constraints, size)
-        # the discs of omega and the top of those of K = r omega r, from
-        # |omega|, and p, the most off-diagonal nonzeros in a row of omega,
-        # taken 64 rows at a time so that no m x m temporary is formed
+    @cached_property
+    def _discs(self):
+        """((lo, hi), p): every eigenvalue of K lies in [lo, hi], and p is
+        the most off-diagonal nonzeros in a row of omega.  Built on the
+        first solve, from |omega| 64 rows at a time so that no m x m
+        temporary is formed."""
         m = len(self.phi)
         r = 1.0 / np.sqrt(self.phi)
         centre = np.diagonal(self.omega)
@@ -298,11 +311,13 @@ class _OneGammaSolver(_SigmaSolver):
             row_sum[at : at + 64], k_sum[at : at + 64] = mag.sum(axis=1), mag @ r
             count[at : at + 64] = np.count_nonzero(mag, axis=1)
         w_lo = np.min(centre - (row_sum - np.abs(centre)))
-        with np.errstate(all="ignore"):  # r r overflows at a huge D: then the discs certify nothing
-            lo = w_lo * np.max(r * r) if w_lo < 0 else w_lo * np.min(r * r)
-            hi = np.max(r * r * centre + r * k_sum - r * r * np.abs(centre))
-        self._bounds = float(lo), float(hi)  # every eigenvalue of K lies in [lo, hi]
-        self._degree = int(np.max(count - (centre != 0), initial=0))
+        # r r overflows at a huge D: then the discs certify nothing
+        lo = w_lo * np.max(r * r) if w_lo < 0 else w_lo * np.min(r * r)
+        hi = np.max(r * r * centre + r * k_sum - r * r * np.abs(centre))
+        return (float(lo), float(hi)), int(np.max(count - (centre != 0), initial=0))
+
+    _bounds = property(lambda self: self._discs[0])
+    _degree = property(lambda self: self._discs[1])
 
     @cached_property
     def _padded(self):
@@ -365,7 +380,6 @@ class _OneGammaSolver(_SigmaSolver):
         rhs = np.hstack(((root * rows).T, M.T / root[:, None]))
         return (np.linalg.solve(a, rhs) / root[:, None]).T
 
-    @np.errstate(all="ignore")  # an overflow makes a residual or bound non-finite: None
     def _cg(self, x, b, g: float, cap: int):
         """``x`` moved in place, row by row, to the solution of Sigma x = b
         by Jacobi-preconditioned CG from its given rows; None when a row is
@@ -387,20 +401,14 @@ class _OneGammaSolver(_SigmaSolver):
                     out += term
             return out
 
-        def norms(v):
-            return np.sqrt((v * v).sum(axis=1))
-
-        b_norm = norms(b / diag)
+        b_norm = np.linalg.norm(b / diag, axis=1)
         goal = _CG_TOL * b_norm
         live = np.arange(len(x))  # the rows of x still iterating
         xs, r = x, b - sigma(x)
         z = r / diag
         p, rz = z, (r * z).sum(axis=1)
         for k in itertools.count():
-            res = norms(z)
-            if not np.isfinite(res).all():
-                return None
-            done = res <= goal
+            done = np.linalg.norm(z, axis=1) <= goal
             if done.any():
                 x[live[done]] = xs[done]
                 keep = ~done
@@ -424,8 +432,8 @@ class _OneGammaSolver(_SigmaSolver):
         # absolute row sum over the diagonal
         norm = np.max((diag + np.abs(weights).sum(axis=0)) / diag)
         rounding = _CG_ROUNDING * (self._degree + 3) * np.finfo(float).eps
-        bound = rounding * (norm * norms(x) + b_norm)
-        true = norms((b - sigma(x)) / diag)
+        bound = rounding * (norm * np.linalg.norm(x, axis=1) + b_norm)
+        true = np.linalg.norm((b - sigma(x)) / diag, axis=1)
         return x if np.all(true <= bound) and np.isfinite(bound).all() else None
 
 
@@ -574,12 +582,17 @@ def _objective(d, theta, solver: _SigmaSolver, g) -> float:
 
 
 def penalized_objective(delta, theta_bayes, phi, omega, gamma) -> float:
-    """Value of (d - theta)' Phi (d - theta) + gamma d' omega d."""
+    """Value of (d - theta)' Phi (d - theta) + gamma d' omega d: +inf past
+    the largest float, and a NumericalError when its terms overflow to
+    inf - inf, which leaves no value."""
     d = _vector("delta", delta)
     theta, solver, g = _problem(theta_bayes, phi, omega, gamma)
     if theta.shape != d.shape:
         raise ValidationError(f"theta_bayes has length {theta.shape[0]}, expected {d.shape[0]}")
-    return _objective(d, theta, solver, g)
+    value = _objective(d, theta, solver, g)
+    if np.isnan(value):
+        raise NumericalError("the penalized objective overflowed to inf - inf")
+    return value
 
 
 def smoothed_estimate(theta_bayes, phi, omega, gamma) -> SmoothedEstimate:

@@ -179,7 +179,8 @@ class PosteriorSummary:
     """Retained draws from one chain, and their summaries, each computed
     on first read.  A chain that keeps no theta draws gives their sum,
     ``theta_sum``, in place of ``theta_draws``; exactly one of the two is
-    set.
+    set.  :func:`gibbs_fit` adds the draws to that sum one at a time, in
+    the order ``theta_draws.mean(axis=0)`` adds them.
 
     ``theta_bayes`` is the componentwise mean of the retained theta draws,
     ``theta_draws.mean(axis=0)`` or ``theta_sum / n_draws``; this is the
@@ -282,20 +283,18 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
     the last block is shorter.  Each iteration makes one product X beta,
     the fit read by its residual and by the next iteration's theta step,
     and takes the residual sum of squares as one dot product.  A retained
-    iteration writes theta, beta and the model variance straight into
-    their draws; the other buffers are allocated once.  With
-    ``keep_theta_draws`` false there is no (n_keep, m) theta array: a
-    retained theta goes to a (K + 1, m) block whose row 0 is the sum of the
-    thetas retained so far, and at each block end one ``np.add.reduce``
-    over its rows (that sum, then the block's thetas in order) is the new
-    sum.  numpy reduces a C-contiguous array over axis 0 row by row when
-    m >= 2, and the propriety guard keeps m >= 4, so the thetas are added
-    in the order ``theta_draws.mean(axis=0)`` adds them and ``theta_bayes``
-    is bit for bit the same; the result's ``theta_draws`` and ``ess`` are
-    None.  The model variance is the Python float ssr / (2 g), g the
-    iteration's standard gamma draw, clamped to [1e-12, the largest
-    float]: ssr = 0 gives the floor, an infinite ssr or quotient, or
-    g = 0, the ceiling, and a NaN stays NaN.
+    iteration writes beta and the model variance straight into their
+    draws, and theta too when ``keep_theta_draws`` is set; the other
+    buffers are allocated once.  With ``keep_theta_draws`` false there is
+    no (n_keep, m) theta array: each retained theta is added to one running
+    sum, which starts at -0.0.  numpy reduces a C-contiguous array over
+    axis 0 row by row when m >= 2, and the propriety guard keeps m >= 4, so
+    the thetas are added in the order ``theta_draws.mean(axis=0)`` adds
+    them and ``theta_bayes`` is bit for bit the same; the result's
+    ``theta_draws`` and ``ess`` are None.  The model variance is the Python
+    float ssr / (2 g), g the iteration's standard gamma draw, clamped to
+    [1e-12, the largest float]: ssr = 0 gives the floor, an infinite ssr or
+    quotient, or g = 0, the ceiling, and a NaN stays NaN.
     The operations and their order are those of a plain loop that
     allocates fresh arrays and draws one iteration at a time, so the draws
     are bit for bit equal.
@@ -347,17 +346,14 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
     theta_draws = np.empty((n_keep, m)) if keep_theta_draws else None
     beta_draws = np.empty((n_keep, p))
     sigma2_draws = np.empty(n_keep)
-    # a chain that keeps no theta draws sums them here: row 0 is the sum so
-    # far, first -0.0, which adds nothing (-0.0 + -0.0 is -0.0), and a
-    # block's retained thetas follow it
-    sums = None if keep_theta_draws else np.full((K + 1, m), -0.0)
-    # a retained iteration writes theta and beta into its draw rows, others here
+    # a chain that keeps no theta draws adds each retained theta to this
+    # sum, first -0.0, which adds nothing (-0.0 + x is x for every x)
+    theta_sum = None if keep_theta_draws else np.full(m, -0.0)
+    # a retained iteration writes beta, and theta if it keeps theta draws,
+    # into its draw rows; other iterations write them here
     theta_work, beta_work = y.copy(), np.empty(p)
     for start in range(0, n_iter, K):
         n = min(K, n_iter - start)
-        # the block retains draws first to stop - 1, written to rows[j - first]
-        first, stop = (max(0, -((n_burn - it) // thin)) for it in (start, start + n))
-        rows = theta_draws[first:stop] if keep_theta_draws else sums[1 : 1 + stop - first]
         normals(out=noise[:n])
         z_theta = noise[:n, :m]
         z_beta = noise[:n, m, None] * Rt[0]
@@ -368,7 +364,8 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
         for k in range(n):
             j, rem = divmod(start + k - n_burn, thin)
             kept = j >= 0 and rem == 0
-            theta, beta = (rows[j - first], beta_draws[j]) if kept else (theta_work, beta_work)
+            theta = theta_draws[j] if kept and keep_theta_draws else theta_work
+            beta = beta_draws[j] if kept else beta_work
             np.add(inv_D, 1.0 / sigma2, prec)
             np.divide(fit, sigma2, mean)
             np.divide(np.add(y_over_D, mean, mean), prec, mean)
@@ -388,11 +385,9 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
                 sigma2 = min(max(ssr / (2.0 * g), _SIGMA2_FLOOR), _SIGMA2_MAX) if g else _SIGMA2_MAX
             if kept:
                 sigma2_draws[j] = sigma2
-        if sums is not None:
-            # one reduction adds the rows in order, as theta_draws.mean(axis=0) does
-            sums[0] = np.add.reduce(sums[: 1 + stop - first], axis=0)
+                if theta_sum is not None:  # in the order theta_draws.mean(axis=0) adds them
+                    np.add(theta_sum, theta, theta_sum)
 
-    theta_sum = None if sums is None else sums[0].copy()  # not a view that holds the block
     summary = PosteriorSummary(theta_draws, beta_draws, sigma2_draws, theta_sum)
     if not (np.all(np.isfinite(summary.theta_bayes)) and math.isfinite(summary.sigma_u2_mean)):
         raise NumericalError(

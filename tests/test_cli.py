@@ -730,6 +730,29 @@ def fixed_gamma_lattice(tmp_path_factory):
     return cfg
 
 
+def test_fixed_gamma_lattice_run_estimates_equal_one_off_calls_bitwise(fixed_gamma_lattice, tmp_path, monkeypatch):
+    # with a weighted-mean benchmark added, the run's two estimates take
+    # conjugate gradients, and library calls with the plain omega on the
+    # run's theta_bayes take the same route to the same bits
+    from oracles import count_eigendecompositions, count_solves
+    from smallarea import RunConfig, benchmarked_estimate, run_pipeline, smoothed_estimate
+    from smallarea.pipeline import _prepare_inputs
+
+    for name in ("areas.csv", "edges.txt"):
+        shutil.copy(fixed_gamma_lattice.parent / name, tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fixed_gamma_lattice.read_text() + "benchmark_weight_column = benchmark_weight\nbenchmark_target = 15.0\n")
+    config = RunConfig.from_file(cfg)
+    _, omega, phi, constraints, _ = _prepare_inputs(config)
+    factors, solves = count_eigendecompositions(monkeypatch), count_solves(monkeypatch, 1000)
+    report = run_pipeline(config)
+    smoothed = smoothed_estimate(report.theta_bayes, phi, omega.omega, 0.5).values
+    benchmarked = benchmarked_estimate(report.theta_bayes, phi, omega.omega, 0.5, constraints).values
+    assert factors == [] and solves == []
+    np.testing.assert_array_equal(smoothed, report.theta_smoothed)
+    np.testing.assert_array_equal(benchmarked, report.theta_benchmarked)
+
+
 @pytest.mark.parametrize("d", [1e-4, 1e-8, 1e-12, 1e-20, 1e-200])
 def test_fixed_gamma_lattice_estimate_with_one_tiny_sampling_variance_matches_the_kkt_reference(
     fixed_gamma_lattice, tmp_path, capsys, d

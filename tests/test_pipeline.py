@@ -28,6 +28,7 @@ from smallarea import (
     smoothed_estimate,
     write_area_csv,
 )
+from smallarea.estimators import _OneGammaSolver, _SigmaSolver
 from smallarea.pipeline import _CONFIG_DEFAULTS, _prepare_inputs, write_report
 from smallarea.datasets import (
     FIXTURE_SCHEMA,
@@ -886,11 +887,11 @@ class TestLockStepBootstrap:
     )
     def test_replicate_in_a_batch_equals_its_estimate_alone(self, tmp_path, monkeypatch, policy, benchmarked, gamma):
         """Each replicate's estimate from the batched solve is the estimate
-        of its posterior mean alone, at its own gamma, to within 1e-13
-        relative (bound fixed before the first run: the two differ only in
-        the summation order of the matrix products); a NaN mean stays one
-        NaN row, and at gamma = 0 an unconstrained estimate is exactly the
-        mean."""
+        of its posterior mean alone, at its own gamma and through a fresh
+        solver of the run's kind, to within 1e-13 relative (bound fixed
+        before the first run: the two differ only in the summation order of
+        the matrix products); a NaN mean stays one NaN row, and at gamma = 0
+        an unconstrained estimate is exactly the mean."""
         import smallarea.pipeline
 
         means, reports = [], []
@@ -920,6 +921,7 @@ class TestLockStepBootstrap:
         config = RunConfig.from_file(write_config(tmp_path, area, edges, **overrides))
         run_gamma = run_pipeline(config).metadata["gamma"]
         data, omega, phi, constraints, _ = _prepare_inputs(config)
+        run_solver = _SigmaSolver if config.gamma is None else _OneGammaSolver
         (thetas,), (boot,) = means, reports
         assert boot.failed == (5,) and np.isnan(boot.replicates[5]).all()
         gammas = set()
@@ -928,10 +930,11 @@ class TestLockStepBootstrap:
             if policy == "re-cross-validate":
                 g = cross_validate(thetas[b], phi, omega, config.gamma_grid, constraints).gamma_hat
             gammas.add(g)
+            solver = run_solver(phi, omega, constraints)
             if constraints is None:
-                alone = smoothed_estimate(thetas[b], phi, omega, g).values
+                alone = smoothed_estimate(thetas[b], phi, solver, g).values
             else:
-                alone = benchmarked_estimate(thetas[b], phi, omega, g, constraints).values
+                alone = benchmarked_estimate(thetas[b], phi, solver, g, constraints).values
             got = boot.replicates[b]
             assert np.max(np.abs(got - alone)) <= 1e-13 * np.max(np.abs(alone))
             if g == 0.0 and constraints is None:
@@ -950,6 +953,20 @@ class TestLockStepBootstrap:
         assert factors == []
         assert solves == [(51, 51)] * 3  # smoothed, benchmarked, the batch
         assert report.metadata["bootstrap"]["failed"] == []
+
+    def test_fixed_gamma_run_estimates_equal_one_off_calls_bitwise(self, tmp_path, monkeypatch):
+        # a library call with the plain omega solves one gamma the way a
+        # fixed-gamma run does: here one LU solve each, no eigendecomposition
+        config = self._config(tmp_path, gamma_grid=None, gamma=0.5, bootstrap_replicates=0)
+        report = run_pipeline(config)
+        _, omega, phi, constraints, _ = _prepare_inputs(config)
+        factors = count_eigendecompositions(monkeypatch)
+        solves = count_solves(monkeypatch, 51)
+        smoothed = smoothed_estimate(report.theta_bayes, phi, omega.omega, 0.5).values
+        benchmarked = benchmarked_estimate(report.theta_bayes, phi, omega.omega, 0.5, constraints).values
+        assert factors == [] and solves == [(51, 51)] * 2
+        np.testing.assert_array_equal(smoothed, report.theta_smoothed)
+        np.testing.assert_array_equal(benchmarked, report.theta_benchmarked)
 
     def test_re_cross_validated_run_decomposes_once(self, tmp_path, monkeypatch):
         # the main grid, both estimates and every replicate's own grid and

@@ -257,10 +257,14 @@ def test_wide_weights_at_the_grid_ends(problem):
             assert _close(got, want, theta, phi, 1e-12 * kappa * gram / gap)
 
 
-def _outcomes(theta, phi, omega, gamma, constraints):
+def _outcomes(theta, phi, omega, gamma, constraints, fresh=None):
     """Both estimates and every held-out fit at one gamma, through ``omega``
-    (a penalty matrix or a solver): each is an array, or the message of
-    the NumericalError it raised."""
+    (a penalty matrix or a solver), or with ``fresh``, a solver class,
+    through a new ``fresh(phi, omega, constraints)`` for each call: each is
+    an array, or the message of the NumericalError it raised."""
+
+    def penalty():
+        return omega if fresh is None else fresh(phi, omega, constraints)
 
     def run(fn, *args):
         try:
@@ -269,10 +273,10 @@ def _outcomes(theta, phi, omega, gamma, constraints):
             return str(exc)
         return getattr(result, "values", result)
 
-    out = [run(smoothed_estimate, theta, phi, omega, gamma)]
+    out = [run(smoothed_estimate, theta, phi, penalty(), gamma)]
     if constraints is not None:
-        out.append(run(benchmarked_estimate, theta, phi, omega, gamma, constraints))
-    return out + [run(loo_solution, theta, phi, omega, gamma, i, constraints) for i in range(len(theta))]
+        out.append(run(benchmarked_estimate, theta, phi, penalty(), gamma, constraints))
+    return out + [run(loo_solution, theta, phi, penalty(), gamma, i, constraints) for i in range(len(theta))]
 
 
 def _assert_same_outcomes(shared, fresh):
@@ -284,24 +288,27 @@ def _assert_same_outcomes(shared, fresh):
 
 
 # One solver shared across a gamma sequence that revisits earlier values,
-# with an ill-conditioned gamma between feasible ones.
+# with an ill-conditioned gamma between feasible ones: a shared eigen solver
+# against a fresh one for each call, and a shared one-gamma solver against
+# calls with the plain omega, which build one each.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(held_out_problems(), st.floats(0.1, 10.0))
 def test_shared_solver_matches_one_off_calls(problem, other):
     theta, phi, omega, gamma, _, constraints = problem
-    solver = _SigmaSolver(phi, omega, constraints)
-    for g in (gamma, other, gamma, 1e15, other, 1e15, gamma):
-        shared = _outcomes(theta, phi, solver, g, constraints)
-        _assert_same_outcomes(shared, _outcomes(theta, phi, omega, g, constraints))
-        if g == 1e15:
-            continue
-        for i, got in enumerate(shared[-len(theta):]):
-            try:
-                want = reference_loo_solution(theta, phi, omega, g, i, constraints)
-            except NumericalError:
-                assert isinstance(got, str)
+    for solver_class, fresh in ((_OneGammaSolver, None), (_SigmaSolver, _SigmaSolver)):
+        solver = solver_class(phi, omega, constraints)
+        for g in (gamma, other, gamma, 1e15, other, 1e15, gamma):
+            shared = _outcomes(theta, phi, solver, g, constraints)
+            _assert_same_outcomes(shared, _outcomes(theta, phi, omega, g, constraints, fresh))
+            if g == 1e15:
                 continue
-            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+            for i, got in enumerate(shared[-len(theta):]):
+                try:
+                    want = reference_loo_solution(theta, phi, omega, g, i, constraints)
+                except NumericalError:
+                    assert isinstance(got, str)
+                    continue
+                assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
     with pytest.raises(ValidationError, match="phi differs"):
         loo_solution(theta, 2.0 * phi, solver, gamma, 0, constraints)
     other_constraints = ConstraintSet(np.ones((1, len(theta))), [1.0])
@@ -311,7 +318,7 @@ def test_shared_solver_matches_one_off_calls(problem, other):
         copy = ConstraintSet(constraints.M.copy(), constraints.t.copy())
         _assert_same_outcomes(
             _outcomes(theta, phi, solver, gamma, copy),
-            _outcomes(theta, phi, omega, gamma, constraints),
+            _outcomes(theta, phi, omega, gamma, constraints, _SigmaSolver),
         )
     with pytest.raises(ValidationError, match="constraints differ"):
         loo_solution(theta, phi, solver, gamma, 0, other_constraints)
