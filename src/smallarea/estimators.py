@@ -7,9 +7,12 @@ smoothness penalty matrix omega, the smoothed estimator minimizes
 
 and the benchmarked estimator minimizes the same objective subject to
 linear constraints M d = t.  Both have closed forms from one private
-solver, built once for a (phi, omega, constraints): one eigendecomposition
-of Phi^{-1/2} omega Phi^{-1/2} gives the inverse of
-Sigma = Phi + gamma * omega at every gamma, and a Sigma whose scaled form
+solver, built once for a (phi, omega, constraints).  Every route of it
+returns the rows of S [Phi theta rows; M], S = Sigma^{-1} and
+Sigma = Phi + gamma * omega, and one shared step turns them into the
+estimate: the smoothed fit, plus S M'(M S M')^{-1}(t - M d) under
+constraints.  One eigendecomposition of Phi^{-1/2} omega Phi^{-1/2}
+gives S at every gamma, and a Sigma whose scaled form
 Phi^{-1/2} Sigma Phi^{-1/2} is indefinite or ill-conditioned is a
 NumericalError.  For the held-out fits of ``selection`` it also keeps the
 m held-out fits of its last (gamma, theta), formed at once from the
@@ -17,14 +20,15 @@ full fit and the hat-matrix columns A e_i, so that each held-out fit is a
 copy of one row; and :func:`_batch_estimates` solves a (B, m) batch of
 thetas at once, as the bootstrap does for its replicates.  A problem at
 one gamma, which shares no decomposition between gammas, takes its
-subclass that solves each time, where Gershgorin's discs certify the
-system, by conjugate gradients over omega's nonzeros when that costs less
-than an LU solve and by the LU solve otherwise, and through the eigen
-basis where the discs do not certify it.  A caller that solves many
-times, such as the pipeline's estimates, cross-validation and bootstrap,
-passes the solver in place of omega; a call with a plain omega builds a
-one-off one-gamma solver, so it solves as a fixed-gamma run does, and its
-held-out fits come from the eigen basis as a grid's do.
+subclass, whose only override is that route: where Gershgorin's discs
+certify the system it solves each time, by conjugate gradients over
+omega's nonzeros when that costs less than an LU solve and by the LU
+solve otherwise, and through the eigen basis where the discs do not
+certify it.  A caller that solves many times, such as the pipeline's
+estimates, cross-validation and bootstrap, passes the solver in place of
+omega; a call with a plain omega builds a one-off one-gamma solver, so it
+solves as a fixed-gamma run does, and its held-out fits come from the
+eigen basis as a grid's do.
 :func:`benchmarked_estimate` is the one constrained estimate: the single
 weighted-mean benchmark and the unit-level (two-tier) benchmark are calls
 to it, and multivariate problems reduce to it through block stacking.
@@ -128,33 +132,27 @@ def _problem(theta_bayes, phi, omega, gamma=0.0, constraints=None):
     return theta, solver, _real("gamma", gamma, 0)
 
 
-def _projector(gram, sm):
-    """The projector S M' (M S M')^{-1} from S M' and the Gram matrix
-    M S M'; a Gram matrix that is not finite or whose condition number
-    exceeds _CONDITION_LIMIT is a NumericalError."""
-    gram = 0.5 * (gram + gram.T)
-    if not (np.isfinite(gram).all() and np.linalg.cond(gram) <= _CONDITION_LIMIT):
-        raise NumericalError("degenerate or redundant constraints")
-    return np.linalg.solve(gram, sm.T).T
-
-
 class _SigmaSolver:
     """Solves with Sigma(gamma) = Phi + gamma * omega for one validated
     (phi, omega, constraints).
 
-    Only theta and gamma vary between the solves of a run, so the first
-    solve takes one eigendecomposition K = Phi^{-1/2} omega Phi^{-1/2} =
-    V diag(lam) V' and keeps lam, U = Phi^{-1/2} V and W = U'M'; then
-    S = Sigma^{-1} = U diag(f) U' with f = 1/(1 + gamma lam) at any gamma.
-    Sigma is accepted when I + gamma K = Phi^{-1/2} Sigma Phi^{-1/2} is
-    positive definite (1 + gamma lam_min > 0) with condition number
-    (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT.  A
-    constrained solve adds the projector S M' (M S M')^{-1} from the
-    condition-checked Gram matrix W' diag(f) W.  Beside the basis only the
-    last :meth:`held_out` fits are kept, keyed by gamma, ``constrained`` and
-    the bytes of theta.  A solver lives as long as the caller that built it
-    holds it.  The decomposition pays for itself over a grid of gammas;
-    :class:`_OneGammaSolver` serves a run at one gamma.
+    Every solve goes through one system interface, :meth:`_system`: the
+    rows of S [Phi theta rows; M] with S = Sigma^{-1}, whose M rows are
+    S M'.  One step, :meth:`_solve`, splits them into the fit d and S M',
+    forms the projector S M' (M S M')^{-1} from the condition-checked Gram
+    matrix M S M' and moves d onto M d = t.  Here the system is the eigen
+    basis: only theta and gamma vary between the solves of a run, so the
+    first solve takes one eigendecomposition K = Phi^{-1/2} omega
+    Phi^{-1/2} = V diag(lam) V' and keeps lam and U = Phi^{-1/2} V; then
+    S = U diag(f) U' with f = 1/(1 + gamma lam) at any gamma.  Sigma is
+    accepted when I + gamma K = Phi^{-1/2} Sigma Phi^{-1/2} is positive
+    definite (1 + gamma lam_min > 0) with condition number
+    (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT.
+    Beside the basis only the last :meth:`held_out` fits are kept, keyed
+    by gamma, ``constrained`` and the bytes of theta.  A solver lives as
+    long as the caller that built it holds it.  The decomposition pays for
+    itself over a grid of gammas; :class:`_OneGammaSolver` serves a run at
+    one gamma.
     """
 
     def __init__(self, phi, omega, constraints=None, size: int | None = None):
@@ -170,7 +168,7 @@ class _SigmaSolver:
 
     @cached_property
     def _basis(self):
-        """(lam, U, W) of the one eigendecomposition, taken on the first
+        """(lam, U) of the one eigendecomposition, taken on the first
         solve.  Where eigh does not converge, as for entries of K near the
         largest float, lam and U are NaN, so that every gamma is refused."""
         r = 1.0 / np.sqrt(self.phi)
@@ -179,36 +177,46 @@ class _SigmaSolver:
         except np.linalg.LinAlgError:
             lam, U = np.full(len(r), np.nan), np.full((len(r), len(r)), np.nan)
         U *= r[:, None]
-        return lam, U, None if self.constraints is None else U.T @ self.constraints.M.T
+        return lam, U
 
-    def _factors(self, g: float, constrained: bool):
-        """f = 1/(1 + g lam) and the projector at gamma ``g``, None unless
-        ``constrained``; a rejected Sigma or Gram matrix is a NumericalError."""
-        lam, U, W = self._basis
+    def _factors(self, g: float):
+        """f = 1/(1 + g lam) at gamma ``g``; a rejected Sigma is a NumericalError."""
+        lam = self._basis[0]
         low, high = 1.0 + g * float(lam[0]), 1.0 + g * float(lam[-1])  # a huge g: inf, no warning
         if not (low > 0 and high / low <= _CONDITION_LIMIT):
             raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
-        f = 1.0 / (1.0 + g * lam)
+        return 1.0 / (1.0 + g * lam)
+
+    def _eigen(self, rows, M, g: float):
+        """The rows of S [Phi ``rows``; ``M``] through the eigen basis."""
+        f, U = self._factors(g), self._basis[1]
+        # rows are vectors, so x @ U is U' x: two matrix products in all
+        return ((np.vstack((self.phi * rows, M)) @ U) * f) @ U.T
+
+    _system = _eigen
+
+    def _solve(self, theta, g: float, constrained: bool, system):
+        """(d, proj): :meth:`solve`'s d from ``system``, M empty unless
+        ``constrained``, and the projector S M' (M S M')^{-1} or None.  A
+        Gram matrix M S M' that is not finite or whose condition number
+        exceeds _CONDITION_LIMIT is a NumericalError."""
+        rows = np.atleast_2d(theta)
+        M = self.constraints.M if constrained else np.empty((0, len(self.phi)))
+        x = system(rows, M, g)
+        d = x[: len(rows)].reshape(np.shape(theta))
         if not constrained:
-            return f, None
-        fw = f[:, None] * W
-        return f, _projector(W.T @ fw, U @ fw)
-
-    def _eigen_solve(self, theta, f, proj):
-        """:meth:`solve` through the eigen basis from :meth:`_factors`' output."""
-        U = self._basis[1]
-        # thetas are rows: x @ U is U' x, so one theta costs two
-        # matrix-vector products and a batch two matrix products
-        d = ((self.phi * theta) @ U * f) @ U.T
-        return d if proj is None else self._onto_constraints(d, proj)
-
-    def _onto_constraints(self, d, proj):
-        """``d`` moved onto M d = t through the projector, in place."""
+            return d, None
+        sm = x[len(rows) :].T  # S M'
+        gram = M @ sm
+        gram = 0.5 * (gram + gram.T)
+        if not (np.isfinite(gram).all() and np.linalg.cond(gram) <= _CONDITION_LIMIT):
+            raise NumericalError("degenerate or redundant constraints")
+        proj = np.linalg.solve(gram, sm.T).T
         # one step leaves M d - t at about cond(Gram) * eps; a second
         # (iterative refinement) squares that factor
         for _ in range(2):
-            d += (self.constraints.t - d @ self.constraints.M.T) @ proj.T
-        return d
+            d += (self.constraints.t - d @ M.T) @ proj.T
+        return d, proj
 
     @property
     def held_out_key(self) -> bytes | None:
@@ -220,17 +228,14 @@ class _SigmaSolver:
     def solve(self, theta, g: float, constrained: bool = False):
         """Minimizer d of the penalized objective at gamma ``g``, under
         M d = t when ``constrained``, for a theta of length m or for each
-        row of a (B, m) batch.  Unconstrained at g = 0 it is a copy of
-        theta, exactly, and nothing is solved.  An ill-conditioned Sigma or
-        Gram matrix is a NumericalError.  Nothing warns: an overflow makes
-        lam, a bound, the Gram matrix or d not finite, and each is refused,
-        d by the caller."""
+        row of a (B, m) batch, by :meth:`_solve` over :meth:`_system`.
+        Unconstrained at g = 0 it is a copy of theta, exactly, and nothing
+        is solved.  An ill-conditioned Sigma or Gram matrix is a
+        NumericalError.  Nothing warns: an overflow makes lam, a bound, the
+        Gram matrix or d not finite, and each is refused, d by the caller."""
         if g == 0.0 and not constrained:
             return theta.copy()
-        return self._solve(theta, g, constrained)
-
-    def _solve(self, theta, g: float, constrained: bool):
-        return self._eigen_solve(theta, *self._factors(g, constrained))
+        return self._solve(theta, g, constrained, self._system)[0]
 
     def held_out(self, theta, g: float, constrained: bool = False):
         """The m held-out fits at gamma ``g`` and the mask of identified
@@ -241,16 +246,15 @@ class _SigmaSolver:
         the condition number of I + g K, which bounds A's rounding error in
         units of eps, and its row is finite.  The fits are looked up by
         gamma, ``constrained`` and theta's bytes before anything is formed,
-        so a grid point's fits come from one :meth:`_factors` call, always
+        so a grid point's fits come from one :meth:`_solve` call, always
         through the eigen basis.  ``theta`` must be finite, as :func:`_problem`
         leaves it, since its bytes become :attr:`held_out_key`."""
         key = g, constrained, theta.tobytes()
         if self._table is None or self._table[0] != key:
             self._table = None  # drop the old fits before the new ones are formed
             with np.errstate(all="ignore"):  # as in solve; a row that is not finite is unidentified
-                f, proj = self._factors(g, constrained)
-                d = self._eigen_solve(theta, f, proj)
-                U = self._basis[1]
+                d, proj = self._solve(theta, g, constrained, self._eigen)
+                f, U = self._factors(g), self._basis[1]
                 fits = (self.phi[:, None] * U * f) @ U.T  # row i is A e_i
                 if constrained:
                     fits -= (fits @ self.constraints.M.T) @ proj.T
@@ -264,15 +268,15 @@ class _SigmaSolver:
 
 class _OneGammaSolver(_SigmaSolver):
     """A :class:`_SigmaSolver` for a run at one fixed gamma, or a library
-    call with a plain omega, where no grid shares an eigendecomposition:
-    each :meth:`solve` solves Sigma X = [Phi theta rows, M] for all its
-    right-hand sides at once, and the Gram matrix M S M' comes from the
-    same solve.  It solves by Jacobi-preconditioned conjugate gradients
-    (CG) over omega's nonzeros, which forms no m x m matrix, where even
-    CG's iteration cap costs less than the LU solve of I + gamma K against
-    [Phi^{1/2} theta rows, Phi^{-1/2} M'], and by that LU solve otherwise:
-    CG pays on a large, sparse omega at a moderate gamma, LU on a small or
-    dense omega, a large gamma, or a wide batch (see :meth:`_cg_pays`).
+    call with a plain omega, where no grid shares an eigendecomposition.
+    It overrides only :meth:`_system`, solving Sigma X = [Phi theta rows;
+    M] for all its right-hand sides at once, by Jacobi-preconditioned
+    conjugate gradients (CG) over omega's nonzeros, which forms no m x m
+    matrix, where even CG's iteration cap costs less than the LU solve of
+    I + gamma K against [Phi^{1/2} theta rows, Phi^{-1/2} M'], and by that
+    LU solve otherwise (see :meth:`_cg_pays`).  LU is faster for a dense
+    omega and a wide batch; it takes a large gamma only because CG is
+    priced at its cap, which grows as sqrt(kappa).
 
     It takes either route only when Gershgorin's discs certify
     I + gamma K: with every eigenvalue of K in [lo, hi], 1 + gamma lo > 0
@@ -290,11 +294,11 @@ class _OneGammaSolver(_SigmaSolver):
     plus _CG_SLACK iterations, and the true residual b - Sigma x of each
     then is within _CG_ROUNDING times the rounding of computing it; a
     solve not accepted, or whose numbers overflow, is the LU solve's.  At
-    a gamma the discs do not certify :meth:`solve` is :class:`_SigmaSolver`'s,
+    a gamma the discs do not certify the system is the eigen basis's,
     refusals and messages included.  The discs are built on the first
     solve, so a solver that never solves, as in :func:`penalized_objective`,
     pays nothing for them.  :meth:`held_out`, which a fixed-gamma run never
-    calls, is inherited and takes the eigendecomposition."""
+    calls, is inherited, takes the eigendecomposition and builds no discs."""
 
     @cached_property
     def _discs(self):
@@ -335,27 +339,20 @@ class _OneGammaSolver(_SigmaSolver):
         weights[at, rows] = self.omega[rows, cols]
         return neighbours, weights
 
-    def _solve(self, theta, g: float, constrained: bool):
+    def _system(self, rows, M, g: float):
+        """The rows of S [Phi ``rows``; ``M``] by CG or the LU solve where
+        the discs certify I + g K, and through the eigen basis otherwise."""
         lo, hi = self._bounds
         low, high = 1.0 + g * lo, 1.0 + g * hi
         if not (low > 0 and high / low <= _CONDITION_LIMIT):
-            return super()._solve(theta, g, constrained)
-        m = len(self.phi)
-        rows = np.atleast_2d(theta)
-        M = self.constraints.M if constrained else np.empty((0, m))
-        cap = min(int(0.5 * np.sqrt(high / low) * np.log(2.0 / _CG_TOL)), 2 * m) + _CG_SLACK
+            return self._eigen(rows, M, g)
+        cap = min(int(0.5 * np.sqrt(high / low) * np.log(2.0 / _CG_TOL)), 2 * len(self.phi)) + _CG_SLACK
         x = None
         if self._cg_pays(cap, len(rows) + len(M)):
             # each CG starts from the solution at gamma = 0: theta itself for
             # a theta row, so an omega that annihilates it leaves it exactly
             x = self._cg(np.vstack((rows, M / self.phi)), np.vstack((self.phi * rows, M)), g, cap)
-        if x is None:
-            x = self._lu(rows, g, M)
-        d = x[: len(rows)].reshape(np.shape(theta))
-        if not constrained:
-            return d
-        sm = x[len(rows) :].T  # S M'
-        return self._onto_constraints(d, _projector(M @ sm, sm))
+        return self._lu(rows, g, M) if x is None else x
 
     def _cg_pays(self, cap: int, n: int) -> bool:
         """Whether ``cap`` CG iterations on ``n`` right-hand sides cost no

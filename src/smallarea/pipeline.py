@@ -46,7 +46,7 @@ from .estimators import (
 )
 # Not called here; the benchmark's tracer looks this name up in this module.
 from .estimators import benchmarked_estimate_single  # noqa: F401
-from .exceptions import NumericalError, ValidationError, _input_lines, _integer, _read_input, _real
+from .exceptions import NumericalError, ValidationError, _input_lines, _integer, _read_input, _real, _vector
 from .fay_herriot import GibbsConfig, exact_means, gibbs_fit
 from .selection import CvCurve, _grid, cross_validate, default_gamma_grid
 from .similarity import build_omega, load_adjacency, read_edge_list
@@ -306,7 +306,12 @@ def _config_path(path: Path, entries: dict[str, str], values: dict[str, str], ke
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Per-area estimate table plus the CV curve and bootstrap summaries."""
+    """Per-area estimate table plus the CV curve and bootstrap summaries.
+
+    Only what :func:`run_pipeline` can write is accepted: finite y and
+    thetas, a finite nonnegative D, an mse that is nonnegative (+inf
+    allowed), a bias that is not NaN, and CV failed areas among the m
+    areas."""
 
     labels: tuple[str, ...]
     y: np.ndarray
@@ -322,10 +327,16 @@ class EstimateReport:
 
     def __post_init__(self):
         m = len(self.labels)
-        for name in (*_REPORT_COLUMNS, "mse", "bias"):
+        for name in _REPORT_COLUMNS:
+            _vector(f"report column {name}", getattr(self, name), m)
+        for name in ("mse", "bias"):
             v = getattr(self, name)
-            if v is not None and np.asarray(v).shape != (m,):
-                raise ValidationError(f"report column {name} must have {m} rows")
+            if v is not None and (np.asarray(v).shape != (m,) or np.any(np.isnan(v))):
+                raise ValidationError(f"report column {name} must have {m} rows, none NaN")
+        if np.any(np.asarray(self.D) < 0) or (self.mse is not None and np.any(np.asarray(self.mse) < 0)):
+            raise ValidationError("report columns D and mse must be nonnegative")
+        if self.cv is not None and any(i >= m for failed in self.cv.failed_areas for i in failed):
+            raise ValidationError(f"failed area indices of the CV curve must be below the {m} areas")
         bench = self.metadata.get("benchmark")
         if bench is not None:
             if not isinstance(bench, dict) or "target" not in bench:

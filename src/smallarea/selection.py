@@ -46,6 +46,7 @@ class CvCurve:
 
     ``failed_areas[k]`` lists the areas whose held-out solve was singular
     at grid point k; such points score +inf but do not abort the search.
+    Scores are nonnegative, +inf included, and area indices are too.
     """
 
     grid: np.ndarray
@@ -59,13 +60,15 @@ class CvCurve:
             raise ValidationError("grid must be strictly increasing")
         if scores.shape != grid.shape:
             raise ValidationError("scores must align with the grid")
-        if np.any(np.isnan(scores)):
-            raise ValidationError("scores may not be NaN")
+        if not np.all(scores >= 0):
+            raise ValidationError("scores may not be NaN or negative")
         if not np.any(np.isfinite(scores)):
             raise ValidationError("at least one grid point must have a finite score")
         failed = self.failed_areas or tuple(() for _ in range(grid.size))
         if len(failed) != grid.size:
             raise ValidationError("failed_areas must align with the grid")
+        if any(f and (s < np.inf or min(f) < 0) for f, s in zip(failed, scores)):
+            raise ValidationError("a grid point that lists failed areas must score +inf and list no negative index")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "failed_areas", tuple(tuple(f) for f in failed))

@@ -572,6 +572,29 @@ class TestPlotData:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "plot_scatter_constrained_vs_bayes.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            ("estimates.csv", "0.5,0.20000000000000001,", "0.5,nan,", "report column theta_benchmarked contains non-finite entries"),
+            ("cv_curve.csv", "1,0.75,", "1,0.75,-5", "a grid point that lists failed areas must score +inf and list no negative index"),
+            ("bootstrap_mse.csv", "a,0.01,", "a,-3,", "report columns D and mse must be nonnegative"),
+        ],
+        ids=["nan-estimate", "negative-failed-area", "negative-mse"],
+    )
+    def test_plot_data_on_a_report_no_run_could_write_exits_2(self, workspace, capsys, name, old, new, message):
+        # a report file is input from outside the program: values that
+        # run_pipeline never writes are refused, not passed on to the plot
+        tmp_path, _, area, edges = workspace
+        cfg = write_config(tmp_path, area, edges)
+        out = write_report(test_pipeline.TestReportIo._hand_built_report(), tmp_path / "out")
+        path = out / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["plot-data", "--config", str(cfg), "--kind", "scatter_constrained_vs_bayes"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "plot_scatter_constrained_vs_bayes.csv").exists()
+
     def test_plot_data_without_run_fails(self, workspace, capsys):
         tmp_path, _, area, edges = workspace
         cfg = write_config(tmp_path, area, edges, output_dir="fresh")

@@ -1071,6 +1071,43 @@ class TestReportIo:
         assert np.array_equal(loaded.cv.grid, report.cv.grid)
         assert loaded.metadata == json.loads(json.dumps(report.metadata))
 
+    def test_compare_reports_bounds_the_gap_of_each_column(self, tmp_path, capsys):
+        # tests/compare_reports.py, which bounds a change's report bytes: an
+        # identical copy passes, a perturbed cell shows its gap, and a
+        # renamed header or a missing file fails
+        import shutil
+
+        import compare_reports
+
+        _, config = self._run(
+            tmp_path, gamma="", gamma_grid="0.01,10,5", bootstrap_replicates="4", bootstrap_gibbs_burn="50"
+        )
+        old, new = config.output_dir, tmp_path / "copy"
+        shutil.copytree(old, new)
+        assert sorted(p.name for p in new.iterdir()) == [
+            "bootstrap_mse.csv", "cv_curve.csv", "estimates.csv", "metadata.json"
+        ]
+        assert compare_reports.main([str(old), str(new)]) == 0
+        assert "estimates.csv:theta_benchmarked  max gap 0  differing 0/8\n" in capsys.readouterr().out
+
+        path = new / "estimates.csv"
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        x = float(rows[3][5])
+        rows[3][5] = repr(x + 3e-10 * (1.0 + abs(x)))
+        path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        assert compare_reports.main([str(old), str(new)]) == 1
+        assert "estimates.csv:theta_benchmarked  max gap 3e-10  differing 1/8\n" in capsys.readouterr().out
+        assert compare_reports.main([str(old), str(new), "--bound", "1e-9"]) == 0
+        assert "estimates.csv:theta_smoothed  max gap 0  differing 0/8\n" in capsys.readouterr().out
+
+        rows[0][5] = "theta_bm"
+        path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        assert compare_reports.main([str(old), str(new), "--bound", "1"]) == 1
+        assert "estimates.csv: header differs" in capsys.readouterr().out
+        path.unlink()
+        assert compare_reports.main([str(old), str(new), "--bound", "1"]) == 1
+        assert f"estimates.csv: only in {old}\n" in capsys.readouterr().out
+
     def test_plot_data_scatter(self, tmp_path):
         report, config = self._run(tmp_path)
         path = emit_plot_data(report, "scatter_constrained_vs_bayes", config.output_dir)
@@ -1266,6 +1303,48 @@ class TestReportIo:
             pytest.param(
                 "cv_curve.csv", "1,0.75,", "1,inf,", "^at least one grid point must have a finite score$",
                 id="no-finite-cv-score",
+            ),
+            # values that run_pipeline never writes
+            pytest.param(
+                "cv_curve.csv", "1,0.75,", "1,0.75,-5", "^a grid point that lists failed areas must score \\+inf and list no negative index$",
+                id="negative-failed-area",
+            ),
+            pytest.param(
+                "cv_curve.csv", "1,0.75,", "1,0.75,1", "^a grid point that lists failed areas must score \\+inf and list no negative index$",
+                id="failed-area-with-a-finite-score",
+            ),
+            pytest.param(
+                "cv_curve.csv", "1,0.75,", "1,-1e300,", "^scores may not be NaN or negative$", id="negative-cv-score",
+            ),
+            pytest.param(
+                "cv_curve.csv", "inf,0;2", "inf,0;3",
+                "^failed area indices of the CV curve must be below the 3 areas$",
+                id="failed-area-beyond-m",
+            ),
+            pytest.param(
+                "estimates.csv", "a,0.10000000000000001,", "a,inf,", "^report column y contains non-finite entries$",
+                id="infinite-y",
+            ),
+            pytest.param(
+                "estimates.csv", "0.5,0.20000000000000001,", "0.5,nan,",
+                "^report column theta_benchmarked contains non-finite entries$",
+                id="nan-theta-benchmarked",
+            ),
+            pytest.param(
+                "estimates.csv", "b,2,0.25,", "b,2,-2,", "^report columns D and mse must be nonnegative$", id="negative-D",
+            ),
+            pytest.param(
+                "estimates.csv", "b,2,0.25,", "b,2,nan,", "^report column D contains non-finite entries$", id="nan-D",
+            ),
+            pytest.param(
+                "bootstrap_mse.csv", "a,0.01,", "a,-3,", "^report columns D and mse must be nonnegative$",
+                id="negative-mse",
+            ),
+            pytest.param(
+                "bootstrap_mse.csv", "a,0.01,", "a,nan,", "^report column mse must have 3 rows, none NaN$", id="nan-mse",
+            ),
+            pytest.param(
+                "bootstrap_mse.csv", "b,2,0\n", "b,2,nan\n", "^report column bias must have 3 rows, none NaN$", id="nan-bias",
             ),
         ],
     )

@@ -23,7 +23,6 @@ from smallarea import (
     smoothed_estimate,
     benchmarked_estimate,
 )
-from smallarea import estimators
 from smallarea.datasets import synthetic_dataset_path, us_state_borders_path
 from smallarea.estimators import _CONDITION_LIMIT, _OneGammaSolver, _SigmaSolver
 
@@ -31,6 +30,7 @@ from oracles import (
     condition_numbers,
     constrained_quad_minimize,
     count_eigendecompositions,
+    count_solves,
     dropped_term_minimize,
     kkt_solve,
     random_connected_instance,
@@ -399,15 +399,10 @@ class TestHeldOutTable:
 
     def test_cross_validate_forms_one_projector_per_grid_point(self, monkeypatch):
         # held_out looks its fits up before computing anything, and a miss
-        # forms them from one f and projector: one projector per grid point
+        # forms them from one f and projector, whose 2 x 2 Gram solve is the
+        # only one: one projector per grid point
         theta, phi, omega, solver = self._setup()
-        real, projectors = estimators._projector, []
-
-        def counted(gram, sm):
-            projectors.append(np.shape(gram))
-            return real(gram, sm)
-
-        monkeypatch.setattr(estimators, "_projector", counted)
+        projectors = count_solves(monkeypatch, 2)
         factors = count_eigendecompositions(monkeypatch)
         cross_validate(theta, phi, solver, np.geomspace(0.01, 100.0, 5), self.CONSTRAINTS)
         assert factors == [(8, 8)]
@@ -601,6 +596,20 @@ class TestCvCurve:
     def test_nan_scores_rejected(self):
         with pytest.raises(ValidationError, match="NaN"):
             CvCurve(np.array([0.5, 1.0]), np.array([np.nan, 2.0]))
+
+    @pytest.mark.parametrize(
+        "scores, failed, message",
+        [
+            ([-1e300, 1.0], ((), ()), "scores may not be NaN or negative"),
+            ([-np.inf, 1.0], ((), ()), "scores may not be NaN or negative"),
+            ([np.inf, 1.0], ((-5,), ()), "a grid point that lists failed areas must score +inf and list no negative index"),
+            ([2.0, 1.0], ((3,), ()), "a grid point that lists failed areas must score +inf and list no negative index"),
+        ],
+        ids=["negative", "minus-inf", "negative-index", "failed-with-a-finite-score"],
+    )
+    def test_a_curve_cross_validate_never_returns_is_rejected(self, scores, failed, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            CvCurve(np.array([0.5, 1.0]), np.array(scores), failed)
 
 
 class TestCrossValidateUnit:
