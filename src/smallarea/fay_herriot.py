@@ -35,8 +35,10 @@ iterations per call, but the block length is not part of the contract:
 numpy fills a buffer in order, so a block holds exactly the draws of the
 per-iteration calls, and beta's noise term z_p R' is formed for the whole
 block as an elementwise sum over the p normals, so each row is what one
-iteration alone would compute.  The per-area effective sample size is
-computed when first read.
+iteration alone would compute.  Each iteration writes its theta and beta
+over its own rows of the block, and the block's retained rows are copied
+to the draws, or added to the running sum, once the block is done.  The
+per-area effective sample size is computed when first read.
 """
 
 from __future__ import annotations
@@ -179,8 +181,8 @@ class PosteriorSummary:
     """Retained draws from one chain, and their summaries, each computed
     on first read.  A chain that keeps no theta draws gives their sum,
     ``theta_sum``, in place of ``theta_draws``; exactly one of the two is
-    set.  :func:`gibbs_fit` adds the draws to that sum one at a time, in
-    the order ``theta_draws.mean(axis=0)`` adds them.
+    set.  :func:`gibbs_fit` adds the draws to that sum one reduction per
+    block, in the order ``theta_draws.mean(axis=0)`` adds them.
 
     ``theta_bayes`` is the componentwise mean of the retained theta draws,
     ``theta_draws.mean(axis=0)`` or ``theta_sum / n_draws``; this is the
@@ -282,15 +284,20 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
     depend on K; K bounds the normal block at ``_BLOCK_DRAWS`` doubles and
     the last block is shorter.  Each iteration makes one product X beta,
     the fit read by its residual and by the next iteration's theta step,
-    and takes the residual sum of squares as one dot product.  A retained
-    iteration writes beta and the model variance straight into their
-    draws, and theta too when ``keep_theta_draws`` is set; the other
-    buffers are allocated once.  With ``keep_theta_draws`` false there is
-    no (n_keep, m) theta array: each retained theta is added to one running
-    sum, which starts at -0.0.  numpy reduces a C-contiguous array over
-    axis 0 row by row when m >= 2, and the propriety guard keeps m >= 4, so
-    the thetas are added in the order ``theta_draws.mean(axis=0)`` adds
-    them and ``theta_bayes`` is bit for bit the same; the result's
+    and takes the residual sum of squares as one dot product.  It writes
+    theta over its own m normals in the block and beta over its own row
+    of noise terms, each read before it is written, and appends the model
+    variance to the block's list; the other buffers are allocated once.
+    When a block is done, its retained rows, every thin-th from the first
+    at or past the burn-in, are copied to the beta and model-variance
+    draws, and to the theta draws when ``keep_theta_draws`` is set.  With
+    ``keep_theta_draws`` false there is no (n_keep, m) theta array: a
+    running sum, which starts at -0.0, is added into the block's first
+    retained theta, and the sum becomes one reduction of the block's
+    retained thetas over axis 0.  numpy reduces over axis 0 row by row
+    when m >= 2, and the propriety guard keeps m >= 4, so the thetas are
+    added in the order ``theta_draws.mean(axis=0)`` adds them and
+    ``theta_bayes`` is bit for bit the same; the result's
     ``theta_draws`` and ``ess`` are None.  The model variance is the Python
     float ssr / (2 g), g the iteration's standard gamma draw, clamped to
     [1e-12, the largest float]: ssr = 0 gives the floor, an infinite ssr or
@@ -338,20 +345,20 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
     K = max(1, min(n_iter, _BLOCK_DRAWS // (m + p)))
     noise = np.empty((K, m + p))
     shape = 0.5 * m - 1.0  # >= 1 under the propriety guard, so gamma draws are positive
-    # buffers the loop writes in place of the arrays each step would allocate
-    prec, mean, step = (np.empty(m) for _ in range(3))
-    resid, beta_xp = np.empty(m), np.empty(p)
+    # buffers the loop writes in place of the arrays each step would allocate,
+    # and 1/s2, s2 and sqrt(s2) as 0-d arrays, which a ufunc reads faster than floats
+    prec, mean, step, resid = (np.empty(m) for _ in range(4))
+    beta_xp, inv_s2, s2, root_s2 = np.empty(p), np.empty(()), np.empty(()), np.empty(())
+    add, subtract, divide, multiply, sqrt, copyto = np.add, np.subtract, np.divide, np.multiply, np.sqrt, np.copyto
 
     n_keep = (n_iter - n_burn + thin - 1) // thin
     theta_draws = np.empty((n_keep, m)) if keep_theta_draws else None
     beta_draws = np.empty((n_keep, p))
     sigma2_draws = np.empty(n_keep)
-    # a chain that keeps no theta draws adds each retained theta to this
-    # sum, first -0.0, which adds nothing (-0.0 + x is x for every x)
+    # a chain that keeps no theta draws adds each block's retained thetas to
+    # this sum, first -0.0, which adds nothing (-0.0 + x is x for every x)
     theta_sum = None if keep_theta_draws else np.full(m, -0.0)
-    # a retained iteration writes beta, and theta if it keeps theta draws,
-    # into its draw rows; other iterations write them here
-    theta_work, beta_work = y.copy(), np.empty(p)
+    j = 0  # draws retained so far
     for start in range(0, n_iter, K):
         n = min(K, n_iter - start)
         normals(out=noise[:n])
@@ -359,34 +366,45 @@ def gibbs_fit(data: AreaDataset, config: GibbsConfig, *, keep_theta_draws: bool 
         z_beta = noise[:n, m, None] * Rt[0]
         for i in range(1, p):
             z_beta += noise[:n, m + i, None] * Rt[i]
-        if sampled:
-            gam = gammas(shape, n).tolist()  # Python floats
-        for k in range(n):
-            j, rem = divmod(start + k - n_burn, thin)
-            kept = j >= 0 and rem == 0
-            theta = theta_draws[j] if kept and keep_theta_draws else theta_work
-            beta = beta_draws[j] if kept else beta_work
-            np.add(inv_D, 1.0 / sigma2, prec)
-            np.divide(fit, sigma2, mean)
-            np.divide(np.add(y_over_D, mean, mean), prec, mean)
-            np.divide(z_theta[k], np.sqrt(prec, step), step)
-            np.add(mean, step, theta)
+        gam = gammas(shape, n).tolist() if sampled else [None] * n  # Python floats, or unread
+        variances = []
+        # each iteration writes theta over its normals and beta over its
+        # z_beta row, each read before it is written
+        for theta, beta, g in zip(z_theta, z_beta, gam):
+            inv_s2[()], s2[()], root_s2[()] = 1.0 / sigma2, sigma2, math.sqrt(sigma2)
+            add(inv_D, inv_s2, prec)
+            divide(fit, s2, mean)
+            divide(add(y_over_D, mean, mean), prec, mean)
+            divide(theta, sqrt(prec, step), step)
+            add(mean, step, theta)
             if pinned is not None:
-                np.copyto(theta, y, where=pinned)
+                copyto(theta, y, where=pinned)
 
-            np.matmul(theta, Pt, beta_xp)
-            np.add(beta_xp, np.multiply(z_beta[k], math.sqrt(sigma2), beta), beta)
-            np.matmul(beta, Xt, fit)
+            theta.dot(Pt, beta_xp)
+            add(beta_xp, multiply(beta, root_s2, beta), beta)
+            beta.dot(Xt, fit)
 
             if sampled:
-                np.subtract(theta, fit, resid)
-                ssr = float(np.dot(resid, resid))
-                g = gam[k]  # at m = 4 about one draw in 2^53 is exactly 0: the quotient's limit, the ceiling
+                subtract(theta, fit, resid)
+                ssr = float(resid.dot(resid))
+                # at m = 4 about one draw in 2^53 is exactly 0: the quotient's limit, the ceiling
                 sigma2 = min(max(ssr / (2.0 * g), _SIGMA2_FLOOR), _SIGMA2_MAX) if g else _SIGMA2_MAX
-            if kept:
-                sigma2_draws[j] = sigma2
-                if theta_sum is not None:  # in the order theta_draws.mean(axis=0) adds them
-                    np.add(theta_sum, theta, theta_sum)
+            variances.append(sigma2)
+
+        # the block's retained rows: every thin-th, from the first whose
+        # iteration is n_burn plus a nonnegative multiple of thin
+        first = max(n_burn - start, (n_burn - start) % thin)
+        kept = slice(first, n, thin)
+        retained = variances[kept]
+        draws = slice(j, j + len(retained))
+        j = draws.stop
+        beta_draws[draws], sigma2_draws[draws] = z_beta[kept], retained
+        if theta_sum is None:
+            theta_draws[draws] = z_theta[kept]
+        elif retained:  # row by row, in the order theta_draws.mean(axis=0) adds them
+            rows = z_theta[kept]
+            rows[0] += theta_sum
+            theta_sum = add.reduce(rows, axis=0)
 
     summary = PosteriorSummary(theta_draws, beta_draws, sigma2_draws, theta_sum)
     if not (np.all(np.isfinite(summary.theta_bayes)) and math.isfinite(summary.sigma_u2_mean)):

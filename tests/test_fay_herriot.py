@@ -427,6 +427,29 @@ class TestLockStep:
         assert np.array_equal(summed.beta_draws, kept.beta_draws)
         assert np.array_equal(summed.sigma_u2_draws, kept.sigma_u2_draws)
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["observed", "pinned"])
+    @pytest.mark.parametrize("fixed_sigma_u2", [None, 1.5], ids=["sampled", "fixed"])
+    def test_burn_in_spanning_whole_blocks(self, monkeypatch, fixed_sigma_u2, pinned):
+        """With K = 7 iterations per block, a burn-in of 2K + 3 and thin = 3,
+        the first two blocks retain no row, the next four first retain the
+        rows 3, 2, 1 and 0 past their start, and the last, two iterations
+        long, retains none.  The kept draws are bit for bit the plain
+        loop's, and the summed theta_bayes is bit for bit their mean."""
+        data, _ = make_dataset(7)
+        if pinned:
+            data = _with_zero_variances(data)
+        K = 7  # not a multiple of thin
+        monkeypatch.setattr(fay_herriot, "_BLOCK_DRAWS", K * (data.m + data.X.shape[1]))
+        config = GibbsConfig(n_iter=6 * K + 2, n_burn=2 * K + 3, thin=3, seed=2, fixed_sigma_u2=fixed_sigma_u2)
+        kept = gibbs_fit(data, config)
+        summed = gibbs_fit(data, config, keep_theta_draws=False)
+        got = (kept.theta_draws, kept.beta_draws, kept.sigma_u2_draws)
+        for name, g, w in zip(("theta", "beta", "sigma2"), got, reference_gibbs_loop(data, config), strict=True):
+            assert np.array_equal(g, w), name
+        assert np.array_equal(summed.theta_bayes, kept.theta_draws.mean(axis=0))
+        assert np.array_equal(summed.beta_draws, kept.beta_draws)
+        assert np.array_equal(summed.sigma_u2_draws, kept.sigma_u2_draws)
+
     def test_fixed_variance_stream_is_per_iteration_normals(self):
         """With the variance fixed the chain draws only normals, one
         standard_normal(m + p) per iteration: the stream of a plain loop."""
