@@ -3,16 +3,19 @@
 Residuals of the observed responses around the constrained fit are
 standardized by the known per-area observation sd, resampled with
 replacement, rescaled, and added back to the constrained fit to produce
-synthetic responses; the full estimation pipeline is re-run on each
-replicate.  Squared deviations of the replicate estimates around the
+synthetic responses, and every replicate is estimated again from its own
+responses.  Squared deviations of the replicate estimates around the
 generating values give the per-area MSE.
 
-The pipeline is a batch callback: it receives the (B, m) synthetic
+The estimation is a batch callback: it receives the (B, m) synthetic
 responses of every replicate at once and returns the (B, m) replicate
-estimates, so that one call can compute every replicate's posterior mean
-(see :func:`smallarea.fay_herriot.exact_means`) and the estimates of all
-replicates that share a gamma in one solve.  A row with any
-non-finite value is a failed replicate; a batch that raises
+estimates.  The callback of :func:`smallarea.pipeline.run_pipeline` does
+not re-run the whole pipeline: each replicate's Bayes step is
+:func:`smallarea.fay_herriot.exact_means` under the main fit's model, with
+no chain; its gamma is the run's own under the ``fixed`` gamma policy and
+is selected again by cross-validation under ``re-cross-validate``; and the
+replicates that share a gamma are estimated in one batched solve.  A row
+with any non-finite value is a failed replicate; a batch that raises
 ValidationError or NumericalError fails every replicate.
 
 RNG stream contract (all replicates are independently seeded, so a
@@ -138,8 +141,8 @@ def bootstrap_mse(
     """Residual-bootstrap MSE of a constrained fit.
 
     ``theta_bm`` is the completed original fit; ``pipeline(Y_star)``
-    re-runs the full inference on the (B, m) synthetic responses and
-    returns the (B, m) replicate constrained estimates.  The generating
+    estimates every replicate again from the (B, m) synthetic responses
+    and returns the (B, m) replicate constrained estimates.  The generating
     values ``theta_bm`` play the role of the truth: MSE_i averages
     (estimate_i - theta_bm_i)^2 over replicates, and bias_i is the mean
     deviation.  A row with a non-finite value is a failed replicate; more
@@ -152,13 +155,11 @@ def bootstrap_mse(
     theta_bm = _vector("theta_bm", theta_bm, m)
     _check_sampling_variance(data)
     sigma_u = np.sqrt(data.D)
-    residuals = (data.y - theta_bm) / sigma_u
+    residuals = standardized_residuals(data.y, theta_bm, sigma_u)
 
     B = config.n_replicates
-    y_star = np.empty((B, m))
-    for b in range(B):
-        rng = replicate_rng(config.seed, b)
-        y_star[b] = theta_bm + sigma_u * residuals[rng.integers(0, m, size=m)]
+    draws = np.array([replicate_rng(config.seed, b).integers(0, m, size=m) for b in range(B)])
+    y_star = theta_bm + sigma_u * residuals[draws]
     try:
         replicates = np.array(pipeline(y_star), dtype=float)
     except (ValidationError, NumericalError) as exc:

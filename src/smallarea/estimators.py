@@ -103,6 +103,15 @@ def _residual_bound(t) -> float:
     return _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(t))))
 
 
+def _kappa(lo: float, hi: float, g: float) -> float:
+    """The condition number (1 + g hi)/(1 + g lo) of I + g K, every
+    eigenvalue of K in [lo, hi]: +inf unless 1 + g lo > 0, so that an
+    indefinite system or a NaN lo is refused, and NaN for a NaN hi, which
+    no ``<=`` test passes either.  The arguments are Python floats, so a
+    huge g makes it inf with no warning."""
+    return (1.0 + g * hi) / (1.0 + g * lo) if 1.0 + g * lo > 0 else np.inf
+
+
 def _same_constraints(a, b) -> bool:
     return a is b or (b is not None and np.array_equal(a.M, b.M) and np.array_equal(a.t, b.t))
 
@@ -147,7 +156,8 @@ class _SigmaSolver:
     S = U diag(f) U' with f = 1/(1 + gamma lam) at any gamma.  Sigma is
     accepted when I + gamma K = Phi^{-1/2} Sigma Phi^{-1/2} is positive
     definite (1 + gamma lam_min > 0) with condition number
-    (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT.
+    (1 + gamma lam_max)/(1 + gamma lam_min) at most _CONDITION_LIMIT, the
+    certificate :func:`_kappa` writes for every route.
     Beside the basis only the last :meth:`held_out` fits are kept, keyed
     by gamma, ``constrained`` and the bytes of theta.  A solver lives as
     long as the caller that built it holds it.  The decomposition pays for
@@ -182,8 +192,7 @@ class _SigmaSolver:
     def _factors(self, g: float):
         """f = 1/(1 + g lam) at gamma ``g``; a rejected Sigma is a NumericalError."""
         lam = self._basis[0]
-        low, high = 1.0 + g * float(lam[0]), 1.0 + g * float(lam[-1])  # a huge g: inf, no warning
-        if not (low > 0 and high / low <= _CONDITION_LIMIT):
+        if not _kappa(*lam[[0, -1]].tolist(), g) <= _CONDITION_LIMIT:
             raise NumericalError(f"smoothing system is singular or ill-conditioned at gamma={g:g}")
         return 1.0 / (1.0 + g * lam)
 
@@ -254,14 +263,14 @@ class _SigmaSolver:
             self._table = None  # drop the old fits before the new ones are formed
             with np.errstate(all="ignore"):  # as in solve; a row that is not finite is unidentified
                 d, proj = self._solve(theta, g, constrained, self._eigen)
-                f, U = self._factors(g), self._basis[1]
+                f, (lam, U) = self._factors(g), self._basis
                 fits = (self.phi[:, None] * U * f) @ U.T  # row i is A e_i
                 if constrained:
                     fits -= (fits @ self.constraints.M.T) @ proj.T
                 gap = 1.0 - np.diagonal(fits)
                 fits *= ((d - theta) / gap)[:, None]
                 fits += d
-            identified = (gap > (f[0] / f[-1]) / _CONDITION_LIMIT) & np.isfinite(fits).all(axis=1)
+            identified = (gap > _kappa(*lam[[0, -1]].tolist(), g) / _CONDITION_LIMIT) & np.isfinite(fits).all(axis=1)
             self._table = key, fits, identified
         return self._table[1], self._table[2]
 
@@ -342,11 +351,10 @@ class _OneGammaSolver(_SigmaSolver):
     def _system(self, rows, M, g: float):
         """The rows of S [Phi ``rows``; ``M``] by CG or the LU solve where
         the discs certify I + g K, and through the eigen basis otherwise."""
-        lo, hi = self._bounds
-        low, high = 1.0 + g * lo, 1.0 + g * hi
-        if not (low > 0 and high / low <= _CONDITION_LIMIT):
+        kappa = _kappa(*self._bounds, g)
+        if not kappa <= _CONDITION_LIMIT:
             return self._eigen(rows, M, g)
-        cap = min(int(0.5 * np.sqrt(high / low) * np.log(2.0 / _CG_TOL)), 2 * len(self.phi)) + _CG_SLACK
+        cap = min(int(0.5 * np.sqrt(kappa) * np.log(2.0 / _CG_TOL)), 2 * len(self.phi)) + _CG_SLACK
         x = None
         if self._cg_pays(cap, len(rows) + len(M)):
             # each CG starts from the solution at gamma = 0: theta itself for

@@ -9,6 +9,13 @@ contract: the exit code is 0, 2 or 3, no exception escapes, and nothing
 warns.  The output directory is given by ``--out`` inside the case's own
 directory, so that no mutation of the config can send output elsewhere.
 
+A case that exits 0 must also pass a check of its report that does not
+use the package's solvers (:func:`report_problems`): the inputs are read
+as the run read them, and then the estimates must be the bordered-KKT
+solutions of ``oracles.kkt_solve`` at the gamma the report wrote, the
+benchmarked estimate must meet its targets within the package's bound,
+and that gamma must be the argmin of ``cv_curve.csv`` when there is one.
+
 ``tests/test_cli.py`` runs a fixed list of seeds.  A longer campaign:
 
     PYTHONPATH=src python tests/fuzz_cli.py --cases 12800
@@ -22,7 +29,9 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import csv
 import io
+import json
 import random
 import shutil
 import sys
@@ -30,7 +39,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from smallarea import cli
+import numpy as np
+
+from oracles import kkt_solve
+from smallarea import cli, load_area_csv, read_edge_list
 from smallarea.datasets import synthetic_dataset_path, us_state_borders_path
 
 COMMANDS = ("fit", "cv", "estimate", "run")
@@ -51,6 +63,8 @@ BASE = {
     "output_dir": "out",
 }
 GAMMAS = ({"gamma_grid": "0.01,100,5"}, {"gamma": "0.5"})
+SOLVE_TOL = 1e-8  # largest gap to the KKT solution, over 1 + its largest |entry|
+RESIDUAL_TOL = 1e-8  # ||M d - t||_inf <= RESIDUAL_TOL (1 + ||t||_inf), the package's bound
 
 
 def mutate(data: bytes, separator: bytes, rng: random.Random) -> tuple[bytes, str]:
@@ -94,9 +108,67 @@ def mutate(data: bytes, separator: bytes, rng: random.Random) -> tuple[bytes, st
     return b"\n".join(lines), what
 
 
+def _rows(path: Path) -> list[dict[str, str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def report_problems(argv: list[str]) -> list[str]:
+    """What the report of a run of ``cli.main(argv)`` that exited 0 gets
+    wrong, checked without the package's solvers.  The config (with the
+    command's flags), the area CSV and the edge list are read by the
+    package's readers, as the run read them; omega is assembled here from
+    the edges, the estimates are compared with ``oracles.kkt_solve`` at
+    the gamma in ``metadata.json``, and the constraint residual and the
+    argmin of ``cv_curve.csv`` are recomputed from the written files.
+    ``fit`` writes no estimate and is not checked."""
+    args = cli.build_parser().parse_args(argv)
+    if args.command == "fit":
+        return []
+    config = cli._load_config(args)
+    out = Path(config.output_dir)
+    gamma = json.loads((out / "metadata.json").read_text(encoding="utf-8"))["gamma"]
+    problems = []
+    if config.gamma_grid is not None:
+        curve = _rows(out / "cv_curve.csv")
+        best = float(curve[int(np.argmin([float(row["score"]) for row in curve]))]["gamma"])
+        if best != gamma:
+            problems.append(f"gamma {gamma!r} is not the argmin {best!r} of cv_curve.csv")
+    if args.command == "cv":
+        return problems
+    data = load_area_csv(config.area_csv, config.schema)
+    index = {label: i for i, label in enumerate(data.labels)}
+    omega = np.zeros((data.m, data.m))
+    for a, b, w in read_edge_list(config.edge_list):  # d' omega d = sum over ordered pairs of w (d_i - d_j)^2
+        i, j = index[a], index[b]
+        omega[[i, j], [j, i]] -= 2.0 * w
+        omega[[i, j], [i, j]] += 2.0 * w
+    est = _rows(out / "estimates.csv")
+    theta, smoothed, benchmarked = (
+        np.array([float(row[name]) for row in est])
+        for name in ("theta_bayes", "theta_smoothed", "theta_benchmarked")
+    )
+    M = t = None
+    if config.benchmark_target is not None:
+        M = (data.benchmark_weights / data.benchmark_weights.sum())[np.newaxis, :]
+        t = np.array([config.benchmark_target])
+        residual = float(np.max(np.abs(M @ benchmarked - t)))
+        if not residual <= RESIDUAL_TOL * (1.0 + abs(config.benchmark_target)):
+            problems.append(f"constraint residual {residual:.3e} exceeds its bound")
+    for name, values, want in (
+        ("theta_smoothed", smoothed, kkt_solve(theta, data.phi, omega, gamma)),
+        ("theta_benchmarked", benchmarked, kkt_solve(theta, data.phi, omega, gamma, M, t)),
+    ):
+        gap = float(np.max(np.abs(values - want)) / (1.0 + np.max(np.abs(want))))
+        if not gap <= SOLVE_TOL:
+            problems.append(f"{name} is {gap:.3e} away from the KKT solution")
+    return problems
+
+
 def run_case(seed: int, work: Path) -> tuple[str, str, int | str]:
     """Case ``seed`` in the fresh directory ``work``: its command, its
-    mutations, and the exit code, or the exception that escaped."""
+    mutations, and the exit code, the exception that escaped, or what
+    :func:`report_problems` found in the report of a run that exited 0."""
     rng = random.Random(seed)
     settings = {**BASE, **rng.choice(GAMMAS)}
     files = {
@@ -120,6 +192,8 @@ def run_case(seed: int, work: Path) -> tuple[str, str, int | str]:
             outcome = cli.main(argv)
         except (Exception, SystemExit) as exc:  # SystemExit: an argparse usage error
             outcome = f"{type(exc).__name__}: {exc}"
+    if outcome == 0 and (problems := report_problems(argv)):
+        outcome = "report: " + "; ".join(problems)
     return command, "; ".join(done), outcome
 
 

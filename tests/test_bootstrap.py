@@ -194,6 +194,30 @@ class TestBootstrapMse:
         assert y_star.shape == (7, 6)
         assert np.array_equal(report.replicates, y_star)
 
+    @pytest.mark.parametrize("seed", [4, 31])
+    @pytest.mark.parametrize("B", [1, 7, 200])
+    def test_responses_are_the_per_replicate_loop_bit_for_bit(self, B, seed):
+        # the (B, m) responses the callback receives are, bit for bit, the
+        # loop that drew and built them one replicate at a time
+        rng = np.random.default_rng(20)
+        data = make_dataset(rng, m=9)
+        theta_bm = data.y + rng.normal(0.0, 0.5, size=data.m)
+        calls = []
+
+        def identity(y_star):
+            calls.append(y_star.copy())
+            return y_star
+
+        bootstrap_mse(data, theta_bm, identity, BootstrapConfig(n_replicates=B, seed=seed))
+        sigma_u = np.sqrt(data.D)
+        residuals = (data.y - theta_bm) / sigma_u
+        want = np.empty((B, data.m))
+        for b in range(B):
+            draws = replicate_rng(seed, b).integers(0, data.m, size=data.m)
+            want[b] = theta_bm + sigma_u * residuals[draws]
+        assert calls[0].shape == want.shape
+        assert calls[0].tobytes() == want.tobytes()
+
     def test_non_finite_row_is_a_failed_replicate(self):
         rng = np.random.default_rng(17)
         data = make_dataset(rng, m=6)

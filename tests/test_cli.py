@@ -604,7 +604,8 @@ class TestPlotData:
 def test_seeded_input_mutations_keep_the_error_contract(tmp_path):
     # the first 300 cases of tests/fuzz_cli.py: the bundled fixture's area
     # CSV, edge list or config mutated once or twice, then fit, cv,
-    # estimate or run; each exits 0, 2 or 3, raises nothing and warns nothing
+    # estimate or run; each exits 0, 2 or 3, raises nothing and warns
+    # nothing, and the report of each that exits 0 passes its check
     import fuzz_cli
 
     cases = [(seed, *fuzz_cli.run_case(seed, tmp_path / str(seed))) for seed in range(300)]

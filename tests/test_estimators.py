@@ -27,6 +27,7 @@ from smallarea import estimators
 from smallarea.estimators import (
     _CONDITION_LIMIT,
     _batch_estimates,
+    _kappa,
     _OneGammaSolver,
     _residual_bound,
     _SigmaSolver,
@@ -766,6 +767,17 @@ def test_zero_gamma_one_gamma_solves_take_no_eigendecomposition(monkeypatch):
     np.testing.assert_allclose(bench, kkt_solve(theta, phi, omega, 0.0, constraints.M, constraints.t), atol=1e-12)
     for row, got in zip(thetas, bench_rows):
         np.testing.assert_allclose(got, kkt_solve(row, phi, omega, 0.0, constraints.M, constraints.t), atol=1e-12)
+
+
+def test_kappa_is_the_certificate_of_every_route():
+    # (1 + g hi)/(1 + g lo); +inf where 1 + g lo is not positive or lo is
+    # NaN, NaN for a NaN hi, and inf with no warning for a huge g
+    assert _kappa(0.0, 3.0, 2.0) == 7.0
+    assert _kappa(-1.0, 3.0, 1.0) == np.inf
+    assert _kappa(float("nan"), 3.0, 1.0) == np.inf
+    assert np.isnan(_kappa(0.0, float("nan"), 1.0))
+    assert _kappa(0.0, 10.0, 1e308) == np.inf
+    assert not _kappa(0.0, 1e12, 1.0) <= _CONDITION_LIMIT
 
 
 def test_one_gamma_solver_falls_back_where_the_discs_cannot_certify(monkeypatch):
